@@ -1,8 +1,17 @@
 """Exact arithmetic over Q and quadratic extensions Q(sqrt(d)).
 
-Everything in this module is built on :class:`fractions.Fraction`, so no
-rounding ever occurs.  Elements a + b*sqrt(d) live in the field tagged by a
-non-square rational d (default -1); matrices are dense and row-major.
+No rounding ever occurs.  Elements a + b*sqrt(d) live in the field tagged by
+a non-square rational d = dn/dd in lowest terms (default -1); their
+coefficients are :class:`fractions.Fraction`.
+
+Matrices are dense and row-major, and store integers only: with D = dn*dd
+(so that sqrt(D) = dd*sqrt(d)), entry k is (P[k] + Q[k]*sqrt(D)) / den with
+den > 0 and gcd(den, P, Q) = 1.  That form is canonical, so equality is a
+comparison of integer lists, and every matrix operation runs on Python
+integers without a Fraction per entry.  Rank, kernels, solving and inverses
+share one fraction-free Gauss-Jordan elimination.  Field elements are built
+from the integers only when entries are read.
+
 Semilinear maps bundle a matrix with a Galois tag and compose with the
 convention  v |-> matrix . sigma(v),  sigma applied entrywise.
 """
@@ -11,7 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
 Rat = Fraction
 
@@ -35,6 +46,13 @@ def is_rational_square(x: Fraction) -> bool:
     return math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q
 
 
+def _field_tag(d) -> Fraction:
+    d = _as_fraction(d)
+    if is_rational_square(d):
+        raise ValueError(f"d = {d} is a square in Q; not a quadratic extension")
+    return d
+
+
 class QuadElement:
     """a + b*sqrt(d) with exact rational a, b and non-square rational d."""
 
@@ -43,9 +61,7 @@ class QuadElement:
     def __init__(self, a, b=0, d=-1):
         a = _as_fraction(a)
         b = _as_fraction(b)
-        d = _as_fraction(d)
-        if is_rational_square(d):
-            raise ValueError(f"d = {d} is a square in Q; not a quadratic extension")
+        d = _field_tag(d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -160,10 +176,59 @@ def conj(x: QuadElement) -> QuadElement:
     return x.conj()
 
 
-class QuadMatrix:
-    """Dense matrix over Q(sqrt(d)), row-major, supporting 0-dimensional shapes."""
+_ZERO = Fraction(0)
+_SET_A, _SET_B, _SET_D = (QuadElement.__dict__[s].__set__ for s in QuadElement.__slots__)
 
-    __slots__ = ("rows", "cols", "entries", "d")
+
+def _element(a: Fraction, b: Fraction, d: Fraction) -> QuadElement:
+    """a + b*sqrt(d) for a tag d that a matrix has already validated."""
+    x = object.__new__(QuadElement)
+    _SET_A(x, a)
+    _SET_B(x, b)
+    _SET_D(x, d)
+    return x
+
+
+def _ratio(p: int, den: int) -> Fraction:
+    if not p:
+        return _ZERO
+    return Fraction(p) if den == 1 else Fraction(p, den)
+
+
+def _integer_element(p: int, q: int, den: int, d: Fraction) -> QuadElement:
+    """(p + q*sqrt(D)) / den as a + b*sqrt(d), with sqrt(D) = dd*sqrt(d)."""
+    return _element(_ratio(p, den), _ratio(q * d.denominator, den), d)
+
+
+def _matrix(rows: int, cols: int, d: Fraction, D: int, P: list, Q: list,
+            den: int) -> "QuadMatrix":
+    """QuadMatrix from integer arrays with den > 0, put in canonical form."""
+    if den != 1:
+        g = gcd(den, *P, *Q)
+        if g != 1:
+            den //= g
+            P = [x // g for x in P]
+            Q = [x // g for x in Q]
+    m = object.__new__(QuadMatrix)
+    for slot, value in zip(_MATRIX_SLOTS, (rows, cols, d, D, P, Q, den, None)):
+        slot(m, value)
+    return m
+
+
+def _check_fields(x: "QuadMatrix", y: "QuadMatrix"):
+    if x.d is not y.d and x.d != y.d and x._P and y._P:
+        raise ValueError(f"mixing fields sqrt({x.d}) and sqrt({y.d})")
+
+
+class QuadMatrix:
+    """Dense matrix over Q(sqrt(d)), row-major, supporting 0-dimensional shapes.
+
+    Stored as integer lists: entry k is (P[k] + Q[k]*sqrt(D)) / den with
+    D = dn*dd for d = dn/dd, in the canonical form described in the module
+    docstring.  ``entries`` materializes the QuadElements on first access.
+    """
+
+    __slots__ = ("rows", "cols", "d", "_D", "_P", "_Q", "_den", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[QuadElement], d=None):
         entries = tuple(entries)
@@ -178,11 +243,17 @@ class QuadMatrix:
                 raise ValueError("matrix field tag disagrees with entries")
             d = d0
         else:
-            d = _as_fraction(d if d is not None else -1)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "d", d)
+            d = _field_tag(d if d is not None else -1)
+        dd = d.denominator
+        avals = [e.a for e in entries]
+        bvals = [e.b if dd == 1 else e.b / dd for e in entries]
+        den = lcm(*(x.denominator for x in avals), *(x.denominator for x in bvals))
+        # den is the lcm of reduced denominators, so the form is canonical
+        for slot, value in zip(_MATRIX_SLOTS, (
+                rows, cols, d, d.numerator * dd,
+                [x.numerator * (den // x.denominator) for x in avals],
+                [x.numerator * (den // x.denominator) for x in bvals], den, None)):
+            slot(self, value)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadMatrix is immutable")
@@ -202,15 +273,27 @@ class QuadMatrix:
 
     @staticmethod
     def identity(n: int, d=-1) -> "QuadMatrix":
-        one, zero = QuadElement(1, 0, d), QuadElement(0, 0, d)
-        return QuadMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)], d)
+        d = _field_tag(d)
+        P = [0] * (n * n)
+        P[::n + 1] = [1] * n
+        return _matrix(n, n, d, d.numerator * d.denominator, P, [0] * (n * n), 1)
 
     @staticmethod
     def zeros(rows: int, cols: int, d=-1) -> "QuadMatrix":
-        zero = QuadElement(0, 0, d)
-        return QuadMatrix(rows, cols, [zero] * (rows * cols), d)
+        d = _field_tag(d)
+        return _matrix(rows, cols, d, d.numerator * d.denominator,
+                       [0] * (rows * cols), [0] * (rows * cols), 1)
 
     # -- access -------------------------------------------------------
+    @property
+    def entries(self) -> tuple:
+        ent = self._entries
+        if ent is None:
+            d, den = self.d, self._den
+            ent = tuple(_integer_element(p, q, den, d) for p, q in zip(self._P, self._Q))
+            _SET_ENTRIES(self, ent)
+        return ent
+
     def __getitem__(self, rc) -> QuadElement:
         r, c = rc
         return self.entries[r * self.cols + c]
@@ -221,45 +304,50 @@ class QuadMatrix:
     def col(self, c: int) -> tuple:
         return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
 
-    def with_entry(self, r: int, c: int, v: QuadElement) -> "QuadMatrix":
-        ent = list(self.entries)
-        ent[r * self.cols + c] = v
-        return QuadMatrix(self.rows, self.cols, ent, self.d)
-
     # -- algebra ------------------------------------------------------
-    def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
+    def _sum(self, other: "QuadMatrix", sign: int, op: str) -> "QuadMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        return QuadMatrix(self.rows, self.cols,
-                          [x + y for x, y in zip(self.entries, other.entries)], self.d)
+            raise ValueError(f"shape mismatch in {op}")
+        _check_fields(self, other)
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, sign * (den // other._den)
+        return _matrix(self.rows, self.cols, self.d, self._D,
+                       [x * f + y * g for x, y in zip(self._P, other._P)],
+                       [x * f + y * g for x, y in zip(self._Q, other._Q)], den)
+
+    def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
+        return self._sum(other, 1, "+")
 
     def __sub__(self, other: "QuadMatrix") -> "QuadMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in -")
-        return QuadMatrix(self.rows, self.cols,
-                          [x - y for x, y in zip(self.entries, other.entries)], self.d)
+        return self._sum(other, -1, "-")
 
     def __neg__(self) -> "QuadMatrix":
-        return QuadMatrix(self.rows, self.cols, [-x for x in self.entries], self.d)
+        return _matrix(self.rows, self.cols, self.d, self._D, [-x for x in self._P],
+                       [-x for x in self._Q], self._den)
 
     def scale(self, s) -> "QuadMatrix":
-        s = s if isinstance(s, QuadElement) else QuadElement(s, 0, self.d)
-        return QuadMatrix(self.rows, self.cols, [s * x for x in self.entries], self.d)
+        if isinstance(s, QuadElement):
+            if s.d != self.d and self._P:
+                raise ValueError(f"mixing fields sqrt({s.d}) and sqrt({self.d})")
+            a, b = s.a, s.b / self.d.denominator
+        else:
+            a, b = _as_fraction(s), _ZERO
+        # s = (sp + sq*sqrt(D)) / sden
+        sden = lcm(a.denominator, b.denominator)
+        sp = a.numerator * (sden // a.denominator)
+        sq = b.numerator * (sden // b.denominator)
+        P, Q = self._P, self._Q
+        if sq:
+            Dq = self._D * sq
+            P, Q = ([sp * x + Dq * y for x, y in zip(P, Q)],
+                    [sp * y + sq * x for x, y in zip(P, Q)])
+        else:
+            P, Q = [sp * x for x in P], [sp * y for y in Q]
+        return _matrix(self.rows, self.cols, self.d, self._D, P, Q, self._den * sden)
 
     def __mul__(self, other):
         if isinstance(other, QuadMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            zero = QuadElement(0, 0, self.d)
-            ent = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    acc = zero
-                    for k in range(self.cols):
-                        acc = acc + ri[k] * other.entries[k * other.cols + j]
-                    ent.append(acc)
-            return QuadMatrix(self.rows, other.cols, ent, self.d)
+            return _product(self, other)
         if isinstance(other, (int, Fraction, QuadElement)):
             return self.scale(other)
         return NotImplemented
@@ -282,46 +370,44 @@ class QuadMatrix:
         return acc
 
     def conj(self) -> "QuadMatrix":
-        return QuadMatrix(self.rows, self.cols, [x.conj() for x in self.entries], self.d)
+        if not any(self._Q):
+            return self
+        return _matrix(self.rows, self.cols, self.d, self._D, self._P,
+                       [-y for y in self._Q], self._den)
 
     def transpose(self) -> "QuadMatrix":
-        return QuadMatrix(self.cols, self.rows,
-                          [self[r, c] for c in range(self.cols) for r in range(self.rows)], self.d)
+        c = self.cols
+        return _matrix(self.cols, self.rows, self.d, self._D,
+                       [x for j in range(c) for x in self._P[j::c]],
+                       [x for j in range(c) for x in self._Q[j::c]], self._den)
 
     def apply(self, v: Sequence[QuadElement]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = QuadElement(0, 0, self.d)
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            ri = self.row(i)
-            for k in range(self.cols):
-                acc = acc + ri[k] * v[k]
-            out.append(acc)
-        return tuple(out)
+        column = QuadMatrix(len(v), 1, [x if isinstance(x, QuadElement)
+                                        else QuadElement(x, 0, self.d) for x in v], self.d)
+        return _product(self, column).entries
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.entries)
+        return not any(self._P) and not any(self._Q)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = QuadElement(1, 0, self.d)
-        return all(self[i, j] == (one if i == j else 0)
-                   for i in range(self.rows) for j in range(self.cols))
+        n = self.rows
+        return (n == self.cols and self._den == 1 and not any(self._Q)
+                and self._P.count(0) == n * n - n and self._P[::n + 1] == [1] * n)
 
     def is_rational(self) -> bool:
-        return all(x.b == 0 for x in self.entries)
+        return not any(self._Q)
 
     def __eq__(self, other):
         if not isinstance(other, QuadMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(x == y for x, y in zip(self.entries, other.entries))
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._P == other._P
+                and self._Q == other._Q and (not self._P or self.d == other.d))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(self._P), tuple(self._Q), self._den))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in self.row(r)) for r in range(self.rows))
@@ -330,78 +416,170 @@ class QuadMatrix:
     def hstack(self, other: "QuadMatrix") -> "QuadMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
-        ent = []
+        _check_fields(self, other)
+        base = self if self._P or not other._P else other
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        c1, c2 = self.cols, other.cols
+        P, Q = [], []
         for r in range(self.rows):
-            ent.extend(self.row(r))
-            ent.extend(other.row(r))
-        return QuadMatrix(self.rows, self.cols + other.cols, ent, self.d)
-
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "QuadMatrix":
-        rows = list(rows)
-        cols = list(cols)
-        return QuadMatrix(len(rows), len(cols),
-                          [self[r, c] for r in rows for c in cols], self.d)
+            P += [x * f for x in self._P[r * c1:(r + 1) * c1]]
+            P += [x * g for x in other._P[r * c2:(r + 1) * c2]]
+            Q += [x * f for x in self._Q[r * c1:(r + 1) * c1]]
+            Q += [x * g for x in other._Q[r * c2:(r + 1) * c2]]
+        return _matrix(self.rows, c1 + c2, base.d, base._D, P, Q, den)
 
 
-def _echelon(m: QuadMatrix):
-    """Reduced row echelon form; returns (rref rows as lists, pivot columns)."""
-    rows = [list(m.row(r)) for r in range(m.rows)]
+_MATRIX_SLOTS = tuple(QuadMatrix.__dict__[s].__set__ for s in QuadMatrix.__slots__)
+_SET_ENTRIES = QuadMatrix.__dict__["_entries"].__set__
+
+
+def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
+    """x . y on the integers, skipping the sqrt(D) terms of a rational factor."""
+    if x.cols != y.rows:
+        raise ValueError(f"shape mismatch {x.rows}x{x.cols} * {y.rows}x{y.cols}")
+    _check_fields(x, y)
+    k, m = x.cols, y.cols
+    x_p = [x._P[i * k:(i + 1) * k] for i in range(x.rows)]
+    y_p = [y._P[j::m] for j in range(m)]
+    P = [sum(map(mul, r, c)) for r in x_p for c in y_p]
+    x_irrational, y_irrational = any(x._Q), any(y._Q)
+    if x_irrational:
+        x_q = [x._Q[i * k:(i + 1) * k] for i in range(x.rows)]
+    if y_irrational:
+        y_q = [y._Q[j::m] for j in range(m)]
+    if x_irrational and y_irrational:
+        D = x._D
+        P = [s + D * sum(map(mul, r, c)) for s, (r, c) in
+             zip(P, ((r, c) for r in x_q for c in y_q))]
+        Q = [sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
+             for rp, rq in zip(x_p, x_q) for cp, cq in zip(y_p, y_q)]
+    elif x_irrational:
+        Q = [sum(map(mul, r, c)) for r in x_q for c in y_p]
+    elif y_irrational:
+        Q = [sum(map(mul, r, c)) for r in x_p for c in y_q]
+    else:
+        Q = [0] * len(P)
+    return _matrix(x.rows, m, x.d, x._D, P, Q, x._den * y._den)
+
+
+def _rref(m: QuadMatrix):
+    """Reduced row echelon form of m by fraction-free Gauss-Jordan elimination.
+
+    A row is a pair of integer lists (P, Q) standing for P + Q*sqrt(D) up to a
+    nonzero factor, so rows are rescaled freely: each pivot row is first
+    multiplied by the conjugate of its pivot, which makes the pivot an
+    integer, and every other row is updated as  row <- a*row - f*pivot_row
+    (a the pivot, f the row's entry, both divided by their gcd) and then
+    divided by the gcd of its integers.  Returns (pivots, rows), where rows[i]
+    = (P, Q, den) is the i-th nonzero row of the reduced form, scaled to 1 at
+    column pivots[i] and in lowest terms.  The reduced form is unique, so the
+    result does not depend on the pivot choices.
+    """
+    n, cols, D = m.rows, m.cols, m._D
+    rp = [m._P[i * cols:(i + 1) * cols] for i in range(n)]
+    rq = [m._Q[i * cols:(i + 1) * cols] for i in range(n)] if any(m._Q) else None
     pivots = []
-    pr = 0
-    for pc in range(m.cols):
-        pivot = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = rows[pr][pc].inv()
-        rows[pr] = [inv * x for x in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc]:
-                f = rows[r][pc]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
+    for pc in range(cols):
+        top = len(pivots)
+        if top == n:
             break
-    return rows, pivots
+        piv = next((r for r in range(top, n) if rp[r][pc] or (rq and rq[r][pc])), None)
+        if piv is None:
+            continue
+        rp[top], rp[piv] = rp[piv], rp[top]
+        if rq:
+            rq[top], rq[piv] = rq[piv], rq[top]
+            a, b = rp[top][pc], rq[top][pc]
+            if b:
+                xp, xq = rp[top], rq[top]
+                xp, xq = ([a * u - D * b * v for u, v in zip(xp, xq)],
+                          [a * v - b * u for u, v in zip(xp, xq)])
+                g = gcd(*xp, *xq)
+                rp[top], rq[top] = [u // g for u in xp], [v // g for v in xq]
+        pp, a = rp[top], rp[top][pc]
+        pq = rq[top] if rq else None
+        for r in range(n):
+            if r == top:
+                continue
+            fa, fb = rp[r][pc], (rq[r][pc] if rq else 0)
+            if not (fa or fb):
+                continue
+            g = gcd(a, fa, fb)
+            s, fa, fb = a // g, fa // g, fb // g
+            if rq is None:
+                xp = [s * u - fa * w for u, w in zip(rp[r], pp)]
+                g = gcd(*xp)
+                rp[r] = [u // g for u in xp] if g > 1 else xp
+                continue
+            Dfb = D * fb
+            xp = [s * u - fa * w - Dfb * z for u, w, z in zip(rp[r], pp, pq)]
+            xq = [s * v - fa * z - fb * w for v, w, z in zip(rq[r], pp, pq)]
+            g = gcd(*xp, *xq)
+            if g > 1:
+                xp, xq = [u // g for u in xp], [v // g for v in xq]
+            rp[r], rq[r] = xp, xq
+        pivots.append(pc)
+    rows = []
+    for i, pc in enumerate(pivots):
+        xp, xq = rp[i], (rq[i] if rq else [0] * cols)
+        den = xp[pc]
+        g = gcd(den, *xp, *xq)
+        if den < 0:
+            g = -g
+        rows.append(([u // g for u in xp], [v // g for v in xq], den // g))
+    return pivots, rows
+
+
+def _rows_matrix(rows: list, ncols: int, d: Fraction, D: int) -> QuadMatrix:
+    """The matrix whose rows are the (P, Q, den) rows of an echelon form."""
+    den = lcm(*(r[2] for r in rows))
+    P, Q = [], []
+    for xp, xq, rden in rows:
+        f = den // rden
+        P += [u * f for u in xp]
+        Q += [v * f for v in xq]
+    return _matrix(len(rows), ncols, d, D, P, Q, den)
+
+
+def _null_space(m: QuadMatrix) -> list:
+    """Right kernel of m: per free column of its reduced form, the vector
+    with 1 there, as (P, Q, den) triples."""
+    pivots, rows = _rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [(0, 0, 1)] * m.cols
+        v[fc] = (1, 0, 1)
+        for pc, (xp, xq, den) in zip(pivots, rows):
+            v[pc] = (-xp[fc], -xq[fc], den)
+        basis.append(v)
+    return basis
 
 
 def rank(m: QuadMatrix) -> int:
-    return len(_echelon(m)[1])
+    return len(_rref(m)[0])
 
 
 def kernel_basis(m: QuadMatrix) -> list:
     """Basis of the right kernel over Q(sqrt(d)); empty iff m is injective."""
-    rref, pivots = _echelon(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    zero = QuadElement(0, 0, m.d)
-    one = QuadElement(1, 0, m.d)
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(tuple(v))
-    return basis
+    d = m.d
+    return [tuple(_integer_element(p, q, den, d) for p, q, den in v) for v in _null_space(m)]
 
 
 def solve_unique(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
     """Solve a X = b when a has full column rank (raises otherwise)."""
     aug = a.hstack(b)
-    rref, pivots = _echelon(aug)
+    pivots, rows = _rref(aug)
     if any(p >= a.cols for p in pivots):
         raise ValueError("inconsistent system")
     if pivots != list(range(a.cols)):
         raise ValueError("matrix does not have full column rank")
-    ent = []
-    for r in range(a.cols):
-        ent.extend(rref[r][a.cols:])
-    return QuadMatrix(a.cols, b.cols, ent, a.d)
+    n = a.cols
+    return _rows_matrix([(xp[n:], xq[n:], den) for xp, xq, den in rows],
+                        b.cols, aug.d, aug._D)
 
 
 def inverse(m: QuadMatrix) -> QuadMatrix:
@@ -412,10 +590,9 @@ def inverse(m: QuadMatrix) -> QuadMatrix:
 
 def column_space_basis(m: QuadMatrix) -> QuadMatrix:
     """Matrix whose columns are a basis of the column space of m."""
-    rref, pivots = _echelon(m.transpose())
-    rows = [rref[i] for i in range(len(pivots))]
-    return QuadMatrix(len(pivots), m.rows,
-                      [x for row in rows for x in row], m.d).transpose()
+    t = m.transpose()
+    _, rows = _rref(t)
+    return _rows_matrix(rows, m.rows, t.d, t._D).transpose()
 
 
 def nilpotency_exponent(m: QuadMatrix):
@@ -487,47 +664,13 @@ class SemilinearMap:
         return f"SemilinearMap(sigma={self.sigma}, {self.matrix!r})"
 
 
-def _rational_kernel(rows: list, ncols: int) -> list:
-    """Kernel basis of an exact rational matrix given as list of rows."""
-    pivots = []
-    rws = [list(r) for r in rows]
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for r in range(pr, len(rws)):
-            if rws[r][pc]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rws[pr], rws[piv] = rws[piv], rws[pr]
-        f = rws[pr][pc]
-        rws[pr] = [x / f for x in rws[pr]]
-        for r in range(len(rws)):
-            if r != pr and rws[r][pc]:
-                g = rws[r][pc]
-                rws[r] = [x - g * y for x, y in zip(rws[r], rws[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rws):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rws[r][fc]
-        basis.append(v)
-    return basis
-
-
 def fixed_space(phi: SemilinearMap) -> list:
     """K-basis of {v : phi(v) = v} for a conjugate-semilinear involution.
 
-    Splitting v = x + sqrt(d) y and the matrix A = P + sqrt(d) Q turns
+    Splitting v = x + sqrt(d) y and the matrix A = P_d + sqrt(d) Q_d turns
     A.conj(v) = v into the rational system
-        (P - 1) x - d Q y = 0,   Q x - (P + 1) y = 0.
+        (P_d - 1) x - d Q_d y = 0,   Q_d x - (P_d + 1) y = 0,
+    solved here scaled by den, where P_d = P/den and Q_d = dd Q/den.
     Galois descent guarantees exactly n = domain_dim basis vectors, which
     are returned in L-coordinates and span L^n over L.
 
@@ -541,22 +684,24 @@ def fixed_space(phi: SemilinearMap) -> list:
         raise CocycleViolation("fixed_space needs a square map")
     if not (a * a.conj()).is_identity():
         raise CocycleViolation("phi o phi is not the identity; no K-structure")
-    n = a.rows
-    d = a.d
-    rows = []
+    n, d, den = a.rows, a.d, a._den
+    P = []
     for i in range(n):
-        # (P - I) x - d Q y = 0
-        row = [a[i, j].a - (1 if i == j else 0) for j in range(n)]
-        row += [-d * a[i, j].b for j in range(n)]
-        rows.append(row)
+        # (P - den) x - dn Q y = 0
+        row = a._P[i * n:(i + 1) * n] + [-d.numerator * v for v in a._Q[i * n:(i + 1) * n]]
+        row[i] -= den
+        P += row
     for i in range(n):
-        # Q x - (P + I) y = 0
-        row = [a[i, j].b for j in range(n)]
-        row += [-(a[i, j].a + (1 if i == j else 0)) for j in range(n)]
-        rows.append(row)
-    rows = [[Fraction(x) for x in r] for r in rows]
-    sols = _rational_kernel(rows, 2 * n)
-    basis = [tuple(QuadElement(v[j], v[n + j], d) for j in range(n)) for v in sols]
+        # dd Q x - (P + den) y = 0
+        row = [d.denominator * v for v in a._Q[i * n:(i + 1) * n]] + \
+            [-u for u in a._P[i * n:(i + 1) * n]]
+        row[n + i] -= den
+        P += row
+    system = _matrix(2 * n, 2 * n, d, a._D, P, [0] * len(P), 1)
+    basis = []
+    for v in _null_space(system):
+        coords = [_ratio(p, q_den) for p, _, q_den in v]
+        basis.append(tuple(_element(coords[j], coords[n + j], d) for j in range(n)))
     if len(basis) != n:
         raise CocycleViolation(
             f"descent failure: expected {n} fixed vectors, found {len(basis)}")

@@ -342,7 +342,8 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
             sn = SemilinearMap(n.rho[cv], 1)
             sm_inv = SemilinearMap(m.rho[cv], 1).inverse()
             comp = sn.compose(SemilinearMap(mats[cv], 0)).compose(sm_inv)
-            assert comp.sigma == 0
+            if comp.sigma != 0:
+                raise AssertionError("conjugation must act linearly on Hom over L")
             out.append(comp.matrix)
         conjugated.append(tuple(out))
 
@@ -409,7 +410,8 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
             mats.append(acc)
         mats = tuple(mats)
         if invertible(mats):
-            assert is_morphism(a, b, mats)
+            if not is_morphism(a, b, mats):
+                raise AssertionError("isomorphism witness is not a morphism")
             return mats
     return None
 

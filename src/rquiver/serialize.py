@@ -8,6 +8,7 @@ Q(sqrt(d)) are 4-tuples [a_num, a_den, b_num, b_den] under a field header
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix
@@ -23,6 +24,26 @@ class ParseError(ValueError):
     pass
 
 
+# What a document of the right version but the wrong shape raises on its way
+# through the loaders and the constructors they call: a missing key, a short
+# list, a value of the wrong type, a zero denominator, a failed invariant.
+_MALFORMED = (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+
+
+def _loader(load):
+    """Report any malformed input to load as a ParseError."""
+    @functools.wraps(load)
+    def wrapper(*args):
+        try:
+            return load(*args)
+        except ParseError:
+            raise
+        except _MALFORMED as exc:
+            raise ParseError(f"malformed input to {load.__name__}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+    return wrapper
+
+
 def _check_version(data):
     if not isinstance(data, dict) or data.get("version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version "
@@ -34,6 +55,7 @@ def dump_fraction(x) -> list:
     return [x.numerator, x.denominator]
 
 
+@_loader
 def load_fraction(data) -> Fraction:
     return Fraction(int(data[0]), int(data[1]))
 
@@ -42,9 +64,16 @@ def dump_element(x: QuadElement) -> list:
     return [x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
 
 
-def load_element(data, d) -> QuadElement:
+def _parse_element(data, d) -> QuadElement:
+    if len(data) != 4:
+        raise ParseError(f"a field element has 4 integers, got {len(data)}")
     return QuadElement(Fraction(int(data[0]), int(data[1])),
                        Fraction(int(data[2]), int(data[3])), d)
+
+
+@_loader
+def load_element(data, d) -> QuadElement:
+    return _parse_element(data, d)
 
 
 def dump_matrix(m: QuadMatrix) -> dict:
@@ -52,15 +81,17 @@ def dump_matrix(m: QuadMatrix) -> dict:
             "entries": [dump_element(x) for x in m.entries]}
 
 
+@_loader
 def load_matrix(data, d) -> QuadMatrix:
     return QuadMatrix(int(data["rows"]), int(data["cols"]),
-                      [load_element(e, d) for e in data["entries"]], d)
+                      [_parse_element(e, d) for e in data["entries"]], d)
 
 
 def dump_group(g: FiniteGroup) -> dict:
     return {"order": g.order, "table": [list(row) for row in g.table]}
 
 
+@_loader
 def load_group(data) -> FiniteGroup:
     return FiniteGroup(data["table"])
 
@@ -71,6 +102,7 @@ def dump_gset(x: GSet) -> dict:
             "action": [list(x.action[g]) for g in canonical.generators]}
 
 
+@_loader
 def load_gset(data, group: FiniteGroup) -> GSet:
     canonical = FiniteGroup(group.table)
     return GSet.from_generator_perms(canonical, int(data["size"]),
@@ -89,6 +121,7 @@ def dump_quiver(q: RationalQuiver) -> dict:
     }
 
 
+@_loader
 def load_quiver(data) -> RationalQuiver:
     _check_version(data)
     group = load_group(data["group"])
@@ -119,6 +152,7 @@ def dump_species(s: EtaleSpecies) -> dict:
             "indices": s.n_indices, "fields": fields, "bimodules": bims}
 
 
+@_loader
 def load_species(data) -> EtaleSpecies:
     _check_version(data)
     group = load_group(data["group"])
@@ -145,6 +179,7 @@ def dump_rep(r: QuiverRep) -> dict:
     return out
 
 
+@_loader
 def load_rep(data) -> QuiverRep:
     _check_version(data)
     d = load_fraction(data["d"])
@@ -166,6 +201,7 @@ def dump_species_rep(w: SpeciesRep) -> dict:
             "maps": maps}
 
 
+@_loader
 def load_species_rep(data) -> SpeciesRep:
     _check_version(data)
     d = load_fraction(data["d"])
@@ -193,6 +229,7 @@ def dump_hc(m) -> dict:
     }
 
 
+@_loader
 def load_hc(data):
     from .hc import HCModule
 
@@ -218,6 +255,7 @@ def dump_matrix_file(m: QuadMatrix, gamma=None) -> dict:
     return out
 
 
+@_loader
 def load_matrix_file(data):
     _check_version(data)
     d = load_fraction(data["d"])
@@ -231,6 +269,7 @@ def dump_stabilization(p) -> dict:
             "phi_minus": dump_matrix(p.phi_minus), "tau": p.tau}
 
 
+@_loader
 def load_stabilization(data):
     from .unipotent import StabilizationProblem
 

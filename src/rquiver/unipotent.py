@@ -25,17 +25,19 @@ class SingularIterate(RuntimeError):
 
 
 def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
-    """Inverse of a unipotent matrix via the finite series sum (-n)^k."""
-    n = u - QuadMatrix.identity(u.rows, u.d)
-    e = nilpotency_exponent(n)
-    if e is None:
-        raise PreconditionViolated("matrix is not unipotent")
-    acc = QuadMatrix.identity(u.rows, u.d)
-    term = QuadMatrix.identity(u.rows, u.d)
-    for _ in range(1, e):
-        term = term * (-n)
+    """Inverse of a unipotent matrix via the finite series sum (-n)^k.
+
+    The powers of -n are summed until one is zero; n = u - 1 is nilpotent
+    exactly when n^rows = 0 (n^1 for the empty matrix).
+    """
+    acc = term = QuadMatrix.identity(u.rows, u.d)
+    minus_n = acc - u
+    for _ in range(max(u.rows, 1)):
+        term = term * minus_n
+        if term.is_zero():
+            return acc
         acc = acc + term
-    return acc
+    raise PreconditionViolated("matrix is not unipotent")
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,10 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     d = p.d
     half = QuadElement(Fraction(1, 2), 0, d)
     ident = QuadMatrix.identity(p.cols, d)
-    trace = [(p, q, _defect_exp(q, p, ident))]
+    qp = q * p
+    trace = [(p, q, nilpotency_exponent(qp - ident))]
     iterations = 0
-    while not (q * p == ident and p * q == QuadMatrix.identity(p.rows, d)):
+    while not (qp == ident and p * q == QuadMatrix.identity(p.rows, d)):
         if iterations >= MAX_ITERATIONS:
             raise SingularIterate("stabilization did not converge; arithmetic bug")
         try:
@@ -100,12 +103,9 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
             raise SingularIterate(f"iterate became singular: {exc}") from exc
         p, q = p_next, q_next
         iterations += 1
-        trace.append((p, q, _defect_exp(q, p, ident)))
+        qp = q * p
+        trace.append((p, q, nilpotency_exponent(qp - ident)))
     return StabilizationResult(p, q, iterations, tuple(trace))
-
-
-def _defect_exp(q, p, ident):
-    return nilpotency_exponent(q * p - ident)
 
 
 def unipotent_sqrt(phi: QuadMatrix) -> QuadMatrix:

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rquiver.serialize as io
 from rquiver.cli import main, render_diagram, run
@@ -165,3 +166,90 @@ def test_examples_random_cases(capsys):
     assert main(["examples", "run", "--cases", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "random roundtrips" in out and "4/4 constructive" in out
+
+
+# --------------------------------------------------------------- malformed input
+
+def test_rep_missing_fields_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "rep.json", {"version": 1})
+    assert main(["rep", "validate", "--in", path]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_matrix_file_without_matrix_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"version": 1, "d": [-1, 1]})
+    assert main(["unipotent", "sqrt", "--in", path]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"rows": 2, "cols": 2, "entries": [[1, 1, 0, 1]] * 3},   # entry count
+    {"rows": 1, "cols": 1, "entries": [[1, 0, 0, 1]]},       # zero denominator
+    {"rows": 1, "cols": 1, "entries": [[1, 1, 0]]},          # short element
+    {"rows": 1, "entries": [[1, 1, 0, 1]]},                  # missing key
+])
+def test_load_matrix_rejects(bad):
+    from fractions import Fraction
+
+    with pytest.raises(io.ParseError):
+        io.load_matrix(bad, Fraction(-1))
+
+
+junk = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=2)
+json_values = junk | st.lists(st.integers(-3, 3) | junk, max_size=4) | \
+    st.dictionaries(st.text(max_size=2), junk, max_size=2)
+
+
+@st.composite
+def matrix_docs(draw):
+    """Matrix documents, well formed or damaged in a few places."""
+    rows, cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    count = draw(st.sampled_from([rows * cols, draw(st.integers(0, 5))]))
+    element = st.lists(st.integers(-3, 3), min_size=4, max_size=4) | \
+        st.lists(st.integers(-3, 3), max_size=5) | junk
+    doc = {"rows": rows, "cols": cols,
+           "entries": draw(st.lists(element, min_size=count, max_size=count))}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(junk)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_docs())
+def test_load_matrix_fuzz(doc):
+    from fractions import Fraction
+
+    try:
+        m = io.load_matrix(doc, Fraction(-1))
+    except io.ParseError:
+        return
+    assert m.rows * m.cols == len(m.entries)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_load_rep_fuzz(data):
+    doc = io.dump_rep(random_gelfand_rep(random.Random(5), max_dim=2))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(json_values)
+    try:
+        io.load_rep(doc)
+    except io.ParseError:
+        pass

@@ -1,0 +1,358 @@
+"""The integer matrix kernel against the element-by-element reference.
+
+The reference below is the QuadElement arithmetic the kernel replaced: a
+triple-loop multiply and a Gauss-Jordan reduction that divides by each pivot.
+Both kernels compute the same reduced row echelon form, which is unique, so
+every result must agree exactly, for every field tag.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rquiver.exact import (
+    QuadElement,
+    QuadMatrix,
+    SemilinearMap,
+    basis_matrix,
+    column_space_basis,
+    fixed_space,
+    inverse,
+    kernel_basis,
+    nilpotency_exponent,
+    rank,
+    solve_unique,
+)
+
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+
+
+# ---------------------------------------------------------------- reference
+
+def ref_mul(a: QuadMatrix, b: QuadMatrix) -> list:
+    zero = QuadElement(0, 0, a.d)
+    ent = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            ent.append(acc)
+    return ent
+
+
+def ref_echelon(rows: list, ncols: int):
+    """Reduced row echelon form of a list of rows (QuadElements or Fractions)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [inv * x for x in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc]:
+                f = rows[r][pc]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def matrix_rows(m: QuadMatrix) -> list:
+    return [list(m.row(r)) for r in range(m.rows)]
+
+
+def ref_kernel(rows: list, ncols: int, zero, one) -> list:
+    rref, pivots = ref_echelon(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve(a: QuadMatrix, b: QuadMatrix) -> list:
+    rows = [list(a.row(r)) + list(b.row(r)) for r in range(a.rows)]
+    rref, pivots = ref_echelon(rows, a.cols + b.cols)
+    if any(p >= a.cols for p in pivots):
+        raise ValueError("inconsistent system")
+    if pivots != list(range(a.cols)):
+        raise ValueError("matrix does not have full column rank")
+    return [x for r in range(a.cols) for x in rref[r][a.cols:]]
+
+
+def ref_column_space(m: QuadMatrix) -> QuadMatrix:
+    rref, pivots = ref_echelon(matrix_rows(m.transpose()), m.rows)
+    t = QuadMatrix(len(pivots), m.rows, [x for r in rref[:len(pivots)] for x in r], m.d)
+    return t.transpose()
+
+
+def ref_nilpotency(m: QuadMatrix):
+    if m.rows == 0:
+        return 1
+    p = m
+    for e in range(1, m.rows + 1):
+        if all(not x for x in p.entries):
+            return e
+        p = QuadMatrix(m.rows, m.cols, ref_mul(p, m), m.d)
+    return None
+
+
+def ref_fixed_space(a: QuadMatrix) -> list:
+    n, d = a.rows, a.d
+    rows = []
+    for i in range(n):
+        rows.append([a[i, j].a - (1 if i == j else 0) for j in range(n)]
+                    + [-d * a[i, j].b for j in range(n)])
+    for i in range(n):
+        rows.append([a[i, j].b for j in range(n)]
+                    + [-(a[i, j].a + (1 if i == j else 0)) for j in range(n)])
+    rows = [[Fraction(x) for x in r] for r in rows]
+    sols = ref_kernel(rows, 2 * n, Fraction(0), Fraction(1))
+    return [tuple(QuadElement(v[j], v[n + j], d) for j in range(n)) for v in sols]
+
+
+# ---------------------------------------------------------------- inputs
+
+def random_element(rng, d, rational=False):
+    def coeff():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+    return QuadElement(coeff(), 0 if rational else coeff(), d)
+
+
+def random_matrix(rng, rows, cols, d, rational=False):
+    return QuadMatrix(rows, cols, [random_element(rng, d, rational)
+                                   for _ in range(rows * cols)], d)
+
+
+def low_rank_matrix(rng, rows, cols, d):
+    inner = rng.randint(0, min(rows, cols))
+    left = random_matrix(rng, rows, inner, d)
+    right = random_matrix(rng, inner, cols, d)
+    return left * right
+
+
+def invertible_matrix(rng, n, d, rational=False):
+    while True:
+        m = random_matrix(rng, n, n, d, rational)
+        if rank(m) == n:
+            return m
+
+
+def cases(count=12, seed=0):
+    """(rng, d, rows, cols) over every field tag and shapes 0-6."""
+    rng = random.Random(seed)
+    for d in FIELD_TAGS:
+        for _ in range(count):
+            yield rng, d, rng.randint(0, 6), rng.randint(0, 6)
+
+
+# ---------------------------------------------------------------- differential
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_arithmetic_matches_reference(d):
+    rng = random.Random(str(d))
+    for _ in range(15):
+        r, k, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        rational = rng.random() < 0.3
+        a = random_matrix(rng, r, k, d, rational)
+        b = random_matrix(rng, k, c, d, rng.random() < 0.3)
+        a2 = random_matrix(rng, r, k, d)
+        assert (a * b).entries == tuple(ref_mul(a, b))
+        assert (a + a2).entries == tuple(x + y for x, y in zip(a.entries, a2.entries))
+        assert (a - a2).entries == tuple(x - y for x, y in zip(a.entries, a2.entries))
+        assert (-a).entries == tuple(-x for x in a.entries)
+        s = random_element(rng, d)
+        assert a.scale(s).entries == tuple(s * x for x in a.entries)
+        assert a.scale(Fraction(-3, 4)).entries == tuple(Fraction(-3, 4) * x for x in a.entries)
+        assert (a * 3).entries == tuple(3 * x for x in a.entries)
+        assert a.conj().entries == tuple(x.conj() for x in a.entries)
+        assert a.transpose().entries == tuple(a[i, j] for j in range(k) for i in range(r))
+        assert a.hstack(a2).entries == tuple(
+            x for i in range(r) for x in a.row(i) + a2.row(i))
+        v = [random_element(rng, d) for _ in range(k)]
+        assert a.apply(v) == tuple(ref_mul(a, QuadMatrix(k, 1, v, d)))
+        assert (a == a2) == (a.entries == a2.entries)
+        assert a.is_zero() == all(not x for x in a.entries)
+        assert a.is_rational() == all(x.b == 0 for x in a.entries)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_equality_follows_entries(d):
+    rng = random.Random(str(d))
+    for _ in range(10):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        a = random_matrix(rng, r, c, d)
+        rebuilt = QuadMatrix(r, c, list(a.entries), d)
+        detour = (a.scale(Fraction(7, 3)) + a).scale(Fraction(3, 10))
+        for other in (rebuilt, detour, a.conj().conj(), a.transpose().transpose()):
+            assert other == a and hash(other) == hash(a)
+        assert QuadMatrix.identity(r, d).is_identity()
+        assert not (QuadMatrix.identity(r, d).scale(2)).is_identity() or r == 0
+
+
+def test_elimination_matches_reference():
+    for rng, d, rows, cols in cases():
+        m = low_rank_matrix(rng, rows, cols, d) if rng.random() < 0.5 \
+            else random_matrix(rng, rows, cols, d, rng.random() < 0.3)
+        zero, one = QuadElement(0, 0, d), QuadElement(1, 0, d)
+        ref_rows, pivots = ref_echelon(matrix_rows(m), cols)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == ref_kernel(matrix_rows(m), cols, zero, one)
+        assert column_space_basis(m) == ref_column_space(m)
+
+
+def test_solve_and_inverse_match_reference():
+    for rng, d, rows, cols in cases(seed=1):
+        rows = max(rows, cols)
+        a = random_matrix(rng, rows, cols, d, rng.random() < 0.3)
+        x0 = random_matrix(rng, cols, rng.randint(0, 3), d)
+        for b in (a * x0, random_matrix(rng, rows, x0.cols, d)):
+            try:
+                expected = ref_solve(a, b)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    solve_unique(a, b)
+            else:
+                assert solve_unique(a, b).entries == tuple(expected)
+        n = rng.randint(0, 6)
+        m = invertible_matrix(rng, n, d, rng.random() < 0.3)
+        inv = inverse(m)
+        assert inv.entries == tuple(ref_solve(m, QuadMatrix.identity(n, d)))
+        assert (inv * m).is_identity() and (m * inv).is_identity()
+    singular = QuadMatrix.from_rows([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        inverse(singular)
+
+
+def test_nilpotency_matches_reference():
+    rng = random.Random(5)
+    for d in FIELD_TAGS:
+        for n in range(0, 7):
+            upper = QuadMatrix(n, n, [random_element(rng, d) if j > i else QuadElement(0, 0, d)
+                                      for i in range(n) for j in range(n)], d)
+            g = invertible_matrix(rng, n, d)
+            for m in (upper, g * upper * inverse(g), random_matrix(rng, n, n, d, n > 3)):
+                assert nilpotency_exponent(m) == ref_nilpotency(m)
+
+
+def test_fixed_space_matches_reference():
+    rng = random.Random(9)
+    for d in FIELD_TAGS:
+        for n in range(0, 6):
+            b = invertible_matrix(rng, n, d)
+            a = b * inverse(b.conj())
+            assert fixed_space(SemilinearMap(a, 1)) == ref_fixed_space(a)
+
+
+# ---------------------------------------------------------------- properties
+
+tags = st.sampled_from(FIELD_TAGS)
+coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def matrices(draw, max_dim=4, square=False):
+    d = draw(tags)
+    rows = draw(st.integers(0, max_dim))
+    cols = rows if square else draw(st.integers(0, max_dim))
+    ent = draw(st.lists(st.tuples(coeffs, coeffs), min_size=rows * cols,
+                        max_size=rows * cols))
+    return QuadMatrix(rows, cols, [QuadElement(a, b, d) for a, b in ent], d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices())
+def test_rank_nullity(m):
+    ker = kernel_basis(m)
+    assert rank(m) + len(ker) == m.cols
+    for v in ker:
+        assert all(not x for x in m.apply(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(square=True))
+def test_inverse_times_matrix(m):
+    if rank(m) < m.rows:
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    assert (inverse(m) * m).is_identity()
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_solve_unique_solves(a, extra, rnd):
+    x0 = random_matrix(rnd, a.cols, extra, a.d)
+    b = a * x0
+    if rank(a) < a.cols:
+        with pytest.raises(ValueError):
+            solve_unique(a, b)
+        return
+    assert solve_unique(a, b) == x0
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(max_dim=4, square=True))
+def test_fixed_space_spans(b):
+    if rank(b) < b.rows:
+        return
+    phi = SemilinearMap(b * inverse(b.conj()), 1)
+    basis = fixed_space(phi)
+    assert len(basis) == b.rows
+    assert rank(basis_matrix(basis, b.rows, b.d)) == b.rows
+    for v in basis:
+        assert phi.apply(v) == v
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), coeffs.filter(bool))
+def test_equal_matrices_hash_equal(m, c):
+    other = m.scale(c).scale(1 / c)
+    assert other == m and hash(other) == hash(m)
+    assert QuadMatrix(m.rows, m.cols, m.entries, m.d) == m
+
+
+# ---------------------------------------------------------------- fields
+
+def test_field_mixing_rejected():
+    a = QuadMatrix.identity(2, -1)
+    b = QuadMatrix.identity(2, 2)
+    for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: a.hstack(b),
+               lambda: a.scale(QuadElement(1, 1, 2)), lambda: solve_unique(a, b),
+               lambda: a.apply([QuadElement(1, 0, 2)] * 2)):
+        with pytest.raises(ValueError):
+            op()
+    with pytest.raises(ValueError):
+        QuadMatrix(1, 2, [QuadElement(1, 0, -1), QuadElement(1, 0, 2)])
+    with pytest.raises(ValueError):
+        QuadMatrix(1, 1, [QuadElement(1, 0, -1)], 2)
+    # d = 2 and d = 1/2 name the same field but are different tags
+    assert QuadMatrix.identity(1, 2) != QuadMatrix.identity(1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("d", (4, Fraction(9, 4), 0, 1))
+def test_square_tag_rejected(d):
+    with pytest.raises(ValueError):
+        QuadMatrix.identity(2, d)
+    with pytest.raises(ValueError):
+        QuadMatrix.zeros(1, 1, d)
+    with pytest.raises(ValueError):
+        QuadMatrix.from_rows([[1]], d)

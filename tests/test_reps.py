@@ -364,3 +364,53 @@ def test_functors_preserve_nilpotency():
         assert is_nilpotent_rep(r)
         back, _ = hf_witness(r)
         assert is_nilpotent_rep(back)
+
+
+# ---------------------------------------------------------------- checks under -O
+
+_BROKEN_CHECKS = """
+import rquiver.reps as reps
+from rquiver.exact import QuadMatrix, SemilinearMap
+from rquiver.quiver import gelfand_quiver
+
+def principal_like(n):
+    one, zero = QuadMatrix.identity(n), QuadMatrix.zeros(n, n)
+    return reps.QuiverRep(gelfand_quiver(), (n, n, n), (zero, zero, one, one), (one, one, one))
+
+class Antilinear(SemilinearMap):
+    __slots__ = ()
+
+    def compose(self, first):
+        return Antilinear(SemilinearMap.compose(self, first).matrix, 1)
+
+linear = reps.SemilinearMap
+reps.SemilinearMap = Antilinear
+try:
+    reps.hom_space(principal_like(1), principal_like(1))
+except AssertionError as exc:
+    print("hom_space:", exc)
+reps.SemilinearMap = linear
+
+# no basis vector of End(L^2 principal) is invertible, so the search combines
+reps.is_morphism = lambda *args: False
+try:
+    reps.rep_isomorphic(principal_like(2), principal_like(2))
+except AssertionError as exc:
+    print("rep_isomorphic:", exc)
+"""
+
+
+def test_library_checks_survive_optimize():
+    """The two library correctness checks still raise under python -O."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rquiver
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rquiver.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert "hom_space: conjugation must act linearly on Hom over L" in out
+    assert "rep_isomorphic: isomorphism witness is not a morphism" in out
