@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -375,6 +376,13 @@ class QuadMatrix:
         return _matrix(self.rows, self.cols, self.d, self._D, self._P,
                        [-y for y in self._Q], self._den)
 
+    def parts(self) -> tuple:
+        """Rational matrices (a, b) with self = a + sqrt(d) b."""
+        zeros, dd = [0] * len(self._P), self.d.denominator
+        return (_matrix(self.rows, self.cols, self.d, self._D, self._P, zeros, self._den),
+                _matrix(self.rows, self.cols, self.d, self._D, [dd * y for y in self._Q],
+                        zeros, self._den))
+
     def transpose(self) -> "QuadMatrix":
         c = self.cols
         return _matrix(self.cols, self.rows, self.d, self._D,
@@ -463,6 +471,64 @@ def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
     return _matrix(x.rows, m, x.d, x._D, P, Q, x._den * y._den)
 
 
+def block_matrix(row_sizes, col_sizes, blocks, d=-1) -> QuadMatrix:
+    """Matrix over Q(sqrt(d)) assembled from blocks (i, j, m): m, of shape
+    row_sizes[i] x col_sizes[j], is added at block row i and block column j,
+    over one common denominator; entries outside every block are zero."""
+    d = _field_tag(d)
+    blocks = list(blocks)
+    r0, c0 = list(accumulate(row_sizes, initial=0)), list(accumulate(col_sizes, initial=0))
+    cols, den = c0[-1], lcm(*(m._den for _, _, m in blocks))
+    P, Q = [0] * (r0[-1] * cols), [0] * (r0[-1] * cols)
+    for i, j, m in blocks:
+        if (m.rows, m.cols) != (row_sizes[i], col_sizes[j]):
+            raise ValueError(f"block ({i},{j}) has the wrong shape")
+        if m._P and m.d != d:
+            raise ValueError(f"mixing fields sqrt({m.d}) and sqrt({d})")
+        f, mc = den // m._den, m.cols
+        for r in range(m.rows):
+            k, src = (r0[i] + r) * cols + c0[j], slice(r * mc, (r + 1) * mc)
+            P[k:k + mc] = [u + f * v for u, v in zip(P[k:k + mc], m._P[src])]
+            Q[k:k + mc] = [u + f * v for u, v in zip(Q[k:k + mc], m._Q[src])]
+    return _matrix(r0[-1], cols, d, d.numerator * d.denominator, P, Q, den)
+
+
+def intertwining_system(shapes, equations, d=-1) -> QuadMatrix:
+    """Linear system in the row-major entries of blocks psi_0, psi_1, ...
+    (psi_b of shape shapes[b]) whose kernel is the set of psi with
+    psi_t A - B psi_s = 0 for every (t, s, A, B) in equations.
+
+    In row-major vec form the equation is (I (x) A^T) at block t and
+    -(B (x) I) at block s; row (r, c) of it holds column c of A at the
+    entries psi_t[r, :] and -B[r, k] at psi_s[k, c].  All rows share one
+    denominator.
+    """
+    d = _field_tag(d)
+    c0 = list(accumulate((r * c for r, c in shapes), initial=0))
+    total = c0[-1]
+    den = lcm(*(x._den for _, _, a, b in equations for x in (a, b)))
+    P, Q = [], []
+    for t, s, a, b in equations:
+        for x in (a, b):
+            if x._P and x.d != d:
+                raise ValueError(f"mixing fields sqrt({x.d}) and sqrt({d})")
+        fa, fb = den // a._den, -(den // b._den)
+        mt, ms, bc = a.rows, a.cols, b.cols
+        for r in range(b.rows):
+            bp, bq = b._P[r * bc:(r + 1) * bc], b._Q[r * bc:(r + 1) * bc]
+            for c in range(ms):
+                rp, rq, o = [0] * total, [0] * total, c0[t] + r * mt
+                rp[o:o + mt] = [fa * x for x in a._P[c::ms]]
+                rq[o:o + mt] = [fa * x for x in a._Q[c::ms]]
+                for k in range(bc):
+                    rp[c0[s] + k * ms + c] += fb * bp[k]
+                    rq[c0[s] + k * ms + c] += fb * bq[k]
+                P += rp
+                Q += rq
+    rows = sum(b.rows * a.cols for _, _, a, b in equations)
+    return _matrix(rows, total, d, d.numerator * d.denominator, P, Q, den)
+
+
 def _rref(m: QuadMatrix):
     """Reduced row echelon form of m by fraction-free Gauss-Jordan elimination.
 
@@ -542,21 +608,21 @@ def _rows_matrix(rows: list, ncols: int, d: Fraction, D: int) -> QuadMatrix:
     return _matrix(len(rows), ncols, d, D, P, Q, den)
 
 
-def _null_space(m: QuadMatrix) -> list:
-    """Right kernel of m: per free column of its reduced form, the vector
-    with 1 there, as (P, Q, den) triples."""
+def _kernel_matrix(m: QuadMatrix) -> QuadMatrix:
+    """Right kernel of m as the columns of a cols x nullity matrix: per free
+    column of the reduced form, the vector with 1 there."""
     pivots, rows = _rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
-            continue
-        v = [(0, 0, 1)] * m.cols
-        v[fc] = (1, 0, 1)
-        for pc, (xp, xq, den) in zip(pivots, rows):
-            v[pc] = (-xp[fc], -xq[fc], den)
-        basis.append(v)
-    return basis
+    free = sorted(set(range(m.cols)).difference(pivots))
+    h = len(free)
+    den = lcm(*(r[2] for r in rows))
+    P, Q = [0] * (m.cols * h), [0] * (m.cols * h)
+    for j, fc in enumerate(free):
+        P[fc * h + j] = den
+    for pc, (xp, xq, rden) in zip(pivots, rows):
+        f = -(den // rden)
+        P[pc * h:(pc + 1) * h] = [xp[fc] * f for fc in free]
+        Q[pc * h:(pc + 1) * h] = [xq[fc] * f for fc in free]
+    return _matrix(m.cols, h, m.d, m._D, P, Q, den)
 
 
 def rank(m: QuadMatrix) -> int:
@@ -565,8 +631,8 @@ def rank(m: QuadMatrix) -> int:
 
 def kernel_basis(m: QuadMatrix) -> list:
     """Basis of the right kernel over Q(sqrt(d)); empty iff m is injective."""
-    d = m.d
-    return [tuple(_integer_element(p, q, den, d) for p, q, den in v) for v in _null_space(m)]
+    k = _kernel_matrix(m)
+    return [k.col(j) for j in range(k.cols)]
 
 
 def solve_unique(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
@@ -664,8 +730,9 @@ class SemilinearMap:
         return f"SemilinearMap(sigma={self.sigma}, {self.matrix!r})"
 
 
-def fixed_space(phi: SemilinearMap) -> list:
-    """K-basis of {v : phi(v) = v} for a conjugate-semilinear involution.
+def fixed_space_matrix(phi: SemilinearMap) -> QuadMatrix:
+    """Matrix whose columns are a K-basis of {v : phi(v) = v} for a
+    conjugate-semilinear involution.
 
     Splitting v = x + sqrt(d) y and the matrix A = P_d + sqrt(d) Q_d turns
     A.conj(v) = v into the rational system
@@ -697,15 +764,59 @@ def fixed_space(phi: SemilinearMap) -> list:
             [-u for u in a._P[i * n:(i + 1) * n]]
         row[n + i] -= den
         P += row
-    system = _matrix(2 * n, 2 * n, d, a._D, P, [0] * len(P), 1)
-    basis = []
-    for v in _null_space(system):
-        coords = [_ratio(p, q_den) for p, _, q_den in v]
-        basis.append(tuple(_element(coords[j], coords[n + j], d) for j in range(n)))
-    if len(basis) != n:
+    k = _kernel_matrix(_matrix(2 * n, 2 * n, d, a._D, P, [0] * len(P), 1))
+    if k.cols != n:
         raise CocycleViolation(
-            f"descent failure: expected {n} fixed vectors, found {len(basis)}")
-    return basis
+            f"descent failure: expected {n} fixed vectors, found {k.cols}")
+    # x + sqrt(d) y = (dd x + sqrt(D) y) / dd, x and y the halves of k
+    dd = d.denominator
+    return _matrix(n, n, d, a._D, [dd * p for p in k._P[:n * n]], k._P[n * n:], k._den * dd)
+
+
+def fixed_space(phi: SemilinearMap) -> list:
+    """The columns of fixed_space_matrix(phi), as coordinate tuples."""
+    f = fixed_space_matrix(phi)
+    return [f.col(j) for j in range(f.cols)]
+
+
+def _split_columns(m: QuadMatrix, shapes) -> list:
+    """Each column of m cut into row-major blocks of the given shapes."""
+    h, out = m.cols, []
+    for j in range(h):
+        blocks, o = [], 0
+        for r, c in shapes:
+            sl = slice(o * h + j, (o + r * c) * h, h)
+            blocks.append(_matrix(r, c, m.d, m._D, m._P[sl], m._Q[sl], m._den))
+            o += r * c
+        out.append(tuple(blocks))
+    return out
+
+
+def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
+    """L-basis of ker(system) and K-basis of its conjugation-fixed part.
+
+    The unknowns of system are the row-major entries of blocks of the given
+    shapes, one block after the other, and both bases come as tuples of
+    per-block matrices.  conjugate maps an element of the kernel to its image
+    under the conjugate-semilinear involution that defines the K-structure.
+    With V the matrix of the L-basis, theta solves V theta = conjugate(V),
+    and the K-basis is V F for F = fixed_space_matrix(theta).  Without
+    conjugate (trivial Galois group) the K-basis is the L-basis.
+    """
+    v = _kernel_matrix(system)
+    l_basis = _split_columns(v, shapes)
+    if conjugate is None or not l_basis:
+        return l_basis, (l_basis if conjugate is None else [])
+    images = [conjugate(x) for x in l_basis]
+    den = lcm(*(m._den for x in images for m in x))
+    P, Q = [], []
+    for x in images:
+        for m in x:
+            P += [u * (den // m._den) for u in m._P]
+            Q += [u * (den // m._den) for u in m._Q]
+    w = _matrix(len(images), v.rows, v.d, v._D, P, Q, den).transpose()
+    theta = solve_unique(v, w)
+    return l_basis, _split_columns(v * fixed_space_matrix(SemilinearMap(theta, 1)), shapes)
 
 
 def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:

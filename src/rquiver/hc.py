@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, SemilinearMap, basis_matrix, \
-    inverse, kernel_basis, nilpotency_exponent, solve_unique, fixed_space
+from .exact import QuadElement, QuadMatrix, SemilinearMap, descended_kernel, \
+    intertwining_system, inverse, nilpotency_exponent
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, ValidationReport, \
@@ -690,73 +690,35 @@ def build_example(kind: str, ell: int, epsilon=None,
 # ------------------------------------------------------------------ HC Hom
 
 def hc_hom_space(m1: HCModule, m2: HCModule):
-    """Brute-force intertwiner solver on the common window.
+    """Hom between two modules of one block, through their window data.
 
-    Unknowns are per-weight maps commuting with X and Y (including the
-    closed-form tails just outside the window, which pins down the
-    extension); rational morphisms are the fixed points of conjugation.
-    Returns (dim_K, dim_L, K-basis as weight->matrix dicts).
+    The unknowns are the per-weight maps psi_w: M1_w -> M2_w on the common
+    window; the L-homomorphisms are those with psi X = X psi and psi Y = Y psi
+    on every ladder step inside it, and conjugation acts on them by
+    psi_w |-> rat2 o psi_{-w} o rat1.  The rational morphisms are its fixed
+    points (descended_kernel).  Returns (dim_K, dim_L, K-basis as
+    weight->matrix dicts).
     """
     if (m1.ell, m1.epsilon, m1.window) != (m2.ell, m2.epsilon, m2.window):
         raise ValueError("modules live in different blocks or windows")
+    if m1.d != m2.d:
+        raise ValueError(f"modules over different fields sqrt({m1.d}) and sqrt({m2.d})")
     weights = list(m1.weights())
-    offsets, total = {}, 0
-    for w in weights:
-        offsets[w] = total
-        total += m1.dim(w) * m2.dim(w)
-    zero = QuadElement(0, 0, m1.d)
-    rows = []
-
-    def add_commute(w, a1, a2, shift):
-        # psi_{w+shift} a1 - a2 psi_w = 0
-        for r in range(a2.rows):
-            for c in range(m1.dim(w)):
-                row = [zero] * total
-                for k in range(a1.rows):
-                    idx = offsets[w + shift] + r * m1.dim(w + shift) + k
-                    row[idx] = row[idx] + a1[k, c]
-                for k in range(m2.dim(w)):
-                    idx = offsets[w] + k * m1.dim(w) + c
-                    row[idx] = row[idx] - a2[r, k]
-                rows.append(row)
-
+    at = {w: k for k, w in enumerate(weights)}
+    equations = []
     for w in weights:
         if w + 2 <= m1.window:
-            add_commute(w, m1.x_at(w), m2.x_at(w), 2)
+            equations.append((at[w + 2], at[w], m1.x_at(w), m2.x_at(w)))
         if w - 2 >= -m1.window:
-            add_commute(w, m1.y_at(w), m2.y_at(w), -2)
-    system = QuadMatrix(len(rows), total, [x for row in rows for x in row], m1.d) \
-        if rows else QuadMatrix.zeros(0, total, m1.d)
-    sols = kernel_basis(system)
-    dim_l = len(sols)
-    if dim_l == 0:
-        return 0, 0, []
+            equations.append((at[w - 2], at[w], m1.y_at(w), m2.y_at(w)))
+    shapes = [(m2.dim(w), m1.dim(w)) for w in weights]
+    transports = [(at[-w], SemilinearMap(m2.rat[-w], 1), SemilinearMap(m1.rat[w], 1))
+                  for w in weights]
 
-    def unvec(vec):
-        out = {}
-        for w in weights:
-            r, c = m2.dim(w), m1.dim(w)
-            out[w] = QuadMatrix(r, c, vec[offsets[w]: offsets[w] + r * c], m1.d)
-        return out
+    def conjugate(psi):
+        return [s2.compose(SemilinearMap(psi[k], 0)).compose(s1).matrix
+                for k, s2, s1 in transports]
 
-    def conj_act(psi):
-        out = {}
-        for w in weights:
-            s2 = SemilinearMap(m2.rat[-w], 1)
-            s1 = SemilinearMap(m1.rat[w], 1)
-            comp = s2.compose(SemilinearMap(psi[-w], 0)).compose(s1)
-            out[w] = comp.matrix
-        return out
-
-    base = [unvec(v) for v in sols]
-    conj = [conj_act(p) for p in base]
-
-    def flat(p):
-        return sum((tuple(p[w].entries) for w in weights), ())
-
-    vmat = basis_matrix([flat(p) for p in base], total, m1.d)
-    wmat = basis_matrix([flat(p) for p in conj], total, m1.d)
-    theta = solve_unique(vmat, wmat)
-    fixed = fixed_space(SemilinearMap(theta, 1))
-    k_basis = [unvec(vmat.apply(x)) for x in fixed]
-    return len(k_basis), dim_l, k_basis
+    l_basis, k_basis = descended_kernel(
+        intertwining_system(shapes, equations, m1.d), shapes, conjugate)
+    return len(k_basis), len(l_basis), [dict(zip(weights, x)) for x in k_basis]

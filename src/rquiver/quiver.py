@@ -198,12 +198,6 @@ def quiver_homs(q1: RationalQuiver, q2: RationalQuiver, with_relations=True):
     return out
 
 
-def is_isomorphism(q1: RationalQuiver, q2: RationalQuiver, m: QuiverMorphism) -> bool:
-    return (len(set(m.vertex_map)) == q1.vertices.size == q2.vertices.size
-            and len(set(m.edge_map)) == q1.edges.size == q2.edges.size
-            and _morphism_ok(q1, q2, m.vertex_map, m.edge_map, with_relations=False))
-
-
 def adjunction_forward(q_sub: RationalQuiver, sub: Subgroup, q_parent: RationalQuiver,
                        morphism: QuiverMorphism) -> QuiverMorphism:
     """Hom_G(restrict(q_sub), q_parent) -> Hom_H(q_sub, base_change(q_parent)):

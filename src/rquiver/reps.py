@@ -28,12 +28,12 @@ from .exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
-    basis_matrix,
+    block_matrix,
     column_space_basis,
-    fixed_space,
+    descended_kernel,
+    fixed_space_matrix,
+    intertwining_system,
     inverse,
-    kernel_basis,
-    solve_unique,
     sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport
@@ -150,24 +150,9 @@ class SpeciesRep:
 
 def realify(m: QuadMatrix) -> QuadMatrix:
     """K-matrix of an L-matrix in the stacked basis (w_1..w_n, sqrt(d) w_1..)."""
-    d = m.d
-    p = QuadMatrix(m.rows, m.cols, [QuadElement(x.a, 0, d) for x in m.entries], d)
-    q = QuadMatrix(m.rows, m.cols, [QuadElement(x.b, 0, d) for x in m.entries], d)
-    top = p.hstack(q.scale(d))
-    bot = q.hstack(p)
-    ent = list(top.entries) + list(bot.entries)
-    return QuadMatrix(2 * m.rows, 2 * m.cols, ent, d)
-
-
-def kappa(v, d=-1):
-    """Stacked K-coordinates (real parts, then sqrt(d) parts) of an L-vector."""
-    re = [QuadElement(x.a, 0, d) for x in v]
-    im = [QuadElement(x.b, 0, d) for x in v]
-    return tuple(re + im)
-
-
-def _conj_vec(v):
-    return tuple(x.conj() for x in v)
+    a, b = m.parts()
+    return block_matrix([m.rows] * 2, [m.cols] * 2,
+                        [(0, 0, a), (0, 1, b.scale(m.d)), (1, 0, b), (1, 1, a)], m.d)
 
 
 # ------------------------------------------------------------------ validate
@@ -273,28 +258,6 @@ class HomSpace:
     l_basis: list        # L-basis of the classical Hom space
 
 
-def _morphism_blocks(m: QuiverRep, n: QuiverRep):
-    offsets = []
-    total = 0
-    for v in range(m.quiver.vertices.size):
-        offsets.append(total)
-        total += n.dims[v] * m.dims[v]
-    return offsets, total
-
-
-def _vec_index(offsets, m, n, v, row, col):
-    return offsets[v] + row * m.dims[v] + col
-
-
-def _unvec(coords, m, n, offsets):
-    mats = []
-    for v in range(m.quiver.vertices.size):
-        rows, cols = n.dims[v], m.dims[v]
-        ent = coords[offsets[v]: offsets[v] + rows * cols]
-        mats.append(QuadMatrix(rows, cols, ent, m.d))
-    return tuple(mats)
-
-
 def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     """K-basis of the rational Hom space, solved over L first, then descended.
 
@@ -305,61 +268,30 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     """
     if m.quiver != n.quiver:
         raise ValueError("representations over different quivers")
+    if m.d != n.d:
+        raise ValueError(f"representations over different fields sqrt({m.d}) and sqrt({n.d})")
     q = m.quiver
-    offsets, total = _morphism_blocks(m, n)
-    rows = []
-    zero = QuadElement(0, 0, m.d)
-    for e in range(q.edges.size):
-        s, t = q.src[e], q.tgt[e]
-        a = m.edge_maps[e]       # M(s) -> M(t)
-        b = n.edge_maps[e]
-        # psi_t A - B psi_s = 0, entry (r, c): sum_k psi_t[r,k] A[k,c] - sum_k B[r,k] psi_s[k,c]
-        for rr in range(n.dims[t]):
-            for cc in range(m.dims[s]):
-                row = [zero] * total
-                for k in range(m.dims[t]):
-                    idx = _vec_index(offsets, m, n, t, rr, k)
-                    row[idx] = row[idx] + a[k, cc]
-                for k in range(n.dims[s]):
-                    idx = _vec_index(offsets, m, n, s, k, cc)
-                    row[idx] = row[idx] - b[rr, k]
-                rows.append(row)
-    system = QuadMatrix(len(rows), total, [x for row in rows for x in row], m.d) \
-        if rows else QuadMatrix.zeros(0, total, m.d)
-    l_basis_vecs = kernel_basis(system)
-    h = len(l_basis_vecs)
-    l_basis = [_unvec(v, m, n, offsets) for v in l_basis_vecs]
+    shapes = [(n.dims[v], m.dims[v]) for v in range(q.vertices.size)]
+    system = intertwining_system(shapes, [(q.tgt[e], q.src[e], m.edge_maps[e], n.edge_maps[e])
+                                          for e in range(q.edges.size)], m.d)
+    inverses = {}
 
-    if q.group.order == 1:
-        return HomSpace(list(l_basis), h, h, list(l_basis))
-
-    # conjugation action on the solution space
-    conjugated = []
-    for mats in l_basis:
+    def conjugate(mats):
         out = []
         for v in range(q.vertices.size):
             cv = q.vertices.apply(1, v)
-            sn = SemilinearMap(n.rho[cv], 1)
-            sm_inv = SemilinearMap(m.rho[cv], 1).inverse()
-            comp = sn.compose(SemilinearMap(mats[cv], 0)).compose(sm_inv)
+            if cv not in inverses:
+                inverses[cv] = SemilinearMap(m.rho[cv], 1).inverse()
+            comp = SemilinearMap(n.rho[cv], 1).compose(
+                SemilinearMap(mats[cv], 0)).compose(inverses[cv])
             if comp.sigma != 0:
                 raise AssertionError("conjugation must act linearly on Hom over L")
             out.append(comp.matrix)
-        conjugated.append(tuple(out))
+        return out
 
-    if h == 0:
-        return HomSpace([], 0, 0, [])
-    vmat = basis_matrix([sum((tuple(x.entries) for x in mats), ()) for mats in l_basis],
-                        total, m.d)
-    wmat = basis_matrix([sum((tuple(x.entries) for x in mats), ()) for mats in conjugated],
-                        total, m.d)
-    theta = solve_unique(vmat, wmat)
-    fixed = fixed_space(SemilinearMap(theta, 1))
-    k_basis = []
-    for coords in fixed:
-        vec = vmat.apply(coords)
-        k_basis.append(_unvec(vec, m, n, offsets))
-    return HomSpace(k_basis, h, len(k_basis), list(l_basis))
+    l_basis, k_basis = descended_kernel(system, shapes,
+                                        conjugate if q.group.order == 2 else None)
+    return HomSpace(k_basis, len(l_basis), len(k_basis), l_basis)
 
 
 def is_morphism(m: QuiverRep, n: QuiverRep, mats) -> bool:
@@ -426,8 +358,7 @@ def _w_basis(r: QuiverRep, s: EtaleSpecies, conv):
         v_i = conv.vertex_reps[i]
         dim = r.dims[v_i]
         if h.order == 2:
-            vecs = fixed_space(SemilinearMap(r.rho[v_i], 1))
-            out.append(basis_matrix(vecs, dim, r.d))
+            out.append(fixed_space_matrix(SemilinearMap(r.rho[v_i], 1)))
         else:
             out.append(QuadMatrix.identity(dim, r.d))
     return out
@@ -436,24 +367,6 @@ def _w_basis(r: QuiverRep, s: EtaleSpecies, conv):
 def _eta_reps(s: EtaleSpecies, i, j, summand):
     hi, he, hj = _summand_case(s, i, j, summand)
     return (0, 1) if (hj == 2 and he == 1) else (0,)
-
-
-def _domain_basis(r, s, conv, i, j, summand, u_i):
-    """Canonical basis of W_i (x) L_eps as (vector in M(v_i), scalar) pairs."""
-    hi, he, hj = _summand_case(s, i, j, summand)
-    one = QuadElement(1, 0, r.d)
-    rt = sqrt_d(r.d)
-    cols = [u_i.col(k) for k in range(u_i.cols)]
-    if (hi, he, hj) == (2, 2, 2) or (hi, he, hj) == (2, 1, 1):
-        return [(w, one) for w in cols]
-    if (hi, he, hj) == (2, 1, 2):
-        return [(w, one) for w in cols] + [(w, rt) for w in cols]
-    if (hi, he, hj) == (1, 1, 1):
-        return [(w, one) for w in cols]
-    if (hi, he, hj) == (1, 1, 2):
-        return [(w, one) for w in cols] + \
-               [(tuple(rt * x for x in w), one) for w in cols]
-    raise AssertionError("impossible summand case")
 
 
 def functor_F(r: QuiverRep) -> SpeciesRep:
@@ -474,31 +387,32 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
     u = _w_basis(r, s, conv)
     u_inv = [inverse(m) if m.rows else m for m in u]
     dims = [u[i].cols for i in range(s.n_indices)]
+    rt = sqrt_d(r.d)
+    g = q.group
     maps = {}
     for (i, j), summands in sorted(s.bimodules.items()):
         reps = conv.edge_reps_of(i, j)
         mats = []
         for summand, e_eps in zip(summands, reps):
-            sigma = summand.twist_src
-            tau = summand.twist_tgt
-            g = q.group
-            composites = []
+            case = _summand_case(s, i, j, summand)
+            edge = SemilinearMap(r.edge_maps[e_eps], 0)
+            first = r.semilinear(conv.vertex_reps[i], summand.twist_src)
+            # per eta: the composite's images of the domain basis u_i (x) 1,
+            # and of its second half u_i (x) sqrt(d) or (sqrt(d) u_i) (x) 1 up
+            # to sqrt(d), negated when gtail, or the composite, conjugates it
+            parts = []
             for eta in _eta_reps(s, i, j, summand):
-                first = r.semilinear(conv.vertex_reps[i], sigma)
-                edge = SemilinearMap(r.edge_maps[e_eps], 0)
-                gtail = g.mul(eta, g.inv(tau))
-                last = r.semilinear(q.tgt[e_eps], gtail)
-                composites.append((last.compose(edge).compose(first), gtail))
-            cols = []
-            for w, x in _domain_basis(r, s, conv, i, j, summand, u[i]):
-                val = None
-                for comp, gtail in composites:
-                    scal = x.conj() if gtail == 1 else x
-                    term = tuple(scal * y for y in comp.apply(w))
-                    val = term if val is None else tuple(p + t for p, t in zip(val, term))
-                coords = u_inv[j].apply(val) if val is not None else ()
-                cols.append(coords)
-            mat = basis_matrix(cols, dims[j], r.d)
+                gtail = g.mul(eta, g.inv(summand.twist_tgt))
+                comp = r.semilinear(q.tgt[e_eps], gtail).compose(edge).compose(first)
+                img = comp.matrix * (u[i].conj() if comp.sigma else u[i])
+                flip = gtail if case == (2, 1, 2) else comp.sigma
+                parts.append((img, -img if flip else img))
+            if len(parts) == 1:
+                images = parts[0][0]
+            else:
+                (x0, y0), (x1, y1) = parts
+                images = (x0 + x1).hstack((y0 + y1).scale(rt))
+            mat = u_inv[j] * images
             if s.realized_field(j) == "K" and not mat.is_rational():
                 raise AssertionError("descent failure: expected rational coordinates")
             mats.append(mat)
@@ -512,27 +426,17 @@ def _summand_core(w: SpeciesRep, i, j, summand, fmat: QuadMatrix) -> QuadMatrix:
     """L-matrix M(tau^-1 sigma v_i) -> M(v_j) of (f (x) 1_L) restricted to the
     eta = 1 component of the canonical decomposition."""
     s = w.species
-    hi, he, hj = _summand_case(s, i, j, summand)
-    d = w.d
-    n_i = w.dims[i]
     if len(_eta_reps(s, i, j, summand)) == 1:
         return fmat
-    # two-eta case: invert the component map through kappa-coordinates
+    # two-eta case: for fmat = [L | R] the component is (L -+ R / sqrt(d)) / 2,
+    # with - when p = 1
     g = s.group
     p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
-    rt = sqrt_d(d)
-    half = QuadElement(Fraction(1, 2), 0, d)
-    cols = []
-    for k in range(n_i):
-        e_k = [QuadElement(1 if t == k else 0, 0, d) for t in range(n_i)]
-        m1 = tuple(x.conj() for x in e_k) if p == 1 else tuple(e_k)
-        v1 = fmat.apply(kappa(m1, d))
-        scaled = tuple(x * rt.inv() for x in e_k)
-        m2 = tuple(x.conj() for x in scaled) if p == 1 else scaled
-        v2 = fmat.apply(kappa(m2, d))
-        col = tuple(half * (a + rt * b) for a, b in zip(v1, v2))
-        cols.append(col)
-    return basis_matrix(cols, w.dims[j], d)
+    n_i, d = w.dims[i], w.d
+    eye = QuadMatrix.identity(n_i, d)
+    return fmat * block_matrix([n_i, n_i], [n_i], [
+        (0, 0, eye.scale(Fraction(1, 2))),
+        (1, 0, eye.scale(QuadElement(0, Fraction(-1 if p else 1, 2) / d, d)))], d)
 
 
 def functor_H(w: SpeciesRep) -> QuiverRep:
@@ -598,8 +502,7 @@ def hf_witness(r: QuiverRep):
         i = conv.vertex_orbit_of[v]
         v_i = conv.vertex_reps[i]
         if s.vertex_subgroups[i].order == 2:
-            u = basis_matrix(fixed_space(SemilinearMap(r.rho[v_i], 1)),
-                             r.dims[v_i], r.d)
+            u = fixed_space_matrix(SemilinearMap(r.rho[v_i], 1))
         else:
             u = QuadMatrix.identity(r.dims[v_i], r.d)
         t = q.vertices.transporter(v_i, v)[0]
@@ -617,30 +520,13 @@ def transport_rep(r: QuiverRep, target: RationalQuiver, vertex_map, edge_map) ->
     return QuiverRep(target, dims, edges, rho, r.d)
 
 
-def species_rep_equal_witness(w1: SpeciesRep, w2: SpeciesRep):
-    """Identity-coordinates isomorphism between species reps on one species,
-    or None."""
-    if w1.species != w2.species or w1.dims != w2.dims:
-        return None
-    if w1.maps == w2.maps:
-        return [QuadMatrix.identity(n, w1.d) for n in w1.dims]
-    return None
-
-
-def _block_diag(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
-    top = a.hstack(QuadMatrix.zeros(a.rows, b.cols, a.d))
-    bot = QuadMatrix.zeros(b.rows, a.cols, a.d).hstack(b)
-    return QuadMatrix(a.rows + b.rows, a.cols + b.cols,
-                      list(top.entries) + list(bot.entries), a.d)
-
-
 def _tensor_matrix(s: EtaleSpecies, i, j, summand, psi: QuadMatrix) -> QuadMatrix:
     """Matrix of psi_i (x) 1 on the canonical domain basis of the summand."""
     case = _summand_case(s, i, j, summand)
     if case in ((2, 2, 2), (2, 1, 1)):
         return psi
     if case == (2, 1, 2):
-        return _block_diag(psi, psi)
+        return block_matrix([psi.rows] * 2, [psi.cols] * 2, [(0, 0, psi), (1, 1, psi)], psi.d)
     if case == (1, 1, 2):
         return realify(psi)
     g = s.group

@@ -57,14 +57,6 @@ class StabilizationProblem:
         if nilpotency_exponent(defect) is None:
             raise PreconditionViolated("phi_-^tau o phi_+ - 1 is not nilpotent")
 
-    @property
-    def w_plus_dim(self) -> int:
-        return self.phi_plus.cols
-
-    @property
-    def w_minus_dim(self) -> int:
-        return self.phi_plus.rows
-
     def defect_exponent(self) -> int:
         defect = self.phi_minus * self.phi_plus - QuadMatrix.identity(
             self.phi_plus.cols, self.phi_plus.d)

@@ -1,0 +1,402 @@
+"""The matrix-level Hom solvers and F/H against their element-wise reference.
+
+The reference below is the QuadElement code that ``descended_kernel`` and the
+block-matrix forms of functor_F / functor_H replaced: Hom systems written one
+element per unknown, descent through coordinate tuples, and F/H evaluated on
+one basis vector at a time.  Both compute the same reduced row echelon forms,
+which are unique, so every basis and every F/H output must agree exactly, for
+every field tag.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import rquiver.exact as exact
+import rquiver.reps as reps
+from rquiver.exact import (
+    QuadElement,
+    QuadMatrix,
+    SemilinearMap,
+    basis_matrix,
+    fixed_space,
+    inverse,
+    kernel_basis,
+    rank,
+    solve_unique,
+    sqrt_d,
+)
+from rquiver.gsets import C2, Subgroup
+from rquiver.hc import KINDS, build_example, hc_hom_space, inverse_E
+from rquiver.quiver import gelfand_quiver
+from rquiver.randomgen import (
+    change_basis,
+    random_c2_quiver,
+    random_gelfand_rep,
+    random_invertible,
+    random_matrix,
+)
+from rquiver.reps import (
+    HomSpace,
+    QuiverRep,
+    SpeciesRep,
+    functor_F,
+    functor_H,
+    hf_witness,
+    hom_space,
+    is_morphism,
+    realify,
+    rep_base_change,
+    summand_domain_cols,
+)
+from rquiver.species import species_of_quiver
+
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+
+
+# ---------------------------------------------------------------- reference
+
+def ref_hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
+    q = m.quiver
+    offsets, total = [], 0
+    for v in range(q.vertices.size):
+        offsets.append(total)
+        total += n.dims[v] * m.dims[v]
+
+    def unvec(coords):
+        return tuple(QuadMatrix(n.dims[v], m.dims[v],
+                                coords[offsets[v]:offsets[v] + n.dims[v] * m.dims[v]], m.d)
+                     for v in range(q.vertices.size))
+
+    rows = []
+    zero = QuadElement(0, 0, m.d)
+    for e in range(q.edges.size):
+        s, t = q.src[e], q.tgt[e]
+        a, b = m.edge_maps[e], n.edge_maps[e]
+        for rr in range(n.dims[t]):
+            for cc in range(m.dims[s]):
+                row = [zero] * total
+                for k in range(m.dims[t]):
+                    idx = offsets[t] + rr * m.dims[t] + k
+                    row[idx] = row[idx] + a[k, cc]
+                for k in range(n.dims[s]):
+                    idx = offsets[s] + k * m.dims[s] + cc
+                    row[idx] = row[idx] - b[rr, k]
+                rows.append(row)
+    system = QuadMatrix(len(rows), total, [x for row in rows for x in row], m.d) \
+        if rows else QuadMatrix.zeros(0, total, m.d)
+    l_basis = [unvec(v) for v in kernel_basis(system)]
+    h = len(l_basis)
+    if q.group.order == 1:
+        return HomSpace(list(l_basis), h, h, list(l_basis))
+    if h == 0:
+        return HomSpace([], 0, 0, [])
+    conjugated = []
+    for mats in l_basis:
+        out = []
+        for v in range(q.vertices.size):
+            cv = q.vertices.apply(1, v)
+            sm_inv = SemilinearMap(m.rho[cv], 1).inverse()
+            comp = SemilinearMap(n.rho[cv], 1).compose(
+                SemilinearMap(mats[cv], 0)).compose(sm_inv)
+            out.append(comp.matrix)
+        conjugated.append(tuple(out))
+    vmat = basis_matrix([sum((x.entries for x in mats), ()) for mats in l_basis], total, m.d)
+    wmat = basis_matrix([sum((x.entries for x in mats), ()) for mats in conjugated], total, m.d)
+    fixed = fixed_space(SemilinearMap(solve_unique(vmat, wmat), 1))
+    k_basis = [unvec(vmat.apply(coords)) for coords in fixed]
+    return HomSpace(k_basis, h, len(k_basis), list(l_basis))
+
+
+def ref_hc_hom_space(m1, m2):
+    weights = list(m1.weights())
+    offsets, total = {}, 0
+    for w in weights:
+        offsets[w] = total
+        total += m1.dim(w) * m2.dim(w)
+    zero = QuadElement(0, 0, m1.d)
+    rows = []
+
+    def add_commute(w, a1, a2, shift):
+        for r in range(a2.rows):
+            for c in range(m1.dim(w)):
+                row = [zero] * total
+                for k in range(a1.rows):
+                    idx = offsets[w + shift] + r * m1.dim(w + shift) + k
+                    row[idx] = row[idx] + a1[k, c]
+                for k in range(m2.dim(w)):
+                    idx = offsets[w] + k * m1.dim(w) + c
+                    row[idx] = row[idx] - a2[r, k]
+                rows.append(row)
+
+    for w in weights:
+        if w + 2 <= m1.window:
+            add_commute(w, m1.x_at(w), m2.x_at(w), 2)
+        if w - 2 >= -m1.window:
+            add_commute(w, m1.y_at(w), m2.y_at(w), -2)
+    system = QuadMatrix(len(rows), total, [x for row in rows for x in row], m1.d) \
+        if rows else QuadMatrix.zeros(0, total, m1.d)
+    sols = kernel_basis(system)
+    if not sols:
+        return 0, 0, []
+
+    def unvec(vec):
+        return {w: QuadMatrix(m2.dim(w), m1.dim(w),
+                              vec[offsets[w]:offsets[w] + m2.dim(w) * m1.dim(w)], m1.d)
+                for w in weights}
+
+    def conj_act(psi):
+        return {w: SemilinearMap(m2.rat[-w], 1).compose(SemilinearMap(psi[-w], 0)).compose(
+            SemilinearMap(m1.rat[w], 1)).matrix for w in weights}
+
+    def flat(p):
+        return sum((p[w].entries for w in weights), ())
+
+    base = [unvec(v) for v in sols]
+    vmat = basis_matrix([flat(p) for p in base], total, m1.d)
+    wmat = basis_matrix([flat(conj_act(p)) for p in base], total, m1.d)
+    fixed = fixed_space(SemilinearMap(solve_unique(vmat, wmat), 1))
+    k_basis = [unvec(vmat.apply(x)) for x in fixed]
+    return len(k_basis), len(sols), k_basis
+
+
+def kappa(v, d):
+    return tuple([QuadElement(x.a, 0, d) for x in v] + [QuadElement(x.b, 0, d) for x in v])
+
+
+def ref_domain_basis(r, s, i, j, summand, u_i):
+    case = reps._summand_case(s, i, j, summand)
+    one, rt = QuadElement(1, 0, r.d), sqrt_d(r.d)
+    cols = [u_i.col(k) for k in range(u_i.cols)]
+    if case == (2, 1, 2):
+        return [(w, one) for w in cols] + [(w, rt) for w in cols]
+    if case == (1, 1, 2):
+        return [(w, one) for w in cols] + [(tuple(rt * x for x in w), one) for w in cols]
+    return [(w, one) for w in cols]
+
+
+def ref_functor_F(r: QuiverRep) -> SpeciesRep:
+    q = r.quiver
+    g = q.group
+    s, conv = species_of_quiver(q, with_conventions=True)
+    u = []
+    for i, h in enumerate(s.vertex_subgroups):
+        v_i = conv.vertex_reps[i]
+        u.append(basis_matrix(fixed_space(SemilinearMap(r.rho[v_i], 1)), r.dims[v_i], r.d)
+                 if h.order == 2 else QuadMatrix.identity(r.dims[v_i], r.d))
+    u_inv = [inverse(m) if m.rows else m for m in u]
+    dims = [m.cols for m in u]
+    maps = {}
+    for (i, j), summands in sorted(s.bimodules.items()):
+        mats = []
+        for summand, e_eps in zip(summands, conv.edge_reps_of(i, j)):
+            composites = []
+            for eta in reps._eta_reps(s, i, j, summand):
+                first = r.semilinear(conv.vertex_reps[i], summand.twist_src)
+                edge = SemilinearMap(r.edge_maps[e_eps], 0)
+                gtail = g.mul(eta, g.inv(summand.twist_tgt))
+                last = r.semilinear(q.tgt[e_eps], gtail)
+                composites.append((last.compose(edge).compose(first), gtail))
+            cols = []
+            for w, x in ref_domain_basis(r, s, i, j, summand, u[i]):
+                val = None
+                for comp, gtail in composites:
+                    scal = x.conj() if gtail == 1 else x
+                    term = tuple(scal * y for y in comp.apply(w))
+                    val = term if val is None else tuple(p + t for p, t in zip(val, term))
+                cols.append(u_inv[j].apply(val))
+            mats.append(basis_matrix(cols, dims[j], r.d))
+        maps[(i, j)] = tuple(mats)
+    return SpeciesRep(s, dims, maps, r.d)
+
+
+def ref_summand_core(w, i, j, summand, fmat):
+    s, d = w.species, w.d
+    if len(reps._eta_reps(s, i, j, summand)) == 1:
+        return fmat
+    g = s.group
+    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+    rt = sqrt_d(d)
+    half = QuadElement(Fraction(1, 2), 0, d)
+    cols = []
+    for k in range(w.dims[i]):
+        e_k = [QuadElement(1 if t == k else 0, 0, d) for t in range(w.dims[i])]
+        m1 = tuple(x.conj() for x in e_k) if p == 1 else tuple(e_k)
+        v1 = fmat.apply(kappa(m1, d))
+        scaled = tuple(x * rt.inv() for x in e_k)
+        m2 = tuple(x.conj() for x in scaled) if p == 1 else scaled
+        v2 = fmat.apply(kappa(m2, d))
+        cols.append(tuple(half * (a + rt * b) for a, b in zip(v1, v2)))
+    return basis_matrix(cols, w.dims[j], d)
+
+
+def ref_realify(m: QuadMatrix) -> QuadMatrix:
+    d = m.d
+    p = QuadMatrix(m.rows, m.cols, [QuadElement(x.a, 0, d) for x in m.entries], d)
+    q = QuadMatrix(m.rows, m.cols, [QuadElement(x.b, 0, d) for x in m.entries], d)
+    top, bot = p.hstack(q.scale(d)), q.hstack(p)
+    return QuadMatrix(2 * m.rows, 2 * m.cols, list(top.entries) + list(bot.entries), d)
+
+
+# ---------------------------------------------------------------- inputs
+
+def species_rep_with_dims(rng, s, dims, d):
+    maps = {}
+    for (i, j), summands in s.bimodules.items():
+        maps[(i, j)] = [random_matrix(rng, dims[j], summand_domain_cols(s, i, j, x, dims[i]),
+                                      s.realized_field(j) == "K", d=d) for x in summands]
+    return SpeciesRep(s, dims, maps, d)
+
+
+# seeds of random_c2_quiver(max_v=3, max_e=4) whose species have, between
+# them, all five summand cases (hi, he, hj)
+QUIVER_SEEDS = (1, 5, 16, 21)
+
+
+def quiver_reps(seed: int, d, count=3, max_dim=2, salt=0):
+    """Seeded rational reps of one random C2 quiver: H of random species reps,
+    moved to random bases so that rho and the edge maps are not canonical."""
+    q = random_c2_quiver(random.Random(seed), max_v=3, max_e=4)
+    s = species_of_quiver(q)
+    rng = random.Random(1000 * seed + salt)
+    out = []
+    for _ in range(count):
+        dims = [rng.randint(0, max_dim) for _ in range(s.n_indices)]
+        r = functor_H(species_rep_with_dims(rng, s, dims, d))
+        gs = [random_invertible(rng, n, d=d) for n in r.dims]
+        out.append(change_basis(r, gs))
+    return out
+
+
+def hc_modules():
+    rng = random.Random(31)
+    mods = [build_example(k, 1, tail_weights=1) for k in KINDS]
+    mods += [inverse_E(random_gelfand_rep(rng, max_dim=2), 1, tail_weights=1)
+             for _ in range(2)]
+    return mods
+
+
+# ---------------------------------------------------------------- differential
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hom_space_matches_reference(d):
+    for seed in QUIVER_SEEDS:
+        rs = quiver_reps(seed, d)
+        rs.append(rep_base_change(rs[0], Subgroup.trivial_in(C2)))
+        pairs = [(a, b) for a in rs[:3] for b in rs[:3]] + [(rs[3], rs[3])]
+        for a, b in pairs:
+            hs, ref = hom_space(a, b), ref_hom_space(a, b)
+            assert (hs.dim_L, hs.dim_K) == (ref.dim_L, ref.dim_K)
+            assert hs.l_basis == ref.l_basis
+            assert hs.basis == ref.basis
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_functors_match_reference(d, monkeypatch):
+    for seed in QUIVER_SEEDS:
+        for r in quiver_reps(seed, d, count=2, max_dim=3, salt=1):
+            w, ref = functor_F(r), ref_functor_F(r)
+            assert (w.dims, w.maps) == (ref.dims, ref.maps)
+            h = functor_H(w)
+            with monkeypatch.context() as patch:
+                patch.setattr(reps, "_summand_core", ref_summand_core)
+                ref_h = functor_H(w)
+            assert h == ref_h
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_realify_matches_reference(d):
+    rng = random.Random(7)
+    for rows, cols in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 2)):
+        m = random_matrix(rng, rows, cols, d=d)
+        assert realify(m) == ref_realify(m)
+
+
+def test_hc_hom_space_matches_reference():
+    mods = hc_modules()
+    for m1 in mods:
+        for m2 in mods:
+            if (m1.ell, m1.epsilon, m1.window) != (m2.ell, m2.epsilon, m2.window):
+                continue
+            assert hc_hom_space(m1, m2) == ref_hc_hom_space(m1, m2)
+
+
+# ---------------------------------------------------------------- properties
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hom_descent_properties(d):
+    for seed in QUIVER_SEEDS:
+        rs = quiver_reps(seed, d, salt=2)
+        for a in rs:
+            back, mats = hf_witness(a)
+            assert is_morphism(back, a, mats)
+            assert all(rank(mats[v]) == a.dims[v] for v in range(len(a.dims)))
+            for b in rs:
+                hs = hom_space(a, b)
+                assert hs.dim_K == hs.dim_L
+                assert all(is_morphism(a, b, mats) for mats in hs.basis)
+
+
+def test_hom_rejects_mixed_field_tags():
+    q = gelfand_quiver()
+
+    def zero_rep(d):
+        one, zero = QuadMatrix.identity(1, d), QuadMatrix.zeros(1, 1, d)
+        return QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one), d)
+
+    with pytest.raises(ValueError, match="different fields"):
+        hom_space(zero_rep(-1), zero_rep(2))
+    m1 = build_example("principal", 1, tail_weights=1)
+    m2 = build_example("principal", 1, tail_weights=1, d=-3)
+    with pytest.raises(ValueError, match="different fields"):
+        hc_hom_space(m1, m2)
+
+
+# ---------------------------------------------------------------- construction gate
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts QuadElement constructions, through __init__ and exact._element."""
+    count = [0]
+    init, element = QuadElement.__init__, exact._element
+
+    def counted_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_element(*args):
+        count[0] += 1
+        return element(*args)
+
+    monkeypatch.setattr(QuadElement, "__init__", counted_init)
+    monkeypatch.setattr(exact, "_element", counted_element)
+    return count
+
+
+def test_hom_solvers_construct_no_elements(constructions):
+    rs = quiver_reps(5, Fraction(2), salt=3)
+    mods = hc_modules()
+    constructions[0] = 0
+    for a in rs:
+        for b in rs:
+            hom_space(a, b)
+    hc_hom_space(mods[0], mods[0])
+    hc_hom_space(mods[2], mods[3])
+    assert constructions[0] == 0
+
+
+def test_functor_constructions_do_not_grow_with_dimension(constructions):
+    rng = random.Random(9)
+    q = random_c2_quiver(random.Random(5), max_v=3, max_e=4)
+    s = species_of_quiver(q)
+    counts = []
+    for n in (1, 3):
+        w = species_rep_with_dims(rng, s, [n] * s.n_indices, Fraction(-1))
+        h = functor_H(w)
+        r = change_basis(h, [random_invertible(rng, m) for m in h.dims])
+        constructions[0] = 0
+        functor_F(r)
+        functor_H(w)
+        counts.append(constructions[0])
+    assert counts[0] == counts[1]
