@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, SemilinearMap, descended_kernel, \
-    intertwining_system, inverse, nilpotency_exponent
+from .exact import QuadElement, QuadMatrix, descended_kernel, intertwining_system, \
+    inverse, nilpotency_exponent
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, ValidationReport, \
@@ -351,6 +351,12 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     report = validate_hc(m)
     if not report.ok:
         raise ValueError(f"invalid module: {report.failures()}")
+    return _functor_E(m)[0]
+
+
+def _functor_E(m: HCModule):
+    """functor_E on a module already validated; also returns its
+    Normalizations (None for ell = 0)."""
     ell = m.ell
     if ell == 0:
         q = cyclic_quiver()
@@ -367,7 +373,7 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
         rep_report = validate_rep(rep)
         if not rep_report.ok:
             raise AssertionError(f"construction bug: {rep_report.failures()}")
-        return BlockFunctorResult(rep, None, 0)
+        return BlockFunctorResult(rep, None, 0), None
 
     norms = normalizations(m)
     r_plus = m.rat[ell + 1]
@@ -438,126 +444,75 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     if not rep_report.ok:
         raise AssertionError(f"construction bug: {rep_report.failures()}")
     iterations = max(run_plus.iterations, run_minus.iterations, run_star.iterations)
-    return BlockFunctorResult(rep, norms.x_star, iterations)
-
-
-def _gelfand_pieces(v: QuiverRep):
-    b_a_plus = v.edge_maps[GELFAND_A_PLUS]
-    b_a_minus = v.edge_maps[GELFAND_A_MINUS]
-    b_b_plus = v.edge_maps[GELFAND_B_PLUS]
-    b_b_minus = v.edge_maps[GELFAND_B_MINUS]
-    n_plus = b_b_plus * b_a_plus
-    n_minus = b_b_minus * b_a_minus
-    n_star_plus = b_a_plus * b_b_plus
-    n_star_minus = b_a_minus * b_b_minus
-    if n_star_plus != n_star_minus:
-        raise ValueError("input violates the Gelfand relation")
-    return b_a_plus, b_a_minus, b_b_plus, b_b_minus, n_plus, n_minus, n_star_plus
+    return BlockFunctorResult(rep, norms.x_star, iterations), norms
 
 
 def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCModule:
     """Module with E(module) isomorphic to the given nilpotent rational rep.
 
-    Boundary ladder maps are the four edge maps; the interior and the tails
-    use the closed forms  2X|_{M_{j-1}} = s + j,  2Y|_{M_{j+1}} = s - j  built
-    from the square roots s of  ell^2 + 4 (cycle composite), taken with
+    Boundary ladder maps are the edge maps; the interior and the tails use
+    the closed forms  2X|_{M_{j-1}} = s + j,  2Y|_{M_{j+1}} = s - j  built
+    from the square roots s of  phi = ell^2 + 4 (cycle composite), taken with
     respect to the root gamma = ell.  For ell = 0 the square root does not
     exist and an asymmetric split with the same composites is used instead:
     on the plus side 2X = (w+1), 2Y = (1-w) + 4n/(w-1), mirrored by
-    conjugation on the minus side.
+    conjugation on the minus side.  The tail maps are read off the built
+    module's own closed forms (HCModule.x_at / y_at).
+
+    Raises ValueError on an invalid representation, a quiver that does not
+    match ell, or a broken Gelfand relation; the built module is validated
+    once (validate_hc) before it is returned.
     """
     report = validate_rep(v)
     if not report.ok:
         raise ValueError(f"invalid representation: {report.failures()}")
     d = v.d
-    epsilon = (ell + 1) % 2
-    n_window = ell + 1 + 2 * tail_weights
+    lam = Fraction(ell * ell)
 
+    def phi(n):
+        return QuadMatrix.identity(n.rows, d).scale(lam) + n.scale(4)
+
+    x_maps, y_maps = {}, {}
     if ell == 0:
         if v.quiver != cyclic_quiver():
             raise ValueError("ell = 0 expects a cyclic-quiver representation")
-        b_a = v.edge_maps[CYCLIC_A]
-        b_b = v.edge_maps[CYCLIC_B]
-        dim_p = v.dims[CYCLIC_PLUS]
-        dim_m = v.dims[CYCLIC_MINUS]
-        n_plus = b_a * b_b
-        n_minus = b_b * b_a
-        spaces = {}
-        for w in range(-n_window, n_window + 1):
-            if (w - epsilon) % 2:
-                continue
-            spaces[w] = dim_p if w >= 1 else dim_m
-        x_maps, y_maps, rat = {}, {}, {}
-        phi_plus = n_plus.scale(4)
-        phi_minus = n_minus.scale(4)
-        stub = HCModule(ell, epsilon, n_window, spaces, {}, {}, {},
-                        phi_plus, phi_minus, d)
-        for w in stub.weights():
-            if w + 2 <= n_window:
-                x_maps[w] = b_a if w == -1 else stub._tail_x(w)
-            if w - 2 >= -n_window:
-                y_maps[w] = b_b if w == 1 else stub._tail_y(w)
-            rat[w] = v.rho[CYCLIC_PLUS] if w >= 1 else v.rho[CYCLIC_MINUS]
-        out = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat,
-                       phi_plus, phi_minus, d)
-        rep = validate_hc(out)
-        if not rep.ok:
-            raise AssertionError(f"construction bug: {rep.failures()}")
-        return out
+        plus, minus, star = CYCLIC_PLUS, CYCLIC_MINUS, None
+        # each cyclic edge is both boundary maps of its side
+        x_maps[-1] = v.edge_maps[CYCLIC_A]
+        y_maps[1] = v.edge_maps[CYCLIC_B]
+    else:
+        if v.quiver != gelfand_quiver():
+            raise ValueError("ell >= 1 expects a Gelfand-quiver representation")
+        plus, minus, star = GELFAND_PLUS, GELFAND_MINUS, GELFAND_STAR
+        x_maps[-(ell + 1)] = v.edge_maps[GELFAND_A_MINUS]
+        x_maps[ell - 1] = v.edge_maps[GELFAND_B_PLUS]
+        y_maps[ell + 1] = v.edge_maps[GELFAND_A_PLUS]
+        y_maps[-(ell - 1)] = v.edge_maps[GELFAND_B_MINUS]
+        n_star = y_maps[ell + 1] * x_maps[ell - 1]
+        if n_star != x_maps[-(ell + 1)] * y_maps[-(ell - 1)]:
+            raise ValueError("input violates the Gelfand relation")
+        s_star = scaled_sqrt(phi(n_star), QuadElement(ell, 0, d))
+        half = QuadElement(Fraction(1, 2), 0, d)
+        ident_s = QuadMatrix.identity(v.dims[star], d)
+        for w in range(-(ell - 1), ell - 2, 2):
+            x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
+            y_maps[w + 2] = (s_star - ident_s.scale(w + 1)).scale(half)
 
-    if v.quiver != gelfand_quiver():
-        raise ValueError("ell >= 1 expects a Gelfand-quiver representation")
-    b_a_plus, b_a_minus, b_b_plus, b_b_minus, n_plus, n_minus, n_star = \
-        _gelfand_pieces(v)
-    lam = Fraction(ell * ell)
-    phi_plus = QuadMatrix.identity(n_plus.rows, d).scale(lam) + n_plus.scale(4)
-    phi_minus = QuadMatrix.identity(n_minus.rows, d).scale(lam) + n_minus.scale(4)
-    phi_star = QuadMatrix.identity(n_star.rows, d).scale(lam) + n_star.scale(4)
-    s_star = scaled_sqrt(phi_star, QuadElement(ell, 0, d))
+    def owner(w):
+        return plus if w >= ell + 1 else minus if w <= -(ell + 1) else star
 
-    dim_p = v.dims[GELFAND_PLUS]
-    dim_m = v.dims[GELFAND_MINUS]
-    dim_s = v.dims[GELFAND_STAR]
-    spaces = {}
-    for w in range(-n_window, n_window + 1):
-        if (w - epsilon) % 2:
-            continue
-        spaces[w] = dim_p if w >= ell + 1 else dim_m if w <= -(ell + 1) else dim_s
-    half = QuadElement(Fraction(1, 2), 0, d)
-    ident_s = QuadMatrix.identity(dim_s, d)
-    stub = HCModule(ell, epsilon, n_window, spaces, {}, {}, {},
-                    phi_plus, phi_minus, d)
-    x_maps, y_maps, rat = {}, {}, {}
-    for w in stub.weights():
-        if w + 2 <= n_window:
-            if w == -(ell + 1):
-                x_maps[w] = b_a_minus
-            elif w == ell - 1:
-                x_maps[w] = b_b_plus
-            elif -(ell - 1) <= w <= ell - 3:
-                x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
-            else:
-                x_maps[w] = stub._tail_x(w)
-        if w - 2 >= -n_window:
-            if w == ell + 1:
-                y_maps[w] = b_a_plus
-            elif w == -(ell - 1):
-                y_maps[w] = b_b_minus
-            elif -(ell - 3) <= w <= ell - 1:
-                y_maps[w] = (s_star - ident_s.scale(w - 1)).scale(half)
-            else:
-                y_maps[w] = stub._tail_y(w)
-        if w >= ell + 1:
-            rat[w] = v.rho[GELFAND_PLUS]
-        elif w <= -(ell + 1):
-            rat[w] = v.rho[GELFAND_MINUS]
-        else:
-            rat[w] = v.rho[GELFAND_STAR]
-    out = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat,
-                   phi_plus, phi_minus, d)
-    rep = validate_hc(out)
-    if not rep.ok:
-        raise AssertionError(f"construction bug: {rep.failures()}")
+    n_window = ell + 1 + 2 * tail_weights
+    weights = range(-n_window, n_window + 1, 2)
+    out = HCModule(ell, (ell + 1) % 2, n_window,
+                   {w: v.dims[owner(w)] for w in weights}, x_maps, y_maps,
+                   {w: v.rho[owner(w)] for w in weights},
+                   phi(x_maps[ell - 1] * y_maps[ell + 1]),
+                   phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
+    out.x_maps = {w: out.x_at(w) for w in weights[:-1]}
+    out.y_maps = {w: out.y_at(w) for w in weights[1:]}
+    report = validate_hc(out)
+    if not report.ok:
+        raise AssertionError(f"construction bug: {report.failures()}")
     return out
 
 
@@ -576,9 +531,13 @@ def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHT
     (star, minus, plus) spaces, where X*' is the normalized extremal power of
     the built module and T_- the unipotent Casimir product; the fallback is a
     generic search over the Hom space.  Every candidate is verified exactly.
+
+    The built module is validated once, by inverse_E; E is applied to it
+    without validating it again, and the witness reuses the normalizations
+    E computed.
     """
     module = inverse_E(v, ell, tail_weights)
-    result = functor_E(module)
+    result, norms = _functor_E(module)
     r2 = result.rep
 
     candidates = []
@@ -586,7 +545,6 @@ def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHT
         ident = [QuadMatrix.identity(v.dims[i], v.d) for i in range(2)]
         candidates.append(("constructive", tuple(ident)))
     else:
-        norms = normalizations(module)
         z_minus = unipotent_sqrt(norms.t_minus)
         mats = [None] * 3
         mats[GELFAND_STAR] = norms.x_star
@@ -712,12 +670,10 @@ def hc_hom_space(m1: HCModule, m2: HCModule):
         if w - 2 >= -m1.window:
             equations.append((at[w - 2], at[w], m1.y_at(w), m2.y_at(w)))
     shapes = [(m2.dim(w), m1.dim(w)) for w in weights]
-    transports = [(at[-w], SemilinearMap(m2.rat[-w], 1), SemilinearMap(m1.rat[w], 1))
-                  for w in weights]
+    r1c = [m1.rat[w].conj() for w in weights]
 
     def conjugate(psi):
-        return [s2.compose(SemilinearMap(psi[k], 0)).compose(s1).matrix
-                for k, s2, s1 in transports]
+        return [m2.rat[-w] * psi[at[-w]].conj() * r1c[k] for k, w in enumerate(weights)]
 
     l_basis, k_basis = descended_kernel(
         intertwining_system(shapes, equations, m1.d), shapes, conjugate)

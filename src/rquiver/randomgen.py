@@ -90,23 +90,30 @@ def random_c2_quiver(rng, max_v=4, max_e=6):
         for k in range(n_swap_e):
             eperm += [n_fixed_e + 2 * k + 1, n_fixed_e + 2 * k]
         edges = GSet(C2, ne, [list(range(ne)), eperm])
-        src = [None] * ne
-        tgt = [None] * ne
-        ok = True
-        for orb in edges.orbits():
-            e = orb[0]
-            stab = edges.stabilizer(e)
-            cand = [v for v in range(nv)
-                    if all(vertices.apply(h, v) == v for h in stab.elements)]
-            if not cand:
-                ok = False
-                break
-            s, t = rng.choice(cand), rng.choice(cand)
-            for g in C2.elements():
-                src[edges.apply(g, e)] = vertices.apply(g, s)
-                tgt[edges.apply(g, e)] = vertices.apply(g, t)
-        if ok:
-            return RationalQuiver(vertices, edges, src, tgt)
+        ends = _equivariant_endpoints(rng, C2, vertices, edges)
+        if ends:
+            return RationalQuiver(vertices, edges, *ends)
+
+
+def _equivariant_endpoints(rng, group, verts, edges):
+    """Equivariant (src, tgt): per edge orbit, its first edge gets a random
+    source and target among the vertices its stabilizer fixes, and the rest
+    of the orbit follows by the action.  None when some stabilizer fixes no
+    vertex."""
+    src = [None] * edges.size
+    tgt = [None] * edges.size
+    for orb in edges.orbits():
+        e = orb[0]
+        stab = edges.stabilizer(e)
+        cand = [v for v in range(verts.size)
+                if all(verts.apply(h, v) == v for h in stab.elements)]
+        if not cand:
+            return None
+        s, t = rng.choice(cand), rng.choice(cand)
+        for a in group.elements():
+            src[edges.apply(a, e)] = verts.apply(a, s)
+            tgt[edges.apply(a, e)] = verts.apply(a, t)
+    return src, tgt
 
 
 def _all_subgroups(group):
@@ -152,23 +159,9 @@ def random_group_quiver(rng, group: FiniteGroup, max_v=4, max_e=6):
         edges = coset_union(e_blocks)
         if verts.size > max_v or edges.size > max_e:
             continue
-        src = [None] * edges.size
-        tgt = [None] * edges.size
-        ok = True
-        for orb in edges.orbits():
-            e = orb[0]
-            stab = edges.stabilizer(e)
-            cand = [v for v in range(verts.size)
-                    if all(verts.apply(h, v) == v for h in stab.elements)]
-            if not cand:
-                ok = False
-                break
-            s, t = rng.choice(cand), rng.choice(cand)
-            for a in group.elements():
-                src[edges.apply(a, e)] = verts.apply(a, s)
-                tgt[edges.apply(a, e)] = verts.apply(a, t)
-        if ok:
-            return RationalQuiver(verts, edges, src, tgt)
+        ends = _equivariant_endpoints(rng, group, verts, edges)
+        if ends:
+            return RationalQuiver(verts, edges, *ends)
 
 
 def random_species_rep(rng, species, max_dim=3, d=-1):

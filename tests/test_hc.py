@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import rquiver.hc as hc
 from rquiver.exact import QuadMatrix, nilpotency_exponent
 from rquiver.hc import (
     BadParity,
@@ -309,6 +311,24 @@ def test_E_then_inverse_E_window_identity_on_fixtures():
             assert back.rat == m.rat
 
 
+def test_public_boundaries_reject_invalid_input():
+    m = build_example("finite", 3)
+    broken = HCModule(m.ell, m.epsilon, m.window, m.spaces,
+                      {**m.x_maps, 0: m.x_maps[0].scale(2)},
+                      m.y_maps, m.rat, m.phi_plus, m.phi_minus)
+    with pytest.raises(ValueError, match="invalid module"):
+        functor_E(broken)
+    v = pp_ext_rep(1)
+    with pytest.raises(ValueError, match="cyclic-quiver"):
+        inverse_E(v, 0)
+    with pytest.raises(ValueError, match="Gelfand-quiver"):
+        inverse_E(random_cyclic_rep(random.Random(1), max_dim=2), 1)
+    edges = list(v.edge_maps)
+    edges[GELFAND_A_MINUS] = QuadMatrix.identity(2)
+    with pytest.raises(ValueError, match="invalid representation"):
+        inverse_E(QuiverRep(v.quiver, v.dims, edges, v.rho), 1)
+
+
 # ---------------------------------------------------------------- roundtrip
 
 def test_roundtrip_fixtures_constructive():
@@ -328,6 +348,32 @@ def test_roundtrip_random_gelfand():
         v = random_gelfand_rep(rng, max_dim=2)
         rt = roundtrip_hc(v, ell)
         assert rt.path.startswith("constructive")
+
+
+def test_roundtrip_validates_each_module_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
+    monkeypatch.setattr(hc, "normalizations", counted("normalizations", hc.normalizations))
+    monkeypatch.setattr(HCModule, "__init__", counted("HCModule", HCModule.__init__))
+    rng = random.Random(17)
+    for ell in (1, 2, 3):
+        v = random_gelfand_rep(rng, max_dim=2)
+        calls.clear()
+        roundtrip_hc(v, ell)
+        assert calls == {"validate_hc": 1, "normalizations": 1, "HCModule": 1}
+        calls.clear()
+        inverse_E(v, ell)
+        assert calls["HCModule"] == 1
+    calls.clear()
+    inverse_E(random_cyclic_rep(rng, max_dim=2), 0)
+    assert calls["HCModule"] == 1
 
 
 def test_roundtrip_random_cyclic():

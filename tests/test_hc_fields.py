@@ -1,0 +1,186 @@
+"""inverse_E against its two-branch reference, and the HC side at every field tag.
+
+The reference below is the construction that the one-path inverse_E replaced:
+a separate branch for the cyclic block (ell = 0) and for the Gelfand blocks
+(ell >= 1), each filling its tail ladder maps from a throwaway stub module.
+Both build the same exact matrices, so the serialized modules must agree byte
+for byte, for every field tag Q(sqrt(d)).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from rquiver.exact import QuadElement, QuadMatrix
+from rquiver.hc import HCModule, functor_E, hc_hom_space, inverse_E, roundtrip_hc, \
+    validate_hc
+from rquiver.quiver import (
+    CYCLIC_A,
+    CYCLIC_B,
+    CYCLIC_MINUS,
+    CYCLIC_PLUS,
+    GELFAND_A_MINUS,
+    GELFAND_A_PLUS,
+    GELFAND_B_MINUS,
+    GELFAND_B_PLUS,
+    GELFAND_MINUS,
+    GELFAND_PLUS,
+    GELFAND_STAR,
+    cyclic_quiver,
+    gelfand_quiver,
+)
+from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
+from rquiver.reps import hom_space, validate_rep
+from rquiver.serialize import dump_hc
+from rquiver.unipotent import scaled_sqrt
+
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+
+
+# ---------------------------------------------------------------- reference
+
+def ref_gelfand_pieces(v):
+    b_a_plus = v.edge_maps[GELFAND_A_PLUS]
+    b_a_minus = v.edge_maps[GELFAND_A_MINUS]
+    b_b_plus = v.edge_maps[GELFAND_B_PLUS]
+    b_b_minus = v.edge_maps[GELFAND_B_MINUS]
+    n_plus = b_b_plus * b_a_plus
+    n_minus = b_b_minus * b_a_minus
+    n_star_plus = b_a_plus * b_b_plus
+    n_star_minus = b_a_minus * b_b_minus
+    if n_star_plus != n_star_minus:
+        raise ValueError("input violates the Gelfand relation")
+    return b_a_plus, b_a_minus, b_b_plus, b_b_minus, n_plus, n_minus, n_star_plus
+
+
+def ref_inverse_E(v, ell, tail_weights):
+    report = validate_rep(v)
+    if not report.ok:
+        raise ValueError(f"invalid representation: {report.failures()}")
+    d = v.d
+    epsilon = (ell + 1) % 2
+    n_window = ell + 1 + 2 * tail_weights
+
+    if ell == 0:
+        if v.quiver != cyclic_quiver():
+            raise ValueError("ell = 0 expects a cyclic-quiver representation")
+        b_a = v.edge_maps[CYCLIC_A]
+        b_b = v.edge_maps[CYCLIC_B]
+        dim_p = v.dims[CYCLIC_PLUS]
+        dim_m = v.dims[CYCLIC_MINUS]
+        n_plus = b_a * b_b
+        n_minus = b_b * b_a
+        spaces = {}
+        for w in range(-n_window, n_window + 1):
+            if (w - epsilon) % 2:
+                continue
+            spaces[w] = dim_p if w >= 1 else dim_m
+        x_maps, y_maps, rat = {}, {}, {}
+        phi_plus = n_plus.scale(4)
+        phi_minus = n_minus.scale(4)
+        stub = HCModule(ell, epsilon, n_window, spaces, {}, {}, {},
+                        phi_plus, phi_minus, d)
+        for w in stub.weights():
+            if w + 2 <= n_window:
+                x_maps[w] = b_a if w == -1 else stub._tail_x(w)
+            if w - 2 >= -n_window:
+                y_maps[w] = b_b if w == 1 else stub._tail_y(w)
+            rat[w] = v.rho[CYCLIC_PLUS] if w >= 1 else v.rho[CYCLIC_MINUS]
+        out = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat,
+                       phi_plus, phi_minus, d)
+        rep = validate_hc(out)
+        if not rep.ok:
+            raise AssertionError(f"construction bug: {rep.failures()}")
+        return out
+
+    if v.quiver != gelfand_quiver():
+        raise ValueError("ell >= 1 expects a Gelfand-quiver representation")
+    b_a_plus, b_a_minus, b_b_plus, b_b_minus, n_plus, n_minus, n_star = \
+        ref_gelfand_pieces(v)
+    lam = Fraction(ell * ell)
+    phi_plus = QuadMatrix.identity(n_plus.rows, d).scale(lam) + n_plus.scale(4)
+    phi_minus = QuadMatrix.identity(n_minus.rows, d).scale(lam) + n_minus.scale(4)
+    phi_star = QuadMatrix.identity(n_star.rows, d).scale(lam) + n_star.scale(4)
+    s_star = scaled_sqrt(phi_star, QuadElement(ell, 0, d))
+
+    dim_p = v.dims[GELFAND_PLUS]
+    dim_m = v.dims[GELFAND_MINUS]
+    dim_s = v.dims[GELFAND_STAR]
+    spaces = {}
+    for w in range(-n_window, n_window + 1):
+        if (w - epsilon) % 2:
+            continue
+        spaces[w] = dim_p if w >= ell + 1 else dim_m if w <= -(ell + 1) else dim_s
+    half = QuadElement(Fraction(1, 2), 0, d)
+    ident_s = QuadMatrix.identity(dim_s, d)
+    stub = HCModule(ell, epsilon, n_window, spaces, {}, {}, {},
+                    phi_plus, phi_minus, d)
+    x_maps, y_maps, rat = {}, {}, {}
+    for w in stub.weights():
+        if w + 2 <= n_window:
+            if w == -(ell + 1):
+                x_maps[w] = b_a_minus
+            elif w == ell - 1:
+                x_maps[w] = b_b_plus
+            elif -(ell - 1) <= w <= ell - 3:
+                x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
+            else:
+                x_maps[w] = stub._tail_x(w)
+        if w - 2 >= -n_window:
+            if w == ell + 1:
+                y_maps[w] = b_a_plus
+            elif w == -(ell - 1):
+                y_maps[w] = b_b_minus
+            elif -(ell - 3) <= w <= ell - 1:
+                y_maps[w] = (s_star - ident_s.scale(w - 1)).scale(half)
+            else:
+                y_maps[w] = stub._tail_y(w)
+        if w >= ell + 1:
+            rat[w] = v.rho[GELFAND_PLUS]
+        elif w <= -(ell + 1):
+            rat[w] = v.rho[GELFAND_MINUS]
+        else:
+            rat[w] = v.rho[GELFAND_STAR]
+    out = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat,
+                   phi_plus, phi_minus, d)
+    rep = validate_hc(out)
+    if not rep.ok:
+        raise AssertionError(f"construction bug: {rep.failures()}")
+    return out
+
+
+# ---------------------------------------------------------------- inputs
+
+def block_reps(d, ell, count, seed=3):
+    """Seeded nilpotent rational reps of the quiver of block ell, max_dim 2."""
+    rng = random.Random(1000 * seed + 10 * ell + FIELD_TAGS.index(d))
+    make = random_cyclic_rep if ell == 0 else random_gelfand_rep
+    return [make(rng, max_dim=2, d=d) for _ in range(count)]
+
+
+# ---------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_inverse_E_matches_reference(d):
+    for ell in range(4):
+        for v in block_reps(d, ell, 3):
+            for tail_weights in (1, 4):
+                assert dump_hc(inverse_E(v, ell, tail_weights)) == \
+                    dump_hc(ref_inverse_E(v, ell, tail_weights))
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hc_side_properties(d):
+    for ell in range(4):
+        reps = block_reps(d, ell, 3, seed=5)
+        mods = [inverse_E(v, ell, 1) for v in reps]
+        for v, m in zip(reps, mods):
+            assert m.d == d
+            assert validate_hc(m).ok
+            assert roundtrip_hc(v, ell, 1).path.startswith("constructive")
+        images = [functor_E(m).rep for m in mods]
+        for m1, r1 in zip(mods[:2], images):
+            for m2, r2 in zip(mods[1:], images[1:]):
+                dim_k, dim_l, _ = hc_hom_space(m1, m2)
+                assert dim_k == dim_l == hom_space(r1, r2).dim_K
