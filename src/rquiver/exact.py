@@ -25,8 +25,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-Rat = Fraction
-
 
 class CocycleViolation(ValueError):
     """A claimed order-2 semilinear structure failed phi o phi = id."""

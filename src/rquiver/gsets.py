@@ -262,12 +262,30 @@ class GSet:
     @staticmethod
     def coset_space(sub: Subgroup) -> "GSet":
         """G acting on the left cosets of the subgroup."""
-        g = sub.parent
-        cosets = sub.left_cosets()
-        index = {c: i for i, c in enumerate(cosets)}
-        action = [[index[frozenset(g.mul(a, x) for x in c)] for c in cosets]
-                  for a in g.elements()]
-        return GSet(g, len(cosets), action)
+        return coset_union(sub.parent, [sub])[0]
+
+
+def coset_union(group: FiniteGroup, subgroups):
+    """Disjoint union of the coset spaces G/H, one block per subgroup in order.
+
+    Returns (G-set, offsets, cosets): block b lists the cosets of its
+    subgroup sorted by minimal element, and coset k of block b is the point
+    offsets[b] + k.
+    """
+    if any(sub.parent != group for sub in subgroups):
+        raise ValueError("subgroup of a different group")
+    cosets = tuple(tuple(sub.left_cosets()) for sub in subgroups)
+    offsets = []
+    index = []
+    size = 0
+    for cs in cosets:
+        offsets.append(size)
+        index.append({c: size + k for k, c in enumerate(cs)})
+        size += len(cs)
+    action = [[idx[frozenset(group.mul(a, x) for x in c)]
+               for cs, idx in zip(cosets, index) for c in cs]
+              for a in group.elements()]
+    return GSet(group, size, action), tuple(offsets), cosets
 
 
 def orbits(x: GSet) -> list:

@@ -167,6 +167,9 @@ def validate_hc(m: HCModule) -> ValidationReport:
             r = m.rat.get(w)
             if r is None or (r.rows, r.cols) != (m.dim(-w), m.dim(w)):
                 raise ValueError(f"rational structure at {w} missing or misshapen")
+        for name, phi in (("phi_+", m.phi_plus), ("phi_-", m.phi_minus)):
+            if phi.rows != phi.cols:
+                raise ValueError(f"tail Casimir {name} is not square")
     except ValueError as exc:
         ok, wit = False, str(exc)
     checks.append(("shape", ok, wit))
@@ -187,6 +190,8 @@ def validate_hc(m: HCModule) -> ValidationReport:
         if nilpotency_exponent(dev) is None:
             ok, wit = False, "tail Casimir is not lambda + nilpotent"
     checks.append(("tail-dims", ok, wit))
+    if not ok:
+        return ValidationReport(tuple(checks))
 
     ok, wit = True, ""
     for w in m.weights():

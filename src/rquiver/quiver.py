@@ -170,30 +170,29 @@ def restrict(q: RationalQuiver, sub: Subgroup) -> RationalQuiver:
     return RationalQuiver(verts, edges, src, tgt, relations)
 
 
-def _morphism_ok(q1, q2, fv, fe, with_relations=True):
+def _morphism_ok(q1, q2, fv, fe):
     for e in range(q1.edges.size):
         if q2.src[fe[e]] != fv[q1.src[e]] or q2.tgt[fe[e]] != fv[q1.tgt[e]]:
             return False
-    if with_relations:
-        keys = {_rel_key(r) for r in q2.relations}
-        for p, qq in q1.relations:
-            ip = tuple(fe[e] for e in p)
-            iq = tuple(fe[e] for e in qq)
-            if ip == iq:
-                continue
-            if _rel_key((ip, iq)) not in keys:
-                return False
+    keys = {_rel_key(r) for r in q2.relations}
+    for p, qq in q1.relations:
+        ip = tuple(fe[e] for e in p)
+        iq = tuple(fe[e] for e in qq)
+        if ip == iq:
+            continue
+        if _rel_key((ip, iq)) not in keys:
+            return False
     return True
 
 
-def quiver_homs(q1: RationalQuiver, q2: RationalQuiver, with_relations=True):
+def quiver_homs(q1: RationalQuiver, q2: RationalQuiver):
     """Exhaustive list of equivariant quiver morphisms q1 -> q2."""
     if q1.group != q2.group:
         raise ValueError("quivers over different groups")
     out = []
     for fv in equivariant_maps(q1.vertices, q2.vertices):
         for fe in equivariant_maps(q1.edges, q2.edges):
-            if _morphism_ok(q1, q2, fv, fe, with_relations):
+            if _morphism_ok(q1, q2, fv, fe):
                 out.append(QuiverMorphism(fv, fe))
     return out
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix, inverse, rank
-from .gsets import C2, FiniteGroup, GSet, Subgroup
+from .gsets import C2, FiniteGroup, GSet, Subgroup, coset_union
 from .quiver import RationalQuiver, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, SpeciesRep, summand_domain_cols
 
@@ -136,27 +136,11 @@ def _all_subgroups(group):
 def random_group_quiver(rng, group: FiniteGroup, max_v=4, max_e=6):
     """Random quiver over an arbitrary finite group, as unions of coset spaces."""
     pool = _all_subgroups(group)
-
-    def coset_union(blocks):
-        cosets_all = [s.left_cosets() for s in blocks]
-        size = sum(len(c) for c in cosets_all)
-        action = []
-        for a in group.elements():
-            row = []
-            off = 0
-            for cs in cosets_all:
-                index = {c: k for k, c in enumerate(cs)}
-                for c in cs:
-                    row.append(off + index[frozenset(group.mul(a, x) for x in c)])
-                off += len(cs)
-            action.append(row)
-        return GSet(group, size, action)
-
     while True:
         v_blocks = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
         e_blocks = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
-        verts = coset_union(v_blocks)
-        edges = coset_union(e_blocks)
+        verts = coset_union(group, v_blocks)[0]
+        edges = coset_union(group, e_blocks)[0]
         if verts.size > max_v or edges.size > max_e:
             continue
         ends = _equivariant_endpoints(rng, group, verts, edges)

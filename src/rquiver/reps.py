@@ -37,7 +37,7 @@ from .exact import (
     sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport
-from .species import EtaleSpecies, quiver_of_species, species_of_quiver
+from .species import EtaleSpecies, _roundtrip_witness, quiver_of_species, species_of_quiver
 
 
 class NotQuadratic(ValueError):
@@ -382,8 +382,14 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
     """
     if r.quiver.group.order != 2:
         raise NotQuadratic("functor_F needs a quadratic Galois group")
+    s, conv = species_of_quiver(r.quiver, with_conventions=True)
+    return _functor_F(r, s, conv)[0]
+
+
+def _functor_F(r: QuiverRep, s: EtaleSpecies, conv):
+    """functor_F on the species of r.quiver with its conventions; returns
+    (F(r), the descent bases u_i of the W_i)."""
     q = r.quiver
-    s, conv = species_of_quiver(q, with_conventions=True)
     u = _w_basis(r, s, conv)
     u_inv = [inverse(m) if m.rows else m for m in u]
     dims = [u[i].cols for i in range(s.n_indices)]
@@ -417,7 +423,7 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
                 raise AssertionError("descent failure: expected rational coordinates")
             mats.append(mat)
         maps[(i, j)] = tuple(mats)
-    return SpeciesRep(s, dims, maps, r.d)
+    return SpeciesRep(s, dims, maps, r.d), u
 
 
 # ------------------------------------------------------------------ functor H
@@ -447,10 +453,14 @@ def functor_H(w: SpeciesRep) -> QuiverRep:
     conjugation); the edge map of a coset point t H_eps conjugates the
     eta = 1 core of f (x) 1_L by the transport t . twist_tgt.
     """
-    s = w.species
-    if s.group.order != 2:
+    if w.species.group.order != 2:
         raise NotQuadratic("functor_H needs a quadratic Galois group")
-    q, layout = quiver_of_species(s, with_layout=True)
+    return _functor_H(w, *quiver_of_species(w.species, with_layout=True))
+
+
+def _functor_H(w: SpeciesRep, q: RationalQuiver, layout) -> QuiverRep:
+    """functor_H on the quiver of w.species with its layout."""
+    s = w.species
     g = s.group
     dims = [None] * q.vertices.size
     for i in range(s.n_indices):
@@ -459,23 +469,12 @@ def functor_H(w: SpeciesRep) -> QuiverRep:
     rho = [QuadMatrix.identity(dims[q.vertices.apply(1, v)], w.d)
            for v in range(q.vertices.size)]
     edge_maps = [None] * q.edges.size
-    for b, (i, j, summand) in enumerate(layout.edge_blocks):
-        fmat = w.summand_matrices(i, j)[_position_of(layout, b)]
-        core = _summand_core(w, i, j, summand, fmat)
-        for k, coset in enumerate(layout.edge_cosets[b]):
-            sigma_e = min(coset)
-            ge = g.mul(sigma_e, summand.twist_tgt)
-            edge_maps[layout.edge_offsets[b] + k] = core if ge == 0 else core.conj()
+    for b, (i, j, k, summand) in enumerate(layout.edge_blocks):
+        core = _summand_core(w, i, j, summand, w.summand_matrices(i, j)[k])
+        for e, coset in enumerate(layout.edge_cosets[b], layout.edge_offsets[b]):
+            ge = g.mul(min(coset), summand.twist_tgt)
+            edge_maps[e] = core if ge == 0 else core.conj()
     return QuiverRep(q, dims, edge_maps, rho, w.d)
-
-
-def _position_of(layout, b):
-    i, j, _ = layout.edge_blocks[b]
-    pos = 0
-    for bb in range(b):
-        if layout.edge_blocks[bb][:2] == (i, j):
-            pos += 1
-    return pos
 
 
 # ------------------------------------------------------------------ round trips
@@ -489,24 +488,22 @@ def hf_witness(r: QuiverRep):
     (transported H(F(r)), per-vertex matrices); the caller checks them with
     is_morphism and invertibility.
     """
-    from .species import roundtrip_quiver
-
     q = r.quiver
-    back = functor_H(functor_F(r))
-    witness = roundtrip_quiver(q)
+    if q.group.order != 2:
+        raise NotQuadratic("hf_witness needs a quadratic Galois group")
+    s, conv = species_of_quiver(q, with_conventions=True)
+    w, u = _functor_F(r, s, conv)
+    q2, layout = quiver_of_species(s, with_layout=True)
+    back = _functor_H(w, q2, layout)
+    witness = _roundtrip_witness(q, s, conv, q2, layout)
     transported = transport_rep(back, q, witness.vertex_bijection,
                                 witness.edge_bijection)
-    s, conv = species_of_quiver(q, with_conventions=True)
     mats = []
     for v in range(q.vertices.size):
         i = conv.vertex_orbit_of[v]
         v_i = conv.vertex_reps[i]
-        if s.vertex_subgroups[i].order == 2:
-            u = fixed_space_matrix(SemilinearMap(r.rho[v_i], 1))
-        else:
-            u = QuadMatrix.identity(r.dims[v_i], r.d)
         t = q.vertices.transporter(v_i, v)[0]
-        mats.append(u if t == 0 else r.rho[v_i] * u.conj())
+        mats.append(u[i] if t == 0 else r.rho[v_i] * u[i].conj())
     return transported, tuple(mats)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gsets import FiniteGroup, GSet, Subgroup
+from .gsets import FiniteGroup, GSet, Subgroup, coset_union
 from .quiver import RationalQuiver, base_change as quiver_base_change, restrict as quiver_restrict
 
 
@@ -157,54 +157,21 @@ class SpeciesQuiverLayout:
     vertex_cosets: tuple
     edge_offsets: tuple
     edge_cosets: tuple
-    edge_blocks: tuple  # (i, j, summand) per block
+    edge_blocks: tuple  # (i, j, k, summand) per block, summand = s.summands(i, j)[k]
 
 
 def quiver_of_species(s: EtaleSpecies, with_layout=False):
     g = s.group
-    vertex_offsets = []
-    vertex_cosets = []
-    total_v = 0
-    for h in s.vertex_subgroups:
-        cosets = h.left_cosets()
-        vertex_offsets.append(total_v)
-        vertex_cosets.append(tuple(cosets))
-        total_v += len(cosets)
-    v_action = []
-    for a in g.elements():
-        row = []
-        for i, cosets in enumerate(vertex_cosets):
-            index = {c: k for k, c in enumerate(cosets)}
-            for c in cosets:
-                row_target = frozenset(g.mul(a, x) for x in c)
-                row.append(vertex_offsets[i] + index[row_target])
-        v_action.append(row)
-    vertices = GSet(g, total_v, v_action)
+    vertices, vertex_offsets, vertex_cosets = coset_union(g, s.vertex_subgroups)
+    edge_blocks = tuple((i, j, k, summand)
+                        for (i, j), summands in sorted(s.bimodules.items())
+                        for k, summand in enumerate(summands))
+    edges, edge_offsets, edge_cosets = coset_union(
+        g, [summand.subgroup for _, _, _, summand in edge_blocks])
 
-    edge_offsets = []
-    edge_cosets = []
-    edge_blocks = []
-    total_e = 0
-    for (i, j), summands in sorted(s.bimodules.items()):
-        for summand in summands:
-            cosets = summand.subgroup.left_cosets()
-            edge_offsets.append(total_e)
-            edge_cosets.append(tuple(cosets))
-            edge_blocks.append((i, j, summand))
-            total_e += len(cosets)
-    e_action = []
-    for a in g.elements():
-        row = []
-        for b, cosets in enumerate(edge_cosets):
-            index = {c: k for k, c in enumerate(cosets)}
-            for c in cosets:
-                row.append(edge_offsets[b] + index[frozenset(g.mul(a, x) for x in c)])
-        e_action.append(row)
-    edges = GSet(g, total_e, e_action)
-
-    src = [None] * total_e
-    tgt = [None] * total_e
-    for b, (i, j, summand) in enumerate(edge_blocks):
+    src = [None] * edges.size
+    tgt = [None] * edges.size
+    for b, (i, j, _, summand) in enumerate(edge_blocks):
         vi_cosets = {c: k for k, c in enumerate(vertex_cosets[i])}
         vj_cosets = {c: k for k, c in enumerate(vertex_cosets[j])}
         hi = s.vertex_subgroups[i]
@@ -217,9 +184,8 @@ def quiver_of_species(s: EtaleSpecies, with_layout=False):
             tgt[edge_offsets[b] + k] = vertex_offsets[j] + vj_cosets[tgt_coset]
     q = RationalQuiver(vertices, edges, src, tgt)
     if with_layout:
-        return q, SpeciesQuiverLayout(tuple(vertex_offsets), tuple(vertex_cosets),
-                                      tuple(edge_offsets), tuple(edge_cosets),
-                                      tuple(edge_blocks))
+        return q, SpeciesQuiverLayout(vertex_offsets, vertex_cosets, edge_offsets,
+                                      edge_cosets, edge_blocks)
     return q
 
 
@@ -236,10 +202,17 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
     e = t . e_eps to the coset t H_eps; this commutes with src/tgt and the
     Galois action by construction, which is verified before returning.
     """
-    g = q.group
     s, conv = species_of_quiver(q, with_conventions=True)
     q2, layout = quiver_of_species(s, with_layout=True)
+    return _roundtrip_witness(q, s, conv, q2, layout)
 
+
+def _roundtrip_witness(q: RationalQuiver, s: EtaleSpecies, conv: QuiverConventions,
+                       q2: RationalQuiver,
+                       layout: SpeciesQuiverLayout) -> QuiverRoundtripWitness:
+    """roundtrip_quiver's witness, given the species of q with its
+    conventions and the quiver of that species with its layout."""
+    g = q.group
     fv = [None] * q.vertices.size
     for v in range(q.vertices.size):
         i = conv.vertex_orbit_of[v]
@@ -248,13 +221,8 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
         fv[v] = layout.vertex_offsets[i] + layout.vertex_cosets[i].index(coset)
 
     fe = [None] * q.edges.size
-    position = {}
-    for b, (i, j, summand) in enumerate(layout.edge_blocks):
-        # recover which original edge orbit this summand came from:
-        # layout blocks run through sorted (i, j) keys in summand order,
-        # matching the per-key representative lists in the conventions
-        k = position.get((i, j), 0)
-        position[(i, j)] = k + 1
+    for b, (i, j, k, summand) in enumerate(layout.edge_blocks):
+        # summand k at (i, j) came from the k-th edge orbit representative
         e_eps = conv.edge_reps_of(i, j)[k]
         for e in q.edges.orbit_of(e_eps):
             t = _min_transporter(q.edges, e_eps, e)

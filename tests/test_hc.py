@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -109,6 +110,27 @@ def test_validator_catches_conjugation_break():
                       m.y_maps, bad_rat, m.phi_plus, m.phi_minus)
     rep = validate_hc(broken)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("tail,failed", [
+    # square, but 5 - ell^2 is not nilpotent
+    ({"rows": 1, "cols": 1, "entries": [[5, 1, 0, 1]]}, "tail-dims"),
+    ({"rows": 1, "cols": 2, "entries": [[1, 1, 0, 1], [0, 1, 0, 1]]}, "shape"),
+])
+def test_validator_reports_malformed_tail(tmp_path, capsys, tail, failed):
+    """A malformed tail Casimir gives a FAIL report, not an exception."""
+    from rquiver.cli import main
+    from rquiver.serialize import dump_hc, load_hc
+
+    doc = dump_hc(build_example("principal", 1))
+    doc["tails"]["plus"] = tail
+    rep = validate_hc(load_hc(doc))
+    assert [name for name, _ in rep.failures()] == [failed]
+    assert rep.checks[-1][0] == failed
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hc", "validate", "--in", str(path)]) == 1
+    assert f"FAIL {failed}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- casimir

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rquiver.reps import (
     SpeciesRep,
     functor_F,
     functor_H,
+    hf_witness,
     hom_space,
     is_morphism,
     is_nilpotent_rep,
@@ -265,6 +267,36 @@ def test_H_after_F_isomorphic():
         assert all(rank(mats[v]) == r.dims[v] for v in range(r.quiver.vertices.size))
 
 
+def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
+    """hf_witness computes the species of r's quiver and the quiver of that
+    species once each, and passes them to F, H and the round-trip witness."""
+    import rquiver.reps as reps
+    import rquiver.species as species
+
+    rng = random.Random(5)
+    fixtures = [discrete_like_rep(), principal_like_rep()]
+    for _ in range(4):
+        q = random_c2_quiver(rng, max_v=3, max_e=4)
+        fixtures.append(functor_H(random_species_rep(rng, species_of_quiver(q), max_dim=2)))
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("species_of_quiver", "quiver_of_species"):
+        wrapper = counted(name, getattr(species, name))
+        monkeypatch.setattr(species, name, wrapper)
+        monkeypatch.setattr(reps, name, wrapper)
+    for r in fixtures:
+        calls.clear()
+        transported, mats = reps.hf_witness(r)
+        assert calls == {"species_of_quiver": 1, "quiver_of_species": 1}
+        assert is_morphism(transported, r, mats)
+
+
 def test_theta_rational_structure_consistency():
     """The explicit conjugation action on the decomposition of
     W_i (x) iMj (x) L agrees with the canonical one (computed on pure
@@ -332,6 +364,8 @@ def test_not_quadratic_rejected():
     r = rep_base_change(principal_like_rep(), Subgroup.trivial_in(C2))
     with pytest.raises(NotQuadratic):
         functor_F(r)
+    with pytest.raises(NotQuadratic):
+        hf_witness(r)
 
 
 def test_species_is_morphism():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from rquiver.gsets import C2, FiniteGroup, Subgroup
+from rquiver.gsets import C2, FiniteGroup, GSet, Subgroup
 from rquiver.quiver import (
+    RationalQuiver,
     cyclic_quiver,
     gelfand_quiver,
     quiver_homs,
@@ -11,7 +12,10 @@ from rquiver.quiver import (
     two_loop_quiver,
     validate,
 )
+from rquiver.serialize import dump_quiver
 from rquiver.species import (
+    BimoduleSummand,
+    EtaleSpecies,
     quiver_of_species,
     roundtrip_quiver,
     roundtrip_species,
@@ -19,7 +23,7 @@ from rquiver.species import (
     species_of_quiver,
     species_restrict,
 )
-from rquiver.randomgen import random_c2_quiver, random_group_quiver
+from rquiver.randomgen import _all_subgroups, random_c2_quiver, random_group_quiver
 
 
 # --------------------------------------------------------------- fixtures
@@ -212,3 +216,117 @@ def test_orbit_counts_match():
         s = species_of_quiver(q)
         assert s.n_indices == len(q.vertices.orbits())
         assert sum(len(v) for v in s.bimodules.values()) == len(q.edges.orbits())
+
+
+# --------------------------------------------------------------- coset spaces
+
+def ref_coset_space(sub):
+    """The coset-space G-set as built before gsets.coset_union, kept as the
+    reference."""
+    g = sub.parent
+    cosets = sub.left_cosets()
+    index = {c: i for i, c in enumerate(cosets)}
+    action = [[index[frozenset(g.mul(a, x) for x in c)] for c in cosets]
+              for a in g.elements()]
+    return GSet(g, len(cosets), action)
+
+
+def ref_quiver_of_species(s):
+    """quiver_of_species with its two separate coset-action loops, as built
+    before gsets.coset_union: (quiver, vertex offsets, vertex cosets, edge
+    offsets, edge cosets)."""
+    g = s.group
+    vertex_offsets = []
+    vertex_cosets = []
+    total_v = 0
+    for h in s.vertex_subgroups:
+        cosets = h.left_cosets()
+        vertex_offsets.append(total_v)
+        vertex_cosets.append(tuple(cosets))
+        total_v += len(cosets)
+    v_action = []
+    for a in g.elements():
+        row = []
+        for i, cosets in enumerate(vertex_cosets):
+            index = {c: k for k, c in enumerate(cosets)}
+            for c in cosets:
+                row_target = frozenset(g.mul(a, x) for x in c)
+                row.append(vertex_offsets[i] + index[row_target])
+        v_action.append(row)
+    vertices = GSet(g, total_v, v_action)
+
+    edge_offsets = []
+    edge_cosets = []
+    edge_blocks = []
+    total_e = 0
+    for (i, j), summands in sorted(s.bimodules.items()):
+        for summand in summands:
+            cosets = summand.subgroup.left_cosets()
+            edge_offsets.append(total_e)
+            edge_cosets.append(tuple(cosets))
+            edge_blocks.append((i, j, summand))
+            total_e += len(cosets)
+    e_action = []
+    for a in g.elements():
+        row = []
+        for b, cosets in enumerate(edge_cosets):
+            index = {c: k for k, c in enumerate(cosets)}
+            for c in cosets:
+                row.append(edge_offsets[b] + index[frozenset(g.mul(a, x) for x in c)])
+        e_action.append(row)
+    edges = GSet(g, total_e, e_action)
+
+    src = [None] * total_e
+    tgt = [None] * total_e
+    for b, (i, j, summand) in enumerate(edge_blocks):
+        vi_cosets = {c: k for k, c in enumerate(vertex_cosets[i])}
+        vj_cosets = {c: k for k, c in enumerate(vertex_cosets[j])}
+        hi = s.vertex_subgroups[i]
+        hj = s.vertex_subgroups[j]
+        for k, c in enumerate(edge_cosets[b]):
+            t = min(c)
+            src_coset = frozenset(g.mul(g.mul(t, summand.twist_src), h) for h in hi.elements)
+            tgt_coset = frozenset(g.mul(g.mul(t, summand.twist_tgt), h) for h in hj.elements)
+            src[edge_offsets[b] + k] = vertex_offsets[i] + vi_cosets[src_coset]
+            tgt[edge_offsets[b] + k] = vertex_offsets[j] + vj_cosets[tgt_coset]
+    return (RationalQuiver(vertices, edges, src, tgt), tuple(vertex_offsets),
+            tuple(vertex_cosets), tuple(edge_offsets), tuple(edge_cosets))
+
+
+def assert_matches_reference(s):
+    q, layout = quiver_of_species(s, with_layout=True)
+    ref_q, *ref_layout = ref_quiver_of_species(s)
+    assert dump_quiver(q) == dump_quiver(ref_q)
+    assert [layout.vertex_offsets, layout.vertex_cosets, layout.edge_offsets,
+            layout.edge_cosets] == ref_layout
+    for i, j, k, summand in layout.edge_blocks:
+        assert s.summands(i, j)[k] == summand
+
+
+GROUPS = {"C2": C2, "C3": FiniteGroup.cyclic(3), "S3": FiniteGroup.symmetric(3)}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_coset_spaces_match_reference_on_every_subgroup(name):
+    group = GROUPS[name]
+    subs = _all_subgroups(group)
+    for sub in subs:
+        assert GSet.coset_space(sub) == ref_coset_space(sub)
+    # every subgroup as a vertex field with a loop of its own field, and a
+    # trivial-subgroup summand between every ordered pair of indices
+    e = group.identity
+    bims = {(i, i): [BimoduleSummand(sub, e, e)] for i, sub in enumerate(subs)}
+    trivial = Subgroup.trivial_in(group)
+    for i in range(len(subs)):
+        for j in range(len(subs)):
+            bims.setdefault((i, j), []).append(BimoduleSummand(trivial, e, e))
+    assert_matches_reference(EtaleSpecies(group, subs, bims))
+
+
+def test_quiver_of_species_matches_reference_on_random_species():
+    rng = random.Random(404)
+    for _ in range(30):
+        assert_matches_reference(species_of_quiver(random_c2_quiver(rng)))
+    for group in (FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
+        for _ in range(15):
+            assert_matches_reference(species_of_quiver(random_group_quiver(rng, group)))
