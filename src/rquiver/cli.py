@@ -287,34 +287,41 @@ def _cmd_unipotent(args) -> Report:
 
 def _cmd_hc(args) -> Report:
     report = Report("hc " + args.action)
-    if args.action == "build":
-        m = hc_mod.build_example(args.kind, args.ell, args.epsilon)
-        _write(args.out, io.dump_hc(m))
-        report.add("written", True, args.out)
-    elif args.action == "validate":
-        m = io.load_hc(_read(args.infile))
-        _report_validation(report, hc_mod.validate_hc(m))
-    elif args.action == "to-quiver":
-        m = io.load_hc(_read(args.infile))
-        res = hc_mod.functor_E(m)
-        _write(args.out, io.dump_rep(res.rep))
-        report.payload["iterations"] = res.iterations
-        report.add("written", True, args.out)
-    elif args.action == "from-quiver":
-        r = io.load_rep(_read(args.infile))
-        m = hc_mod.inverse_E(r, args.ell)
-        _write(args.out, io.dump_hc(m))
-        report.add("written", True, args.out)
-    elif args.action == "roundtrip":
-        r = io.load_rep(_read(args.infile))
-        rt = hc_mod.roundtrip_hc(r, args.ell)
-        report.payload["path"] = rt.path
-        report.add("roundtrip", True, f"witness via {rt.path} path")
-    elif args.action == "casimir":
-        m = io.load_hc(_read(args.infile))
-        c = hc_mod.casimir_matrix(m, args.weight)
-        report.payload["casimir"] = io.dump_matrix(c)
-        report.add("computed", True, f"weight {args.weight}")
+    try:
+        if args.action == "build":
+            m = hc_mod.build_example(args.kind, args.ell, args.epsilon)
+            _write(args.out, io.dump_hc(m))
+            report.add("written", True, args.out)
+        elif args.action == "validate":
+            m = io.load_hc(_read(args.infile))
+            _report_validation(report, hc_mod.validate_hc(m))
+        elif args.action == "to-quiver":
+            m = io.load_hc(_read(args.infile))
+            res = hc_mod.functor_E(m)
+            _write(args.out, io.dump_rep(res.rep))
+            report.payload["iterations"] = res.iterations
+            report.add("written", True, args.out)
+        elif args.action == "from-quiver":
+            r = io.load_rep(_read(args.infile))
+            m = hc_mod.inverse_E(r, args.ell)
+            _write(args.out, io.dump_hc(m))
+            report.add("written", True, args.out)
+        elif args.action == "roundtrip":
+            r = io.load_rep(_read(args.infile))
+            rt = hc_mod.roundtrip_hc(r, args.ell)
+            report.payload["path"] = rt.path
+            report.add("roundtrip", True, f"witness via {rt.path} path")
+        elif args.action == "casimir":
+            m = io.load_hc(_read(args.infile))
+            c = hc_mod.casimir_matrix(m, args.weight)
+            report.payload["casimir"] = io.dump_matrix(c)
+            report.add("computed", True, f"weight {args.weight}")
+    except io.ParseError:
+        raise
+    except ValueError as exc:
+        # hc's public functions reject bad input (wrong block, invalid
+        # module, weight outside the window) with ValueError subclasses
+        raise UsageError(str(exc)) from exc
     return report
 
 

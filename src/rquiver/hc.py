@@ -2,10 +2,13 @@
 block functor onto nilpotent rational Gelfand/cyclic quiver representations,
 and its inverse.
 
-A module is stored on a finite weight window [-N, N] together with tail data
-(the Casimir action on the two stable outer spaces); ladder operators beyond
-the window are given by closed forms derived from unipotent square roots of
-the tails, which is exactly the shape produced by the inverse construction.
+A module is a finite certificate: its spaces and rational structure on a
+weight window [-N, N], its ladder maps on the core weights |w| <= ell + 1,
+and tail data (the Casimir action phi_+- on the two stable outer spaces).
+Ladder maps past the core are determined by closed forms derived from
+unipotent square roots of the tails, which is exactly the shape produced by
+the inverse construction; a module may store them (loaded files and the
+output of inverse_E do), and then they must agree with the closed forms.
 Conventions: X raises weights by 2, Y lowers by 2, the rational structure is
 a family of conjugate-semilinear maps M_w -> M_{-w} swapping X and Y, and the
 Casimir acts on M_w as (w - 1)^2 + 4 X Y.
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix, descended_kernel, intertwining_system, \
-    inverse, nilpotency_exponent
+    inverse, nilpotency_exponent, rank
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, ValidationReport, \
     cyclic_quiver, gelfand_quiver
-from .reps import QuiverRep, is_morphism, rep_isomorphic, validate_rep
+from .reps import QuiverRep, is_morphism, validate_rep
 from .unipotent import StabilizationProblem, scaled_sqrt, stabilize, unipotent_sqrt
 
 
@@ -47,6 +50,9 @@ class HCModule:
 
     spaces / X / Y / rat are keyed by weight; tails hold the Casimir action
     phi_+ and phi_- on the stable spaces at weights >= ell+1 and <= -(ell+1).
+    X and Y must be stored only where no closed form determines them (see
+    x_in_tail / y_in_tail); stored tail maps are optional, since x_at / y_at
+    derive them from phi_+-.
     """
 
     def __init__(self, ell, epsilon, window, spaces, x_maps, y_maps, rat,
@@ -116,13 +122,21 @@ class HCModule:
             setattr(self, cache, scaled_sqrt(phi, QuadElement(self.ell, 0, self.d)))
         return getattr(self, cache)
 
+    def x_in_tail(self, w: int) -> bool:
+        """Whether X on M_w is given by the tail closed form."""
+        return w >= self.ell + 1 or w + 2 <= -(self.ell + 1)
+
+    def y_in_tail(self, w: int) -> bool:
+        """Whether Y on M_w is given by the tail closed form."""
+        return w - 2 >= self.ell + 1 or w <= -(self.ell + 1)
+
     def x_at(self, w: int) -> QuadMatrix:
         """X on M_w (raising w -> w+2), stored or from the tail closed form."""
         if w in self.x_maps:
             return self.x_maps[w]
         if (w - self.epsilon) % 2:
             raise OutOfWindow(f"weight {w} has the wrong parity")
-        if w >= self.ell + 1 or w + 2 <= -(self.ell + 1):
+        if self.x_in_tail(w):
             return self._tail_x(w)
         raise OutOfWindow(f"X at weight {w} is not determined")
 
@@ -131,7 +145,7 @@ class HCModule:
             return self.y_maps[w]
         if (w - self.epsilon) % 2:
             raise OutOfWindow(f"weight {w} has the wrong parity")
-        if w - 2 >= self.ell + 1 or w <= -(self.ell + 1):
+        if self.y_in_tail(w):
             return self._tail_y(w)
         raise OutOfWindow(f"Y at weight {w} is not determined")
 
@@ -146,23 +160,57 @@ def casimir_matrix(m: HCModule, w: int) -> QuadMatrix:
 
 
 def validate_hc(m: HCModule) -> ValidationReport:
+    """Check a module on its core weights |w| <= ell + 1 and its tail data.
+
+    "shape" asks for X and Y where the tails do not determine them (X at
+    -(ell+1) <= w <= ell-1, Y at -(ell-1) <= w <= ell+1) and for rat at every
+    window weight.  "tail-consistency" asks that stored tail maps equal the
+    closed forms and that rat is constant along each tail:
+    rat[w] = R = rat[ell+1] for w >= ell+1 and rat[w] = R' = rat[-(ell+1)]
+    for w <= -(ell+1).  The four per-weight identities (bracket, nilpotent
+    Casimir, rational cocycle, conjugation swap) are then checked on
+    |w| <= ell + 1 only, because past these weights they follow from the
+    checks that run:
+
+    - ell >= 1: on the + tail X_w = (S+w+1)/2 and Y_w = (S-w+1)/2, with
+      S = scaled_sqrt(phi_+, ell) and S^2 = phi_+.  So 4 X_{w-2} Y_w =
+      phi_+ - (w-1)^2 and 4 Y_{w+2} X_w = phi_+ - (w+1)^2, hence 4[X, Y] = 4w
+      and C = (w-1)^2 + 4 X_{w-2} Y_w = phi_+, which is ell^2 + nilpotent by
+      "tail-dims".  The - tail is the mirror image with phi_-.
+    - ell = 0: on the + tail X_w = (w+1)/2 and Y_w = ((1-w) + phi_+/(w-1))/2
+      give the same two products, and so do their mirror images on the -
+      tail.
+    - The cocycle at a tail weight is the cocycle at +-(ell+1).
+      Conjugation swap on the tail reduces to R conj(S_+) = S_- R and, by the
+      cocycle, R' conj(S_-) = S_+ R' (for ell = 0, to the same identities
+      with phi in place of S).  S = p(phi) for a polynomial p with rational
+      coefficients, so both follow from "tail-conjugation"
+      phi_- R = R conj(phi_+).
+    - The same identity makes rat constant along the tails of every module
+      that satisfies conjugation swap at every window weight: there
+      rat[w+2] conj(X_w) = Y_{-w} rat[w] with R conj(X_w) = Y_{-w} R, and
+      conj(X_w) (w >= ell+1), resp. Y_{-w} (w <= -(ell+3)), is invertible
+      (its eigenvalues are (ell + |w| + 1)/2, resp. (|w| - ell - 1)/2 up to
+      sign), so rat[w+2] = rat[w].  The constancy check therefore rejects no
+      module that a check of every window weight accepts.
+    """
     checks = []
     ell, n = m.ell, m.window
 
     ok, wit = True, ""
     try:
         for w in m.weights():
-            if w + 2 <= n and w in m.x_maps:
-                x = m.x_maps[w]
-                if (x.rows, x.cols) != (m.dim(w + 2), m.dim(w)):
+            if w + 2 <= n:
+                x = m.x_maps.get(w)
+                if x is not None and (x.rows, x.cols) != (m.dim(w + 2), m.dim(w)):
                     raise ValueError(f"X[{w}] has wrong shape")
-            if w + 2 <= n and w not in m.x_maps:
-                raise ValueError(f"X[{w}] missing")
-            if w - 2 >= -n and w not in m.y_maps:
-                raise ValueError(f"Y[{w}] missing")
-            if w in m.y_maps:
-                y = m.y_maps[w]
-                if (y.rows, y.cols) != (m.dim(w - 2), m.dim(w)):
+                if x is None and not m.x_in_tail(w):
+                    raise ValueError(f"X[{w}] missing")
+            if w - 2 >= -n:
+                y = m.y_maps.get(w)
+                if y is None and not m.y_in_tail(w):
+                    raise ValueError(f"Y[{w}] missing")
+                if y is not None and (y.rows, y.cols) != (m.dim(w - 2), m.dim(w)):
                     raise ValueError(f"Y[{w}] has wrong shape")
             r = m.rat.get(w)
             if r is None or (r.rows, r.cols) != (m.dim(-w), m.dim(w)):
@@ -196,19 +244,20 @@ def validate_hc(m: HCModule) -> ValidationReport:
     ok, wit = True, ""
     for w in m.weights():
         stored = m.x_maps.get(w)
-        if stored is not None and (w >= ell + 1 or w + 2 <= -(ell + 1)):
-            if stored != m._tail_x(w):
-                ok, wit = False, f"X[{w}] disagrees with the tail closed form"
+        if stored is not None and m.x_in_tail(w) and stored != m._tail_x(w):
+            ok, wit = False, f"X[{w}] disagrees with the tail closed form"
         stored = m.y_maps.get(w)
-        if stored is not None and (w - 2 >= ell + 1 or w <= -(ell + 1)):
-            if stored != m._tail_y(w):
-                ok, wit = False, f"Y[{w}] disagrees with the tail closed form"
+        if stored is not None and m.y_in_tail(w) and stored != m._tail_y(w):
+            ok, wit = False, f"Y[{w}] disagrees with the tail closed form"
+        if abs(w) > ell + 1 and m.rat[w] != m.rat[ell + 1 if w > 0 else -(ell + 1)]:
+            ok, wit = False, f"rational structure at {w} is not constant along the tail"
     checks.append(("tail-consistency", ok, wit))
     if not ok:
         return ValidationReport(tuple(checks))
 
+    core = [w for w in m.weights() if abs(w) <= ell + 1]
     ok, wit = True, ""
-    for w in m.weights():
+    for w in core:
         lhs = (m.x_at(w - 2) * m.y_at(w) - m.y_at(w + 2) * m.x_at(w)).scale(4)
         if lhs != QuadMatrix.identity(m.dim(w), m.d).scale(Fraction(4 * w)):
             ok, wit = False, f"4[X,Y] != 4w at weight {w}"
@@ -216,7 +265,7 @@ def validate_hc(m: HCModule) -> ValidationReport:
     checks.append(("bracket", ok, wit))
 
     ok, wit = True, ""
-    for w in m.weights():
+    for w in core:
         dev = casimir_matrix(m, w) - QuadMatrix.identity(m.dim(w), m.d).scale(lam)
         if nilpotency_exponent(dev) is None:
             ok, wit = False, f"(C - ell^2) not nilpotent at weight {w}"
@@ -224,16 +273,14 @@ def validate_hc(m: HCModule) -> ValidationReport:
     checks.append(("casimir-nilpotent", ok, wit))
 
     ok, wit = True, ""
-    for w in m.weights():
+    for w in core:
         if not (m.rat[-w] * m.rat[w].conj()).is_identity():
             ok, wit = False, f"rational cocycle fails at weight {w}"
             break
     checks.append(("rational-cocycle", ok, wit))
 
     ok, wit = True, ""
-    for w in m.weights():
-        if w + 2 > n:
-            continue
+    for w in core:
         lhs = m.rat[w + 2] * m.x_at(w).conj()
         rhs = m.y_at(-w) * m.rat[w]
         if lhs != rhs:
@@ -461,12 +508,12 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     respect to the root gamma = ell.  For ell = 0 the square root does not
     exist and an asymmetric split with the same composites is used instead:
     on the plus side 2X = (w+1), 2Y = (1-w) + 4n/(w-1), mirrored by
-    conjugation on the minus side.  The tail maps are read off the built
-    module's own closed forms (HCModule.x_at / y_at).
+    conjugation on the minus side.
 
     Raises ValueError on an invalid representation, a quiver that does not
-    match ell, or a broken Gelfand relation; the built module is validated
-    once (validate_hc) before it is returned.
+    match ell, or a broken Gelfand relation.  The module is validated once
+    (validate_hc) on its core maps; then every window weight is filled from
+    HCModule.x_at / y_at, so the returned module stores the whole window.
     """
     report = validate_rep(v)
     if not report.ok:
@@ -513,11 +560,11 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
                    {w: v.rho[owner(w)] for w in weights},
                    phi(x_maps[ell - 1] * y_maps[ell + 1]),
                    phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
-    out.x_maps = {w: out.x_at(w) for w in weights[:-1]}
-    out.y_maps = {w: out.y_at(w) for w in weights[1:]}
     report = validate_hc(out)
     if not report.ok:
         raise AssertionError(f"construction bug: {report.failures()}")
+    out.x_maps = {w: out.x_at(w) for w in weights[:-1]}
+    out.y_maps = {w: out.y_at(w) for w in weights[1:]}
     return out
 
 
@@ -532,10 +579,11 @@ class HCRoundtrip:
 def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCRoundtrip:
     """Witness E(inverse_E(v)) ~ v following the essential-surjectivity proof.
 
-    For ell >= 1 the constructive witness is (X*', T_-^(1/2), 1) on the
-    (star, minus, plus) spaces, where X*' is the normalized extremal power of
-    the built module and T_- the unipotent Casimir product; the fallback is a
-    generic search over the Hom space.  Every candidate is verified exactly.
+    For ell >= 1 the witness is (X*', T_-^(1/2), 1) on the (star, minus,
+    plus) spaces, where X*' is the normalized extremal power of the built
+    module and T_- the unipotent Casimir product; for ell = 0 it is the
+    identity.  The witness is verified exactly (full rank and is_morphism);
+    if it fails, that is a construction bug and AssertionError is raised.
 
     The built module is validated once, by inverse_E; E is applied to it
     without validating it again, and the witness reuses the normalizations
@@ -544,32 +592,18 @@ def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHT
     module = inverse_E(v, ell, tail_weights)
     result, norms = _functor_E(module)
     r2 = result.rep
-
-    candidates = []
     if ell == 0:
-        ident = [QuadMatrix.identity(v.dims[i], v.d) for i in range(2)]
-        candidates.append(("constructive", tuple(ident)))
+        mats = tuple(QuadMatrix.identity(v.dims[i], v.d) for i in range(2))
     else:
-        z_minus = unipotent_sqrt(norms.t_minus)
         mats = [None] * 3
         mats[GELFAND_STAR] = norms.x_star
         mats[GELFAND_PLUS] = QuadMatrix.identity(v.dims[GELFAND_PLUS], v.d)
-        mats[GELFAND_MINUS] = z_minus
-        candidates.append(("constructive", tuple(mats)))
-        alt = list(mats)
-        alt[GELFAND_MINUS] = inverse(z_minus)
-        candidates.append(("constructive-alt", tuple(alt)))
-
-    from .exact import rank
-
-    for path, mats in candidates:
-        if all(rank(mats[i]) == v.dims[i] for i in range(len(mats))) \
-                and is_morphism(r2, v, mats):
-            return HCRoundtrip(mats, path, module, r2)
-    mats = rep_isomorphic(r2, v)
-    if mats is None:
-        raise AssertionError("no isomorphism found; construction bug")
-    return HCRoundtrip(mats, "search", module, r2)
+        mats[GELFAND_MINUS] = unipotent_sqrt(norms.t_minus)
+        mats = tuple(mats)
+    if not (all(rank(mats[i]) == v.dims[i] for i in range(len(mats)))
+            and is_morphism(r2, v, mats)):
+        raise AssertionError("constructive witness is not an isomorphism; construction bug")
+    return HCRoundtrip(mats, "constructive", module, r2)
 
 
 # ------------------------------------------------------------------ fixtures

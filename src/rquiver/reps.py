@@ -319,6 +319,8 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
 
     if a.quiver != b.quiver or a.dims != b.dims:
         return None
+    if not any(a.dims):
+        return tuple(QuadMatrix.zeros(0, 0, a.d) for _ in a.dims)
     hs = hom_space(a, b)
     if hs.dim_K == 0:
         return None

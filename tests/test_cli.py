@@ -115,6 +115,42 @@ def test_hc_roundtrip_cli(tmp_path):
     assert report.payload["path"] == "constructive"
 
 
+def test_hc_rejected_input_exit_code(tmp_path, capsys):
+    """Input that hc rejects exits 2 with one error line, not a traceback."""
+    module = build_example("principal", 2)
+    gelfand = write(tmp_path, "rep.json", io.dump_rep(functor_E(module).rep))
+    good = write(tmp_path, "module.json", io.dump_hc(module))
+    doc = io.dump_hc(module)
+    doc["X"]["1"]["entries"][0] = [5, 1, 0, 1]
+    bad = write(tmp_path, "bad.json", doc)
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["hc", "from-quiver", "--in", gelfand, "--out", out, "--ell", "-1"],
+        ["hc", "from-quiver", "--in", gelfand, "--out", out, "--ell", "0"],
+        ["hc", "roundtrip", "--in", gelfand, "--ell", "-1"],
+        ["hc", "roundtrip", "--in", gelfand, "--ell", "0"],
+        ["hc", "to-quiver", "--in", bad, "--out", out],
+        ["hc", "casimir", "--in", good, "--weight", "2"],
+        ["hc", "casimir", "--in", good, "--weight", "99"],
+        ["hc", "build", "--kind", "finite", "--ell", "0", "--out", out],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+
+
+def test_hc_construction_bug_propagates(tmp_path, monkeypatch):
+    """A failed round-trip witness is a construction bug, not a usage error."""
+    import rquiver.hc as hc
+
+    rep = functor_E(build_example("principal", 1)).rep
+    path = write(tmp_path, "rep.json", io.dump_rep(rep))
+    monkeypatch.setattr(hc, "is_morphism", lambda *args: False)
+    with pytest.raises(AssertionError, match="construction bug"):
+        main(["hc", "roundtrip", "--in", path, "--ell", "1"])
+
+
 def test_examples_single(capsys):
     assert main(["examples", "run", "--kind", "discrete", "--ell", "0"]) == 0
     out = capsys.readouterr().out

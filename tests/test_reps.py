@@ -360,6 +360,23 @@ def test_rep_isomorphic_basic():
     assert rep_isomorphic(r, other) is None  # different dimension vectors
 
 
+def test_rep_isomorphic_zero_rep(tmp_path, capsys):
+    """The zero representation is isomorphic to itself by the empty maps."""
+    import json
+
+    from rquiver.cli import main
+    from rquiver.serialize import dump_rep
+
+    z = QuadMatrix.zeros(0, 0)
+    r = QuiverRep(gelfand_quiver(), (0, 0, 0), (z,) * 4, (z,) * 3)
+    iso = rep_isomorphic(r, r)
+    assert iso == (z, z, z) and is_morphism(r, r, iso)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(dump_rep(r)))
+    assert main(["rep", "isomorphic", "--a", str(path), "--b", str(path)]) == 0
+    assert "isomorphic: True" in capsys.readouterr().out
+
+
 def test_not_quadratic_rejected():
     r = rep_base_change(principal_like_rep(), Subgroup.trivial_in(C2))
     with pytest.raises(NotQuadratic):
