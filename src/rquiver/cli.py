@@ -126,6 +126,8 @@ def render_diagram(rep: QuiverRep) -> str:
 # ------------------------------------------------------------------- helpers
 
 def _read(path):
+    if path is None:
+        raise UsageError("an input file option (--in, --a, --b or --parent) is missing")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -136,12 +138,16 @@ def _read(path):
 
 
 def _write(path, doc):
+    if path is None:
+        raise UsageError("the output file option --out is missing")
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _subgroup(group, spec: str) -> Subgroup:
+    if spec is None:
+        raise UsageError("the option --subgroup is missing")
     try:
         elements = [int(x) for x in spec.split(",") if x != ""]
         return Subgroup(group, elements)
@@ -287,41 +293,38 @@ def _cmd_unipotent(args) -> Report:
 
 def _cmd_hc(args) -> Report:
     report = Report("hc " + args.action)
-    try:
-        if args.action == "build":
-            m = hc_mod.build_example(args.kind, args.ell, args.epsilon)
-            _write(args.out, io.dump_hc(m))
-            report.add("written", True, args.out)
-        elif args.action == "validate":
-            m = io.load_hc(_read(args.infile))
-            _report_validation(report, hc_mod.validate_hc(m))
-        elif args.action == "to-quiver":
-            m = io.load_hc(_read(args.infile))
-            res = hc_mod.functor_E(m)
-            _write(args.out, io.dump_rep(res.rep))
-            report.payload["iterations"] = res.iterations
-            report.add("written", True, args.out)
-        elif args.action == "from-quiver":
-            r = io.load_rep(_read(args.infile))
-            m = hc_mod.inverse_E(r, args.ell)
-            _write(args.out, io.dump_hc(m))
-            report.add("written", True, args.out)
-        elif args.action == "roundtrip":
-            r = io.load_rep(_read(args.infile))
-            rt = hc_mod.roundtrip_hc(r, args.ell)
-            report.payload["path"] = rt.path
-            report.add("roundtrip", True, f"witness via {rt.path} path")
-        elif args.action == "casimir":
-            m = io.load_hc(_read(args.infile))
-            c = hc_mod.casimir_matrix(m, args.weight)
-            report.payload["casimir"] = io.dump_matrix(c)
-            report.add("computed", True, f"weight {args.weight}")
-    except io.ParseError:
-        raise
-    except ValueError as exc:
-        # hc's public functions reject bad input (wrong block, invalid
-        # module, weight outside the window) with ValueError subclasses
-        raise UsageError(str(exc)) from exc
+    option = {"build": "ell", "from-quiver": "ell", "roundtrip": "ell",
+              "casimir": "weight"}.get(args.action)
+    if option and getattr(args, option) is None:
+        raise UsageError(f"hc {args.action} needs --{option}")
+    if args.action == "build":
+        m = hc_mod.build_example(args.kind, args.ell, args.epsilon)
+        _write(args.out, io.dump_hc(m))
+        report.add("written", True, args.out)
+    elif args.action == "validate":
+        m = io.load_hc(_read(args.infile))
+        _report_validation(report, hc_mod.validate_hc(m))
+    elif args.action == "to-quiver":
+        m = io.load_hc(_read(args.infile))
+        res = hc_mod.functor_E(m)
+        _write(args.out, io.dump_rep(res.rep))
+        report.payload["iterations"] = res.iterations
+        report.add("written", True, args.out)
+    elif args.action == "from-quiver":
+        r = io.load_rep(_read(args.infile))
+        m = hc_mod.inverse_E(r, args.ell)
+        _write(args.out, io.dump_hc(m))
+        report.add("written", True, args.out)
+    elif args.action == "roundtrip":
+        r = io.load_rep(_read(args.infile))
+        rt = hc_mod.roundtrip_hc(r, args.ell)
+        report.payload["path"] = rt.path
+        report.add("roundtrip", True, f"witness via {rt.path} path")
+    elif args.action == "casimir":
+        m = io.load_hc(_read(args.infile))
+        c = hc_mod.casimir_matrix(m, args.weight)
+        report.payload["casimir"] = io.dump_matrix(c)
+        report.add("computed", True, f"weight {args.weight}")
     return report
 
 
@@ -460,7 +463,10 @@ def main(argv=None) -> int:
     except io.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
+    except ValueError as exc:
+        # UsageError, or an input the library rejects (wrong block, invalid
+        # module or rep, broken cocycle); construction bugs raise
+        # AssertionError or RuntimeError and pass through
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

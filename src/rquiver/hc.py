@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, descended_kernel, intertwining_system, \
-    inverse, nilpotency_exponent, rank
+from .exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent, rank
+from .gsets import C2, GSet
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
-    CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, ValidationReport, \
-    cyclic_quiver, gelfand_quiver
-from .reps import QuiverRep, is_morphism, validate_rep
+    CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
+    ValidationReport, cyclic_quiver, gelfand_quiver
+from .reps import QuiverRep, hom_space, is_morphism, validate_rep
 from .unipotent import StabilizationProblem, scaled_sqrt, stabilize, unipotent_sqrt
 
 
@@ -379,11 +379,6 @@ def normalizations(m: HCModule) -> Normalizations:
     return Normalizations(gamma, x_star, y_star, t_plus, t_minus)
 
 
-def _conj_transport(z: QuadMatrix, r_front: QuadMatrix, r_back: QuadMatrix) -> QuadMatrix:
-    """Matrix of c o z o c with the conjugations given by r_front, r_back."""
-    return r_front * z.conj() * r_back.conj()
-
-
 @dataclass(frozen=True)
 class BlockFunctorResult:
     rep: QuiverRep
@@ -447,8 +442,8 @@ def _functor_E(m: HCModule):
     for k in range(steps):
         pk, qk, _ = at(run_plus.trace, k)
         pk2, qk2, _ = at(run_minus.trace, k)
-        if pk2 != _conj_transport(qk, r_plus, r_minus) or \
-                qk2 != _conj_transport(pk, r_plus, r_minus):
+        if pk2 != r_plus * qk.conj() * r_minus.conj() or \
+                qk2 != r_plus * pk.conj() * r_minus.conj():
             raise AssertionError("stabilization runs are not conjugate at step %d" % k)
         ps, qs, _ = at(run_star.trace, k)
         if qs != r_star_top * ps.conj() * r_star_top.conj():
@@ -687,33 +682,51 @@ def build_example(kind: str, ell: int, epsilon=None,
 # ------------------------------------------------------------------ HC Hom
 
 def hc_hom_space(m1: HCModule, m2: HCModule):
-    """Hom between two modules of one block, through their window data.
+    """Hom between two modules of one block, as quiver Hom on their ladders.
 
-    The unknowns are the per-weight maps psi_w: M1_w -> M2_w on the common
-    window; the L-homomorphisms are those with psi X = X psi and psi Y = Y psi
-    on every ladder step inside it, and conjugation acts on them by
-    psi_w |-> rat2 o psi_{-w} o rat1.  The rational morphisms are its fixed
-    points (descended_kernel).  Returns (dim_K, dim_L, K-basis as
-    weight->matrix dicts).
+    The weights |w| <= ell+3 of a module (the smallest window HCModule
+    allows) form a representation of a C2 ladder quiver: a vertex per
+    weight, edges X_w: w -> w+2 and Y_w: w -> w-2, conjugation w |-> -w and
+    X_w |-> Y_{-w}, rational structure rat.  reps.hom_space solves it, and
+    each basis element is extended constantly along the tails (psi_w =
+    psi_{+-(ell+3)} past +-(ell+3)).  For valid modules that is Hom of the
+    whole modules.  Take the + tail; the - tail is its mirror image.
+    - X_w (w >= ell+1) is invertible, with eigenvalues (ell+w+1)/2, so
+      psi_{w+2} X1_w = X2_w psi_w fixes psi_{w+2}: restriction is injective.
+    - With psi = psi_{ell+1}, the X_{ell+1} and Y_{ell+3} equations give
+      psi Y1 X1 = Y2 psi_{ell+3} X1 = Y2 X2 psi, and 4 Y_{ell+3} X_{ell+1} =
+      phi_+ - (ell+2)^2 (see validate_hc), so psi phi1_+ = phi2_+ psi.  Each
+      tail map is one rational polynomial in phi_+ for both modules:
+      X_w = (S+w+1)/2, Y_w = (S-w+1)/2 with S = ell sum_j binom(1/2, j)
+      (phi_+/ell^2 - 1)^j, j below both dimensions, for ell >= 1, and
+      X_w = (w+1)/2, Y_w = ((1-w) + phi_+/(w-1))/2 for ell = 0.  So psi
+      intertwines every tail map; psi_{ell+3} X1_{ell+1} = X2_{ell+1} psi =
+      psi X1_{ell+1} gives psi_{ell+3} = psi, and the constant extension
+      meets every tail equation.
+    - rat is constant along the tails, so conjugation commutes with the
+      extension, and so does the reduced echelon basis (the constant blocks
+      keep the free coordinates in place): the result equals a solve over the
+      whole window and does not depend on it.
+    Returns (dim_K, dim_L, K-basis as weight->matrix dicts on the window).
     """
     if (m1.ell, m1.epsilon, m1.window) != (m2.ell, m2.epsilon, m2.window):
         raise ValueError("modules live in different blocks or windows")
     if m1.d != m2.d:
         raise ValueError(f"modules over different fields sqrt({m1.d}) and sqrt({m2.d})")
-    weights = list(m1.weights())
-    at = {w: k for k, w in enumerate(weights)}
-    equations = []
-    for w in weights:
-        if w + 2 <= m1.window:
-            equations.append((at[w + 2], at[w], m1.x_at(w), m2.x_at(w)))
-        if w - 2 >= -m1.window:
-            equations.append((at[w - 2], at[w], m1.y_at(w), m2.y_at(w)))
-    shapes = [(m2.dim(w), m1.dim(w)) for w in weights]
-    r1c = [m1.rat[w].conj() for w in weights]
+    top = m1.ell + 3
+    ladder = range(-top, top + 1, 2)
+    # vertex k is weight ladder[k]; edge k is X: k -> k+1, edge n-1+k is
+    # Y: k+1 -> k, and conjugation reverses both lists
+    v, e = list(range(len(ladder))), list(range(2 * len(ladder) - 2))
+    quiver = RationalQuiver(GSet(C2, len(v), [v, v[::-1]]), GSet(C2, len(e), [e, e[::-1]]),
+                            v[:-1] + v[1:], v[1:] + v[:-1])
 
-    def conjugate(psi):
-        return [m2.rat[-w] * psi[at[-w]].conj() * r1c[k] for k, w in enumerate(weights)]
+    def rep(m):
+        return QuiverRep(quiver, [m.dim(w) for w in ladder],
+                         [m.x_at(w) for w in ladder[:-1]] + [m.y_at(w) for w in ladder[1:]],
+                         [m.rat[w] for w in ladder], m.d)
 
-    l_basis, k_basis = descended_kernel(
-        intertwining_system(shapes, equations, m1.d), shapes, conjugate)
-    return len(k_basis), len(l_basis), [dict(zip(weights, x)) for x in k_basis]
+    hs = hom_space(rep(m1), rep(m2))
+    basis = [{w: psi[(max(-top, min(w, top)) + top) // 2] for w in m1.weights()}
+             for psi in hs.basis]
+    return hs.dim_K, hs.dim_L, basis

@@ -71,11 +71,6 @@ def _parse_element(data, d) -> QuadElement:
                        Fraction(int(data[2]), int(data[3])), d)
 
 
-@_loader
-def load_element(data, d) -> QuadElement:
-    return _parse_element(data, d)
-
-
 def dump_matrix(m: QuadMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [dump_element(x) for x in m.entries]}

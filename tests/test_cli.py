@@ -133,11 +133,41 @@ def test_hc_rejected_input_exit_code(tmp_path, capsys):
         ["hc", "casimir", "--in", good, "--weight", "2"],
         ["hc", "casimir", "--in", good, "--weight", "99"],
         ["hc", "build", "--kind", "finite", "--ell", "0", "--out", out],
+        # left-out options
+        ["hc", "casimir", "--in", good],
+        ["hc", "roundtrip", "--in", gelfand],
+        ["hc", "from-quiver", "--in", gelfand, "--out", out],
+        ["hc", "build", "--kind", "principal", "--out", out],
+        ["hc", "build", "--kind", "principal", "--ell", "1"],
+        ["hc", "validate"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1, argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
+
+
+def test_rep_rejected_input_exit_code(tmp_path, capsys):
+    """A left-out option, and a rational structure that breaks the cocycle,
+    exit 2 with one usage error line."""
+    doc = io.dump_rep(functor_E(build_example("principal", 2)).rep)
+    good = write(tmp_path, "rep.json", doc)
+    doc["semilinear"][0]["entries"] = [[2, 1, 0, 1]]  # rho_star = 2
+    bad = write(tmp_path, "bad.json", doc)
+    cocycle = "usage error: rational structure breaks the cocycle at vertex 0\n"
+    for argv, err in (
+        (["rep", "hom", "--a", good], None),
+        (["rep", "base-change", "--in", good, "--out", str(tmp_path / "out.json")], None),
+        (["rep", "hom", "--a", bad, "--b", bad], cocycle),
+        (["rep", "isomorphic", "--a", bad, "--b", bad], cocycle),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
+        assert err is None or captured.err == err
 
 
 def test_hc_construction_bug_propagates(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from rquiver.quiver import gelfand_quiver
 from rquiver.randomgen import (
     change_basis,
     random_c2_quiver,
+    random_cyclic_rep,
     random_gelfand_rep,
     random_invertible,
     random_matrix,
@@ -274,6 +275,12 @@ def hc_modules():
     mods = [build_example(k, 1, tail_weights=1) for k in KINDS]
     mods += [inverse_E(random_gelfand_rep(rng, max_dim=2), 1, tail_weights=1)
              for _ in range(2)]
+    # long windows at a non-default field tag, where the tails are longest
+    d = Fraction(2)
+    mods += [inverse_E(random_cyclic_rep(rng, max_dim=2, d=d), 0, tail_weights=8)
+             for _ in range(2)]
+    mods += [inverse_E(random_gelfand_rep(rng, max_dim=2, d=d), 2, tail_weights=8)
+             for _ in range(2)]
     return mods
 
 
@@ -351,6 +358,43 @@ def test_hom_rejects_mixed_field_tags():
     m2 = build_example("principal", 1, tail_weights=1, d=-3)
     with pytest.raises(ValueError, match="different fields"):
         hc_hom_space(m1, m2)
+
+
+def test_hom_rejects_cocycle_breaking_rep():
+    """Conjugation acts on Hom only through the cocycle, so hom_space checks it
+    on both sides, also where Hom over L is zero."""
+    q = gelfand_quiver()
+    one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
+    good = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one))
+    broken = QuiverRep(q, (1, 1, 1), good.edge_maps, (one.scale(2), one, one))
+    for a, b in ((broken, good), (good, broken), (broken, broken)):
+        with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
+            hom_space(a, b)
+    z = QuadMatrix.zeros(0, 0)
+    null = QuiverRep(q, (0, 0, 0), (z, z, z, z), (z, z, z))
+    with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
+        hom_space(null, broken)
+
+
+# ---------------------------------------------------------------- work gates
+
+def test_hc_hom_space_solves_on_the_ladder(monkeypatch):
+    """hc_hom_space hands reps one block per weight |w| <= ell + 3, whatever
+    the window."""
+    seen = []
+    system = reps.intertwining_system
+
+    def recording(shapes, equations, d=-1):
+        seen.append(len(shapes))
+        return system(shapes, equations, d)
+
+    monkeypatch.setattr(reps, "intertwining_system", recording)
+    for ell in range(4):
+        for tail_weights in (1, 8):
+            m = build_example("discrete", ell, tail_weights=tail_weights)
+            seen.clear()
+            hc_hom_space(m, m)
+            assert seen == [ell + 4], (ell, tail_weights)
 
 
 # ---------------------------------------------------------------- construction gate
