@@ -298,7 +298,7 @@ def _cmd_hc(args) -> Report:
     if option and getattr(args, option) is None:
         raise UsageError(f"hc {args.action} needs --{option}")
     if args.action == "build":
-        m = hc_mod.build_example(args.kind, args.ell, args.epsilon)
+        m = hc_mod.build_example(args.kind, args.ell)
         _write(args.out, io.dump_hc(m))
         report.add("written", True, args.out)
     elif args.action == "validate":
@@ -426,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--out")
     h.add_argument("--kind", choices=list(hc_mod.KINDS))
     h.add_argument("--ell", type=int)
-    h.add_argument("--epsilon", type=int)
     h.add_argument("--weight", type=int)
 
     e = sub.add_parser("examples")

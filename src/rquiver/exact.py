@@ -119,9 +119,6 @@ class QuadElement:
         # x * conj(x) = a^2 - d b^2, always in Q
         return self.a * self.a - self.d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def inv(self) -> "QuadElement":
         n = self.norm()
         if n == 0:
@@ -355,18 +352,6 @@ class QuadMatrix:
         if isinstance(other, (int, Fraction, QuadElement)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, k: int) -> "QuadMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        acc = QuadMatrix.identity(self.rows, self.d)
-        base = self
-        while k > 0:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
 
     def conj(self) -> "QuadMatrix":
         if not any(self._Q):

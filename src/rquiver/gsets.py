@@ -2,7 +2,9 @@
 
 Points are dense integer indices; orbit representatives are always the
 minimal index, and coset spaces list cosets sorted by their minimal element,
-so every derived structure is deterministic.
+so every derived structure is deterministic.  Element 0 of every group is its
+identity, so it is the minimum of every subgroup H and H is the first coset
+of G/H.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from itertools import product
 
 
 class FiniteGroup:
-    """Group on elements 0..n-1 given by an explicit multiplication table."""
+    """Group on elements 0..n-1 given by an explicit multiplication table
+    whose element 0 is the identity."""
 
     def __init__(self, table, generators=None):
         table = tuple(tuple(row) for row in table)
@@ -19,27 +22,22 @@ class FiniteGroup:
         for row in table:
             if len(row) != n or sorted(row) != list(range(n)):
                 raise ValueError("table rows must be permutations of 0..n-1")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("no identity element")
+        if not n or any(table[0][x] != x or table[x][0] != x for x in range(n)):
+            raise ValueError("element 0 must be the identity")
         for a, b, c in product(range(n), repeat=3):
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise ValueError("table is not associative")
         inv = [None] * n
         for a in range(n):
             for b in range(n):
-                if table[a][b] == identity:
+                if table[a][b] == 0:
                     inv[a] = b
                     break
             if inv[a] is None:
                 raise ValueError(f"element {a} has no inverse")
         self.table = table
         self.order = n
-        self.identity = identity
+        self.identity = 0
         self.inverse_table = tuple(inv)
         self.generators = tuple(generators) if generators is not None else self._minimal_generators()
 
@@ -79,10 +77,6 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
     @staticmethod
-    def trivial() -> "FiniteGroup":
-        return FiniteGroup([[0]], generators=())
-
-    @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return FiniteGroup(table, generators=(1,) if n > 1 else ())
@@ -120,9 +114,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.elements
-
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.parent == other.parent
                 and self.elements == other.elements)
@@ -132,9 +123,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({sorted(self.elements)})"
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.parent == other.parent and self.elements <= other.elements
 
     def left_cosets(self):
         """Left cosets gH sorted by minimal element; the coset of 1 is first."""
@@ -300,41 +288,26 @@ def induce(x: GSet, sub: Subgroup):
     """Balanced product G x_H X for the H-set x, H embedded in G via sub.
 
     Returns (induced G-set, unit map X -> induced sending p to [(1, p)]).
-    Classes are ordered by their minimal (g, p) pair, so [(1, p)] classes
-    come first in p-order.
+    Every a in G is r_c h for the minimum r_c of its left coset c and one h
+    in H, and (a, p) ~ (r_c, h.p) is the minimal pair of its class, so the
+    class is the point c |X| + h.p: classes are ordered by their minimal
+    (g, p) pair, and the unit map is p |-> p since r_0 = 1.
     """
     hgrp, embed = sub.as_group()
     if x.group != hgrp:
         raise ValueError("x must be a set over the given subgroup")
     g = sub.parent
-    pairs = [(a, p) for a in g.elements() for p in range(x.size)]
-    # (a * emb(h), p) ~ (a, h.p)
-    parent = {pr: pr for pr in pairs}
+    position = {h: k for k, h in enumerate(embed)}
+    reps = [min(c) for c in sub.left_cosets()]
+    split = {g.mul(r, h): (c, position[h]) for c, r in enumerate(reps) for h in embed}
+    n = x.size
 
-    def find(pr):
-        while parent[pr] != pr:
-            parent[pr] = parent[parent[pr]]
-            pr = parent[pr]
-        return pr
+    def point(a, p):
+        c, h = split[a]
+        return c * n + x.apply(h, p)
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a in g.elements():
-        for p in range(x.size):
-            for h in range(hgrp.order):
-                union((g.mul(a, embed[h]), p), (a, x.apply(h, p)))
-    reps = sorted({find(pr) for pr in pairs})
-    index = {r: i for i, r in enumerate(reps)}
-    size = len(reps)
-    expected = (g.order // sub.order) * x.size
-    if size != expected:
-        raise AssertionError("balanced product has wrong cardinality")
-    action = [[index[find((g.mul(b, a), p))] for (a, p) in reps] for b in g.elements()]
-    unit = [index[find((g.identity, p))] for p in range(x.size)]
-    return GSet(g, size, action), unit
+    action = [[point(g.mul(b, r), p) for r in reps for p in range(n)] for b in g.elements()]
+    return GSet(g, len(reps) * n, action), list(range(n))
 
 
 def equivariant_maps(x: GSet, y: GSet) -> list:

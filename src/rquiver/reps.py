@@ -77,9 +77,6 @@ class QuiverRep:
             return SemilinearMap(QuadMatrix.identity(self.dims[v], self.d), 0)
         return SemilinearMap(self.rho[v], 1)
 
-    def edge(self, e: int) -> QuadMatrix:
-        return self.edge_maps[e]
-
     def path_matrix(self, path) -> QuadMatrix:
         m = QuadMatrix.identity(self.dims[self.quiver.src[path[0]]], self.d)
         for e in path:
@@ -243,6 +240,15 @@ class HomSpace:
     l_basis: list        # L-basis of the classical Hom space
 
 
+def _check_cocycle(r: QuiverRep):
+    """Raise ValueError unless rho[cv] conj(rho[v]) = 1 at every vertex v."""
+    q = r.quiver
+    if q.group.order == 2:
+        for v in range(q.vertices.size):
+            if not (r.rho[q.vertices.apply(1, v)] * r.rho[v].conj()).is_identity():
+                raise ValueError(f"rational structure breaks the cocycle at vertex {v}")
+
+
 def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     """K-basis of the rational Hom space, solved over L first, then descended.
 
@@ -260,13 +266,11 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     if m.d != n.d:
         raise ValueError(f"representations over different fields sqrt({m.d}) and sqrt({n.d})")
     q = m.quiver
+    _check_cocycle(m)
+    _check_cocycle(n)
     conjugate = None
     if q.group.order == 2:
         flip = [q.vertices.apply(1, v) for v in range(q.vertices.size)]
-        for r in (m, n):
-            for v, cv in enumerate(flip):
-                if not (r.rho[cv] * r.rho[v].conj()).is_identity():
-                    raise ValueError(f"rational structure breaks the cocycle at vertex {v}")
         rho_m = [x.conj() for x in m.rho]
 
         def conjugate(mats):
@@ -298,10 +302,13 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
     Witnesses are verified exactly.  Absence is decided by dimension data and
     a seeded large-coefficient search over the Hom space (an isomorphism, if
     one exists, is a generic element of Hom, so the search misses it only on
-    a measure-zero set of draws).
+    a measure-zero set of draws).  Raises ValueError when the rational
+    structure of a or b breaks the cocycle, as hom_space does.
     """
     import random as _random
 
+    _check_cocycle(a)
+    _check_cocycle(b)
     if a.quiver != b.quiver or a.dims != b.dims:
         return None
     if not any(a.dims):

@@ -2,8 +2,11 @@
 
 Every document carries "version": 1 and is rejected otherwise.  Elements of
 Q(sqrt(d)) are 4-tuples [a_num, a_den, b_num, b_den] under a field header
-{"d": [num, den]}; matrices are {"rows", "cols", "entries"}; G-sets are
-{"size", "action"} with one permutation per canonical group generator.
+{"d": [num, den]}; matrices are {"rows", "cols", "entries"}; groups are
+{"order", "table"}, a multiplication table whose element 0 is the identity;
+G-sets are {"size", "action"} with one permutation per canonical group
+generator.  A stabilization problem is {"phi_plus", "phi_minus"}; the key
+"tau" of older files carried no information and is ignored.
 """
 
 from __future__ import annotations
@@ -261,7 +264,7 @@ def load_matrix_file(data):
 def dump_stabilization(p) -> dict:
     return {"version": SCHEMA_VERSION, "d": dump_fraction(p.phi_plus.d),
             "phi_plus": dump_matrix(p.phi_plus),
-            "phi_minus": dump_matrix(p.phi_minus), "tau": p.tau}
+            "phi_minus": dump_matrix(p.phi_minus)}
 
 
 @_loader
@@ -271,5 +274,4 @@ def load_stabilization(data):
     _check_version(data)
     d = load_fraction(data["d"])
     return StabilizationProblem(load_matrix(data["phi_plus"], d),
-                                load_matrix(data["phi_minus"], d),
-                                int(data.get("tau", 1)))
+                                load_matrix(data["phi_minus"], d))

@@ -44,10 +44,9 @@ def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
 class StabilizationProblem:
     """Pair of mutually inverse-up-to-nilpotent maps phi_+: W_+ -> W_-' and
     phi_-: W_-' -> W_+ (the primes record that the target is read through the
-    ambient conjugation tagged tau; the matrices themselves are plain)."""
+    ambient conjugation; the matrices themselves are plain)."""
     phi_plus: QuadMatrix
     phi_minus: QuadMatrix
-    tau: int = 1
 
     def __post_init__(self):
         p, q = self.phi_plus, self.phi_minus
@@ -55,7 +54,7 @@ class StabilizationProblem:
             raise PreconditionViolated("phi_+ and phi_- have incompatible shapes")
         defect = q * p - QuadMatrix.identity(p.cols, p.d)
         if nilpotency_exponent(defect) is None:
-            raise PreconditionViolated("phi_-^tau o phi_+ - 1 is not nilpotent")
+            raise PreconditionViolated("phi_- o phi_+ - 1 is not nilpotent")
 
     def defect_exponent(self) -> int:
         defect = self.phi_minus * self.phi_plus - QuadMatrix.identity(

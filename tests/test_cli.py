@@ -71,6 +71,30 @@ def test_species_roundtrip_cli(tmp_path):
     assert report.exit_status == 0
 
 
+def test_group_without_identity_zero_exit_code(tmp_path, capsys):
+    """A group table whose identity is not element 0 is malformed input."""
+    doc = io.dump_quiver(gelfand_quiver())
+    doc["group"]["table"] = [[1, 0], [0, 1]]  # C2 with identity 1
+    path = write(tmp_path, "q.json", doc)
+    for command in ("quiver validate", "species roundtrip"):
+        assert main([*command.split(), "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+        assert "element 0 must be the identity" in lines[0]
+
+
+def test_stabilization_file_with_tau_loads():
+    """Files written with the old "tau" key still load; the key is ignored."""
+    from rquiver.exact import QuadMatrix
+
+    prob = StabilizationProblem(QuadMatrix.identity(2), QuadMatrix.identity(2))
+    doc = io.dump_stabilization(prob)
+    assert "tau" not in doc
+    assert io.load_stabilization({**doc, "tau": 1}) == prob
+
+
 def test_rep_pipeline_cli(tmp_path):
     # full pipeline: hc build -> to-quiver -> rep to-species
     assert main(["hc", "build", "--kind", "principal", "--ell", "1",
@@ -155,12 +179,14 @@ def test_rep_rejected_input_exit_code(tmp_path, capsys):
     good = write(tmp_path, "rep.json", doc)
     doc["semilinear"][0]["entries"] = [[2, 1, 0, 1]]  # rho_star = 2
     bad = write(tmp_path, "bad.json", doc)
+    other = write(tmp_path, "other.json", io.dump_rep(functor_E(build_example("discrete", 2)).rep))
     cocycle = "usage error: rational structure breaks the cocycle at vertex 0\n"
     for argv, err in (
         (["rep", "hom", "--a", good], None),
         (["rep", "base-change", "--in", good, "--out", str(tmp_path / "out.json")], None),
         (["rep", "hom", "--a", bad, "--b", bad], cocycle),
         (["rep", "isomorphic", "--a", bad, "--b", bad], cocycle),
+        (["rep", "isomorphic", "--a", bad, "--b", other], cocycle),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from rquiver.gsets import C2, FiniteGroup, GSet, Subgroup, equivariant_maps, induce
+from rquiver.gsets import C2, FiniteGroup, GSet, Subgroup, coset_union, equivariant_maps, induce
+from rquiver.randomgen import _all_subgroups
 
 
 def brute_force_equivariant(x, y):
@@ -33,10 +34,71 @@ def random_gset(rng, group, size):
             continue
 
 
+def ref_induce(x, sub):
+    """Balanced product by union-find over all pairs (a, p), with the
+    relation (a * emb(h), p) ~ (a, h.p); classes ordered by minimal pair."""
+    hgrp, embed = sub.as_group()
+    g = sub.parent
+    pairs = [(a, p) for a in g.elements() for p in range(x.size)]
+    parent = {pr: pr for pr in pairs}
+
+    def find(pr):
+        while parent[pr] != pr:
+            parent[pr] = parent[parent[pr]]
+            pr = parent[pr]
+        return pr
+
+    for a in g.elements():
+        for p in range(x.size):
+            for h in range(hgrp.order):
+                ra, rb = find((g.mul(a, embed[h]), p)), find((a, x.apply(h, p)))
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    reps = sorted({find(pr) for pr in pairs})
+    index = {r: i for i, r in enumerate(reps)}
+    assert len(reps) == (g.order // sub.order) * x.size
+    action = [[index[find((g.mul(b, a), p))] for (a, p) in reps] for b in g.elements()]
+    unit = [index[find((g.identity, p))] for p in range(x.size)]
+    return GSet(g, len(reps), action), unit
+
+
+def test_induce_matches_union_find():
+    """induce from cosets equals the union-find reference: same size,
+    action and unit map, on every subgroup of C2, C3, C4 and S3 over random
+    H-sets (unions of coset spaces with shuffled points)."""
+    rng = random.Random(41)
+    cases = 0
+    for group in (C2, FiniteGroup.cyclic(3), FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)):
+        for sub in _all_subgroups(group):
+            hgrp, _ = sub.as_group()
+            pool = _all_subgroups(hgrp)
+            for _ in range(20):
+                blocks = coset_union(hgrp, [rng.choice(pool) for _ in range(rng.randint(0, 3))])[0]
+                shuffle = rng.sample(range(blocks.size), blocks.size)
+                action = [[0] * blocks.size for _ in hgrp.elements()]
+                for h in hgrp.elements():
+                    for p in range(blocks.size):
+                        action[h][shuffle[p]] = shuffle[blocks.apply(h, p)]
+                x = GSet(hgrp, blocks.size, action)
+                ind, unit = induce(x, sub)
+                ref, ref_unit = ref_induce(x, sub)
+                assert (ind.size, ind.action, unit) == (ref.size, ref.action, ref_unit)
+                cases += 1
+    assert cases == 260
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [0, 1]])
+    # a relabelling of S3 that moves the identity away from element 0
     s3 = FiniteGroup.symmetric(3)
+    perm = [3, 0, 1, 2, 4, 5]
+    inv = [perm.index(k) for k in range(6)]
+    table = [[perm[s3.mul(inv[a], inv[b])] for b in range(6)] for a in range(6)]
+    with pytest.raises(ValueError, match="element 0 must be the identity"):
+        FiniteGroup(table)
+    with pytest.raises(ValueError, match="element 0 must be the identity"):
+        FiniteGroup([])
     assert s3.order == 6
     assert s3.mul(s3.identity, 4) == 4
 

@@ -73,9 +73,11 @@ def test_finite_dimension_pattern():
 
 
 def test_bad_parity_rejected():
+    m = build_example("principal", 1)
+    assert m.epsilon == 0
     with pytest.raises(BadParity):
-        build_example("principal", 1, epsilon=1)
-    build_example("principal", 1, epsilon=0)
+        HCModule(m.ell, 1, m.window, m.spaces, m.x_maps, m.y_maps, m.rat,
+                 m.phi_plus, m.phi_minus)
     with pytest.raises(NotApplicable):
         build_example("finite", 0)
 

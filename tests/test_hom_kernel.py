@@ -49,6 +49,7 @@ from rquiver.reps import (
     is_morphism,
     realify,
     rep_base_change,
+    rep_isomorphic,
     summand_domain_cols,
 )
 from rquiver.species import species_of_quiver
@@ -362,7 +363,8 @@ def test_hom_rejects_mixed_field_tags():
 
 def test_hom_rejects_cocycle_breaking_rep():
     """Conjugation acts on Hom only through the cocycle, so hom_space checks it
-    on both sides, also where Hom over L is zero."""
+    on both sides, also where Hom over L is zero; rep_isomorphic checks it
+    before it compares dimensions."""
     q = gelfand_quiver()
     one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
     good = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one))
@@ -374,6 +376,9 @@ def test_hom_rejects_cocycle_breaking_rep():
     null = QuiverRep(q, (0, 0, 0), (z, z, z, z), (z, z, z))
     with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
         hom_space(null, broken)
+    for a, b in ((broken, good), (null, broken), (broken, null)):
+        with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
+            rep_isomorphic(a, b)
 
 
 # ---------------------------------------------------------------- work gates

@@ -111,6 +111,27 @@ def test_roundtrip_species_fixtures():
         roundtrip_species(s)
 
 
+def test_roundtrip_species_rejects_changed_twist(monkeypatch):
+    """roundtrip_species compares the recomputed species with the input."""
+    import rquiver.species as species_mod
+    from rquiver.species import IsoSearchFailed
+
+    s = species_of_quiver(gelfand_quiver())
+    assert roundtrip_species(s) == s
+    honest = species_mod.species_of_quiver
+
+    def one_twist_off(q):
+        out = honest(q)
+        key, (first, *rest) = min(out.bimodules.items())
+        changed = BimoduleSummand(first.subgroup, first.twist_src, 1 - first.twist_tgt)
+        return EtaleSpecies(out.group, out.vertex_subgroups,
+                            {**out.bimodules, key: (changed, *rest)})
+
+    monkeypatch.setattr(species_mod, "species_of_quiver", one_twist_off)
+    with pytest.raises(IsoSearchFailed):
+        roundtrip_species(s)
+
+
 def test_roundtrip_random_groups():
     rng = random.Random(202)
     for group in (FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
