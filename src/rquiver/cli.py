@@ -131,7 +131,7 @@ def _read(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise UsageError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise io.ParseError(f"{path}: {exc}") from exc
@@ -140,9 +140,12 @@ def _read(path):
 def _write(path, doc):
     if path is None:
         raise UsageError("the output file option --out is missing")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _subgroup(group, spec: str) -> Subgroup:

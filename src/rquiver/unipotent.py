@@ -1,9 +1,24 @@
 """Unipotent stabilization and unipotent square roots.
 
-Both are Newton-style iterations on exact matrices that terminate in finitely
-many steps because every defect is nilpotent; termination is detected by
-exact fixed-point equality, never by an iteration cap (a safety cap of 64
-only guards against arithmetic bugs).
+Both run on exact matrices without a single elimination: every inverse they
+need is that of a unipotent matrix u = 1 + n, which is the finite Neumann
+series u^{-1} = sum_k (-n)^k, and the series stops at the first zero power.
+That zero power is (-n)^e with e the nilpotency exponent of n, so one pass
+over the powers of 1 - u gives both u^{-1} and e.
+
+Stabilization.  phi_+ and phi_- are square and u = phi_- phi_+ is unipotent,
+so phi_- (phi_+ u^{-1}) = 1 and (u^{-1} phi_-) phi_+ = 1; for square matrices
+a one-sided inverse is the inverse, hence
+
+    phi_-^{-1} = phi_+ u^{-1},        phi_+^{-1} = u^{-1} phi_-.
+
+The step phi_+ <- (phi_+ + phi_-^{-1})/2, phi_- <- (phi_- + phi_+^{-1})/2 is
+therefore phi_+ <- phi_+ c, phi_- <- c phi_- with c = (1 + u^{-1})/2, a
+polynomial in u.  The next u is c u c = c^2 u, again unipotent, so one
+Neumann pass per step gives both the next c and the defect exponent that the
+trace records.  Termination is detected by exact fixed-point equality, never
+by the iteration cap (a safety cap of 64 only guards against arithmetic
+bugs).
 """
 
 from __future__ import annotations
@@ -11,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
+from .exact import QuadElement, QuadMatrix, nilpotency_exponent
 
 MAX_ITERATIONS = 64
 
@@ -21,30 +36,35 @@ class PreconditionViolated(ValueError):
 
 
 class SingularIterate(RuntimeError):
-    """The iteration failed to stabilize within the safety cap."""
+    """An iteration or its final exact check failed; an arithmetic bug."""
+
+
+def _neumann(u: QuadMatrix) -> tuple:
+    """(u^{-1}, e) for a unipotent u, with e the nilpotency exponent of u - 1.
+
+    Sums the powers (-n)^k of -n = 1 - u until one is zero; n is nilpotent
+    exactly when n^rows = 0 (n^1 for the empty matrix).
+    """
+    acc = QuadMatrix.identity(u.rows, u.d)
+    minus_n = term = acc - u
+    for e in range(1, max(u.rows, 1) + 1):
+        if term.is_zero():
+            return acc, e
+        acc = acc + term
+        term = term * minus_n
+    raise PreconditionViolated("matrix is not unipotent")
 
 
 def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
-    """Inverse of a unipotent matrix via the finite series sum (-n)^k.
-
-    The powers of -n are summed until one is zero; n = u - 1 is nilpotent
-    exactly when n^rows = 0 (n^1 for the empty matrix).
-    """
-    acc = term = QuadMatrix.identity(u.rows, u.d)
-    minus_n = acc - u
-    for _ in range(max(u.rows, 1)):
-        term = term * minus_n
-        if term.is_zero():
-            return acc
-        acc = acc + term
-    raise PreconditionViolated("matrix is not unipotent")
+    """Inverse of a unipotent matrix via the finite series sum (-n)^k."""
+    return _neumann(u)[0]
 
 
 @dataclass(frozen=True)
 class StabilizationProblem:
-    """Pair of mutually inverse-up-to-nilpotent maps phi_+: W_+ -> W_-' and
-    phi_-: W_-' -> W_+ (the primes record that the target is read through the
-    ambient conjugation; the matrices themselves are plain)."""
+    """Pair of mutually inverse-up-to-nilpotent square maps phi_+: W_+ -> W_-'
+    and phi_-: W_-' -> W_+ (the primes record that the target is read through
+    the ambient conjugation; the matrices themselves are plain)."""
     phi_plus: QuadMatrix
     phi_minus: QuadMatrix
 
@@ -52,6 +72,8 @@ class StabilizationProblem:
         p, q = self.phi_plus, self.phi_minus
         if p.rows != q.cols or p.cols != q.rows:
             raise PreconditionViolated("phi_+ and phi_- have incompatible shapes")
+        if p.rows != p.cols:
+            raise PreconditionViolated("phi_+ and phi_- must be square")
         defect = q * p - QuadMatrix.identity(p.cols, p.d)
         if nilpotency_exponent(defect) is None:
             raise PreconditionViolated("phi_- o phi_+ - 1 is not nilpotent")
@@ -74,50 +96,54 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     """Iterate phi_+ <- (phi_+ + phi_-^{-1})/2 (and symmetrically) until the
     pair is exactly mutually inverse.
 
-    The defect exponent at least halves each step, so the fixed point is
-    reached within ceil(log2 e) + 1 iterations.
+    Each step is phi_+ <- phi_+ c, phi_- <- c phi_- with c = (1 + u^{-1})/2
+    and u = phi_- phi_+ (module docstring).  The defect exponent at least
+    halves each step, so the fixed point is reached within ceil(log2 e) + 1
+    iterations.
     """
     p, q = problem.phi_plus, problem.phi_minus
     d = p.d
     half = QuadElement(Fraction(1, 2), 0, d)
     ident = QuadMatrix.identity(p.cols, d)
-    qp = q * p
-    trace = [(p, q, nilpotency_exponent(qp - ident))]
+    u_inv, e = _neumann(q * p)
+    trace = [(p, q, e)]
     iterations = 0
-    while not (qp == ident and p * q == QuadMatrix.identity(p.rows, d)):
+    while not (e == 1 and p * q == ident):
         if iterations >= MAX_ITERATIONS:
             raise SingularIterate("stabilization did not converge; arithmetic bug")
-        try:
-            p_next = (p + inverse(q)).scale(half)
-            q_next = (q + inverse(p)).scale(half)
-        except ValueError as exc:
-            raise SingularIterate(f"iterate became singular: {exc}") from exc
-        p, q = p_next, q_next
+        c = (ident + u_inv).scale(half)
+        p, q = p * c, c * q
         iterations += 1
-        qp = q * p
-        trace.append((p, q, nilpotency_exponent(qp - ident)))
+        u_inv, e = _neumann(q * p)
+        trace.append((p, q, e))
     return StabilizationResult(p, q, iterations, tuple(trace))
 
 
 def unipotent_sqrt(phi: QuadMatrix) -> QuadMatrix:
     """The unique unipotent square root of a unipotent matrix.
 
-    Iterates x <- (x + x^{-1} phi)/2 from x = phi; every iterate is unipotent
-    and commutes with phi, and x^2 - phi has at-least-halving nilpotency
-    exponent, so the sequence is eventually constant.
+    With n = phi - 1 nilpotent of exponent e, the root is the finite binomial
+    series sum_{k < e} binom(1/2, k) n^k; one pass over the powers of n sums
+    it and finds e, or finds that n is not nilpotent.  The root is unique: a
+    unipotent x is exp of the nilpotent log x, and x^2 = phi forces
+    2 log x = log phi, so x = exp(log(phi)/2) is the series above.
     """
     if phi.rows != phi.cols:
         raise PreconditionViolated("square root of a non-square matrix")
-    n = phi - QuadMatrix.identity(phi.rows, phi.d)
-    if nilpotency_exponent(n) is None:
+    acc = QuadMatrix.identity(phi.rows, phi.d)
+    n = term = phi - acc
+    coeff = Fraction(1, 2)
+    for k in range(1, max(phi.rows, 1) + 1):
+        if term.is_zero():
+            break
+        acc = acc + term.scale(coeff)
+        term = term * n
+        coeff = coeff * (Fraction(1, 2) - k) / (k + 1)
+    else:
         raise PreconditionViolated("phi - 1 is not nilpotent")
-    half = QuadElement(Fraction(1, 2), 0, phi.d)
-    x = phi
-    for _ in range(MAX_ITERATIONS):
-        if x * x == phi:
-            return x
-        x = (x + neumann_inverse(x) * phi).scale(half)
-    raise SingularIterate("square-root iteration did not converge; arithmetic bug")
+    if acc * acc != phi:
+        raise SingularIterate("square root does not square back; arithmetic bug")
+    return acc
 
 
 def scaled_sqrt(phi: QuadMatrix, gamma: QuadElement) -> QuadMatrix:

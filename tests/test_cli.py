@@ -245,6 +245,38 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["quiver", "validate", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["quiver", "validate", "--in", "{tmp}"],
+    ["hc", "build", "--kind", "discrete", "--ell", "0", "--out", "{tmp}/missing/o.json"],
+])
+def test_os_error_is_usage_error(tmp_path, capsys, argv):
+    """A directory as input or an output in a missing directory exits 2
+    with one usage error line."""
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def test_non_square_stabilization_pair_exit_code(tmp_path, capsys):
+    """q p = 1 for the column (1, 0) and the row (1, 0); the pair is not
+    square, so the file is malformed."""
+    from rquiver.exact import QuadMatrix
+
+    doc = {"version": 1, "d": [-1, 1],
+           "phi_plus": io.dump_matrix(QuadMatrix.from_rows([[1], [0]])),
+           "phi_minus": io.dump_matrix(QuadMatrix.from_rows([[1, 0]]))}
+    path = write(tmp_path, "pair.json", doc)
+    with pytest.raises(io.ParseError, match="square"):
+        io.load_stabilization(doc)
+    assert main(["unipotent", "stabilize", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+
+
 def test_failing_check_exit_code(tmp_path):
     q = gelfand_quiver()
     from rquiver.quiver import RationalQuiver

@@ -1,11 +1,28 @@
-"""`rquiver examples run` reports, byte for byte.
+"""`rquiver examples run` and `rquiver unipotent` reports, byte for byte.
 
-The files under tests/golden/ are the outputs of
+The examples_* files under tests/golden/ are the outputs of
 
     rquiver examples run --all
     rquiver --json examples run --all
     rquiver examples run --cases 20
     rquiver --json examples run --cases 20
+
+The unipotent_* files are seeded inputs and the reports on them:
+
+    rquiver --json unipotent stabilize --trace --in unipotent_pair_<tag>.json
+    rquiver --json unipotent sqrt --in unipotent_matrix.json
+    rquiver --json unipotent sqrt --in unipotent_matrix_gamma.json
+
+unipotent_pair_<tag>.json, one per field tag d = -1, 2, -3, 1/2, -5/3 (seeds
+100..104 of random.Random, in that order), holds (inverse(q0) (1 + n), q0)
+with n = g J g^-1 for a nilpotent Jordan matrix J of types (4), (3, 1), (5),
+(2, 2), (4, 1), g = random_unimodular(rng, dim, span=1, d=d) and then
+q0 = random_unimodular(rng, dim, span=1, d=d).  unipotent_matrix.json is
+1 + g J g^-1 with J of type (5) over d = -1 (seed 200), and
+unipotent_matrix_gamma.json is (3/2)^2 (1 + g J g^-1) with J of type (3, 1)
+over d = 2 and gamma = 3/2 (seed 201).  The reports were recorded with the
+eliminating stabilization and the Newton square root that preceded the
+current kernels.
 
 Any change to the arithmetic or the report code must leave them identical.
 """
@@ -26,5 +43,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("examples_cases20.json", ["--json", "examples", "run", "--cases", "20"]),
 ])
 def test_examples_report_unchanged(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    *((f"unipotent_stabilize_{tag}.json",
+       ["--json", "unipotent", "stabilize", "--trace", "--in", f"unipotent_pair_{tag}.json"])
+      for tag in ("d-1", "d2", "d-3", "d1_2", "d-5_3")),
+    ("unipotent_sqrt.json", ["--json", "unipotent", "sqrt", "--in", "unipotent_matrix.json"]),
+    ("unipotent_sqrt_gamma.json",
+     ["--json", "unipotent", "sqrt", "--in", "unipotent_matrix_gamma.json"]),
+])
+def test_unipotent_report_unchanged(name, argv, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

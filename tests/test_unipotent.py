@@ -4,10 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import rquiver.exact
 from rquiver.exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
+from rquiver.randomgen import random_unimodular
 from rquiver.unipotent import (
+    MAX_ITERATIONS,
     PreconditionViolated,
+    SingularIterate,
     StabilizationProblem,
+    StabilizationResult,
     neumann_inverse,
     scaled_sqrt,
     stabilize,
@@ -250,3 +255,164 @@ def test_scaled_sqrt_inverse_compatibility():
     lhs = inverse(root)
     rhs = scaled_sqrt(inverse(phi), QuadElement(Fraction(1, 2)))
     assert lhs == rhs
+
+
+# ------------------------------------------- references: the eliminating kernels
+
+def reference_neumann_inverse(u: QuadMatrix) -> QuadMatrix:
+    acc = term = QuadMatrix.identity(u.rows, u.d)
+    minus_n = acc - u
+    for _ in range(max(u.rows, 1)):
+        term = term * minus_n
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise PreconditionViolated("matrix is not unipotent")
+
+
+def reference_stabilize(problem: StabilizationProblem) -> StabilizationResult:
+    """The stabilization step as first written: two eliminations per step,
+    phi_+ <- (phi_+ + inverse(phi_-))/2 and phi_- <- (phi_- + inverse(phi_+))/2,
+    and the defect exponent taken separately."""
+    p, q = problem.phi_plus, problem.phi_minus
+    d = p.d
+    half = QuadElement(Fraction(1, 2), 0, d)
+    ident = QuadMatrix.identity(p.cols, d)
+    qp = q * p
+    trace = [(p, q, nilpotency_exponent(qp - ident))]
+    iterations = 0
+    while not (qp == ident and p * q == QuadMatrix.identity(p.rows, d)):
+        if iterations >= MAX_ITERATIONS:
+            raise SingularIterate("stabilization did not converge; arithmetic bug")
+        p, q = (p + inverse(q)).scale(half), (q + inverse(p)).scale(half)
+        iterations += 1
+        qp = q * p
+        trace.append((p, q, nilpotency_exponent(qp - ident)))
+    return StabilizationResult(p, q, iterations, tuple(trace))
+
+
+def reference_sqrt(phi: QuadMatrix) -> QuadMatrix:
+    """The square root as first written: the Newton iteration
+    x <- (x + x^{-1} phi)/2 from x = phi, one Neumann series per step."""
+    n = phi - QuadMatrix.identity(phi.rows, phi.d)
+    if nilpotency_exponent(n) is None:
+        raise PreconditionViolated("phi - 1 is not nilpotent")
+    half = QuadElement(Fraction(1, 2), 0, phi.d)
+    x = phi
+    for _ in range(MAX_ITERATIONS):
+        if x * x == phi:
+            return x
+        x = (x + reference_neumann_inverse(x) * phi).scale(half)
+    raise SingularIterate("square-root iteration did not converge; arithmetic bug")
+
+
+PARITY_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2))
+
+
+def jordan_nilpotent(rng, sizes, d):
+    """g J g^{-1} with J the nilpotent Jordan matrix of block sizes `sizes`."""
+    dim = sum(sizes)
+    rows = [[0] * dim for _ in range(dim)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = 1
+        start += size
+    g = random_unimodular(rng, dim, span=1, d=d)
+    return g * QuadMatrix.from_rows(rows, d) * inverse(g)
+
+
+def random_jordan_type(rng, dim, whole):
+    """One block of size dim when whole, else a random composition of dim."""
+    if whole:
+        return [dim] if dim else []
+    sizes = []
+    while dim:
+        sizes.append(rng.randint(1, dim))
+        dim -= sizes[-1]
+    return sizes
+
+
+def parity_inputs(count=210):
+    """(problem, unipotent matrix, gamma) triples over four field tags and
+    dimensions 0..6; every third round of dimensions is a single Jordan
+    block, so defect exponents reach 6."""
+    rng = random.Random(2024)
+    out = []
+    for i in range(count):
+        d = PARITY_TAGS[i % len(PARITY_TAGS)]
+        dim = i % 7
+        whole = (i // 7) % 3 == 0
+        ident = QuadMatrix.identity(dim, d)
+        n = jordan_nilpotent(rng, random_jordan_type(rng, dim, whole), d)
+        q0 = random_unimodular(rng, dim, span=1, d=d)
+        problem = StabilizationProblem(inverse(q0) * (ident + n), q0)
+        m = ident + jordan_nilpotent(rng, random_jordan_type(rng, dim, not whole), d)
+        gamma = QuadElement(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)),
+                            Fraction(rng.randint(-1, 1)), d)
+        out.append((problem, m, gamma))
+    return out
+
+
+@pytest.fixture(scope="module")
+def parity_cases():
+    return parity_inputs()
+
+
+def test_parity_inputs_cover_exponents(parity_cases):
+    assert len(parity_cases) >= 200
+    exps = {prob.defect_exponent() for prob, _, _ in parity_cases}
+    assert exps == {1, 2, 3, 4, 5, 6}
+    roots = {nilpotency_exponent(m - QuadMatrix.identity(m.rows, m.d))
+             for _, m, _ in parity_cases}
+    assert roots == {1, 2, 3, 4, 5, 6}
+
+
+def test_stabilize_matches_eliminating_reference(parity_cases):
+    for prob, _, _ in parity_cases:
+        res, ref = stabilize(prob), reference_stabilize(prob)
+        assert res.phi_plus_inf == ref.phi_plus_inf
+        assert res.phi_minus_inf == ref.phi_minus_inf
+        assert res.iterations == ref.iterations
+        assert res.trace == ref.trace
+
+
+def test_sqrt_matches_newton_reference(parity_cases):
+    for _, m, gamma in parity_cases:
+        root = unipotent_sqrt(m)
+        assert root == reference_sqrt(m)
+        phi = m.scale(gamma * gamma)
+        assert scaled_sqrt(phi, gamma) == reference_sqrt(
+            phi.scale(gamma.inv() * gamma.inv())).scale(gamma)
+
+
+def test_unipotent_layer_runs_no_elimination(parity_cases, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("the unipotent layer ran an elimination")
+
+    expected = [(reference_stabilize(prob), reference_sqrt(m)) for prob, m, _ in parity_cases]
+    monkeypatch.setattr(rquiver.exact, "_rref", no_elimination)
+    for (prob, m, gamma), (ref, root) in zip(parity_cases, expected):
+        assert stabilize(prob).trace == ref.trace
+        assert unipotent_sqrt(m) == root
+        scaled_sqrt(m.scale(gamma * gamma), gamma)
+
+
+def test_sqrt_rejects_non_unipotent():
+    for m in (QuadMatrix.from_rows([[2]]), QuadMatrix.from_rows([[1, 1], [1, 1]], 2)):
+        with pytest.raises(PreconditionViolated, match="phi - 1 is not nilpotent"):
+            unipotent_sqrt(m)
+    with pytest.raises(PreconditionViolated, match="non-square"):
+        unipotent_sqrt(QuadMatrix.from_rows([[1, 0]]))
+
+
+def test_stabilize_rejects_non_square_pair():
+    """q p = 1 for the 2x1 column (1, 0) and the 1x2 row (1, 0), but p q is
+    not 1; a non-square pair is no stabilization problem."""
+    p = QuadMatrix.from_rows([[1], [0]])
+    q = QuadMatrix.from_rows([[1, 0]])
+    assert (q * p).is_identity()
+    with pytest.raises(PreconditionViolated, match="square"):
+        StabilizationProblem(p, q)
+    with pytest.raises(PreconditionViolated, match="square"):
+        StabilizationProblem(q, p)
