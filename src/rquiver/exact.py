@@ -12,6 +12,13 @@ integers without a Fraction per entry.  Rank, kernels, solving and inverses
 share one fraction-free Gauss-Jordan elimination.  Field elements are built
 from the integers only when entries are read.
 
+Products with a sqrt(D) term in either factor are packed (Kronecker
+substitution): each entry p + q*sqrt(D) becomes the integer p + q*2^s, with
+s wide enough that one integer dot product of a packed row and a packed
+column holds sum(p*p'), sum(p*q' + q*p') and sum(q*q') as three separate
+base-2^s digits.  So an entry costs one dot product instead of four; the
+bound on s is stated and proved in ``_product``.
+
 Semilinear maps bundle a matrix with a Galois tag and compose with the
 convention  v |-> matrix . sigma(v),  sigma applied entrywise.
 """
@@ -426,31 +433,46 @@ _SET_ENTRIES = QuadMatrix.__dict__["_entries"].__set__
 
 
 def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
-    """x . y on the integers, skipping the sqrt(D) terms of a rational factor."""
+    """x . y on the integers, one dot product per entry.
+
+    Without sqrt(D) terms the entries are the dot products of the P arrays.
+    Otherwise each entry p + q*sqrt(D) of both factors is packed into the
+    integer p + q*2^s, and a packed row times a packed column is
+    A + B*2^s + C*2^(2s) with A = sum(p*p'), B = sum(p*q' + q*p') and
+    C = sum(q*q'); the product entry is P = A + D*C, Q = B.
+
+    The digits are exact.  With k the inner dimension and M, M' the largest
+    |P| or |Q| of x and y, |A| and |C| are at most k*M*M' and |B| at most
+    2*k*M*M', which is below 2^(s-1) for s = bit_length(2*k*M*M') + 1.  So
+    A + 2^(s-1) and B + 2^(s-1) lie in [0, 2^s): once 2^(s-1)*(1 + 2^s) is
+    added to the dot product they are its two lowest base-2^s digits, read
+    off by masks, and C is what remains above the low 2s bits.
+    """
     if x.cols != y.rows:
         raise ValueError(f"shape mismatch {x.rows}x{x.cols} * {y.rows}x{y.cols}")
     _check_fields(x, y)
     k, m = x.cols, y.cols
-    x_p = [x._P[i * k:(i + 1) * k] for i in range(x.rows)]
-    y_p = [y._P[j::m] for j in range(m)]
-    P = [sum(map(mul, r, c)) for r in x_p for c in y_p]
-    x_irrational, y_irrational = any(x._Q), any(y._Q)
-    if x_irrational:
-        x_q = [x._Q[i * k:(i + 1) * k] for i in range(x.rows)]
-    if y_irrational:
-        y_q = [y._Q[j::m] for j in range(m)]
-    if x_irrational and y_irrational:
-        D = x._D
-        P = [s + D * sum(map(mul, r, c)) for s, (r, c) in
-             zip(P, ((r, c) for r in x_q for c in y_q))]
-        Q = [sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
-             for rp, rq in zip(x_p, x_q) for cp, cq in zip(y_p, y_q)]
-    elif x_irrational:
-        Q = [sum(map(mul, r, c)) for r in x_q for c in y_p]
-    elif y_irrational:
-        Q = [sum(map(mul, r, c)) for r in x_p for c in y_q]
-    else:
-        Q = [0] * len(P)
+    xs, ys = x._P, y._P
+    irrational = any(x._Q) or any(y._Q)
+    if irrational:
+        hx = max(map(abs, x._P + x._Q), default=0)
+        hy = max(map(abs, y._P + y._Q), default=0)
+        s = (2 * k * hx * hy).bit_length() + 1
+        xs = [p + (q << s) for p, q in zip(xs, x._Q)]
+        ys = [p + (q << s) for p, q in zip(ys, y._Q)]
+    x_rows = [xs[i * k:(i + 1) * k] for i in range(x.rows)]
+    y_cols = [ys[j::m] for j in range(m)]
+    if not irrational:
+        P = [sum(map(mul, r, c)) for r in x_rows for c in y_cols]
+        return _matrix(x.rows, m, x.d, x._D, P, [0] * len(P), x._den * y._den)
+    half, mask, s2, D = 1 << (s - 1), (1 << s) - 1, 2 * s, x._D
+    bias = half + (half << s)
+    P, Q = [], []
+    for r in x_rows:
+        for c in y_cols:
+            w = sum(map(mul, r, c), bias)
+            P.append((w & mask) - half + D * (w >> s2))
+            Q.append(((w >> s) & mask) - half)
     return _matrix(x.rows, m, x.d, x._D, P, Q, x._den * y._den)
 
 

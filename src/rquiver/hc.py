@@ -20,14 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent, rank
+from .exact import QuadElement, QuadMatrix, nilpotency_exponent, rank
 from .gsets import C2, GSet
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
     ValidationReport, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, hom_space, is_morphism, validate_rep
-from .unipotent import StabilizationProblem, scaled_sqrt, stabilize, unipotent_sqrt
+from .unipotent import StabilizationProblem, neumann_inverse, scaled_sqrt, \
+    stabilize, unipotent_sqrt
 
 
 class OutOfWindow(ValueError):
@@ -456,6 +457,12 @@ def _functor_E(m: HCModule):
     a_plus = r_plus * phi_plus_inf.conj()
     a_minus = r_minus * phi_minus_inf.conj()
 
+    # normalizations checked that u = X* Y* is unipotent, and X*, Y* are
+    # square (dim M_w = dim M_-w), so X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
+    u_inv = neumann_inverse(norms.x_star * norms.y_star)
+    x_star_inv = norms.y_star * u_inv
+    y_star_inv = u_inv * norms.x_star
+
     # limit diagram: the stabilized verticals intertwine the two normalized
     # edge presentations
     x_lo = m.x_at(-(ell + 1))
@@ -463,10 +470,10 @@ def _functor_E(m: HCModule):
     x_hi = m.x_at(ell - 1)
     y_hi = m.y_at(ell + 1)
     sq = [
-        inverse(norms.y_star) * x_lo * phi_minus_inf == phi_star_inf * x_lo,
+        y_star_inv * x_lo * phi_minus_inf == phi_star_inf * x_lo,
         x_hi * phi_star_inf == phi_plus_inf * x_hi * norms.x_star,
         phi_minus_inf * y_lo == y_lo * norms.y_star * phi_star_inf,
-        phi_star_inf * inverse(norms.x_star) * y_hi == y_hi * phi_plus_inf,
+        phi_star_inf * x_star_inv * y_hi == y_hi * phi_plus_inf,
     ]
     if not all(sq):
         raise AssertionError(f"limit diagram does not commute: {sq}")
@@ -477,7 +484,7 @@ def _functor_E(m: HCModule):
     dims[GELFAND_PLUS] = m.dim(ell + 1)
     dims[GELFAND_MINUS] = m.dim(-(ell + 1))
     edges = [None] * 4
-    edges[GELFAND_A_PLUS] = inverse(norms.x_star) * y_hi
+    edges[GELFAND_A_PLUS] = x_star_inv * y_hi
     edges[GELFAND_A_MINUS] = x_lo
     edges[GELFAND_B_PLUS] = x_hi * norms.x_star
     edges[GELFAND_B_MINUS] = y_lo

@@ -8,6 +8,7 @@ every result must agree exactly, for every field tag.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from rquiver.exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
+    _matrix,
     basis_matrix,
     column_space_basis,
     fixed_space,
@@ -356,3 +358,126 @@ def test_square_tag_rejected(d):
         QuadMatrix.zeros(1, 1, d)
     with pytest.raises(ValueError):
         QuadMatrix.from_rows([[1]], d)
+
+
+# ---------------------------------------------------------------- packed products
+
+def ref_product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
+    """x . y by four integer dot products per irrational entry: the kernel
+    that packed products replaced."""
+    k, m = x.cols, y.cols
+    x_p = [x._P[i * k:(i + 1) * k] for i in range(x.rows)]
+    y_p = [y._P[j::m] for j in range(m)]
+    P = [sum(map(mul, r, c)) for r in x_p for c in y_p]
+    x_irrational, y_irrational = any(x._Q), any(y._Q)
+    if x_irrational:
+        x_q = [x._Q[i * k:(i + 1) * k] for i in range(x.rows)]
+    if y_irrational:
+        y_q = [y._Q[j::m] for j in range(m)]
+    if x_irrational and y_irrational:
+        D = x._D
+        P = [s + D * sum(map(mul, r, c)) for s, (r, c) in
+             zip(P, ((r, c) for r in x_q for c in y_q))]
+        Q = [sum(map(mul, rp, cq)) + sum(map(mul, rq, cp))
+             for rp, rq in zip(x_p, x_q) for cp, cq in zip(y_p, y_q)]
+    elif x_irrational:
+        Q = [sum(map(mul, r, c)) for r in x_q for c in y_p]
+    elif y_irrational:
+        Q = [sum(map(mul, r, c)) for r in x_p for c in y_q]
+    else:
+        Q = [0] * len(P)
+    return _matrix(x.rows, m, x.d, x._D, P, Q, x._den * y._den)
+
+
+def integer_matrix(rows, cols, d, P, Q, den=1) -> QuadMatrix:
+    """(P + Q*sqrt(D)) / den with D = dn*dd, in canonical form."""
+    d = Fraction(d)
+    return _matrix(rows, cols, d, d.numerator * d.denominator, list(P), list(Q), den)
+
+
+def random_integer_matrix(rng, rows, cols, d, kind, bits):
+    """kind is "rational", "irrational" or "zero"; entries up to 2^bits."""
+    def draw():
+        return rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.8 else 0
+
+    n = rows * cols
+    P = [0] * n if kind == "zero" else [draw() for _ in range(n)]
+    Q = [draw() for _ in range(n)] if kind == "irrational" else [0] * n
+    return integer_matrix(rows, cols, d, P, Q, rng.choice((1, 1, 2, 6, 2 ** bits + 1)))
+
+
+def assert_product_matches(x, y):
+    got, want = x * y, ref_product(x, y)
+    assert (got.rows, got.cols, got._P, got._Q, got._den) == \
+        (want.rows, want.cols, want._P, want._Q, want._den)
+
+
+KINDS = ("rational", "irrational", "zero")
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_packed_product_matches_four_dot_products(d):
+    rng = random.Random(f"packed {d}")
+    for kx in KINDS:
+        for ky in KINDS:
+            for bits in (1, 20, 64, 300):
+                for r, k, c in ((rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6))
+                                for _ in range(4)):
+                    x = random_integer_matrix(rng, r, k, d, kx, bits)
+                    y = random_integer_matrix(rng, k, c, d, ky, rng.choice((1, 20, 64, 300)))
+                    assert_product_matches(x, y)
+    for r, k, c in ((0, 0, 0), (3, 0, 2), (0, 4, 3), (2, 5, 0), (1, 1, 1), (6, 6, 6)):
+        x = random_integer_matrix(rng, r, k, d, "irrational", 300)
+        y = random_integer_matrix(rng, k, c, d, "irrational", 300)
+        assert_product_matches(x, y)
+        assert x * y == QuadMatrix(r, c, ref_mul(x, y), d)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_packed_product_at_the_digit_bound(d):
+    """Entries of one magnitude and one sign pattern put every digit of the
+    packed dot product at its extreme: |A| = |C| = k*M*M', |B| = 2*k*M*M'.
+
+    With s = bit_length(2*k*M*M') + 1, 2*k*M*M' is even and below 2^(s-1),
+    so every digit has |digit| <= 2^(s-1) - 2; a digit of -2^(s-1) + 1
+    cannot occur.  k*M*M' = 2^j - 1 reaches the bound: B = -(2^(s-1) - 2)
+    when the signs of p*q' and q*p' agree and are negative."""
+    for k, M, M2 in ((1, 1, 1), (3, 1, 1), (1, 2 ** 64 - 1, 1), (2 ** 5 - 1, 1, 1),
+                     (2, 2 ** 100, 2 ** 100 - 1), (6, 2 ** 300, 2 ** 300)):
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for qx, qy in ((1, 1), (1, -1), (-1, 1)):
+                x = integer_matrix(3, k, d, [sx * M] * (3 * k), [qx * sx * M] * (3 * k))
+                y = integer_matrix(k, 2, d, [sy * M2] * (2 * k), [qy * sy * M2] * (2 * k))
+                assert_product_matches(x, y)
+                assert_product_matches(y.transpose(), x.transpose())
+                # one factor rational: B = sum p*q' alone reaches k*M*M'
+                assert_product_matches(x, y.parts()[0])
+    # k*M*M' = 2^6 - 1, so s = 8 and B = -126 = -2^(s-1) + 2
+    x = integer_matrix(1, 1, d, [-63], [-63])
+    y = integer_matrix(1, 1, d, [1], [1])
+    assert_product_matches(x, y)
+    assert (x * y)._Q == [-126]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (4, 1, 3), (5, 6, 2), (6, 6, 6)])
+def test_packed_product_makes_one_multiply_per_term(shape, monkeypatch):
+    """An r x k by k x c product makes r*c*k integer multiplies with or
+    without sqrt(D) terms (the four-dot-product kernel made 4*r*c*k when
+    both factors were irrational and 2*r*c*k when one was)."""
+    import rquiver.exact as exact
+    calls = [0]
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return a * b
+
+    monkeypatch.setattr(exact, "mul", counting_mul)
+    r, k, c = shape
+    rng = random.Random(str(shape))
+    for kx, ky in (("irrational", "irrational"), ("irrational", "rational"),
+                   ("rational", "irrational"), ("rational", "rational")):
+        x = random_integer_matrix(rng, r, k, -1, kx, 20)
+        y = random_integer_matrix(rng, k, c, -1, ky, 20)
+        calls[0] = 0
+        x * y
+        assert calls[0] == r * c * k, (kx, ky)

@@ -446,3 +446,24 @@ def test_hc_hom_matches_quiver_hom():
             hc_dim = hc_hom_space(mods[a], mods[b])[0]
             quiver_dim = hom_space(reps[a], reps[b]).dim_K
             assert hc_dim == quiver_dim, (a, b)
+
+
+def test_roundtrip_hc_makes_no_solve_unique_call(monkeypatch):
+    """E inverts X* and Y* through the Neumann series of u = X* Y*, so a
+    round trip makes no solve_unique call (three per round trip when each
+    inverse was an elimination)."""
+    import rquiver.exact as exact
+
+    rng = random.Random(10)
+    inputs = [(random_gelfand_rep(rng, max_dim=3), 1 + i % 3) for i in range(30)]
+    calls = [0]
+    solve_unique = exact.solve_unique
+
+    def counting_solve(*args):
+        calls[0] += 1
+        return solve_unique(*args)
+
+    monkeypatch.setattr(exact, "solve_unique", counting_solve)
+    for v, ell in inputs:
+        assert roundtrip_hc(v, ell).rep is not None
+    assert calls[0] == 0
