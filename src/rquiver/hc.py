@@ -6,9 +6,9 @@ A module is a finite certificate: its spaces and rational structure on a
 weight window [-N, N], its ladder maps on the core weights |w| <= ell + 1,
 and tail data (the Casimir action phi_+- on the two stable outer spaces).
 Ladder maps past the core are determined by closed forms derived from
-unipotent square roots of the tails, which is exactly the shape produced by
-the inverse construction; a module may store them (loaded files and the
-output of inverse_E do), and then they must agree with the closed forms.
+unipotent square roots of the tails; inverse_E stores none of them, and a
+module that does store them (build_example and files loaded from it) must
+agree with the closed forms.
 Conventions: X raises weights by 2, Y lowers by 2, the rational structure is
 a family of conjugate-semilinear maps M_w -> M_{-w} swapping X and Y, and the
 Casimir acts on M_w as (w - 1)^2 + 4 X Y.
@@ -27,8 +27,8 @@ from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
     ValidationReport, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, hom_space, is_morphism, validate_rep
-from .unipotent import StabilizationProblem, neumann_inverse, scaled_sqrt, \
-    stabilize, unipotent_sqrt
+from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
+    scaled_sqrt, stabilize, unipotent_sqrt
 
 
 class OutOfWindow(ValueError):
@@ -53,7 +53,8 @@ class HCModule:
     phi_+ and phi_- on the stable spaces at weights >= ell+1 and <= -(ell+1).
     X and Y must be stored only where no closed form determines them (see
     x_in_tail / y_in_tail); stored tail maps are optional, since x_at / y_at
-    derive them from phi_+-.
+    derive them from phi_+-.  The derived tail maps and square roots are
+    memoized per module; the memo is neither dumped nor compared.
     """
 
     def __init__(self, ell, epsilon, window, spaces, x_maps, y_maps, rat,
@@ -68,6 +69,7 @@ class HCModule:
         self.phi_plus = phi_plus
         self.phi_minus = phi_minus
         self.d = Fraction(d)
+        self._tails = {}
         if self.ell < 0:
             raise ValueError("ell must be a nonnegative integer")
         if self.epsilon not in (0, 1) or (self.epsilon - self.ell - 1) % 2:
@@ -92,36 +94,29 @@ class HCModule:
 
     # ---------------------------------------------------------------- tails
     def _tail_x(self, w: int) -> QuadMatrix:
-        ell = self.ell
-        if self.ell >= 1:
-            s = self._tail_sqrt(plus=w > 0)
-            return (s + QuadMatrix.identity(s.rows, self.d).scale(w + 1)).scale(
-                QuadElement(Fraction(1, 2), 0, self.d))
-        if w >= 1:
-            n = self.phi_plus.rows
-            return QuadMatrix.identity(n, self.d).scale(Fraction(w + 1, 2))
-        m = self.phi_minus
-        ident = QuadMatrix.identity(m.rows, self.d)
-        return (ident.scale(w + 1) - m.scale(Fraction(1, w + 1))).scale(Fraction(1, 2))
+        return self._tail(w + 1, w > 0)
 
     def _tail_y(self, w: int) -> QuadMatrix:
-        if self.ell >= 1:
-            s = self._tail_sqrt(plus=w > 0)
-            return (s - QuadMatrix.identity(s.rows, self.d).scale(w - 1)).scale(
-                QuadElement(Fraction(1, 2), 0, self.d))
-        if w <= -1:
-            n = self.phi_minus.rows
-            return QuadMatrix.identity(n, self.d).scale(Fraction(1 - w, 2))
-        m = self.phi_plus
-        ident = QuadMatrix.identity(m.rows, self.d)
-        return (ident.scale(1 - w) + m.scale(Fraction(1, w - 1))).scale(Fraction(1, 2))
+        return self._tail(1 - w, w > 0)
 
-    def _tail_sqrt(self, plus: bool) -> QuadMatrix:
-        cache = "_sqrt_plus" if plus else "_sqrt_minus"
-        if not hasattr(self, cache):
+    def _tail(self, c: int, plus: bool) -> QuadMatrix:
+        """The closed form of X_w (c = w + 1) or Y_w (c = 1 - w) on the tail
+        of w's sign, memoized: with phi the tail Casimir there, (S + c)/2 for
+        S = scaled_sqrt(phi, ell) if ell >= 1, and for ell = 0 c/2 where c > 0
+        (X on the + tail, Y on the - tail) and (c - phi/c)/2 elsewhere."""
+        m = self._tails.get((c, plus))
+        if m is None:
             phi = self.phi_plus if plus else self.phi_minus
-            setattr(self, cache, scaled_sqrt(phi, QuadElement(self.ell, 0, self.d)))
-        return getattr(self, cache)
+            m = QuadMatrix.identity(phi.rows, self.d).scale(c)
+            if self.ell >= 1:
+                root = self._tails.get(("sqrt", plus))
+                if root is None:
+                    root = self._tails["sqrt", plus] = scaled_sqrt(phi, self.ell)
+                m = m + root
+            elif c < 0:
+                m = m - phi.scale(Fraction(1, c))
+            m = self._tails[c, plus] = m.scale(Fraction(1, 2))
+        return m
 
     def x_in_tail(self, w: int) -> bool:
         """Whether X on M_w is given by the tail closed form."""
@@ -133,19 +128,19 @@ class HCModule:
 
     def x_at(self, w: int) -> QuadMatrix:
         """X on M_w (raising w -> w+2), stored or from the tail closed form."""
-        if w in self.x_maps:
-            return self.x_maps[w]
         if (w - self.epsilon) % 2:
             raise OutOfWindow(f"weight {w} has the wrong parity")
+        if w in self.x_maps:
+            return self.x_maps[w]
         if self.x_in_tail(w):
             return self._tail_x(w)
         raise OutOfWindow(f"X at weight {w} is not determined")
 
     def y_at(self, w: int) -> QuadMatrix:
-        if w in self.y_maps:
-            return self.y_maps[w]
         if (w - self.epsilon) % 2:
             raise OutOfWindow(f"weight {w} has the wrong parity")
+        if w in self.y_maps:
+            return self.y_maps[w]
         if self.y_in_tail(w):
             return self._tail_y(w)
         raise OutOfWindow(f"Y at weight {w} is not determined")
@@ -165,8 +160,9 @@ def validate_hc(m: HCModule) -> ValidationReport:
 
     "shape" asks for X and Y where the tails do not determine them (X at
     -(ell+1) <= w <= ell-1, Y at -(ell-1) <= w <= ell+1) and for rat at every
-    window weight.  "tail-consistency" asks that stored tail maps equal the
-    closed forms and that rat is constant along each tail:
+    window weight, and rejects a space, map or rat stored at any other key.
+    "tail-consistency" asks that stored tail maps equal the closed forms and
+    that rat is constant along each tail:
     rat[w] = R = rat[ell+1] for w >= ell+1 and rat[w] = R' = rat[-(ell+1)]
     for w <= -(ell+1).  The four per-weight identities (bracket, nilpotent
     Casimir, rational cocycle, conjugation swap) are then checked on
@@ -196,23 +192,25 @@ def validate_hc(m: HCModule) -> ValidationReport:
       module that a check of every window weight accepts.
     """
     checks = []
-    ell, n = m.ell, m.window
+    ell = m.ell
 
     ok, wit = True, ""
     try:
-        for w in m.weights():
-            if w + 2 <= n:
-                x = m.x_maps.get(w)
-                if x is not None and (x.rows, x.cols) != (m.dim(w + 2), m.dim(w)):
-                    raise ValueError(f"X[{w}] has wrong shape")
-                if x is None and not m.x_in_tail(w):
-                    raise ValueError(f"X[{w}] missing")
-            if w - 2 >= -n:
-                y = m.y_maps.get(w)
-                if y is None and not m.y_in_tail(w):
-                    raise ValueError(f"Y[{w}] missing")
-                if y is not None and (y.rows, y.cols) != (m.dim(w - 2), m.dim(w)):
-                    raise ValueError(f"Y[{w}] has wrong shape")
+        ws = m.weights()
+        for name, maps, allowed in (("space", m.spaces, ws), ("X", m.x_maps, ws[:-1]),
+                                    ("Y", m.y_maps, ws[1:]), ("rational structure", m.rat, ws)):
+            stray = [w for w in maps if w not in allowed]
+            if stray:
+                raise ValueError(f"{name} stored at weight {min(stray)}, outside the window")
+        for name, maps, sources, step, in_tail in (("X", m.x_maps, ws[:-1], 2, m.x_in_tail),
+                                                   ("Y", m.y_maps, ws[1:], -2, m.y_in_tail)):
+            for w in sources:
+                f = maps.get(w)
+                if f is None and not in_tail(w):
+                    raise ValueError(f"{name}[{w}] missing")
+                if f is not None and (f.rows, f.cols) != (m.dim(w + step), m.dim(w)):
+                    raise ValueError(f"{name}[{w}] has wrong shape")
+        for w in ws:
             r = m.rat.get(w)
             if r is None or (r.rows, r.cols) != (m.dim(-w), m.dim(w)):
                 raise ValueError(f"rational structure at {w} missing or misshapen")
@@ -333,11 +331,12 @@ class Normalizations:
     y_star: QuadMatrix
     t_plus: QuadMatrix
     t_minus: QuadMatrix
+    u_inv: QuadMatrix  # (X* Y*)^-1
 
 
 def normalizations(m: HCModule) -> Normalizations:
-    """gamma_star, the normalized extremal powers X*, Y*, and the unipotent
-    Casimir products T_+- on the weight-(ell+1) spaces.
+    """gamma_star, the normalized extremal powers X*, Y*, the unipotent
+    Casimir products T_+- on the weight-(ell+1) spaces, and (X* Y*)^-1.
 
     T_+- carries the normalization (2^(ell-1) gamma_star)^(-2): the Casimir
     product equals 4^(ell-1) X^(ell-1) Y^(ell-1), whose scalar part is
@@ -348,17 +347,11 @@ def normalizations(m: HCModule) -> Normalizations:
         raise NotApplicable("normalizations need ell >= 1")
     gamma = Fraction(math.factorial(ell - 1))
     x_star = QuadMatrix.identity(m.dim(-(ell - 1)), m.d)
-    w = -(ell - 1)
-    for _ in range(ell - 1):
-        x_star = m.x_at(w) * x_star
-        w += 2
-    x_star = x_star.scale(1 / gamma)
     y_star = QuadMatrix.identity(m.dim(ell - 1), m.d)
-    w = ell - 1
-    for _ in range(ell - 1):
-        y_star = m.y_at(w) * y_star
-        w -= 2
-    y_star = y_star.scale(1 / gamma)
+    for k in range(ell - 1):
+        x_star = m.x_at(2 * k - (ell - 1)) * x_star
+        y_star = m.y_at((ell - 1) - 2 * k) * y_star
+    x_star, y_star = x_star.scale(1 / gamma), y_star.scale(1 / gamma)
     norm = 1 / Fraction(2 ** (ell - 1) * math.factorial(ell - 1)) ** 2
     ts = []
     for sign in (1, -1):
@@ -373,10 +366,11 @@ def normalizations(m: HCModule) -> Normalizations:
     for t in (t_plus, t_minus):
         if nilpotency_exponent(t - QuadMatrix.identity(t.rows, m.d)) is None:
             raise ValueError("T operator is not unipotent; module is invalid")
-    prod = x_star * y_star
-    if nilpotency_exponent(prod - QuadMatrix.identity(prod.rows, m.d)) is None:
-        raise ValueError("X* Y* is not unipotent; module is invalid")
-    return Normalizations(gamma, x_star, y_star, t_plus, t_minus)
+    try:
+        u_inv = neumann_inverse(x_star * y_star)
+    except PreconditionViolated:
+        raise ValueError("X* Y* is not unipotent; module is invalid") from None
+    return Normalizations(gamma, x_star, y_star, t_plus, t_minus, u_inv)
 
 
 @dataclass(frozen=True)
@@ -457,11 +451,10 @@ def _functor_E(m: HCModule):
     a_plus = r_plus * phi_plus_inf.conj()
     a_minus = r_minus * phi_minus_inf.conj()
 
-    # normalizations checked that u = X* Y* is unipotent, and X*, Y* are
-    # square (dim M_w = dim M_-w), so X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
-    u_inv = neumann_inverse(norms.x_star * norms.y_star)
-    x_star_inv = norms.y_star * u_inv
-    y_star_inv = u_inv * norms.x_star
+    # X*, Y* are square (dim M_w = dim M_-w), so with u = X* Y*
+    # X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
+    x_star_inv = norms.y_star * norms.u_inv
+    y_star_inv = norms.u_inv * norms.x_star
 
     # limit diagram: the stabilized verticals intertwine the two normalized
     # edge presentations
@@ -513,9 +506,9 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
 
     Raises ValueError on an invalid representation (a broken Gelfand
     relation is one: validate_rep checks the relation literally) or a quiver
-    that does not match ell.  The module is validated once
-    (validate_hc) on its core maps; then every window weight is filled from
-    HCModule.x_at / y_at, so the returned module stores the whole window.
+    that does not match ell.  The module is validated once (validate_hc) and
+    returned as it was validated: it stores the core ladder maps only, and
+    x_at / y_at derive the tail maps from phi_+-.
     """
     report = validate_rep(v)
     if not report.ok:
@@ -563,8 +556,6 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     report = validate_hc(out)
     if not report.ok:
         raise AssertionError(f"construction bug: {report.failures()}")
-    out.x_maps = {w: out.x_at(w) for w in weights[:-1]}
-    out.y_maps = {w: out.y_at(w) for w in weights[1:]}
     return out
 
 
@@ -576,7 +567,7 @@ class HCRoundtrip:
     rep: QuiverRep
 
 
-def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCRoundtrip:
+def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
     """Witness E(inverse_E(v)) ~ v following the essential-surjectivity proof.
 
     For ell >= 1 the witness is (X*', T_-^(1/2), 1) on the (star, minus,
@@ -589,7 +580,7 @@ def roundtrip_hc(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHT
     without validating it again, and the witness reuses the normalizations
     E computed.
     """
-    module = inverse_E(v, ell, tail_weights)
+    module = inverse_E(v, ell)
     result, norms = _functor_E(module)
     r2 = result.rep
     if ell == 0:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 
-from .exact import QuadElement, QuadMatrix
+from .exact import QuadMatrix, _field_tag, _matrix
 from .gsets import FiniteGroup, GSet, Subgroup
 from .quiver import RationalQuiver
 from .reps import QuiverRep, SpeciesRep
@@ -63,26 +64,32 @@ def load_fraction(data) -> Fraction:
     return Fraction(int(data[0]), int(data[1]))
 
 
-def dump_element(x: QuadElement) -> list:
-    return [x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
-
-
-def _parse_element(data, d) -> QuadElement:
-    if len(data) != 4:
-        raise ParseError(f"a field element has 4 integers, got {len(data)}")
-    return QuadElement(Fraction(int(data[0]), int(data[1])),
-                       Fraction(int(data[2]), int(data[3])), d)
-
-
 def dump_matrix(m: QuadMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [dump_element(x) for x in m.entries]}
+    # entry k is (P + Q sqrt(D)) / den with sqrt(D) = dd sqrt(d), d = dn/dd
+    den, dd = m._den, m.d.denominator
+    entries = []
+    for p, q in zip(m._P, m._Q):
+        g, h = gcd(p, den), gcd(q * dd, den)
+        entries.append([p // g, den // g, q * dd // h, den // h])
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
 @_loader
 def load_matrix(data, d) -> QuadMatrix:
-    return QuadMatrix(int(data["rows"]), int(data["cols"]),
-                      [_parse_element(e, d) for e in data["entries"]], d)
+    d = _field_tag(d)
+    rows, cols, dd = int(data["rows"]), int(data["cols"]), d.denominator
+    entries = []
+    for e in data["entries"]:
+        if len(e) != 4:
+            raise ParseError(f"a field element has 4 integers, got {len(e)}")
+        entries.append((int(e[0]), int(e[1]), int(e[2]), int(e[3]) * dd))
+    if len(entries) != rows * cols:
+        raise ParseError("entries length does not match rows*cols")
+    # a zero denominator makes den zero and its division below raise
+    den = lcm(*(x for e in entries for x in (e[1], e[3])))
+    return _matrix(rows, cols, d, d.numerator * dd,
+                   [a * (den // a_den) for a, a_den, _, _ in entries],
+                   [b * (den // b_den) for _, _, b, b_den in entries], den)
 
 
 def dump_group(g: FiniteGroup) -> dict:

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rquiver.serialize as io
 from rquiver.cli import main, render_diagram, run
+from rquiver.exact import QuadElement, QuadMatrix
 from rquiver.hc import build_example, functor_E
 from rquiver.quiver import cyclic_quiver, gelfand_quiver
 from rquiver.randomgen import random_c2_quiver, random_gelfand_rep, random_species_rep
@@ -286,6 +288,19 @@ def test_failing_check_exit_code(tmp_path):
     assert main(["quiver", "validate", "--in", path]) == 1
 
 
+def test_hc_from_quiver_file_holds_the_core(tmp_path, capsys):
+    """hc build -> to-quiver -> from-quiver -> validate, and the file written
+    by from-quiver stores no tail ladder map."""
+    built, rep, back = (tmp_path / n for n in ("m.json", "r.json", "b.json"))
+    assert main(["hc", "build", "--kind", "principal", "--ell", "2", "--out", str(built)]) == 0
+    assert main(["hc", "to-quiver", "--in", str(built), "--out", str(rep)]) == 0
+    assert main(["hc", "from-quiver", "--in", str(rep), "--ell", "2", "--out", str(back)]) == 0
+    assert main(["hc", "validate", "--in", str(back)]) == 0
+    doc = json.loads(back.read_text())
+    assert sorted(map(int, doc["X"])) == [-3, -1, 1]
+    assert sorted(map(int, doc["Y"])) == [-1, 1, 3]
+
+
 def test_examples_random_cases(capsys):
     assert main(["examples", "run", "--cases", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -351,6 +366,77 @@ def test_load_matrix_fuzz(doc):
     except io.ParseError:
         return
     assert m.rows * m.cols == len(m.entries)
+
+
+# ------------------------------------------- matrices against the element path
+
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+SQUARE_TAGS = (Fraction(4), Fraction(1, 9))
+
+
+def ref_dump_matrix(m):
+    """dump_matrix as it was, one QuadElement per entry."""
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
+                        for x in m.entries]}
+
+
+def _ref_parse_element(data, d):
+    if len(data) != 4:
+        raise io.ParseError(f"a field element has 4 integers, got {len(data)}")
+    return QuadElement(Fraction(int(data[0]), int(data[1])),
+                       Fraction(int(data[2]), int(data[3])), d)
+
+
+@io._loader
+def ref_load_matrix(data, d):
+    """load_matrix as it was, one QuadElement per entry."""
+    return QuadMatrix(int(data["rows"]), int(data["cols"]),
+                      [_ref_parse_element(e, d) for e in data["entries"]], d)
+
+
+@st.composite
+def well_formed_docs(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    element = st.lists(st.integers(-12, 12), min_size=4, max_size=4)
+    return {"rows": rows, "cols": cols,
+            "entries": draw(st.lists(element, min_size=rows * cols, max_size=rows * cols))}
+
+
+def _load_outcome(load, doc, d):
+    try:
+        m = load(doc, d)
+    except io.ParseError:
+        return "ParseError"
+    return m.rows, m.cols, m.d, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_docs() | well_formed_docs(), st.sampled_from(FIELD_TAGS + SQUARE_TAGS))
+def test_load_matrix_matches_element_reference(doc, d):
+    """Negative, zero and unreduced denominators, junk and square tags: the
+    integer loader returns the reference's matrix or both raise ParseError."""
+    assert _load_outcome(io.load_matrix, doc, d) == _load_outcome(ref_load_matrix, doc, d)
+
+
+fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dump_matrix_matches_element_reference(data):
+    d = data.draw(st.sampled_from(FIELD_TAGS))
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    m = QuadMatrix(rows, cols, [QuadElement(data.draw(fractions), data.draw(fractions), d)
+                                for _ in range(rows * cols)], d)
+    for x in (m, m * m.transpose(), m.conj().scale(QuadElement(Fraction(1, 3), 2, d))):
+        assert io.dump_matrix(x) == ref_dump_matrix(x)
+        assert io.load_matrix(io.dump_matrix(x), d) == x
+
+
+def test_load_matrix_rejects_square_tag_on_empty_matrix():
+    with pytest.raises(io.ParseError, match="square"):
+        io.load_matrix({"rows": 0, "cols": 0, "entries": []}, Fraction(4))
 
 
 def _paths(doc, prefix=()):

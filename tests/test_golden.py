@@ -24,7 +24,15 @@ over d = 2 and gamma = 3/2 (seed 201).  The reports were recorded with the
 eliminating stabilization and the Newton square root that preceded the
 current kernels.
 
-Any change to the arithmetic or the report code must leave them identical.
+The hc_build_* files are the modules written by
+
+    rquiver hc build --kind principal --ell 2 --out hc_build_principal_ell2.json
+    rquiver hc build --kind discrete --ell 0 --out hc_build_discrete_ell0.json
+
+recorded while the matrix dump still went through one QuadElement per entry.
+
+Any change to the arithmetic, the serialization or the report code must leave
+them identical.
 """
 
 from pathlib import Path
@@ -59,3 +67,13 @@ def test_unipotent_report_unchanged(name, argv, capsys):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, kind, ell", [
+    ("hc_build_principal_ell2.json", "principal", "2"),
+    ("hc_build_discrete_ell0.json", "discrete", "0"),
+])
+def test_hc_build_dump_unchanged(name, kind, ell, tmp_path):
+    out = tmp_path / name
+    assert main(["hc", "build", "--kind", kind, "--ell", ell, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from certificate import assert_same_certificate
 
 import rquiver.hc as hc
 from rquiver.exact import QuadMatrix, nilpotency_exponent
@@ -218,6 +219,20 @@ def test_normalizations_t_unipotent_with_nilpotent_part():
     assert nilpotency_exponent(dev) is not None
 
 
+def test_normalizations_invert_x_star_y_star():
+    for ell in (1, 2, 3):
+        for m in (build_example("principal", ell), inverse_E(pp_ext_rep(ell), ell)):
+            norms = normalizations(m)
+            assert (norms.u_inv * norms.x_star * norms.y_star).is_identity()
+
+
+def test_normalizations_reject_non_unipotent_x_star_y_star():
+    m = build_example("principal", 2)
+    m.x_maps[-1] = m.x_maps[-1].scale(2)   # X* Y* = X_-1 Y_1 becomes 2
+    with pytest.raises(ValueError, match="X\\* Y\\* is not unipotent; module is invalid"):
+        normalizations(m)
+
+
 def test_normalizations_not_applicable():
     m = build_example("discrete", 0)
     with pytest.raises(NotApplicable):
@@ -328,11 +343,7 @@ def test_E_then_inverse_E_window_identity_on_fixtures():
         for ell in (1, 2):
             m = build_example(kind, ell)
             r = functor_E(m).rep
-            back = inverse_E(r, ell)
-            assert back.spaces == m.spaces
-            assert back.x_maps == m.x_maps
-            assert back.y_maps == m.y_maps
-            assert back.rat == m.rat
+            assert_same_certificate(inverse_E(r, ell), m)
 
 
 def test_public_boundaries_reject_invalid_input():

@@ -10,6 +10,7 @@ a tail Casimir.
 """
 
 import copy
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,9 +18,10 @@ from fractions import Fraction
 import pytest
 
 import rquiver.hc as hc
+from rquiver.cli import main
 from rquiver.exact import QuadMatrix, nilpotency_exponent
-from rquiver.hc import KINDS, build_example, casimir_matrix, functor_E, inverse_E, \
-    validate_hc
+from rquiver.hc import KINDS, HCModule, OutOfWindow, build_example, casimir_matrix, \
+    functor_E, inverse_E, validate_hc
 from rquiver.quiver import ValidationReport
 from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
 from rquiver.serialize import dump_hc, dump_rep, load_hc
@@ -166,11 +168,22 @@ def mutant(doc, rng, kind):
     return out
 
 
+def filled(m):
+    """m with every ladder map of its window stored, the tail maps from x_at / y_at."""
+    weights = m.weights()
+    return HCModule(m.ell, m.epsilon, m.window, m.spaces,
+                    {w: m.x_at(w) for w in weights[:-1]}, {w: m.y_at(w) for w in weights[1:]},
+                    m.rat, m.phi_plus, m.phi_minus, m.d)
+
+
 def block_modules(d, rng):
+    """inverse_E modules with their tail maps stored (inverse_E stores the
+    core only), so that the reference validator and the tail-map mutants
+    apply to them."""
     for ell in range(4):
         make = random_cyclic_rep if ell == 0 else random_gelfand_rep
         for tail_weights in (1, 2):
-            yield inverse_E(make(rng, max_dim=2, d=d), ell, tail_weights)
+            yield filled(inverse_E(make(rng, max_dim=2, d=d), ell, tail_weights))
 
 
 def fixtures():
@@ -225,6 +238,27 @@ def test_tail_rat_mutant_fails_tail_consistency():
     doc["rational"]["5"]["entries"][0] = [2, 1, 0, 1]
     report = validate_hc(load_hc(doc))
     assert [name for name, _ in report.failures()] == ["tail-consistency"]
+
+
+# principal ell = 2 has window 11 and odd weights: X at 0 has the wrong parity,
+# X at 11 and Y at -11 leave the window, and 101, 77 and 200 lie outside it
+STRAYS = [("X", "0"), ("X", "11"), ("X", "101"), ("Y", "-11"), ("rational", "77"),
+          ("spaces", "200")]
+
+
+@pytest.mark.parametrize("section, key", STRAYS)
+def test_stray_weight_fails_shape(section, key, tmp_path, capsys):
+    doc = dump_hc(build_example("principal", 2))
+    doc[section][key] = 1 if section == "spaces" else doc[section]["1"]
+    m = load_hc(doc)
+    assert [name for name, _ in validate_hc(m).failures()] == ["shape"]
+    if (section, key) == ("X", "0"):
+        with pytest.raises(OutOfWindow):
+            m.x_at(0)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hc", "validate", "--in", str(path)]) == 1
+    assert "FAIL shape" in capsys.readouterr().out
 
 
 def test_validate_work_is_window_independent(monkeypatch):
