@@ -235,6 +235,8 @@ class QuadMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Sequence[QuadElement], d=None):
         entries = tuple(entries)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError("entries length does not match rows*cols")
         if entries:
@@ -476,6 +478,24 @@ def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
     return _matrix(x.rows, m, x.d, x._D, P, Q, x._den * y._den)
 
 
+def kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
+    """Kronecker product: entry (i b.rows + k, j b.cols + l) is a[i, j] b[k, l].
+    In row-major vec form, vec(A X B) = (A (x) B^T) vec(X)."""
+    _check_fields(a, b)
+    base = a if a._P or not b._P else b
+    D, ac, bc = base._D, a.cols, b.cols
+    P, Q = [], []
+    for i in range(a.rows):
+        ap, aq = a._P[i * ac:(i + 1) * ac], a._Q[i * ac:(i + 1) * ac]
+        for k in range(b.rows):
+            bp, bq = b._P[k * bc:(k + 1) * bc], b._Q[k * bc:(k + 1) * bc]
+            for x, y in zip(ap, aq):
+                Dy = D * y
+                P += [x * u + Dy * z for u, z in zip(bp, bq)]
+                Q += [x * z + y * u for u, z in zip(bp, bq)]
+    return _matrix(a.rows * b.rows, ac * bc, base.d, D, P, Q, a._den * b._den)
+
+
 def block_matrix(row_sizes, col_sizes, blocks, d=-1) -> QuadMatrix:
     """Matrix over Q(sqrt(d)) assembled from blocks (i, j, m): m, of shape
     row_sizes[i] x col_sizes[j], is added at block row i and block column j,
@@ -613,9 +633,10 @@ def _rows_matrix(rows: list, ncols: int, d: Fraction, D: int) -> QuadMatrix:
     return _matrix(len(rows), ncols, d, D, P, Q, den)
 
 
-def _kernel_matrix(m: QuadMatrix) -> QuadMatrix:
+def _kernel_matrix(m: QuadMatrix) -> tuple:
     """Right kernel of m as the columns of a cols x nullity matrix: per free
-    column of the reduced form, the vector with 1 there."""
+    column of the reduced form, the vector with 1 there.  Returns the matrix
+    and the free columns; its rows at the free columns form the identity."""
     pivots, rows = _rref(m)
     free = sorted(set(range(m.cols)).difference(pivots))
     h = len(free)
@@ -627,7 +648,7 @@ def _kernel_matrix(m: QuadMatrix) -> QuadMatrix:
         f = -(den // rden)
         P[pc * h:(pc + 1) * h] = [xp[fc] * f for fc in free]
         Q[pc * h:(pc + 1) * h] = [xq[fc] * f for fc in free]
-    return _matrix(m.cols, h, m.d, m._D, P, Q, den)
+    return _matrix(m.cols, h, m.d, m._D, P, Q, den), free
 
 
 def rank(m: QuadMatrix) -> int:
@@ -636,7 +657,7 @@ def rank(m: QuadMatrix) -> int:
 
 def kernel_basis(m: QuadMatrix) -> list:
     """Basis of the right kernel over Q(sqrt(d)); empty iff m is injective."""
-    k = _kernel_matrix(m)
+    k = _kernel_matrix(m)[0]
     return [k.col(j) for j in range(k.cols)]
 
 
@@ -769,7 +790,7 @@ def fixed_space_matrix(phi: SemilinearMap) -> QuadMatrix:
             [-u for u in a._P[i * n:(i + 1) * n]]
         row[n + i] -= den
         P += row
-    k = _kernel_matrix(_matrix(2 * n, 2 * n, d, a._D, P, [0] * len(P), 1))
+    k = _kernel_matrix(_matrix(2 * n, 2 * n, d, a._D, P, [0] * len(P), 1))[0]
     if k.cols != n:
         raise CocycleViolation(
             f"descent failure: expected {n} fixed vectors, found {k.cols}")
@@ -802,25 +823,33 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
 
     The unknowns of system are the row-major entries of blocks of the given
     shapes, one block after the other, and both bases come as tuples of
-    per-block matrices.  conjugate maps an element of the kernel to its image
-    under the conjugate-semilinear involution that defines the K-structure.
-    With V the matrix of the L-basis, theta solves V theta = conjugate(V),
-    and the K-basis is V F for F = fixed_space_matrix(theta).  Without
-    conjugate (trivial Galois group) the K-basis is the L-basis.
+    per-block matrices.  conjugate describes the conjugate-semilinear
+    involution that defines the K-structure, one pair (s, T) per block b:
+    block b of the image of x is T conj(x_s) in row-major vec form.  With V
+    the kernel matrix and W its image, theta solves V theta = W, and the
+    K-basis is V F for F = fixed_space_matrix(theta).  V is the identity on
+    its free rows (the free columns of the reduced system), so those rows of
+    V theta = W read theta = W there; the whole of V theta = W is then checked
+    exactly.  It fails when W leaves the span of V, which for a Hom space
+    means that a rational structure is not edge-equivariant, and raises
+    ValueError.  Without conjugate (trivial Galois group) the K-basis is the
+    L-basis.
     """
-    v = _kernel_matrix(system)
+    v, free = _kernel_matrix(system)
     l_basis = _split_columns(v, shapes)
     if conjugate is None or not l_basis:
         return l_basis, (l_basis if conjugate is None else [])
-    images = [conjugate(x) for x in l_basis]
-    den = lcm(*(m._den for x in images for m in x))
-    P, Q = [], []
-    for x in images:
-        for m in x:
-            P += [u * (den // m._den) for u in m._P]
-            Q += [u * (den // m._den) for u in m._Q]
-    w = _matrix(len(images), v.rows, v.d, v._D, P, Q, den).transpose()
-    theta = solve_unique(v, w)
+    h, sizes = v.cols, [r * c for r, c in shapes]
+    o, vc = list(accumulate(sizes, initial=0)), v.conj()
+    images = [(b, 0, t * _matrix(sizes[s], h, v.d, v._D, vc._P[o[s] * h:o[s + 1] * h],
+                                 vc._Q[o[s] * h:o[s + 1] * h], vc._den))
+              for b, (s, t) in enumerate(conjugate) if sizes[b]]
+    w = block_matrix(sizes, [h], images, v.d)
+    theta = _matrix(h, h, v.d, v._D, [x for fc in free for x in w._P[fc * h:(fc + 1) * h]],
+                    [x for fc in free for x in w._Q[fc * h:(fc + 1) * h]], w._den)
+    if v * theta != w:
+        raise ValueError("conjugation does not preserve Hom: "
+                         "a rational structure is not edge-equivariant")
     return l_basis, _split_columns(v * fixed_space_matrix(SemilinearMap(theta, 1)), shapes)
 
 

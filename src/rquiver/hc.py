@@ -677,25 +677,30 @@ def build_example(kind: str, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS,
 def hc_hom_space(m1: HCModule, m2: HCModule):
     """Hom between two modules of one block, as quiver Hom on their ladders.
 
-    The weights |w| <= ell+3 of a module (the smallest window HCModule
-    allows) form a representation of a C2 ladder quiver: a vertex per
-    weight, edges X_w: w -> w+2 and Y_w: w -> w-2, conjugation w |-> -w and
-    X_w |-> Y_{-w}, rational structure rat.  reps.hom_space solves it, and
-    each basis element is extended constantly along the tails (psi_w =
-    psi_{+-(ell+3)} past +-(ell+3)).  For valid modules that is Hom of the
-    whole modules.  Take the + tail; the - tail is its mirror image.
+    The weights |w| <= ell+1 of a module form a representation of a C2
+    ladder quiver: a vertex per weight, edges X_w: w -> w+2 and Y_w: w -> w-2,
+    conjugation w |-> -w and X_w |-> Y_{-w}, rational structure rat.  Its
+    edges are the core ladder maps, which every module stores.
+    reps.hom_space solves it, and each basis element is extended constantly
+    along the tails (psi_w = psi_{+-(ell+1)} past +-(ell+1)).  For valid
+    modules that is Hom of the whole modules.  Take the + tail; the - tail is
+    its mirror image.
     - X_w (w >= ell+1) is invertible, with eigenvalues (ell+w+1)/2, so
       psi_{w+2} X1_w = X2_w psi_w fixes psi_{w+2}: restriction is injective.
-    - With psi = psi_{ell+1}, the X_{ell+1} and Y_{ell+3} equations give
-      psi Y1 X1 = Y2 psi_{ell+3} X1 = Y2 X2 psi, and 4 Y_{ell+3} X_{ell+1} =
-      phi_+ - (ell+2)^2 (see validate_hc), so psi phi1_+ = phi2_+ psi.  Each
-      tail map is one rational polynomial in phi_+ for both modules:
+    - The bracket at ell+1 reads 4 X_{ell-1} Y_{ell+1} - 4 Y_{ell+3} X_{ell+1}
+      = 4(ell+1), and the tail closed forms give 4 Y_{ell+3} X_{ell+1} =
+      phi_+ - (ell+2)^2 (see validate_hc; for ell = 0, X_1 = 1 and
+      Y_3 = (phi_+/2 - 2)/2 give 4 Y_3 X_1 = phi_+ - 4).  So
+      4 X_{ell-1} Y_{ell+1} = phi_+ - ell^2, that is C = phi_+ on M_{ell+1}.
+      With psi = psi_{ell+1}, the X_{ell-1} and Y_{ell+1} equations give
+      psi X1_{ell-1} Y1_{ell+1} = X2_{ell-1} psi_{ell-1} Y1_{ell+1} =
+      X2_{ell-1} Y2_{ell+1} psi, so psi phi1_+ = phi2_+ psi.
+    - Each tail map is one rational polynomial in phi_+ for both modules:
       X_w = (S+w+1)/2, Y_w = (S-w+1)/2 with S = ell sum_j binom(1/2, j)
       (phi_+/ell^2 - 1)^j, j below both dimensions, for ell >= 1, and
       X_w = (w+1)/2, Y_w = ((1-w) + phi_+/(w-1))/2 for ell = 0.  So psi
-      intertwines every tail map; psi_{ell+3} X1_{ell+1} = X2_{ell+1} psi =
-      psi X1_{ell+1} gives psi_{ell+3} = psi, and the constant extension
-      meets every tail equation.
+      intertwines every tail map, and the constant extension meets every
+      tail equation (psi_{w+2} X1_w = psi X1_w = X2_w psi).
     - rat is constant along the tails, so conjugation commutes with the
       extension, and so does the reduced echelon basis (the constant blocks
       keep the free coordinates in place): the result equals a solve over the
@@ -706,7 +711,7 @@ def hc_hom_space(m1: HCModule, m2: HCModule):
         raise ValueError("modules live in different blocks or windows")
     if m1.d != m2.d:
         raise ValueError(f"modules over different fields sqrt({m1.d}) and sqrt({m2.d})")
-    top = m1.ell + 3
+    top = m1.ell + 1
     ladder = range(-top, top + 1, 2)
     # vertex k is weight ladder[k]; edge k is X: k -> k+1, edge n-1+k is
     # Y: k+1 -> k, and conjugation reverses both lists

@@ -34,6 +34,7 @@ from .exact import (
     fixed_space_matrix,
     intertwining_system,
     inverse,
+    kron,
     sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport
@@ -257,9 +258,12 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     psi |-> (v |-> phi_{N,cv,c} o psi_{cv} o phi_{M,cv,c}^{-1}), and the
     rational homomorphisms are its fixed points.  The cocycle
     phi_{M,cv,c} o phi_{M,v,c} = id gives phi_{M,cv,c}^{-1} = phi_{M,v,c}, so
-    the image has the matrix rho_N[cv] conj(psi_cv) conj(rho_M[v]) at v.
+    the image has the matrix rho_N[cv] conj(psi_cv) conj(rho_M[v]) at v,
+    which in row-major vec form is rho_N[cv] (x) conj(rho_M[v])^T applied to
+    conj(psi_cv): one Kronecker matrix per vertex acts on the whole kernel.
     Raises ValueError when the rational structure of m or n breaks the
-    cocycle, since then conjugation does not act on Hom.
+    cocycle, or is not edge-equivariant, since then conjugation does not act
+    on Hom.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations over different quivers")
@@ -271,11 +275,8 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     conjugate = None
     if q.group.order == 2:
         flip = [q.vertices.apply(1, v) for v in range(q.vertices.size)]
-        rho_m = [x.conj() for x in m.rho]
-
-        def conjugate(mats):
-            return [n.rho[cv] * mats[cv].conj() * rho_m[v] for v, cv in enumerate(flip)]
-
+        conjugate = [(cv, kron(n.rho[cv], m.rho[v].conj().transpose()))
+                     for v, cv in enumerate(flip)]
     shapes = [(n.dims[v], m.dims[v]) for v in range(q.vertices.size)]
     system = intertwining_system(shapes, [(q.tgt[e], q.src[e], m.edge_maps[e], n.edge_maps[e])
                                           for e in range(q.edges.size)], m.d)

@@ -78,6 +78,8 @@ def dump_matrix(m: QuadMatrix) -> dict:
 def load_matrix(data, d) -> QuadMatrix:
     d = _field_tag(d)
     rows, cols, dd = int(data["rows"]), int(data["cols"]), d.denominator
+    if rows < 0 or cols < 0:
+        raise ParseError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
     entries = []
     for e in data["entries"]:
         if len(e) != 4:

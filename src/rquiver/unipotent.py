@@ -23,10 +23,10 @@ bugs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, nilpotency_exponent
+from .exact import QuadElement, QuadMatrix
 
 MAX_ITERATIONS = 64
 
@@ -64,9 +64,12 @@ def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
 class StabilizationProblem:
     """Pair of mutually inverse-up-to-nilpotent square maps phi_+: W_+ -> W_-'
     and phi_-: W_-' -> W_+ (the primes record that the target is read through
-    the ambient conjugation; the matrices themselves are plain)."""
+    the ambient conjugation; the matrices themselves are plain).  neumann is
+    (u^{-1}, e) for u = phi_- phi_+, from the one Neumann pass that checks u
+    is unipotent; stabilize starts from it."""
     phi_plus: QuadMatrix
     phi_minus: QuadMatrix
+    neumann: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p, q = self.phi_plus, self.phi_minus
@@ -74,14 +77,14 @@ class StabilizationProblem:
             raise PreconditionViolated("phi_+ and phi_- have incompatible shapes")
         if p.rows != p.cols:
             raise PreconditionViolated("phi_+ and phi_- must be square")
-        defect = q * p - QuadMatrix.identity(p.cols, p.d)
-        if nilpotency_exponent(defect) is None:
-            raise PreconditionViolated("phi_- o phi_+ - 1 is not nilpotent")
+        try:
+            object.__setattr__(self, "neumann", _neumann(q * p))
+        except PreconditionViolated:
+            raise PreconditionViolated("phi_- o phi_+ - 1 is not nilpotent") from None
 
     def defect_exponent(self) -> int:
-        defect = self.phi_minus * self.phi_plus - QuadMatrix.identity(
-            self.phi_plus.cols, self.phi_plus.d)
-        return nilpotency_exponent(defect)
+        """The nilpotency exponent of phi_- phi_+ - 1."""
+        return self.neumann[1]
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     d = p.d
     half = QuadElement(Fraction(1, 2), 0, d)
     ident = QuadMatrix.identity(p.cols, d)
-    u_inv, e = _neumann(q * p)
+    u_inv, e = problem.neumann
     trace = [(p, q, e)]
     iterations = 0
     while not (e == 1 and p * q == ident):

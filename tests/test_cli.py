@@ -11,6 +11,7 @@ from rquiver.exact import QuadElement, QuadMatrix
 from rquiver.hc import build_example, functor_E
 from rquiver.quiver import cyclic_quiver, gelfand_quiver
 from rquiver.randomgen import random_c2_quiver, random_gelfand_rep, random_species_rep
+from rquiver.reps import QuiverRep
 from rquiver.species import species_of_quiver
 from rquiver.unipotent import StabilizationProblem
 
@@ -198,6 +199,23 @@ def test_rep_rejected_input_exit_code(tmp_path, capsys):
         assert err is None or captured.err == err
 
 
+def test_rep_hom_names_a_non_equivariant_structure(tmp_path, capsys):
+    """A rational structure that keeps the cocycle but is not edge-equivariant
+    (rho = 1, a+ = 1, a- = 2) exits 2 with one usage error line naming the
+    cause."""
+    q = gelfand_quiver()
+    one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
+    good = QuiverRep(q, (1, 1, 1), (one, one, zero, zero), (one, one, one))
+    bad = QuiverRep(q, (1, 1, 1), (one, one.scale(2), zero, zero), good.rho)
+    a = write(tmp_path, "good.json", io.dump_rep(good))
+    b = write(tmp_path, "bad.json", io.dump_rep(bad))
+    assert main(["rep", "hom", "--a", a, "--b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: conjugation does not preserve Hom: "
+                            "a rational structure is not edge-equivariant\n")
+
+
 def test_hc_construction_bug_propagates(tmp_path, monkeypatch):
     """A failed round-trip witness is a construction bug, not a usage error."""
     import rquiver.hc as hc
@@ -326,6 +344,8 @@ def test_matrix_file_without_matrix_exit_code(tmp_path, capsys):
     {"rows": 1, "cols": 1, "entries": [[1, 0, 0, 1]]},       # zero denominator
     {"rows": 1, "cols": 1, "entries": [[1, 1, 0]]},          # short element
     {"rows": 1, "entries": [[1, 1, 0, 1]]},                  # missing key
+    {"rows": -1, "cols": -1, "entries": [[1, 1, 0, 1]]},     # negative dimensions
+    {"rows": -2, "cols": 0, "entries": []},                  # negative, no entries
 ])
 def test_load_matrix_rejects(bad):
     from fractions import Fraction
@@ -432,6 +452,20 @@ def test_dump_matrix_matches_element_reference(data):
     for x in (m, m * m.transpose(), m.conj().scale(QuadElement(Fraction(1, 3), 2, d))):
         assert io.dump_matrix(x) == ref_dump_matrix(x)
         assert io.load_matrix(io.dump_matrix(x), d) == x
+
+
+def test_negative_matrix_dimensions_are_parse_errors(tmp_path, capsys):
+    """A tail Casimir stored as a -1 x -1 matrix with one entry is malformed
+    input: hc validate exits 2 with one parse error line."""
+    doc = io.dump_hc(build_example("discrete", 0))
+    doc["tails"]["plus"] = {"rows": -1, "cols": -1, "entries": [[1, 1, 0, 1]]}
+    path = write(tmp_path, "hc.json", doc)
+    assert main(["hc", "validate", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+    assert "nonnegative" in lines[0]
 
 
 def test_load_matrix_rejects_square_tag_on_empty_matrix():

@@ -23,6 +23,7 @@ from rquiver.exact import (
     fixed_space,
     inverse,
     kernel_basis,
+    kron,
     nilpotency_exponent,
     rank,
     solve_unique,
@@ -208,6 +209,29 @@ def test_equality_follows_entries(d):
             assert other == a and hash(other) == hash(a)
         assert QuadMatrix.identity(r, d).is_identity()
         assert not (QuadMatrix.identity(r, d).scale(2)).is_identity() or r == 0
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_kron_matches_reference(d):
+    """Entry (i b.rows + k, j b.cols + l) is a[i, j] b[k, l], and
+    vec(A X B^T) = (A (x) B) vec(X) in row-major vec form."""
+    rng = random.Random(f"kron {d}")
+    for (ar, ac), (br, bc) in (((2, 3), (1, 2)), ((0, 2), (2, 2)), ((2, 2), (3, 0)),
+                               ((1, 1), (2, 3)), ((3, 2), (2, 2))):
+        a, b = random_matrix(rng, ar, ac, d), random_matrix(rng, br, bc, d)
+        k = kron(a, b)
+        assert (k.rows, k.cols, k.d) == (ar * br, ac * bc, Fraction(d))
+        assert k.entries == tuple(a[i, j] * b[r, c] for i in range(ar) for r in range(br)
+                                  for j in range(ac) for c in range(bc))
+        x = random_matrix(rng, ac, bc, d)
+        lhs = a * x * b.transpose()
+        assert k * QuadMatrix(ac * bc, 1, x.entries, d) == QuadMatrix(ar * br, 1, lhs.entries, d)
+
+
+def test_negative_dimensions_rejected():
+    for rows, cols, entries in ((-1, -1, [QuadElement(1)]), (-2, 0, []), (0, -1, [])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuadMatrix(rows, cols, entries)
 
 
 def test_elimination_matches_reference():

@@ -51,6 +51,7 @@ from rquiver.reps import (
     rep_base_change,
     rep_isomorphic,
     summand_domain_cols,
+    validate_rep,
 )
 from rquiver.species import species_of_quiver
 
@@ -381,10 +382,27 @@ def test_hom_rejects_cocycle_breaking_rep():
             rep_isomorphic(a, b)
 
 
+def test_hom_rejects_rep_that_is_not_edge_equivariant():
+    """bad keeps the cocycle, but conjugation sends a+ = 1 to a- = 2 while
+    rho = 1.  The Hom basis element (1, 1, 1/2) from good to bad (values at
+    star, +, -) conjugates to (1, 1/2, 1), which is no morphism, so the exact
+    check V theta = W fails and the error names the cause."""
+    q = gelfand_quiver()
+    one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
+    good = QuiverRep(q, (1, 1, 1), (one, one, zero, zero), (one, one, one))
+    bad = QuiverRep(q, (1, 1, 1), (one, one.scale(2), zero, zero), good.rho)
+    checks = {name: ok for name, ok, _ in validate_rep(bad).checks}
+    assert checks["cocycle"] and not checks["edge-equivariance"]
+    for a, b in ((good, bad), (bad, good)):
+        with pytest.raises(ValueError, match="^conjugation does not preserve Hom: "
+                                             "a rational structure is not edge-equivariant$"):
+            hom_space(a, b)
+
+
 # ---------------------------------------------------------------- work gates
 
 def test_hc_hom_space_solves_on_the_ladder(monkeypatch):
-    """hc_hom_space hands reps one block per weight |w| <= ell + 3, whatever
+    """hc_hom_space hands reps one block per weight |w| <= ell + 1, whatever
     the window."""
     seen = []
     system = reps.intertwining_system
@@ -399,7 +417,33 @@ def test_hc_hom_space_solves_on_the_ladder(monkeypatch):
             m = build_example("discrete", ell, tail_weights=tail_weights)
             seen.clear()
             hc_hom_space(m, m)
-            assert seen == [ell + 4], (ell, tail_weights)
+            assert seen == [ell + 2], (ell, tail_weights)
+
+
+def test_hom_space_eliminates_twice_and_solves_nothing(monkeypatch):
+    """hom_space runs one elimination for the L-kernel and, where Hom over L
+    is nonzero, one for the fixed space, and no solve_unique: theta is read
+    off the kernel's free rows."""
+    rref, calls = exact._rref, []
+
+    def counting(m):
+        calls.append(m)
+        return rref(m)
+
+    def no_solve(*args):
+        raise AssertionError("hom_space called solve_unique")
+
+    pairs = [(a, b) for d in FIELD_TAGS for seed in QUIVER_SEEDS
+             for rs in [quiver_reps(seed, d)] for a in rs for b in rs]
+    monkeypatch.setattr(exact, "_rref", counting)
+    monkeypatch.setattr(exact, "solve_unique", no_solve)
+    nonzero = 0
+    for a, b in pairs:
+        calls.clear()
+        hs = hom_space(a, b)
+        assert len(calls) == 1 + (hs.dim_L > 0) <= 2
+        nonzero += hs.dim_L > 0
+    assert nonzero
 
 
 # ---------------------------------------------------------------- construction gate

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import rquiver.exact
+import rquiver.unipotent as unipotent
 from rquiver.exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
 from rquiver.randomgen import random_unimodular
 from rquiver.unipotent import (
@@ -130,6 +131,31 @@ def test_stabilize_random_and_bounds():
         exps = [t[2] for t in res.trace]
         for before, after in zip(exps, exps[1:]):
             assert after <= math.ceil(before / 2)
+
+
+def test_stabilization_walks_the_powers_once_per_step(monkeypatch):
+    """The problem's Neumann pass checks phi_- phi_+ and serves the first
+    step, so a run of k iterations makes k + 1 passes; the pass is no part of
+    the problem's value."""
+    neumann, calls = unipotent._neumann, []
+
+    def counting(u):
+        calls.append(u)
+        return neumann(u)
+
+    monkeypatch.setattr(unipotent, "_neumann", counting)
+    rng = random.Random(5)
+    for dim in (1, 3, 5):
+        n = random_nilpotent(rng, dim)
+        p0, q0 = QuadMatrix.identity(dim) + n, QuadMatrix.identity(dim)
+        calls.clear()
+        prob = StabilizationProblem(p0, q0)
+        assert prob.defect_exponent() == nilpotency_exponent(n)
+        res = stabilize(prob)
+        assert len(calls) == res.iterations + 1
+        assert prob == StabilizationProblem(p0, q0) and "neumann" not in repr(prob)
+    with pytest.raises(PreconditionViolated, match="^phi_- o phi_\\+ - 1 is not nilpotent$"):
+        StabilizationProblem(QuadMatrix.from_rows([[2]]), QuadMatrix.identity(1))
 
 
 def test_stabilize_transposition_symmetry():
