@@ -278,6 +278,8 @@ class QuadMatrix:
 
     @staticmethod
     def identity(n: int, d=-1) -> "QuadMatrix":
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         d = _field_tag(d)
         P = [0] * (n * n)
         P[::n + 1] = [1] * n
@@ -285,6 +287,8 @@ class QuadMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int, d=-1) -> "QuadMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         d = _field_tag(d)
         return _matrix(rows, cols, d, d.numerator * d.denominator,
                        [0] * (rows * cols), [0] * (rows * cols), 1)

@@ -392,12 +392,17 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     report = validate_hc(m)
     if not report.ok:
         raise ValueError(f"invalid module: {report.failures()}")
-    return _functor_E(m)[0]
+    result = _functor_E(m)[0]
+    report = validate_rep(result.rep)
+    if not report.ok:
+        raise AssertionError(f"construction bug: {report.failures()}")
+    return result
 
 
 def _functor_E(m: HCModule):
-    """functor_E on a module already validated; also returns its
-    Normalizations (None for ell = 0)."""
+    """functor_E on a module already validated, without validating the
+    representation it builds; also returns its Normalizations (None for
+    ell = 0)."""
     ell = m.ell
     if ell == 0:
         q = cyclic_quiver()
@@ -410,11 +415,7 @@ def _functor_E(m: HCModule):
         rho = [None, None]
         rho[CYCLIC_PLUS] = m.rat[1]
         rho[CYCLIC_MINUS] = m.rat[-1]
-        rep = QuiverRep(q, dims, edges, rho, m.d)
-        rep_report = validate_rep(rep)
-        if not rep_report.ok:
-            raise AssertionError(f"construction bug: {rep_report.failures()}")
-        return BlockFunctorResult(rep, None, 0), None
+        return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0), None
 
     norms = normalizations(m)
     r_plus = m.rat[ell + 1]
@@ -485,12 +486,9 @@ def _functor_E(m: HCModule):
     rho[GELFAND_STAR] = a_star
     rho[GELFAND_PLUS] = a_plus
     rho[GELFAND_MINUS] = a_minus
-    rep = QuiverRep(q, dims, edges, rho, m.d)
-    rep_report = validate_rep(rep)
-    if not rep_report.ok:
-        raise AssertionError(f"construction bug: {rep_report.failures()}")
     iterations = max(run_plus.iterations, run_minus.iterations, run_star.iterations)
-    return BlockFunctorResult(rep, norms.x_star, iterations), norms
+    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star,
+                              iterations), norms
 
 
 def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCModule:
@@ -573,12 +571,16 @@ def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
     For ell >= 1 the witness is (X*', T_-^(1/2), 1) on the (star, minus,
     plus) spaces, where X*' is the normalized extremal power of the built
     module and T_- the unipotent Casimir product; for ell = 0 it is the
-    identity.  The witness is verified exactly (full rank and is_morphism);
-    if it fails, that is a construction bug and AssertionError is raised.
+    identity.  The witness is verified exactly (equal dimensions, full rank
+    and is_morphism); if it fails, that is a construction bug and
+    AssertionError is raised.
 
     The built module is validated once, by inverse_E; E is applied to it
-    without validating it again, and the witness reuses the normalizations
-    E computed.
+    without validating it or its image again, and the witness reuses the
+    normalizations E computed.  The image needs no validate_rep: a verified
+    witness is an isomorphism onto v, which inverse_E validated, and the
+    cocycle, edge-equivariance, the relations and nilpotency all carry over
+    along an isomorphism of rational representations.
     """
     module = inverse_E(v, ell)
     result, norms = _functor_E(module)
@@ -591,7 +593,7 @@ def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
         mats[GELFAND_PLUS] = QuadMatrix.identity(v.dims[GELFAND_PLUS], v.d)
         mats[GELFAND_MINUS] = unipotent_sqrt(norms.t_minus)
         mats = tuple(mats)
-    if not (all(rank(mats[i]) == v.dims[i] for i in range(len(mats)))
+    if not (r2.dims == v.dims and all(rank(mats[i]) == v.dims[i] for i in range(len(mats)))
             and is_morphism(r2, v, mats)):
         raise AssertionError("constructive witness is not an isomorphism; construction bug")
     return HCRoundtrip(mats, "constructive", module, r2)
@@ -604,72 +606,38 @@ KINDS = ("finite", "discrete", "principal", "principal_dual")
 
 def build_example(kind: str, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS,
                   d=-1) -> HCModule:
-    """The four fundamental block members, exactly.
+    """The four fundamental block members, as inverse_E of their diagrams.
 
-    All weight spaces are one-dimensional where nonzero; the ladder scalars
-    are X = (ell + w + 1)/2 and Y = (ell - w + 1)/2, which vanish at exactly
-    the right spots for the finite, discrete and principal shapes; the dual
-    principal overrides the two outgoing boundary maps to zero.  The weights
-    have the parity epsilon = (ell + 1) mod 2 that HCModule requires.
+    Each diagram has spaces 0 or 1 and rho = 1: the finite module lives on
+    star, the discrete one on +- (for ell = 0 on the cyclic quiver, with zero
+    maps), the principal has a+- = 0, b+- = ell and the dual principal
+    a+- = 1, b+- = 0.  Every diagram has a_+ b_+ = 0, so phi = ell^2 and
+    S = ell, which gives X = (ell+w+1)/2 and Y = (ell-w+1)/2 wherever both
+    spaces are nonzero, except on the dual principal's edges.  X and Y are
+    stored at every window weight.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    epsilon = (ell + 1) % 2
     if kind != "discrete" and ell < 1:
         raise NotApplicable(f"kind {kind} needs ell >= 1")
-    n_window = ell + 1 + 2 * tail_weights
-
-    def dim_at(w):
-        if kind == "finite":
-            return 1 if abs(w) <= ell - 1 else 0
-        if kind == "discrete":
-            return 1 if abs(w) >= ell + 1 else 0
-        return 1
-
-    spaces = {}
-    for w in range(-n_window, n_window + 1):
-        if (w - epsilon) % 2 == 0:
-            spaces[w] = dim_at(w)
-
-    def scalars(w):
-        x = Fraction(ell + w + 1, 2)
-        y = Fraction(ell - w + 1, 2)
-        if kind == "principal_dual":
-            # kill the b-maps, revive the a-maps (brackets stay intact since
-            # each boundary product pairs an override with a zero)
-            if w == ell - 1:
-                x = Fraction(0)
-            if w == -(ell - 1):
-                y = Fraction(0)
-            if w == -(ell + 1):
-                x = Fraction(1)
-            if w == ell + 1:
-                y = Fraction(1)
-        return x, y
-
-    x_maps, y_maps, rat = {}, {}, {}
-    for w in spaces:
-        x_scal, y_scal = scalars(w)
-        if w + 2 <= n_window:
-            x_maps[w] = QuadMatrix.zeros(spaces[w + 2], spaces[w], d) if (
-                spaces[w] == 0 or spaces[w + 2] == 0) else \
-                QuadMatrix.identity(1, d).scale(x_scal)
-        if w - 2 >= -n_window:
-            y_maps[w] = QuadMatrix.zeros(spaces[w - 2], spaces[w], d) if (
-                spaces[w] == 0 or spaces[w - 2] == 0) else \
-                QuadMatrix.identity(1, d).scale(y_scal)
-        rat[w] = QuadMatrix.identity(spaces[w], d) if spaces[w] == spaces[-w] else \
-            QuadMatrix.zeros(spaces[-w], spaces[w], d)
-
-    dim_tail = dim_at(n_window)
-    lam = Fraction(ell * ell)
-    phi = QuadMatrix.identity(dim_tail, d).scale(lam)
-    module = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat,
-                      phi, phi, d)
-    report = validate_hc(module)
-    if not report.ok:
-        raise AssertionError(f"fixture bug ({kind}, ell={ell}): {report.failures()}")
-    return module
+    a, b = {"principal": (0, ell), "principal_dual": (1, 0)}.get(kind, (0, 0))
+    if ell == 0:
+        q, dims = cyclic_quiver(), (1, 1)
+    else:
+        q, dims = gelfand_quiver(), [0, 0, 0]
+        dims[GELFAND_STAR] = int(kind != "discrete")
+        dims[GELFAND_PLUS] = dims[GELFAND_MINUS] = int(kind != "finite")
+    edges = []
+    for e in range(q.edges.size):
+        rows, cols = dims[q.tgt[e]], dims[q.src[e]]
+        c = b if ell and e in (GELFAND_B_PLUS, GELFAND_B_MINUS) else a
+        edges.append(QuadMatrix(rows, cols, [QuadElement(c, 0, d)] * (rows * cols), d))
+    rho = [QuadMatrix.identity(n, d) for n in dims]
+    m = inverse_E(QuiverRep(q, dims, edges, rho, d), ell, tail_weights)
+    ws = m.weights()
+    m.x_maps.update((w, m.x_at(w)) for w in ws[:-1])
+    m.y_maps.update((w, m.y_at(w)) for w in ws[1:])
+    return m
 
 
 # ------------------------------------------------------------------ HC Hom

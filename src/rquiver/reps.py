@@ -159,14 +159,9 @@ def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
     q = r.quiver
     checks = []
     if q.group.order == 2:
-        ok, witness = True, ""
-        for v in range(q.vertices.size):
-            cv = q.vertices.apply(1, v)
-            prod = r.rho[cv] * r.rho[v].conj()
-            if not prod.is_identity():
-                ok, witness = False, f"phi_(cv,c) o phi_(v,c) != id at v={v}"
-                break
-        checks.append(("cocycle", ok, witness))
+        v = _cocycle_break(r)
+        checks.append(("cocycle", v is None,
+                       "" if v is None else f"phi_(cv,c) o phi_(v,c) != id at v={v}"))
 
         ok, witness = True, ""
         for e in range(q.edges.size):
@@ -190,6 +185,20 @@ def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
         checks.append(("nilpotent", nil,
                        "" if nil else "a cyclic composite is not nilpotent"))
     return ValidationReport(tuple(checks), flags)
+
+
+def _cocycle_break(r: QuiverRep):
+    """Least vertex v with rho[cv] conj(rho[v]) != 1, or None.  It checks the
+    minimal vertex of each C2-orbit and dims[v] = dims[cv]: for square rho,
+    A conj(B) = 1 iff conj(B) A = 1, the conjugate of the check at cv."""
+    q = r.quiver
+    if q.group.order == 2:
+        for v in range(q.vertices.size):
+            cv = q.vertices.apply(1, v)
+            if v <= cv and (r.dims[v] != r.dims[cv]
+                            or not (r.rho[cv] * r.rho[v].conj()).is_identity()):
+                return v
+    return None
 
 
 def is_nilpotent_rep(r: QuiverRep) -> bool:
@@ -243,11 +252,9 @@ class HomSpace:
 
 def _check_cocycle(r: QuiverRep):
     """Raise ValueError unless rho[cv] conj(rho[v]) = 1 at every vertex v."""
-    q = r.quiver
-    if q.group.order == 2:
-        for v in range(q.vertices.size):
-            if not (r.rho[q.vertices.apply(1, v)] * r.rho[v].conj()).is_identity():
-                raise ValueError(f"rational structure breaks the cocycle at vertex {v}")
+    v = _cocycle_break(r)
+    if v is not None:
+        raise ValueError(f"rational structure breaks the cocycle at vertex {v}")
 
 
 def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:

@@ -89,10 +89,6 @@ def _min_transporter(gset: GSet, x: int, y: int) -> int:
     return ts[0]
 
 
-def _canonical_coset_rep(group: FiniteGroup, g: int, sub: Subgroup) -> int:
-    return min(group.mul(g, h) for h in sub.elements)
-
-
 @dataclass(frozen=True)
 class QuiverConventions:
     """Chosen orbit representatives and twists behind a species_of_quiver call."""
@@ -132,10 +128,9 @@ def species_of_quiver(q: RationalQuiver, with_conventions=False):
         i = orbit_of[q.src[e]]
         j = orbit_of[q.tgt[e]]
         h_eps = q.edges.stabilizer(e)
+        # transporter(v_i, x) is the coset sigma H_i, so its minimum is the canonical twist
         sigma = _min_transporter(q.vertices, vertex_reps[i], q.src[e])
         tau = _min_transporter(q.vertices, vertex_reps[j], q.tgt[e])
-        sigma = _canonical_coset_rep(g, sigma, vertex_subgroups[i])
-        tau = _canonical_coset_rep(g, tau, vertex_subgroups[j])
         bims.setdefault((i, j), []).append(BimoduleSummand(h_eps, sigma, tau))
         edge_reps.setdefault((i, j), []).append(e)
     species = EtaleSpecies(g, vertex_subgroups, bims)

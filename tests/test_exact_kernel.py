@@ -232,6 +232,10 @@ def test_negative_dimensions_rejected():
     for rows, cols, entries in ((-1, -1, [QuadElement(1)]), (-2, 0, []), (0, -1, [])):
         with pytest.raises(ValueError, match="nonnegative"):
             QuadMatrix(rows, cols, entries)
+    for make in (lambda: QuadMatrix.zeros(-1, 2), lambda: QuadMatrix.zeros(2, -1),
+                 lambda: QuadMatrix.identity(-1)):
+        with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+            make()
 
 
 def test_elimination_matches_reference():

@@ -28,8 +28,12 @@ The hc_build_* files are the modules written by
 
     rquiver hc build --kind principal --ell 2 --out hc_build_principal_ell2.json
     rquiver hc build --kind discrete --ell 0 --out hc_build_discrete_ell0.json
+    rquiver hc build --kind finite --ell 3 --out hc_build_finite_ell3.json
+    rquiver hc build --kind principal_dual --ell 1 --out hc_build_principal_dual_ell1.json
 
-recorded while the matrix dump still went through one QuadElement per entry.
+The first two were recorded while the matrix dump still went through one
+QuadElement per entry, the last two while build_example still wrote every
+ladder scalar by hand instead of taking inverse_E of the diagram.
 
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
@@ -72,6 +76,8 @@ def test_unipotent_report_unchanged(name, argv, capsys):
 @pytest.mark.parametrize("name, kind, ell", [
     ("hc_build_principal_ell2.json", "principal", "2"),
     ("hc_build_discrete_ell0.json", "discrete", "0"),
+    ("hc_build_finite_ell3.json", "finite", "3"),
+    ("hc_build_principal_dual_ell1.json", "principal_dual", "1"),
 ])
 def test_hc_build_dump_unchanged(name, kind, ell, tmp_path):
     out = tmp_path / name

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -417,6 +418,28 @@ def test_roundtrip_random_cyclic():
         v = random_cyclic_rep(rng, max_dim=3)
         rt = roundtrip_hc(v, 0)
         assert rt.path == "constructive"
+
+
+def test_corrupted_E_image_is_a_construction_bug(monkeypatch):
+    """functor_E validates E's image; roundtrip_hc does not and relies on its
+    witness.  An image whose rational structure is doubled at one vertex
+    raises AssertionError in both."""
+    cases = [(functor_E(build_example(kind, ell)).rep, build_example(kind, ell), ell)
+             for kind, ell in (("discrete", 0), ("principal", 2))]
+    real = hc._functor_E
+
+    def corrupted(m):
+        result, norms = real(m)
+        r = result.rep
+        rho = (r.rho[0].scale(2),) + r.rho[1:]
+        return replace(result, rep=QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)), norms
+
+    monkeypatch.setattr(hc, "_functor_E", corrupted)
+    for v, m, ell in cases:
+        with pytest.raises(AssertionError, match="construction bug"):
+            functor_E(m)
+        with pytest.raises(AssertionError, match="construction bug"):
+            roundtrip_hc(v, ell)
 
 
 # ---------------------------------------------------------------- hom

@@ -1,11 +1,17 @@
-"""inverse_E against its two-branch reference, and the HC side at every field tag.
+"""inverse_E and build_example against their references, and the HC side at
+every field tag.
 
-The reference below is the construction that the one-path inverse_E replaced:
+ref_inverse_E is the construction that the one-path inverse_E replaced:
 a separate branch for the cyclic block (ell = 0) and for the Gelfand blocks
 (ell >= 1), each filling its tail ladder maps from a throwaway stub module.
 Both build the same module, so the two must be the same certificate (spaces,
 rational structure, tail Casimirs, and X and Y at every window weight) for
 every field tag Q(sqrt(d)), though inverse_E stores only the core ladder maps.
+
+ref_build_example is the hand-written construction of the four fixtures that
+build_example replaced by inverse_E of their diagrams: every window weight,
+ladder scalar, dual-principal override and rational structure written out.
+The two must dump identically.
 """
 
 import random
@@ -15,8 +21,8 @@ import pytest
 from certificate import assert_same_certificate
 
 from rquiver.exact import QuadElement, QuadMatrix
-from rquiver.hc import HCModule, functor_E, hc_hom_space, inverse_E, roundtrip_hc, \
-    validate_hc
+from rquiver.hc import KINDS, HCModule, build_example, functor_E, hc_hom_space, inverse_E, \
+    roundtrip_hc, validate_hc
 from rquiver.quiver import (
     CYCLIC_A,
     CYCLIC_B,
@@ -152,6 +158,64 @@ def ref_inverse_E(v, ell, tail_weights):
     return out
 
 
+def ref_build_example(kind, ell, tail_weights, d):
+    """All weight spaces are one-dimensional where nonzero; the ladder scalars
+    are X = (ell + w + 1)/2 and Y = (ell - w + 1)/2, which vanish at exactly
+    the right spots for the finite, discrete and principal shapes; the dual
+    principal overrides the two outgoing boundary maps to zero."""
+    epsilon = (ell + 1) % 2
+    n_window = ell + 1 + 2 * tail_weights
+
+    def dim_at(w):
+        if kind == "finite":
+            return 1 if abs(w) <= ell - 1 else 0
+        if kind == "discrete":
+            return 1 if abs(w) >= ell + 1 else 0
+        return 1
+
+    spaces = {}
+    for w in range(-n_window, n_window + 1):
+        if (w - epsilon) % 2 == 0:
+            spaces[w] = dim_at(w)
+
+    def scalars(w):
+        x = Fraction(ell + w + 1, 2)
+        y = Fraction(ell - w + 1, 2)
+        if kind == "principal_dual":
+            # kill the b-maps, revive the a-maps (brackets stay intact since
+            # each boundary product pairs an override with a zero)
+            if w == ell - 1:
+                x = Fraction(0)
+            if w == -(ell - 1):
+                y = Fraction(0)
+            if w == -(ell + 1):
+                x = Fraction(1)
+            if w == ell + 1:
+                y = Fraction(1)
+        return x, y
+
+    x_maps, y_maps, rat = {}, {}, {}
+    for w in spaces:
+        x_scal, y_scal = scalars(w)
+        if w + 2 <= n_window:
+            x_maps[w] = QuadMatrix.zeros(spaces[w + 2], spaces[w], d) if (
+                spaces[w] == 0 or spaces[w + 2] == 0) else \
+                QuadMatrix.identity(1, d).scale(x_scal)
+        if w - 2 >= -n_window:
+            y_maps[w] = QuadMatrix.zeros(spaces[w - 2], spaces[w], d) if (
+                spaces[w] == 0 or spaces[w - 2] == 0) else \
+                QuadMatrix.identity(1, d).scale(y_scal)
+        rat[w] = QuadMatrix.identity(spaces[w], d) if spaces[w] == spaces[-w] else \
+            QuadMatrix.zeros(spaces[-w], spaces[w], d)
+
+    phi = QuadMatrix.identity(dim_at(n_window), d).scale(Fraction(ell * ell))
+    module = HCModule(ell, epsilon, n_window, spaces, x_maps, y_maps, rat, phi, phi, d)
+    report = validate_hc(module)
+    if not report.ok:
+        raise AssertionError(f"fixture bug ({kind}, ell={ell}): {report.failures()}")
+    return module
+
+
 # ---------------------------------------------------------------- inputs
 
 def block_reps(d, ell, count, seed=3):
@@ -170,6 +234,15 @@ def test_inverse_E_matches_reference(d):
             for tail_weights in (1, 4):
                 assert_same_certificate(inverse_E(v, ell, tail_weights),
                                         ref_inverse_E(v, ell, tail_weights))
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_build_example_matches_reference(d):
+    for kind in KINDS:
+        for ell in range(0 if kind == "discrete" else 1, 4):
+            for tail_weights in (1, 4, 8):
+                assert dump_hc(build_example(kind, ell, tail_weights, d)) == \
+                    dump_hc(ref_build_example(kind, ell, tail_weights, d)), (kind, ell)
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS)

@@ -27,9 +27,9 @@ from rquiver.exact import (
     solve_unique,
     sqrt_d,
 )
-from rquiver.gsets import C2, Subgroup
+from rquiver.gsets import C2, GSet, Subgroup
 from rquiver.hc import KINDS, build_example, hc_hom_space, inverse_E
-from rquiver.quiver import gelfand_quiver
+from rquiver.quiver import RationalQuiver, gelfand_quiver
 from rquiver.randomgen import (
     change_basis,
     random_c2_quiver,
@@ -380,6 +380,19 @@ def test_hom_rejects_cocycle_breaking_rep():
     for a, b in ((broken, good), (null, broken), (broken, null)):
         with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
             rep_isomorphic(a, b)
+
+
+def test_cocycle_check_compares_orbit_dimensions():
+    """The cocycle is checked at the minimal vertex of each orbit only, so it
+    also asks for dims[v] = dims[cv].  Here rho[1] conj(rho[0]) = 1 at vertex
+    0, while rho[0] conj(rho[1]) has rank 1 on the 2-dimensional M(1)."""
+    q = RationalQuiver(GSet(C2, 2, [[0, 1], [1, 0]]), GSet(C2, 0, [[], []]), [], [])
+    r = QuiverRep(q, (1, 2), (), (QuadMatrix.from_rows([[1], [0]]),
+                                  QuadMatrix.from_rows([[1, 0]])))
+    failures = [(name, wit) for name, ok, wit in validate_rep(r).checks if not ok]
+    assert failures == [("cocycle", "phi_(cv,c) o phi_(v,c) != id at v=0")]
+    with pytest.raises(ValueError, match="breaks the cocycle at vertex 0"):
+        hom_space(r, r)
 
 
 def test_hom_rejects_rep_that_is_not_edge_equivariant():
