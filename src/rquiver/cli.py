@@ -349,6 +349,8 @@ def _run_example(kind, ell, report):
 
 def _cmd_examples(args) -> Report:
     report = Report("examples run")
+    if args.cases < 0:
+        raise UsageError("--cases must be nonnegative")
     if args.all:
         for kind in hc_mod.KINDS:
             ells = (0, 1, 2) if kind == "discrete" else (1, 2, 3)

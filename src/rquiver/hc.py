@@ -384,10 +384,12 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     """Nilpotent rational quiver representation of a valid module.
 
     For ell >= 1 the Gelfand-quiver edges come from the normalized comparison
-    data and the rational structure from the simultaneous unipotent
-    stabilization of (1, T_+), (T_-, 1) and (X*, Y*), composed with the
-    module's conjugation; for ell = 0 the cyclic quiver needs no
-    normalization and the module's conjugation is used directly.
+    data and the rational structure from one unipotent stabilization per
+    conjugation orbit of vertices, (X*, Y*) on star and (1, T_+) on {+, -},
+    composed with the module's conjugation; for ell = 0 the cyclic quiver
+    needs no normalization and the module's conjugation is used directly.
+    The image is validated here, once; roundtrip_hc checks it through its
+    witness instead.
     """
     report = validate_hc(m)
     if not report.ok:
@@ -402,7 +404,19 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
 def _functor_E(m: HCModule):
     """functor_E on a module already validated, without validating the
     representation it builds; also returns its Normalizations (None for
-    ell = 0)."""
+    ell = 0).
+
+    Conjugation fixes star and swaps + and -, so only (1, T_+) and (X*, Y*)
+    are stabilized.  With r_+- = rat[+-(ell+1)] the cocycle gives
+    r_+ conj(r_-) = 1 = r_- conj(r_+), so sigma(A) = r_+ conj(A) conj(r_-) is a
+    semilinear ring automorphism, and it maps T_+ to T_- (the Casimir commutes
+    with conjugation).  The step (p, q) <- ((p + q^-1)/2, (q + p^-1)/2)
+    commutes with (p, q) |-> (sigma(q), sigma(p)), so step k of the run of
+    (T_-, 1) is (sigma(q_k), sigma(p_k)) for step k (p_k, q_k) of the run of
+    (1, T_+); it has the same defect exponents, hence the same length.  So
+    phi_-^inf = sigma(q_+^inf) and rho_- = r_- conj(phi_-^inf) = q_+^inf r_-,
+    and the image's +- cocycle holds by construction.
+    """
     ell = m.ell
     if ell == 0:
         q = cyclic_quiver()
@@ -418,59 +432,9 @@ def _functor_E(m: HCModule):
         return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0), None
 
     norms = normalizations(m)
-    r_plus = m.rat[ell + 1]
-    r_minus = m.rat[-(ell + 1)]
-    r_star_top = m.rat[ell - 1]
-
     run_plus = stabilize(StabilizationProblem(
         QuadMatrix.identity(m.dim(ell + 1), m.d), norms.t_plus))
-    run_minus = stabilize(StabilizationProblem(
-        norms.t_minus, QuadMatrix.identity(m.dim(-(ell + 1)), m.d)))
     run_star = stabilize(StabilizationProblem(norms.x_star, norms.y_star))
-
-    # lockstep conjugation invariants, asserted per step
-    steps = max(len(run_plus.trace), len(run_minus.trace), len(run_star.trace))
-
-    def at(tr, k):
-        return tr[min(k, len(tr) - 1)]
-
-    for k in range(steps):
-        pk, qk, _ = at(run_plus.trace, k)
-        pk2, qk2, _ = at(run_minus.trace, k)
-        if pk2 != r_plus * qk.conj() * r_minus.conj() or \
-                qk2 != r_plus * pk.conj() * r_minus.conj():
-            raise AssertionError("stabilization runs are not conjugate at step %d" % k)
-        ps, qs, _ = at(run_star.trace, k)
-        if qs != r_star_top * ps.conj() * r_star_top.conj():
-            raise AssertionError("star stabilization loses conjugation symmetry")
-
-    phi_plus_inf = run_plus.phi_plus_inf
-    phi_minus_inf = run_minus.phi_plus_inf
-    phi_star_inf = run_star.phi_plus_inf
-
-    a_star = r_star_top * phi_star_inf.conj()
-    a_plus = r_plus * phi_plus_inf.conj()
-    a_minus = r_minus * phi_minus_inf.conj()
-
-    # X*, Y* are square (dim M_w = dim M_-w), so with u = X* Y*
-    # X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
-    x_star_inv = norms.y_star * norms.u_inv
-    y_star_inv = norms.u_inv * norms.x_star
-
-    # limit diagram: the stabilized verticals intertwine the two normalized
-    # edge presentations
-    x_lo = m.x_at(-(ell + 1))
-    y_lo = m.y_at(-(ell - 1))
-    x_hi = m.x_at(ell - 1)
-    y_hi = m.y_at(ell + 1)
-    sq = [
-        y_star_inv * x_lo * phi_minus_inf == phi_star_inf * x_lo,
-        x_hi * phi_star_inf == phi_plus_inf * x_hi * norms.x_star,
-        phi_minus_inf * y_lo == y_lo * norms.y_star * phi_star_inf,
-        phi_star_inf * x_star_inv * y_hi == y_hi * phi_plus_inf,
-    ]
-    if not all(sq):
-        raise AssertionError(f"limit diagram does not commute: {sq}")
 
     q = gelfand_quiver()
     dims = [0, 0, 0]
@@ -478,15 +442,16 @@ def _functor_E(m: HCModule):
     dims[GELFAND_PLUS] = m.dim(ell + 1)
     dims[GELFAND_MINUS] = m.dim(-(ell + 1))
     edges = [None] * 4
-    edges[GELFAND_A_PLUS] = x_star_inv * y_hi
-    edges[GELFAND_A_MINUS] = x_lo
-    edges[GELFAND_B_PLUS] = x_hi * norms.x_star
-    edges[GELFAND_B_MINUS] = y_lo
+    # X* and Y* are square (dim M_w = dim M_-w), so X*^-1 = Y* (X* Y*)^-1
+    edges[GELFAND_A_PLUS] = norms.y_star * norms.u_inv * m.y_at(ell + 1)
+    edges[GELFAND_A_MINUS] = m.x_at(-(ell + 1))
+    edges[GELFAND_B_PLUS] = m.x_at(ell - 1) * norms.x_star
+    edges[GELFAND_B_MINUS] = m.y_at(-(ell - 1))
     rho = [None] * 3
-    rho[GELFAND_STAR] = a_star
-    rho[GELFAND_PLUS] = a_plus
-    rho[GELFAND_MINUS] = a_minus
-    iterations = max(run_plus.iterations, run_minus.iterations, run_star.iterations)
+    rho[GELFAND_STAR] = m.rat[ell - 1] * run_star.phi_plus_inf.conj()
+    rho[GELFAND_PLUS] = m.rat[ell + 1] * run_plus.phi_plus_inf.conj()
+    rho[GELFAND_MINUS] = run_plus.phi_minus_inf * m.rat[-(ell + 1)]
+    iterations = max(run_plus.iterations, run_star.iterations)
     return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star,
                               iterations), norms
 

@@ -100,9 +100,11 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     pair is exactly mutually inverse.
 
     Each step is phi_+ <- phi_+ c, phi_- <- c phi_- with c = (1 + u^{-1})/2
-    and u = phi_- phi_+ (module docstring).  The defect exponent at least
-    halves each step, so the fixed point is reached within ceil(log2 e) + 1
-    iterations.
+    and u = phi_- phi_+ (module docstring).  The next u is c^2 u, so
+    u' - 1 = (u - 1)^2 u^{-1}/4 with u^{-1} invertible and commuting with
+    u - 1: the defect exponent goes e -> ceil(e/2).  The loop stops at e = 1
+    (u = 1, so phi_+ phi_- = 1 too), after exactly (e - 1).bit_length() =
+    ceil(log2 e) iterations.
     """
     p, q = problem.phi_plus, problem.phi_minus
     d = p.d

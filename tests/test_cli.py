@@ -325,6 +325,13 @@ def test_examples_random_cases(capsys):
     assert "random roundtrips" in out and "4/4 constructive" in out
 
 
+def test_examples_negative_cases_is_a_usage_error(capsys):
+    assert main(["examples", "run", "--cases", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --cases must be nonnegative\n"
+
+
 # --------------------------------------------------------------- malformed input
 
 def test_rep_missing_fields_exit_code(tmp_path, capsys):

@@ -35,15 +35,33 @@ The first two were recorded while the matrix dump still went through one
 QuadElement per entry, the last two while build_example still wrote every
 ladder scalar by hand instead of taking inverse_E of the diagram.
 
+The hc_ext_* files pin an E-image on which stabilization has work to do.
+hc_ext_rep_<tag>.json, for d = -1 (tag d-1) and d = 2 (tag d2), is the
+Gelfand representation with dims (3, 3, 3), a_+- = J_3 (the nilpotent Jordan
+block of size 3), b_+- = 1 and rho = 1, as json.dump(dump_rep(rep),
+sort_keys=True, indent=2) plus a newline.  The other two are written by
+
+    rquiver hc from-quiver --in hc_ext_rep_<tag>.json --ell 2 --out hc_ext_ell2_<tag>.json
+    rquiver hc to-quiver --in hc_ext_ell2_<tag>.json --out hc_ext_ell2_<tag>_image.json
+
+and the --json report of the second has iterations = 2.  They were recorded
+while E still ran three stabilizations, one per vertex.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from rquiver.cli import main
+from rquiver.exact import QuadMatrix
+from rquiver.quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS, \
+    gelfand_quiver
+from rquiver.reps import QuiverRep
+from rquiver.serialize import dump_rep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -83,3 +101,28 @@ def test_hc_build_dump_unchanged(name, kind, ell, tmp_path):
     out = tmp_path / name
     assert main(["hc", "build", "--kind", kind, "--ell", ell, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def extension_rep(d):
+    one = QuadMatrix.identity(3, d)
+    edges = [None] * 4
+    edges[GELFAND_A_PLUS] = edges[GELFAND_A_MINUS] = \
+        QuadMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], d)
+    edges[GELFAND_B_PLUS] = edges[GELFAND_B_MINUS] = one
+    return QuiverRep(gelfand_quiver(), (3, 3, 3), edges, (one, one, one), d)
+
+
+@pytest.mark.parametrize("tag, d", [("d-1", -1), ("d2", 2)])
+def test_hc_extension_E_image_unchanged(tag, d, tmp_path, capsys):
+    rep_file = GOLDEN / f"hc_ext_rep_{tag}.json"
+    module_file = GOLDEN / f"hc_ext_ell2_{tag}.json"
+    assert json.dumps(dump_rep(extension_rep(d)), sort_keys=True, indent=2) + "\n" == \
+        rep_file.read_text()
+    out = tmp_path / "module.json"
+    assert main(["hc", "from-quiver", "--in", str(rep_file), "--ell", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == module_file.read_bytes()
+    out = tmp_path / "image.json"
+    capsys.readouterr()
+    assert main(["--json", "hc", "to-quiver", "--in", str(module_file), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["iterations"] == 2
+    assert out.read_bytes() == (GOLDEN / f"hc_ext_ell2_{tag}_image.json").read_bytes()

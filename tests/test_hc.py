@@ -369,9 +369,7 @@ def test_public_boundaries_reject_invalid_input():
 
 def test_roundtrip_fixtures_constructive():
     for kind in ("finite", "discrete", "principal", "principal_dual"):
-        for ell in (1, 2, 3):
-            if kind == "discrete" and ell == 0:
-                continue
+        for ell in (0, 1, 2) if kind == "discrete" else (1, 2, 3):
             v = functor_E(build_example(kind, ell)).rep
             rt = roundtrip_hc(v, ell)
             assert rt.path == "constructive"
@@ -410,6 +408,30 @@ def test_roundtrip_validates_each_module_once(monkeypatch):
     calls.clear()
     inverse_E(random_cyclic_rep(rng, max_dim=2), 0)
     assert calls["HCModule"] == 1
+
+
+def test_E_stabilizes_once_per_conjugation_orbit(monkeypatch):
+    """E stabilizes star and the {+, -} orbit once each for ell >= 1, and
+    not at all on the cyclic block."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hc, "stabilize", counted("stabilize", hc.stabilize))
+    rng = random.Random(19)
+    cases = [(pp_ext_rep(2), 2), (random_cyclic_rep(rng, max_dim=2), 0)]
+    cases += [(random_gelfand_rep(rng, max_dim=3), ell) for ell in (1, 2, 3)]
+    for v, ell in cases:
+        calls.clear()
+        functor_E(inverse_E(v, ell))
+        assert calls["stabilize"] == (2 if ell else 0)
+        calls.clear()
+        roundtrip_hc(v, ell)
+        assert calls["stabilize"] == (2 if ell else 0)
 
 
 def test_roundtrip_random_cyclic():

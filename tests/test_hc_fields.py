@@ -12,6 +12,12 @@ ref_build_example is the hand-written construction of the four fixtures that
 build_example replaced by inverse_E of their diagrams: every window weight,
 ladder scalar, dual-principal override and rational structure written out.
 The two must dump identically.
+
+ref_functor_E is E for ell >= 1 as first written: three stabilizations, one
+per vertex, a per-step check that the run of (T_-, 1) is the conjugate of the
+run of (1, T_+), and a check that the stabilized verticals make the limit
+diagram commute.  E now stabilizes once per conjugation orbit and derives the
+- side; the two must give the same representation and iteration count.
 """
 
 import random
@@ -21,8 +27,8 @@ import pytest
 from certificate import assert_same_certificate
 
 from rquiver.exact import QuadElement, QuadMatrix
-from rquiver.hc import KINDS, HCModule, build_example, functor_E, hc_hom_space, inverse_E, \
-    roundtrip_hc, validate_hc
+from rquiver.hc import KINDS, BlockFunctorResult, HCModule, build_example, functor_E, \
+    hc_hom_space, inverse_E, normalizations, roundtrip_hc, validate_hc
 from rquiver.quiver import (
     CYCLIC_A,
     CYCLIC_B,
@@ -39,9 +45,9 @@ from rquiver.quiver import (
     gelfand_quiver,
 )
 from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
-from rquiver.reps import hom_space, validate_rep
-from rquiver.serialize import dump_hc, load_hc
-from rquiver.unipotent import scaled_sqrt
+from rquiver.reps import QuiverRep, hom_space, validate_rep
+from rquiver.serialize import dump_hc, dump_rep, load_hc
+from rquiver.unipotent import StabilizationProblem, scaled_sqrt, stabilize
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
 
@@ -216,6 +222,82 @@ def ref_build_example(kind, ell, tail_weights, d):
     return module
 
 
+def ref_functor_E(m):
+    """E of a valid module with ell >= 1, by three stabilizations."""
+    ell = m.ell
+    norms = normalizations(m)
+    r_plus = m.rat[ell + 1]
+    r_minus = m.rat[-(ell + 1)]
+    r_star_top = m.rat[ell - 1]
+
+    run_plus = stabilize(StabilizationProblem(
+        QuadMatrix.identity(m.dim(ell + 1), m.d), norms.t_plus))
+    run_minus = stabilize(StabilizationProblem(
+        norms.t_minus, QuadMatrix.identity(m.dim(-(ell + 1)), m.d)))
+    run_star = stabilize(StabilizationProblem(norms.x_star, norms.y_star))
+
+    # lockstep conjugation invariants, asserted per step
+    steps = max(len(run_plus.trace), len(run_minus.trace), len(run_star.trace))
+
+    def at(tr, k):
+        return tr[min(k, len(tr) - 1)]
+
+    for k in range(steps):
+        pk, qk, _ = at(run_plus.trace, k)
+        pk2, qk2, _ = at(run_minus.trace, k)
+        if pk2 != r_plus * qk.conj() * r_minus.conj() or \
+                qk2 != r_plus * pk.conj() * r_minus.conj():
+            raise AssertionError("stabilization runs are not conjugate at step %d" % k)
+        ps, qs, _ = at(run_star.trace, k)
+        if qs != r_star_top * ps.conj() * r_star_top.conj():
+            raise AssertionError("star stabilization loses conjugation symmetry")
+
+    phi_plus_inf = run_plus.phi_plus_inf
+    phi_minus_inf = run_minus.phi_plus_inf
+    phi_star_inf = run_star.phi_plus_inf
+
+    a_star = r_star_top * phi_star_inf.conj()
+    a_plus = r_plus * phi_plus_inf.conj()
+    a_minus = r_minus * phi_minus_inf.conj()
+
+    # X*, Y* are square (dim M_w = dim M_-w), so with u = X* Y*
+    # X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
+    x_star_inv = norms.y_star * norms.u_inv
+    y_star_inv = norms.u_inv * norms.x_star
+
+    # limit diagram: the stabilized verticals intertwine the two normalized
+    # edge presentations
+    x_lo = m.x_at(-(ell + 1))
+    y_lo = m.y_at(-(ell - 1))
+    x_hi = m.x_at(ell - 1)
+    y_hi = m.y_at(ell + 1)
+    sq = [
+        y_star_inv * x_lo * phi_minus_inf == phi_star_inf * x_lo,
+        x_hi * phi_star_inf == phi_plus_inf * x_hi * norms.x_star,
+        phi_minus_inf * y_lo == y_lo * norms.y_star * phi_star_inf,
+        phi_star_inf * x_star_inv * y_hi == y_hi * phi_plus_inf,
+    ]
+    if not all(sq):
+        raise AssertionError(f"limit diagram does not commute: {sq}")
+
+    q = gelfand_quiver()
+    dims = [0, 0, 0]
+    dims[GELFAND_STAR] = m.dim(-(ell - 1))
+    dims[GELFAND_PLUS] = m.dim(ell + 1)
+    dims[GELFAND_MINUS] = m.dim(-(ell + 1))
+    edges = [None] * 4
+    edges[GELFAND_A_PLUS] = x_star_inv * y_hi
+    edges[GELFAND_A_MINUS] = x_lo
+    edges[GELFAND_B_PLUS] = x_hi * norms.x_star
+    edges[GELFAND_B_MINUS] = y_lo
+    rho = [None] * 3
+    rho[GELFAND_STAR] = a_star
+    rho[GELFAND_PLUS] = a_plus
+    rho[GELFAND_MINUS] = a_minus
+    iterations = max(run_plus.iterations, run_minus.iterations, run_star.iterations)
+    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star, iterations)
+
+
 # ---------------------------------------------------------------- inputs
 
 def block_reps(d, ell, count, seed=3):
@@ -234,6 +316,22 @@ def test_inverse_E_matches_reference(d):
             for tail_weights in (1, 4):
                 assert_same_certificate(inverse_E(v, ell, tail_weights),
                                         ref_inverse_E(v, ell, tail_weights))
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_functor_E_matches_reference(d):
+    """One stabilization per conjugation orbit gives the representation and
+    iteration count of three, on modules where stabilization has work to do."""
+    rng = random.Random(11 + FIELD_TAGS.index(d))
+    iterations = set()
+    for ell in (1, 2, 3):
+        for _ in range(8):
+            m = inverse_E(random_gelfand_rep(rng, max_dim=5, d=d), ell, 1)
+            res, ref = functor_E(m), ref_functor_E(m)
+            assert dump_rep(res.rep) == dump_rep(ref.rep)
+            assert res.iterations == ref.iterations
+            iterations.add(res.iterations)
+    assert max(iterations) >= 2
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS)

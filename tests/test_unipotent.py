@@ -401,6 +401,10 @@ def test_stabilize_matches_eliminating_reference(parity_cases):
         assert res.phi_minus_inf == ref.phi_minus_inf
         assert res.iterations == ref.iterations
         assert res.trace == ref.trace
+        e = prob.defect_exponent()
+        steps = (e - 1).bit_length()
+        assert (res.iterations, [t[2] for t in res.trace]) == \
+            (steps, [-(-e // 2 ** k) for k in range(steps + 1)])
 
 
 def test_sqrt_matches_newton_reference(parity_cases):
