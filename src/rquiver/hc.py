@@ -190,6 +190,23 @@ def validate_hc(m: HCModule) -> ValidationReport:
       (its eigenvalues are (ell + |w| + 1)/2, resp. (|w| - ell - 1)/2 up to
       sign), so rat[w+2] = rat[w].  The constancy check therefore rejects no
       module that a check of every window weight accepts.
+
+    At +-(ell+1) the identities reach one step into the tails, and the same
+    products, 4 Y_{ell+3} X_{ell+1} = phi_+ - (ell+2)^2 and
+    4 X_{-ell-3} Y_{-ell-1} = phi_- - (ell+2)^2 (ell = 0 included), give them
+    from core maps and phi_+- without a square root:
+
+    - the bracket reads ell^2 + 4 X_{ell-1} Y_{ell+1} = phi_+ at ell+1 and
+      ell^2 + 4 Y_{-ell+1} X_{-ell-1} = phi_- at -(ell+1);
+    - C = phi_- at -(ell+1), which "tail-dims" checked, so the Casimir is
+      checked at the other core weights, where it reads core maps only;
+    - the swap at ell+1, rat[ell+3] conj(X_{ell+1}) = Y_{-ell-1} rat[ell+1],
+      is R conj(S_+) = S_- R by tail constancy.  For ell >= 1 that is
+      equivalent to "tail-conjugation" (S = p(phi) one way, S^2 = phi the
+      other), and for ell = 0 it holds trivially (X_1 = Y_{-1} = 1).
+
+    So square roots of phi_+- are taken only to compare stored tail maps
+    with the closed forms.
     """
     checks = []
     ell = m.ell
@@ -254,19 +271,27 @@ def validate_hc(m: HCModule) -> ValidationReport:
     if not ok:
         return ValidationReport(tuple(checks))
 
-    core = [w for w in m.weights() if abs(w) <= ell + 1]
+    top = ell + 1
+    core = [w for w in m.weights() if abs(w) <= top]
+    ident = {w: QuadMatrix.identity(m.dim(w), m.d) for w in core}
+    # 4 X_{w-2} Y_w and 4 Y_{w+2} X_w on M_w; past the core the closed forms
+    # give 4 X_{-ell-3} Y_{-ell-1} = phi_- - (ell+2)^2 and 4 Y_{ell+3} X_{ell+1}
+    # = phi_+ - (ell+2)^2
+    xy = {w: (m.x_at(w - 2) * m.y_at(w)).scale(4) for w in core[1:]}
+    xy[-top] = m.phi_minus - ident[-top].scale(Fraction((ell + 2) ** 2))
+    yx = {w: (m.y_at(w + 2) * m.x_at(w)).scale(4) for w in core[:-1]}
+    yx[top] = m.phi_plus - ident[top].scale(Fraction((ell + 2) ** 2))
+
     ok, wit = True, ""
     for w in core:
-        lhs = (m.x_at(w - 2) * m.y_at(w) - m.y_at(w + 2) * m.x_at(w)).scale(4)
-        if lhs != QuadMatrix.identity(m.dim(w), m.d).scale(Fraction(4 * w)):
+        if xy[w] - yx[w] != ident[w].scale(Fraction(4 * w)):
             ok, wit = False, f"4[X,Y] != 4w at weight {w}"
             break
     checks.append(("bracket", ok, wit))
 
     ok, wit = True, ""
-    for w in core:
-        dev = casimir_matrix(m, w) - QuadMatrix.identity(m.dim(w), m.d).scale(lam)
-        if nilpotency_exponent(dev) is None:
+    for w in core[1:]:  # C = phi_- at -(ell+1), which tail-dims checked
+        if nilpotency_exponent(ident[w].scale(Fraction((w - 1) ** 2) - lam) + xy[w]) is None:
             ok, wit = False, f"(C - ell^2) not nilpotent at weight {w}"
             break
     checks.append(("casimir-nilpotent", ok, wit))
@@ -278,18 +303,21 @@ def validate_hc(m: HCModule) -> ValidationReport:
             break
     checks.append(("rational-cocycle", ok, wit))
 
+    r = m.rat[top]
+    tails_conjugate = m.phi_minus * r == r * m.phi_plus.conj()
     ok, wit = True, ""
     for w in core:
-        lhs = m.rat[w + 2] * m.x_at(w).conj()
-        rhs = m.y_at(-w) * m.rat[w]
-        if lhs != rhs:
+        if w == top:  # R conj(S_+) = S_- R, see the docstring
+            swapped = tails_conjugate or ell == 0
+        else:
+            swapped = m.rat[w + 2] * m.x_at(w).conj() == m.y_at(-w) * m.rat[w]
+        if not swapped:
             ok, wit = False, f"conjugation does not swap X and Y at weight {w}"
             break
     checks.append(("conjugation-swap", ok, wit))
 
     ok, wit = True, ""
-    r = m.rat[ell + 1]
-    if m.phi_minus * r != r * m.phi_plus.conj():
+    if not tails_conjugate:
         ok, wit = False, "tail Casimirs are not conjugate under the rational structure"
     checks.append(("tail-conjugation", ok, wit))
     return ValidationReport(tuple(checks))
@@ -341,6 +369,10 @@ def normalizations(m: HCModule) -> Normalizations:
     T_+- carries the normalization (2^(ell-1) gamma_star)^(-2): the Casimir
     product equals 4^(ell-1) X^(ell-1) Y^(ell-1), whose scalar part is
     4^(ell-1) gamma_star^2, so this is the unique scaling making T = 1 + n.
+    The Casimir on M_{+-(ell+1)} is taken as phi_+-: on a module that
+    validate_hc accepts, C = phi_+ at ell+1 is its bracket there and
+    C = phi_- at -(ell+1) follows from the tail closed forms (see
+    validate_hc), so T_+- needs no square root of the tails.
     """
     ell = m.ell
     if ell < 1:
@@ -354,10 +386,8 @@ def normalizations(m: HCModule) -> Normalizations:
     x_star, y_star = x_star.scale(1 / gamma), y_star.scale(1 / gamma)
     norm = 1 / Fraction(2 ** (ell - 1) * math.factorial(ell - 1)) ** 2
     ts = []
-    for sign in (1, -1):
-        w0 = sign * (ell + 1)
-        c = casimir_matrix(m, w0)
-        ident = QuadMatrix.identity(m.dim(w0), m.d)
+    for c in (m.phi_plus, m.phi_minus):
+        ident = QuadMatrix.identity(c.rows, m.d)
         acc = ident
         for j in range(ell - 1):
             acc = acc * (c - ident.scale(Fraction((ell - 2 - 2 * j) ** 2)))

@@ -47,6 +47,20 @@ sort_keys=True, indent=2) plus a newline.  The other two are written by
 and the --json report of the second has iterations = 2.  They were recorded
 while E still ran three stabilizations, one per vertex.
 
+hc_ext_ell2_d-1_bad_<name>.json is hc_ext_ell2_d-1.json with 1 added to one
+entry, written with json.dump(doc, sort_keys=True, indent=2) plus a newline:
+entry 0 of Y[3] (name y3; it fails bracket at weight 1, casimir-nilpotent at
+3 and conjugation-swap at -3) or entry 1 of the tail Casimir phi_+ (name
+phi_plus; it fails bracket and conjugation-swap at 3 and tail-conjugation).
+Their reports, which exit with status 1, are
+
+    rquiver hc validate --in hc_ext_ell2_d-1_bad_<name>.json
+    rquiver --json hc validate --in hc_ext_ell2_d-1_bad_<name>.json
+
+in hc_ext_ell2_d-1_bad_<name>_validate.txt and .json.  They were recorded
+while validate_hc still took the square roots of phi_+- to evaluate the
+identities at weights +-(ell+1).
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
@@ -126,3 +140,19 @@ def test_hc_extension_E_image_unchanged(tag, d, tmp_path, capsys):
     assert main(["--json", "hc", "to-quiver", "--in", str(module_file), "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["iterations"] == 2
     assert out.read_bytes() == (GOLDEN / f"hc_ext_ell2_{tag}_image.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, section, key, k", [
+    ("y3", "Y", "3", 0),
+    ("phi_plus", "tails", "plus", 1),
+])
+def test_hc_validate_failing_report_unchanged(name, section, key, k, capsys):
+    doc = json.loads((GOLDEN / "hc_ext_ell2_d-1.json").read_text())
+    entry = doc[section][key]["entries"][k]
+    entry[0] += entry[1]
+    module = GOLDEN / f"hc_ext_ell2_d-1_bad_{name}.json"
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == module.read_text()
+    for flags, suffix in (([], "txt"), (["--json"], "json")):
+        assert main([*flags, "hc", "validate", "--in", str(module)]) == 1
+        assert capsys.readouterr().out.encode() == \
+            (GOLDEN / f"hc_ext_ell2_d-1_bad_{name}_validate.{suffix}").read_bytes()

@@ -37,6 +37,7 @@ from rquiver.quiver import (
 )
 from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
 from rquiver.reps import QuiverRep, validate_rep
+from rquiver.unipotent import scaled_sqrt
 
 
 def pp_ext_rep(ell):
@@ -347,6 +348,12 @@ def test_E_then_inverse_E_window_identity_on_fixtures():
             assert_same_certificate(inverse_E(r, ell), m)
 
 
+def test_certificate_compare_rejects_a_mismatch():
+    # conftest.py registers certificate for assert rewriting, so this holds under -O too
+    with pytest.raises(AssertionError):
+        assert_same_certificate(build_example("finite", 1), build_example("principal", 2))
+
+
 def test_public_boundaries_reject_invalid_input():
     m = build_example("finite", 3)
     broken = HCModule(m.ell, m.epsilon, m.window, m.spaces,
@@ -432,6 +439,26 @@ def test_E_stabilizes_once_per_conjugation_orbit(monkeypatch):
         calls.clear()
         roundtrip_hc(v, ell)
         assert calls["stabilize"] == (2 if ell else 0)
+
+
+def test_roundtrip_takes_no_tail_roots(monkeypatch):
+    """A round trip takes the star root of inverse_E (ell >= 1) and no square
+    root of phi_+-: validate_hc and normalizations read phi_+- itself."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["scaled_sqrt"] += 1
+        return scaled_sqrt(*args)
+
+    monkeypatch.setattr(hc, "scaled_sqrt", counted)
+    rng = random.Random(23)
+    cases = [(pp_ext_rep(2), 2), (random_cyclic_rep(rng, max_dim=2), 0)]
+    cases += [(random_gelfand_rep(rng, max_dim=3), ell) for ell in (1, 2, 3, 4)]
+    for v, ell in cases:
+        calls.clear()
+        rt = roundtrip_hc(v, ell)
+        assert calls["scaled_sqrt"] == (1 if ell else 0)
+        assert rt.module._tails == {}
 
 
 def test_roundtrip_random_cyclic():

@@ -7,6 +7,11 @@ only and derives the tail maps from phi_+-; on modules that store the whole
 window both must give the same verdict, including on single-entry mutants of
 a core map, a tail map, a core or tail block of the rational structure, and
 a tail Casimir.
+
+A second reference, ref_rooted_validate_hc, is the validator that evaluated
+the identities at +-(ell+1) through the tail square roots.  The current one
+reads phi_+- there instead, and its reports (names, verdicts and witnesses)
+must equal the reference's on core-only modules and their mutants.
 """
 
 import copy
@@ -133,6 +138,115 @@ def ref_validate_hc(m):
     return ValidationReport(tuple(checks))
 
 
+def ref_rooted_validate_hc(m):
+    """The validator before it read phi_+- at +-(ell+1): the same checks,
+    with the four per-weight identities evaluated on every core weight
+    through x_at / y_at, so that +-(ell+1) take the unipotent square roots
+    of phi_+-."""
+    checks = []
+    ell = m.ell
+
+    ok, wit = True, ""
+    try:
+        ws = m.weights()
+        for name, maps, allowed in (("space", m.spaces, ws), ("X", m.x_maps, ws[:-1]),
+                                    ("Y", m.y_maps, ws[1:]), ("rational structure", m.rat, ws)):
+            stray = [w for w in maps if w not in allowed]
+            if stray:
+                raise ValueError(f"{name} stored at weight {min(stray)}, outside the window")
+        for name, maps, sources, step, in_tail in (("X", m.x_maps, ws[:-1], 2, m.x_in_tail),
+                                                   ("Y", m.y_maps, ws[1:], -2, m.y_in_tail)):
+            for w in sources:
+                f = maps.get(w)
+                if f is None and not in_tail(w):
+                    raise ValueError(f"{name}[{w}] missing")
+                if f is not None and (f.rows, f.cols) != (m.dim(w + step), m.dim(w)):
+                    raise ValueError(f"{name}[{w}] has wrong shape")
+        for w in ws:
+            r = m.rat.get(w)
+            if r is None or (r.rows, r.cols) != (m.dim(-w), m.dim(w)):
+                raise ValueError(f"rational structure at {w} missing or misshapen")
+        for name, phi in (("phi_+", m.phi_plus), ("phi_-", m.phi_minus)):
+            if phi.rows != phi.cols:
+                raise ValueError(f"tail Casimir {name} is not square")
+    except ValueError as exc:
+        ok, wit = False, str(exc)
+    checks.append(("shape", ok, wit))
+    if not ok:
+        return ValidationReport(tuple(checks))
+
+    ok, wit = True, ""
+    dplus = m.phi_plus.rows
+    dminus = m.phi_minus.rows
+    for w in m.weights():
+        if w >= ell + 1 and m.dim(w) != dplus:
+            ok, wit = False, f"tail dimension jump at weight {w}"
+        if w <= -(ell + 1) and m.dim(w) != dminus:
+            ok, wit = False, f"tail dimension jump at weight {w}"
+    lam = Fraction(ell * ell)
+    for phi in (m.phi_plus, m.phi_minus):
+        dev = phi - QuadMatrix.identity(phi.rows, m.d).scale(lam)
+        if nilpotency_exponent(dev) is None:
+            ok, wit = False, "tail Casimir is not lambda + nilpotent"
+    checks.append(("tail-dims", ok, wit))
+    if not ok:
+        return ValidationReport(tuple(checks))
+
+    ok, wit = True, ""
+    for w in m.weights():
+        stored = m.x_maps.get(w)
+        if stored is not None and m.x_in_tail(w) and stored != m._tail_x(w):
+            ok, wit = False, f"X[{w}] disagrees with the tail closed form"
+        stored = m.y_maps.get(w)
+        if stored is not None and m.y_in_tail(w) and stored != m._tail_y(w):
+            ok, wit = False, f"Y[{w}] disagrees with the tail closed form"
+        if abs(w) > ell + 1 and m.rat[w] != m.rat[ell + 1 if w > 0 else -(ell + 1)]:
+            ok, wit = False, f"rational structure at {w} is not constant along the tail"
+    checks.append(("tail-consistency", ok, wit))
+    if not ok:
+        return ValidationReport(tuple(checks))
+
+    core = [w for w in m.weights() if abs(w) <= ell + 1]
+    ok, wit = True, ""
+    for w in core:
+        lhs = (m.x_at(w - 2) * m.y_at(w) - m.y_at(w + 2) * m.x_at(w)).scale(4)
+        if lhs != QuadMatrix.identity(m.dim(w), m.d).scale(Fraction(4 * w)):
+            ok, wit = False, f"4[X,Y] != 4w at weight {w}"
+            break
+    checks.append(("bracket", ok, wit))
+
+    ok, wit = True, ""
+    for w in core:
+        dev = casimir_matrix(m, w) - QuadMatrix.identity(m.dim(w), m.d).scale(lam)
+        if nilpotency_exponent(dev) is None:
+            ok, wit = False, f"(C - ell^2) not nilpotent at weight {w}"
+            break
+    checks.append(("casimir-nilpotent", ok, wit))
+
+    ok, wit = True, ""
+    for w in core:
+        if not (m.rat[-w] * m.rat[w].conj()).is_identity():
+            ok, wit = False, f"rational cocycle fails at weight {w}"
+            break
+    checks.append(("rational-cocycle", ok, wit))
+
+    ok, wit = True, ""
+    for w in core:
+        lhs = m.rat[w + 2] * m.x_at(w).conj()
+        rhs = m.y_at(-w) * m.rat[w]
+        if lhs != rhs:
+            ok, wit = False, f"conjugation does not swap X and Y at weight {w}"
+            break
+    checks.append(("conjugation-swap", ok, wit))
+
+    ok, wit = True, ""
+    r = m.rat[ell + 1]
+    if m.phi_minus * r != r * m.phi_plus.conj():
+        ok, wit = False, "tail Casimirs are not conjugate under the rational structure"
+    checks.append(("tail-conjugation", ok, wit))
+    return ValidationReport(tuple(checks))
+
+
 # ---------------------------------------------------------------- inputs
 
 def in_core(section, w, ell):
@@ -240,6 +354,50 @@ def test_tail_rat_mutant_fails_tail_consistency():
     assert [name for name, _ in report.failures()] == ["tail-consistency"]
 
 
+CORE_MUTATIONS = ("core-map", "core-rat", "phi")
+
+
+def core_modules(d, rng):
+    """inverse_E modules as inverse_E returns them, with the core maps only."""
+    for ell in range(5):
+        make = random_cyclic_rep if ell == 0 else random_gelfand_rep
+        for tail_weights in (1, 2, 3):
+            for _ in range(2):
+                yield inverse_E(make(rng, max_dim=2, d=d), ell, tail_weights)
+
+
+def failed_at_edges(report, ell):
+    """(name, "+" or "-" if its witness names weight +-(ell + 1), else None)
+    for each failed check of report."""
+    for name, ok, wit in report.checks:
+        if not ok:
+            last = wit.rsplit(" ", 1)[-1]
+            w = int(last) if last.lstrip("-").isdigit() else None
+            yield name, {ell + 1: "+", -(ell + 1): "-"}.get(w)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_validate_report_matches_rooted_reference(d):
+    rng = random.Random(40 + FIELD_TAGS.index(d))
+    failed = Counter()
+    for m in core_modules(d, rng):
+        assert validate_hc(m).checks == ref_rooted_validate_hc(m).checks
+        doc = dump_hc(m)
+        for kind in CORE_MUTATIONS:
+            for _ in range(3):
+                bad = mutant(doc, rng, kind)
+                if bad is None:
+                    continue
+                report = validate_hc(load_hc(bad))
+                assert report.checks == ref_rooted_validate_hc(load_hc(bad)).checks, (kind, bad)
+                failed.update(failed_at_edges(report, m.ell))
+    # the weights +-(ell + 1) are where the two validators differ, so they must
+    # be hit (C = phi_- at -(ell + 1), where only tail-dims can fail)
+    assert all(failed[name, "+"] for name in ("bracket", "casimir-nilpotent", "conjugation-swap"))
+    assert all(failed[name, "-"] for name in ("bracket", "conjugation-swap"))
+    assert failed["tail-conjugation", None]
+
+
 # principal ell = 2 has window 11 and odd weights: X at 0 has the wrong parity,
 # X at 11 and Y at -11 leave the window, and 101, 77 and 200 lie outside it
 STRAYS = [("X", "0"), ("X", "11"), ("X", "101"), ("Y", "-11"), ("rational", "77"),
@@ -262,18 +420,25 @@ def test_stray_weight_fails_shape(section, key, tmp_path, capsys):
 
 
 def test_validate_work_is_window_independent(monkeypatch):
-    calls = Counter()
+    """validate_hc multiplies matrices on the core weights and phi_+- only,
+    so a wider window costs no extra products."""
+    products = Counter()
+    mul = QuadMatrix.__mul__
 
-    def counted(m, w):
-        calls[m.window] += 1
-        return casimir_matrix(m, w)
+    def counted(a, b):
+        products[window] += 1
+        return mul(a, b)
 
     v = random_gelfand_rep(random.Random(4), max_dim=2)
     modules = [inverse_E(v, 2, tail_weights) for tail_weights in (1, 8)]
-    monkeypatch.setattr(hc, "casimir_matrix", counted)
+    monkeypatch.setattr(QuadMatrix, "__mul__", counted)
     for m in modules:
+        window = m.window
         assert validate_hc(m).ok
-    assert calls[modules[0].window] == calls[modules[1].window] == 4
+    # 3 + 3 ladder products, 4 for the cocycle, 2 for phi_- R = R conj(phi_+)
+    # and 2 a weight for the swap below ell + 1; this module's Casimir
+    # deviations are zero, so nilpotency_exponent multiplies nothing
+    assert products[modules[0].window] == products[modules[1].window] == 18
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS[:3])
