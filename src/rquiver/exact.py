@@ -19,6 +19,17 @@ column holds sum(p*p'), sum(p*q' + q*p') and sum(q*q') as three separate
 base-2^s digits.  So an entry costs one dot product instead of four; the
 bound on s is stated and proved in ``_product``.
 
+Trivial operands cost no arithmetic: a product with an identity factor is
+the other factor when both carry the same tag object, and a product with an
+empty inner dimension or result is built as the zero matrix; a sum with an
+empty or zero right operand, the scaling of an empty matrix, the Kronecker
+product of two identities and the inverse of an identity are read off the
+same way.  ``_field_tag`` interns the tags it has validated, so matrices over
+one field share one tag object.  Returning an operand is safe because no
+code writes to a matrix's integer lists in place: every operation builds new
+lists, and a matrix may share them with its operands (``conj`` relies on
+this too).
+
 Semilinear maps bundle a matrix with a Galois tag and compose with the
 convention  v |-> matrix . sigma(v),  sigma applied entrywise.
 """
@@ -52,10 +63,24 @@ def is_rational_square(x: Fraction) -> bool:
     return math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q
 
 
+_FIELD_TAGS = {}
+
+
 def _field_tag(d) -> Fraction:
+    """d as a field tag, one shared Fraction per field.  Only int and
+    Fraction inputs (exact types, so no bool) are looked up and stored, by
+    (numerator, denominator); a square d is never stored, so it raises on
+    every call."""
+    kind = type(d)
+    key = (d, 1) if kind is int else (d.numerator, d.denominator) if kind is Fraction else None
+    tag = _FIELD_TAGS.get(key)
+    if tag is not None:
+        return tag
     d = _as_fraction(d)
     if is_rational_square(d):
         raise ValueError(f"d = {d} is a square in Q; not a quadratic extension")
+    if key is not None:
+        _FIELD_TAGS[key] = d
     return d
 
 
@@ -213,9 +238,22 @@ def _matrix(rows: int, cols: int, d: Fraction, D: int, P: list, Q: list,
             P = [x // g for x in P]
             Q = [x // g for x in Q]
     m = object.__new__(QuadMatrix)
-    for slot, value in zip(_MATRIX_SLOTS, (rows, cols, d, D, P, Q, den, None)):
-        slot(m, value)
+    _SET_ROWS(m, rows)
+    _SET_COLS(m, cols)
+    _SET_TAG(m, d)
+    _SET_RADICAND(m, D)
+    _SET_P(m, P)
+    _SET_Q(m, Q)
+    _SET_DEN(m, den)
+    _SET_ENTRIES(m, None)
     return m
+
+
+def _identity(n: int, d: Fraction, D: int) -> "QuadMatrix":
+    """The n x n identity over a validated tag d, with D = dn*dd."""
+    P = [0] * (n * n)
+    P[::n + 1] = [1] * n
+    return _matrix(n, n, d, D, P, [0] * (n * n), 1)
 
 
 def _check_fields(x: "QuadMatrix", y: "QuadMatrix"):
@@ -281,9 +319,7 @@ class QuadMatrix:
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         d = _field_tag(d)
-        P = [0] * (n * n)
-        P[::n + 1] = [1] * n
-        return _matrix(n, n, d, d.numerator * d.denominator, P, [0] * (n * n), 1)
+        return _identity(n, d, d.numerator * d.denominator)
 
     @staticmethod
     def zeros(rows: int, cols: int, d=-1) -> "QuadMatrix":
@@ -318,6 +354,8 @@ class QuadMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {op}")
         _check_fields(self, other)
+        if not self._P or other.is_zero():
+            return self
         den = lcm(self._den, other._den)
         f, g = den // self._den, sign * (den // other._den)
         return _matrix(self.rows, self.cols, self.d, self._D,
@@ -336,11 +374,13 @@ class QuadMatrix:
 
     def scale(self, s) -> "QuadMatrix":
         if isinstance(s, QuadElement):
-            if s.d != self.d and self._P:
+            if s.d is not self.d and s.d != self.d and self._P:
                 raise ValueError(f"mixing fields sqrt({s.d}) and sqrt({self.d})")
             a, b = s.a, s.b / self.d.denominator
         else:
             a, b = _as_fraction(s), _ZERO
+        if not self._P:
+            return self
         # s = (sp + sq*sqrt(D)) / sden
         sden = lcm(a.denominator, b.denominator)
         sp = a.numerator * (sden // a.denominator)
@@ -408,7 +448,8 @@ class QuadMatrix:
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
                 and self._den == other._den and self._P == other._P
-                and self._Q == other._Q and (not self._P or self.d == other.d))
+                and self._Q == other._Q
+                and (not self._P or self.d is other.d or self.d == other.d))
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self._P), tuple(self._Q), self._den))
@@ -435,7 +476,8 @@ class QuadMatrix:
 
 
 _MATRIX_SLOTS = tuple(QuadMatrix.__dict__[s].__set__ for s in QuadMatrix.__slots__)
-_SET_ENTRIES = QuadMatrix.__dict__["_entries"].__set__
+(_SET_ROWS, _SET_COLS, _SET_TAG, _SET_RADICAND, _SET_P, _SET_Q, _SET_DEN,
+ _SET_ENTRIES) = _MATRIX_SLOTS
 
 
 def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
@@ -458,6 +500,14 @@ def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
         raise ValueError(f"shape mismatch {x.rows}x{x.cols} * {y.rows}x{y.cols}")
     _check_fields(x, y)
     k, m = x.cols, y.cols
+    # trivial operands (module docstring): no arithmetic
+    if not (k and x.rows and m):
+        return _matrix(x.rows, m, x.d, x._D, [0] * (x.rows * m), [0] * (x.rows * m), 1)
+    if x.d is y.d:
+        if y.is_identity():
+            return x
+        if x.is_identity():
+            return y
     xs, ys = x._P, y._P
     irrational = any(x._Q) or any(y._Q)
     if irrational:
@@ -488,6 +538,8 @@ def kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
     _check_fields(a, b)
     base = a if a._P or not b._P else b
     D, ac, bc = base._D, a.cols, b.cols
+    if a.is_identity() and b.is_identity():
+        return _identity(ac * bc, base.d, D)
     P, Q = [], []
     for i in range(a.rows):
         ap, aq = a._P[i * ac:(i + 1) * ac], a._Q[i * ac:(i + 1) * ac]
@@ -681,6 +733,8 @@ def solve_unique(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
 def inverse(m: QuadMatrix) -> QuadMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
+    if m.is_identity():
+        return m
     return solve_unique(m, QuadMatrix.identity(m.rows, m.d))
 
 

@@ -9,6 +9,7 @@ of G/H.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 
@@ -39,9 +40,11 @@ class FiniteGroup:
         self.order = n
         self.identity = 0
         self.inverse_table = tuple(inv)
-        self.generators = tuple(generators) if generators is not None else self._minimal_generators()
+        self.generators = tuple(generators) if generators is not None else self.canonical_generators
 
-    def _minimal_generators(self):
+    @cached_property
+    def canonical_generators(self) -> tuple:
+        """The generators FiniteGroup(self.table) picks, found once per group."""
         gens = []
         span = {self.identity}
         for g in range(self.order):

@@ -55,10 +55,11 @@ class RationalQuiver:
         return tuple(self.edges.apply(g, e) for e in path)
 
     def __eq__(self, other):
-        return (isinstance(other, RationalQuiver)
-                and self.vertices == other.vertices and self.edges == other.edges
-                and self.src == other.src and self.tgt == other.tgt
-                and set(map(_rel_key, self.relations)) == set(map(_rel_key, other.relations)))
+        return self is other or (
+            isinstance(other, RationalQuiver)
+            and self.vertices == other.vertices and self.edges == other.edges
+            and self.src == other.src and self.tgt == other.tgt
+            and set(map(_rel_key, self.relations)) == set(map(_rel_key, other.relations)))
 
     def __repr__(self):
         return (f"RationalQuiver(|V|={self.vertices.size}, |E|={self.edges.size}, "
@@ -227,27 +228,32 @@ def adjunction_backward(q_sub: RationalQuiver, sub: Subgroup, q_parent: Rational
 
 # ----------------------------------------------------------------- fixtures
 
+_GELFAND_QUIVER = RationalQuiver(
+    GSet(C2, 3, [[0, 1, 2], [0, 2, 1]]), GSet(C2, 4, [[0, 1, 2, 3], [1, 0, 3, 2]]),
+    src=(1, 2, 0, 0), tgt=(0, 0, 1, 2),  # a+: + -> *, a-: - -> *, b+: * -> +, b-: * -> -
+    relations=(((3, 1), (2, 0)),))  # b- then a-  =  b+ then a+
+
+
 def gelfand_quiver() -> RationalQuiver:
     """Three vertices (0 = star, 1 = plus, 2 = minus), edges a+ a- b+ b-,
-    conjugation swaps the signed data, relation a- b- = a+ b+."""
-    vertices = GSet(C2, 3, [[0, 1, 2], [0, 2, 1]])
-    edges = GSet(C2, 4, [[0, 1, 2, 3], [1, 0, 3, 2]])
-    src = (1, 2, 0, 0)   # a+: + -> star, a-: - -> star, b+: star -> +, b-: star -> -
-    tgt = (0, 0, 1, 2)
-    relations = (((3, 1), (2, 0)),)  # b- then a-  =  b+ then a+
-    return RationalQuiver(vertices, edges, src, tgt, relations)
+    conjugation swaps the signed data, relation a- b- = a+ b+.  Built once at
+    import; every call returns that shared instance, which is never modified."""
+    return _GELFAND_QUIVER
 
 
 GELFAND_STAR, GELFAND_PLUS, GELFAND_MINUS = 0, 1, 2
 GELFAND_A_PLUS, GELFAND_A_MINUS, GELFAND_B_PLUS, GELFAND_B_MINUS = 0, 1, 2, 3
 
 
+_CYCLIC_QUIVER = RationalQuiver(GSet(C2, 2, [[0, 1], [1, 0]]), GSet(C2, 2, [[0, 1], [1, 0]]),
+                                src=(1, 0), tgt=(0, 1))
+
+
 def cyclic_quiver() -> RationalQuiver:
     """Two vertices (0 = plus, 1 = minus), a: - -> +, b: + -> -, conjugation
-    swaps vertices and edges; no relations."""
-    vertices = GSet(C2, 2, [[0, 1], [1, 0]])
-    edges = GSet(C2, 2, [[0, 1], [1, 0]])
-    return RationalQuiver(vertices, edges, src=(1, 0), tgt=(0, 1))
+    swaps vertices and edges; no relations.  Built once at import and shared,
+    like gelfand_quiver()."""
+    return _CYCLIC_QUIVER
 
 
 CYCLIC_PLUS, CYCLIC_MINUS = 0, 1

@@ -393,7 +393,7 @@ def _functor_F(r: QuiverRep, s: EtaleSpecies, conv):
     (F(r), the descent bases u_i of the W_i)."""
     q = r.quiver
     u = _w_basis(r, s, conv)
-    u_inv = [inverse(m) if m.rows else m for m in u]
+    u_inv = [inverse(m) for m in u]
     dims = [u[i].cols for i in range(s.n_indices)]
     rt = sqrt_d(r.d)
     g = q.group

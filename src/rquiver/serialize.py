@@ -104,14 +104,14 @@ def load_group(data) -> FiniteGroup:
 
 
 def dump_gset(x: GSet) -> dict:
-    canonical = FiniteGroup(x.group.table)  # canonical generators
     return {"size": x.size,
-            "action": [list(x.action[g]) for g in canonical.generators]}
+            "action": [list(x.action[g]) for g in x.group.canonical_generators]}
 
 
 @_loader
 def load_gset(data, group: FiniteGroup) -> GSet:
-    canonical = FiniteGroup(group.table)
+    canonical = (group if group.generators == group.canonical_generators
+                 else FiniteGroup(group.table))
     return GSet.from_generator_perms(canonical, int(data["size"]),
                                      [list(p) for p in data["action"]])
 

@@ -103,8 +103,9 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     and u = phi_- phi_+ (module docstring).  The next u is c^2 u, so
     u' - 1 = (u - 1)^2 u^{-1}/4 with u^{-1} invertible and commuting with
     u - 1: the defect exponent goes e -> ceil(e/2).  The loop stops at e = 1
-    (u = 1, so phi_+ phi_- = 1 too), after exactly (e - 1).bit_length() =
-    ceil(log2 e) iterations.
+    after exactly (e - 1).bit_length() = ceil(log2 e) iterations.  e = 1
+    means u - 1 = 0, so phi_- phi_+ = 1 exactly; phi_+ and phi_- are square,
+    so the one-sided inverse is two-sided and phi_+ phi_- = 1 needs no check.
     """
     p, q = problem.phi_plus, problem.phi_minus
     d = p.d
@@ -113,7 +114,7 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     u_inv, e = problem.neumann
     trace = [(p, q, e)]
     iterations = 0
-    while not (e == 1 and p * q == ident):
+    while e != 1:
         if iterations >= MAX_ITERATIONS:
             raise SingularIterate("stabilization did not converge; arithmetic bug")
         c = (ident + u_inv).scale(half)

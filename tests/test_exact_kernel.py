@@ -6,9 +6,12 @@ Both kernels compute the same reduced row echelon form, which is unique, so
 every result must agree exactly, for every field tag.
 """
 
+import json
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from rquiver.exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
+    _field_tag,
     _matrix,
     basis_matrix,
     column_space_basis,
@@ -509,3 +513,202 @@ def test_packed_product_makes_one_multiply_per_term(shape, monkeypatch):
         calls[0] = 0
         x * y
         assert calls[0] == r * c * k, (kx, ky)
+
+
+# ---------------------------------------------------------------- trivial operands
+
+def ref_sum(x: QuadMatrix, y: QuadMatrix, sign: int) -> QuadMatrix:
+    """x + sign*y over the common denominator, with x's tag: the arithmetic
+    that _sum skips for an empty or zero right operand."""
+    den = lcm(x._den, y._den)
+    f, g = den // x._den, sign * (den // y._den)
+    return _matrix(x.rows, x.cols, x.d, x._D, [a * f + b * g for a, b in zip(x._P, y._P)],
+                   [a * f + b * g for a, b in zip(x._Q, y._Q)], den)
+
+
+def ref_scale(m: QuadMatrix, s) -> QuadMatrix:
+    """s*m entry by entry, with m's tag: the arithmetic that scale skips for
+    an empty matrix."""
+    a, b = (s.a, s.b / m.d.denominator) if isinstance(s, QuadElement) else (Fraction(s), 0)
+    sden = lcm(a.denominator, Fraction(b).denominator)
+    sp, sq = a * sden, Fraction(b) * sden
+    assert sp.denominator == sq.denominator == 1
+    sp, sq = sp.numerator, sq.numerator
+    return _matrix(m.rows, m.cols, m.d, m._D, [sp * x + m._D * sq * y for x, y in zip(m._P, m._Q)],
+                   [sp * y + sq * x for x, y in zip(m._P, m._Q)], m._den * sden)
+
+
+def ref_kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
+    """a (x) b entry by entry, with the tag of the nonempty factor (a's when
+    both are nonempty or both empty): the arithmetic that kron skips for two
+    identities."""
+    base = a if a._P or not b._P else b
+    P, Q = [], []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                x, y = a._P[i * a.cols + j], a._Q[i * a.cols + j]
+                for c in range(b.cols):
+                    u, z = b._P[k * b.cols + c], b._Q[k * b.cols + c]
+                    P.append(x * u + base._D * y * z)
+                    Q.append(x * z + y * u)
+    return _matrix(a.rows * b.rows, a.cols * b.cols, base.d, base._D, P, Q, a._den * b._den)
+
+
+def assert_same_matrix(got: QuadMatrix, want: QuadMatrix, same_tag_object=True):
+    """Equal integer arrays, denominator and tag; by default the tag must be
+    the very object the full computation used."""
+    assert (got.rows, got.cols, got._P, got._Q, got._den, got._D, got.d) == \
+        (want.rows, want.cols, want._P, want._Q, want._den, want._D, want.d)
+    if same_tag_object:
+        assert got.d is want.d
+
+
+def trivial_pool(rng, d) -> list:
+    """Identities, zeros, empties and general matrices over tag d, each both
+    with the interned tag and with a fresh Fraction equal to it, plus empty
+    matrices over another field."""
+    other = Fraction(3) if Fraction(d) != 3 else Fraction(5)
+    pool = []
+    for fresh in (False, True):
+        tag = Fraction(d) if fresh else _field_tag(d)
+        assert (tag is _field_tag(d)) != fresh
+
+        def make(rows, cols, P, Q=None, den=1):
+            n = rows * cols
+            return _matrix(rows, cols, tag, tag.numerator * tag.denominator,
+                           list(P), list(Q) if Q else [0] * n, den)
+
+        for n in range(4):
+            ident = QuadMatrix.identity(n, d)
+            pool.append(make(n, n, ident._P))
+            pool.append(make(n, n, [0] * (n * n)))
+        for r, c in ((0, 2), (2, 0), (0, 3), (3, 0)):
+            pool.append(make(r, c, []))
+        for r, c in ((2, 2), (2, 3), (3, 2), (3, 3), (1, 3)):
+            g = random_integer_matrix(rng, r, c, d, rng.choice(KINDS[:2]), 20)
+            pool.append(make(r, c, g._P, g._Q, g._den))
+    for r, c in ((0, 0), (0, 2), (2, 0), (0, 3), (3, 0)):
+        pool.append(QuadMatrix.zeros(r, c, other))
+    return pool
+
+
+def compatible(x: QuadMatrix, y: QuadMatrix) -> bool:
+    return x.d == y.d or not x._P or not y._P
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_trivial_products_match_full_computation(d):
+    rng = random.Random(f"trivial product {d}")
+    pool = trivial_pool(rng, d)
+    shortcuts = 0
+    for x in pool:
+        for y in pool:
+            if x.cols != y.rows or not compatible(x, y):
+                continue
+            got = x * y
+            assert_same_matrix(got, ref_product(x, y))
+            if x.d is y.d and (x.is_identity() or y.is_identity()) and got._P:
+                assert got is (y if x.is_identity() else x)
+                shortcuts += 1
+            elif x.is_identity() and x.rows and x.d is not y.d:
+                assert got is not y
+    assert shortcuts > 20
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_trivial_sums_match_full_computation(d):
+    rng = random.Random(f"trivial sum {d}")
+    pool = trivial_pool(rng, d)
+    shortcuts = 0
+    for x in pool:
+        for y in pool:
+            if (x.rows, x.cols) != (y.rows, y.cols) or not compatible(x, y):
+                continue
+            for sign, got in ((1, x + y), (-1, x - y)):
+                assert_same_matrix(got, ref_sum(x, y, sign))
+                if not x._P or y.is_zero():
+                    assert got is x
+                    shortcuts += 1
+    assert shortcuts > 20
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_trivial_scales_and_krons_match_full_computation(d):
+    rng = random.Random(f"trivial scale {d}")
+    pool = trivial_pool(rng, d)
+    other = Fraction(3) if Fraction(d) != 3 else Fraction(5)
+    scalars = (0, 1, -2, Fraction(-3, 4), QuadElement(Fraction(1, 2), 3, d),
+               QuadElement(0, Fraction(-2, 3), d))
+    for m in pool:
+        for s in scalars + ((QuadElement(1, 1, other),) if not m._P else ()):
+            got = m.scale(s)
+            assert_same_matrix(got, ref_scale(m, s))
+            assert (got is m) == (not m._P)
+        with pytest.raises(TypeError):
+            m.scale(1.5)
+    identities = 0
+    for a in pool:
+        for b in pool:
+            if compatible(a, b) and a.rows * a.cols * b.rows * b.cols <= 81:
+                assert_same_matrix(kron(a, b), ref_kron(a, b))
+                identities += a.is_identity() and b.is_identity()
+    assert identities > 20
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_inverse_of_identity_matches_elimination(d):
+    for n in range(4):
+        for ident in (QuadMatrix.identity(n, d), integer_matrix(n, n, d, QuadMatrix.identity(n)._P,
+                                                                [0] * (n * n))):
+            got = inverse(ident)
+            assert got is ident
+            assert_same_matrix(got, solve_unique(ident, QuadMatrix.identity(n, d)),
+                               same_tag_object=False)
+
+
+def test_field_tags_are_interned_and_checked():
+    assert _field_tag(-1) is _field_tag(Fraction(-1)) is QuadMatrix.identity(2).d
+    assert _field_tag(Fraction(-5, 3)) is QuadElement(1, 0, Fraction(-5, 3)).d
+    for d in FIELD_TAGS:
+        fresh = Fraction(d.numerator, d.denominator)
+        assert _field_tag(fresh) is _field_tag(d) and _field_tag(fresh) is not fresh
+    for square in (4, Fraction(9, 4), 0, 1):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is a square in Q"):
+                _field_tag(square)
+    for bad, exc in ((-1.0, TypeError), (True, ValueError), (False, ValueError), ("2", TypeError)):
+        with pytest.raises(exc):
+            _field_tag(bad)
+        with pytest.raises(exc):
+            QuadMatrix.identity(1, bad)
+    assert type(_field_tag(-1)) is Fraction
+
+    class Tag(Fraction):
+        pass
+
+    # only exact int and Fraction inputs are interned
+    tag = Tag(-7, 11)
+    assert _field_tag(tag) is tag
+    assert type(_field_tag(Fraction(-7, 11))) is Fraction
+
+
+def test_roundtrip_multiply_count(monkeypatch):
+    """roundtrip_hc of the golden Jordan-block extension rep at ell = 2 makes
+    1404 integer multiplies through exact.mul (3186 before products with an
+    identity or empty operand were skipped)."""
+    import rquiver.exact as exact
+    from rquiver.hc import roundtrip_hc
+    from rquiver.serialize import load_rep
+
+    calls = [0]
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return a * b
+
+    golden = Path(__file__).parent / "golden" / "hc_ext_rep_d-1.json"
+    rep = load_rep(json.loads(golden.read_text()))
+    monkeypatch.setattr(exact, "mul", counting_mul)
+    roundtrip_hc(rep, 2)
+    assert calls[0] == 1404
