@@ -22,8 +22,7 @@ bound on s is stated and proved in ``_product``.
 Trivial operands cost no arithmetic: a product with an identity factor is
 the other factor when both carry the same tag object, and a product with an
 empty inner dimension or result is built as the zero matrix; a sum with an
-empty or zero right operand, the scaling of an empty matrix, the Kronecker
-product of two identities and the inverse of an identity are read off the
+empty or zero right operand and the inverse of an identity are read off the
 same way.  ``_field_tag`` interns the tags it has validated, so matrices over
 one field share one tag object.  Returning an operand is safe because no
 code writes to a matrix's integer lists in place: every operation builds new
@@ -64,13 +63,15 @@ def is_rational_square(x: Fraction) -> bool:
 
 
 _FIELD_TAGS = {}
+_MAX_FIELD_TAGS = 64
 
 
 def _field_tag(d) -> Fraction:
     """d as a field tag, one shared Fraction per field.  Only int and
     Fraction inputs (exact types, so no bool) are looked up and stored, by
     (numerator, denominator); a square d is never stored, so it raises on
-    every call."""
+    every call.  At most _MAX_FIELD_TAGS tags are stored; past that a tag is
+    validated but not shared, which only costs the identity shortcuts."""
     kind = type(d)
     key = (d, 1) if kind is int else (d.numerator, d.denominator) if kind is Fraction else None
     tag = _FIELD_TAGS.get(key)
@@ -79,7 +80,7 @@ def _field_tag(d) -> Fraction:
     d = _as_fraction(d)
     if is_rational_square(d):
         raise ValueError(f"d = {d} is a square in Q; not a quadratic extension")
-    if key is not None:
+    if key is not None and len(_FIELD_TAGS) < _MAX_FIELD_TAGS:
         _FIELD_TAGS[key] = d
     return d
 
@@ -249,13 +250,6 @@ def _matrix(rows: int, cols: int, d: Fraction, D: int, P: list, Q: list,
     return m
 
 
-def _identity(n: int, d: Fraction, D: int) -> "QuadMatrix":
-    """The n x n identity over a validated tag d, with D = dn*dd."""
-    P = [0] * (n * n)
-    P[::n + 1] = [1] * n
-    return _matrix(n, n, d, D, P, [0] * (n * n), 1)
-
-
 def _check_fields(x: "QuadMatrix", y: "QuadMatrix"):
     if x.d is not y.d and x.d != y.d and x._P and y._P:
         raise ValueError(f"mixing fields sqrt({x.d}) and sqrt({y.d})")
@@ -292,11 +286,14 @@ class QuadMatrix:
         bvals = [e.b if dd == 1 else e.b / dd for e in entries]
         den = lcm(*(x.denominator for x in avals), *(x.denominator for x in bvals))
         # den is the lcm of reduced denominators, so the form is canonical
-        for slot, value in zip(_MATRIX_SLOTS, (
-                rows, cols, d, d.numerator * dd,
-                [x.numerator * (den // x.denominator) for x in avals],
-                [x.numerator * (den // x.denominator) for x in bvals], den, None)):
-            slot(self, value)
+        _SET_ROWS(self, rows)
+        _SET_COLS(self, cols)
+        _SET_TAG(self, d)
+        _SET_RADICAND(self, d.numerator * dd)
+        _SET_P(self, [x.numerator * (den // x.denominator) for x in avals])
+        _SET_Q(self, [x.numerator * (den // x.denominator) for x in bvals])
+        _SET_DEN(self, den)
+        _SET_ENTRIES(self, None)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadMatrix is immutable")
@@ -319,7 +316,9 @@ class QuadMatrix:
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         d = _field_tag(d)
-        return _identity(n, d, d.numerator * d.denominator)
+        P = [0] * (n * n)
+        P[::n + 1] = [1] * n
+        return _matrix(n, n, d, d.numerator * d.denominator, P, [0] * (n * n), 1)
 
     @staticmethod
     def zeros(rows: int, cols: int, d=-1) -> "QuadMatrix":
@@ -379,8 +378,6 @@ class QuadMatrix:
             a, b = s.a, s.b / self.d.denominator
         else:
             a, b = _as_fraction(s), _ZERO
-        if not self._P:
-            return self
         # s = (sp + sq*sqrt(D)) / sden
         sden = lcm(a.denominator, b.denominator)
         sp = a.numerator * (sden // a.denominator)
@@ -475,9 +472,8 @@ class QuadMatrix:
         return _matrix(self.rows, c1 + c2, base.d, base._D, P, Q, den)
 
 
-_MATRIX_SLOTS = tuple(QuadMatrix.__dict__[s].__set__ for s in QuadMatrix.__slots__)
 (_SET_ROWS, _SET_COLS, _SET_TAG, _SET_RADICAND, _SET_P, _SET_Q, _SET_DEN,
- _SET_ENTRIES) = _MATRIX_SLOTS
+ _SET_ENTRIES) = (QuadMatrix.__dict__[s].__set__ for s in QuadMatrix.__slots__)
 
 
 def _product(x: QuadMatrix, y: QuadMatrix) -> QuadMatrix:
@@ -538,8 +534,6 @@ def kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
     _check_fields(a, b)
     base = a if a._P or not b._P else b
     D, ac, bc = base._D, a.cols, b.cols
-    if a.is_identity() and b.is_identity():
-        return _identity(ac * bc, base.d, D)
     P, Q = [], []
     for i in range(a.rows):
         ap, aq = a._P[i * ac:(i + 1) * ac], a._Q[i * ac:(i + 1) * ac]

@@ -110,9 +110,9 @@ def dump_gset(x: GSet) -> dict:
 
 @_loader
 def load_gset(data, group: FiniteGroup) -> GSet:
-    canonical = (group if group.generators == group.canonical_generators
-                 else FiniteGroup(group.table))
-    return GSet.from_generator_perms(canonical, int(data["size"]),
+    """The action is listed per canonical generator, which are group's
+    generators when group comes from load_group."""
+    return GSet.from_generator_perms(group, int(data["size"]),
                                      [list(p) for p in data["action"]])
 
 

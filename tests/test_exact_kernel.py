@@ -526,35 +526,6 @@ def ref_sum(x: QuadMatrix, y: QuadMatrix, sign: int) -> QuadMatrix:
                    [a * f + b * g for a, b in zip(x._Q, y._Q)], den)
 
 
-def ref_scale(m: QuadMatrix, s) -> QuadMatrix:
-    """s*m entry by entry, with m's tag: the arithmetic that scale skips for
-    an empty matrix."""
-    a, b = (s.a, s.b / m.d.denominator) if isinstance(s, QuadElement) else (Fraction(s), 0)
-    sden = lcm(a.denominator, Fraction(b).denominator)
-    sp, sq = a * sden, Fraction(b) * sden
-    assert sp.denominator == sq.denominator == 1
-    sp, sq = sp.numerator, sq.numerator
-    return _matrix(m.rows, m.cols, m.d, m._D, [sp * x + m._D * sq * y for x, y in zip(m._P, m._Q)],
-                   [sp * y + sq * x for x, y in zip(m._P, m._Q)], m._den * sden)
-
-
-def ref_kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
-    """a (x) b entry by entry, with the tag of the nonempty factor (a's when
-    both are nonempty or both empty): the arithmetic that kron skips for two
-    identities."""
-    base = a if a._P or not b._P else b
-    P, Q = [], []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                x, y = a._P[i * a.cols + j], a._Q[i * a.cols + j]
-                for c in range(b.cols):
-                    u, z = b._P[k * b.cols + c], b._Q[k * b.cols + c]
-                    P.append(x * u + base._D * y * z)
-                    Q.append(x * z + y * u)
-    return _matrix(a.rows * b.rows, a.cols * b.cols, base.d, base._D, P, Q, a._den * b._den)
-
-
 def assert_same_matrix(got: QuadMatrix, want: QuadMatrix, same_tag_object=True):
     """Equal integer arrays, denominator and tag; by default the tag must be
     the very object the full computation used."""
@@ -634,29 +605,6 @@ def test_trivial_sums_match_full_computation(d):
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS)
-def test_trivial_scales_and_krons_match_full_computation(d):
-    rng = random.Random(f"trivial scale {d}")
-    pool = trivial_pool(rng, d)
-    other = Fraction(3) if Fraction(d) != 3 else Fraction(5)
-    scalars = (0, 1, -2, Fraction(-3, 4), QuadElement(Fraction(1, 2), 3, d),
-               QuadElement(0, Fraction(-2, 3), d))
-    for m in pool:
-        for s in scalars + ((QuadElement(1, 1, other),) if not m._P else ()):
-            got = m.scale(s)
-            assert_same_matrix(got, ref_scale(m, s))
-            assert (got is m) == (not m._P)
-        with pytest.raises(TypeError):
-            m.scale(1.5)
-    identities = 0
-    for a in pool:
-        for b in pool:
-            if compatible(a, b) and a.rows * a.cols * b.rows * b.cols <= 81:
-                assert_same_matrix(kron(a, b), ref_kron(a, b))
-                identities += a.is_identity() and b.is_identity()
-    assert identities > 20
-
-
-@pytest.mark.parametrize("d", FIELD_TAGS)
 def test_inverse_of_identity_matches_elimination(d):
     for n in range(4):
         for ident in (QuadMatrix.identity(n, d), integer_matrix(n, n, d, QuadMatrix.identity(n)._P,
@@ -691,6 +639,23 @@ def test_field_tags_are_interned_and_checked():
     tag = Tag(-7, 11)
     assert _field_tag(tag) is tag
     assert type(_field_tag(Fraction(-7, 11))) is Fraction
+
+
+def test_field_tag_store_is_bounded(monkeypatch):
+    import rquiver.exact as exact
+
+    monkeypatch.setattr(exact, "_FIELD_TAGS", {})
+    tags = [_field_tag(-n) for n in range(1, 2 * exact._MAX_FIELD_TAGS)]
+    assert len(exact._FIELD_TAGS) == exact._MAX_FIELD_TAGS
+    assert all(_field_tag(-n) is tags[n - 1] for n in range(1, exact._MAX_FIELD_TAGS + 1))
+    # past the bound a tag is still checked and equal, only not shared
+    late = -2 * exact._MAX_FIELD_TAGS + 1
+    assert _field_tag(late) == late and _field_tag(late) is not _field_tag(late)
+    with pytest.raises(ValueError, match="is a square in Q"):
+        _field_tag(4 * exact._MAX_FIELD_TAGS ** 2)
+    assert len(exact._FIELD_TAGS) == exact._MAX_FIELD_TAGS
+    x = QuadMatrix.identity(2, late)
+    assert_same_matrix(x * x, ref_product(x, x), same_tag_object=False)
 
 
 def test_roundtrip_multiply_count(monkeypatch):
