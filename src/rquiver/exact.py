@@ -255,6 +255,13 @@ def _check_fields(x: "QuadMatrix", y: "QuadMatrix"):
         raise ValueError(f"mixing fields sqrt({x.d}) and sqrt({y.d})")
 
 
+def _check_field(m: "QuadMatrix", d: Fraction, what: str):
+    """Raise ValueError if m has entries and lives over a field other than
+    Q(sqrt(d)); d is a field tag, so the test is one tag comparison."""
+    if m.d is not d and m.d != d and m._P:
+        raise ValueError(f"{what} is over sqrt({m.d}), not sqrt({d})")
+
+
 class QuadMatrix:
     """Dense matrix over Q(sqrt(d)), row-major, supporting 0-dimensional shapes.
 

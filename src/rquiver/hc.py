@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, nilpotency_exponent, rank
+from .exact import QuadElement, QuadMatrix, _check_field, _field_tag, \
+    nilpotency_exponent, rank
 from .gsets import C2, GSet
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
@@ -68,8 +69,14 @@ class HCModule:
         self.rat = dict(rat)
         self.phi_plus = phi_plus
         self.phi_minus = phi_minus
-        self.d = Fraction(d)
+        self.d = _field_tag(d)
         self._tails = {}
+        for name, maps in (("X", self.x_maps), ("Y", self.y_maps),
+                           ("rational structure", self.rat)):
+            for w, m in maps.items():
+                _check_field(m, self.d, f"{name}[{w}]")
+        _check_field(phi_plus, self.d, "tail Casimir phi_+")
+        _check_field(phi_minus, self.d, "tail Casimir phi_-")
         if self.ell < 0:
             raise ValueError("ell must be a nonnegative integer")
         if self.epsilon not in (0, 1) or (self.epsilon - self.ell - 1) % 2:
@@ -499,9 +506,64 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
 
     Raises ValueError on an invalid representation (a broken Gelfand
     relation is one: validate_rep checks the relation literally) or a quiver
-    that does not match ell.  The module is validated once (validate_hc) and
-    returned as it was validated: it stores the core ladder maps only, and
-    x_at / y_at derive the tail maps from phi_+-.
+    that does not match ell.  The module is returned without validate_hc: it
+    passes every check of validate_hc whenever v passes validate_rep, as
+    follows.  It stores the core ladder maps only, and x_at / y_at derive the
+    tail maps from phi_+-.
+
+    ell >= 1.  Write a_+-: +- -> star and b_+-: star -> +- for the edge maps,
+    rho_v for the rational structure, n = a_+ b_+ and s = scaled_sqrt(ell^2 +
+    4n, ell).  The module has X_{-ell-1} = a_-, Y_{ell+1} = a_+,
+    X_{ell-1} = b_+, Y_{-ell+1} = b_-, 2X_w = s + w + 1 and
+    2Y_{w+2} = s - w - 1 for -(ell-1) <= w <= ell-3, rat[w] = rho_v for v the
+    vertex of w (+ for w >= ell+1, - for w <= -(ell+1), star between),
+    phi_+ = ell^2 + 4 b_+ a_+ and phi_- = ell^2 + 4 b_- a_-.
+    s = ell sum_j binom(1/2, j) (4n/ell^2)^j is a polynomial in n with
+    rational coefficients, and s^2 = ell^2 + 4n (unipotent_sqrt checks it).
+    - shape, tail-consistency and the dimensions of tail-dims hold by
+      construction: the maps stored are exactly the core ones, each with the
+      shape of its edge or of star; QuiverRep gives rho_v the shape
+      dim(cv) x dim(v), and the vertex of -w is c(vertex of w); nothing is
+      stored on the tails, and rat is constant along them.
+    - bracket: at +-(ell+1) validate_hc compares phi_+- with
+      ell^2 + 4 b_+- a_+-, which is how phi_+- is defined.  At a star weight
+      w, 4 X_{w-2} Y_w = s^2 - (w-1)^2 and 4 Y_{w+2} X_w = s^2 - (w+1)^2
+      (products of polynomials in s), except that 4 X_{-ell-1} Y_{-ell+1} =
+      4 a_- b_- at w = -(ell-1) and 4 Y_{ell+1} X_{ell-1} = 4 a_+ b_+ at
+      w = ell-1, where (w -+ 1)^2 = ell^2 and s^2 - ell^2 = 4n.  Since
+      a_+ b_+ = n, and a_- b_- = n by "relations-literal", the two formulas
+      hold at every star weight, and their difference is 4w.
+    - casimir-nilpotent and the nilpotency of tail-dims: "nilpotent" makes
+      the cycles n, b_+ a_+ and b_- a_- nilpotent.  phi_+- - ell^2 =
+      4 b_+- a_+-, and C - ell^2 is 4 b_+ a_+ at ell+1 and, by the formulas
+      above, s^2 - ell^2 = 4n at every star weight.
+    - rational-cocycle at w is rho_{cv} conj(rho_v) = 1 for v the vertex of
+      w, which is "cocycle".
+    - conjugation-swap and tail-conjugation: "edge-equivariance" at a_- and
+      at b_+ reads a_+ rho_- = rho_star conj(a_-) and
+      b_- rho_star = rho_+ conj(b_+), the swaps at -(ell+1) and at ell-1; at
+      a_+ it reads a_- rho_+ = rho_star conj(a_+).  So
+      rho_+ conj(b_+ a_+) = b_- rho_star conj(a_+) = b_- a_- rho_+, that is
+      phi_- rho_+ = rho_+ conj(phi_+) ("tail-conjugation", which is also the
+      swap at ell+1), and rho_star conj(n) = a_- rho_+ conj(b_+) =
+      a_- b_- rho_star = n rho_star by the relation.  s is a polynomial in n
+      with rational coefficients, so rho_star conj(s) = s rho_star, which is
+      the swap 2 rho_star conj(X_w) = (s + w + 1) rho_star = 2 Y_{-w} rho_star
+      at -(ell-1) <= w <= ell-3.
+    ell = 0.  Write a: - -> + and b: + -> - for the cyclic edges.  The module
+    has X_{-1} = a, Y_1 = b, rat[w] = rho_+ for w >= 1 and rho_- for w <= -1,
+    phi_+ = 4ab and phi_- = 4ba; the cyclic quiver has no relation.
+    - shape, tail-consistency and the dimensions of tail-dims hold by
+      construction, as above.
+    - bracket at +-1 compares phi_+ with 4ab and phi_- with 4ba, which is
+      how they are defined; casimir-nilpotent (at w = 1) and tail-dims ask
+      that 4ab and 4ba be nilpotent, which "nilpotent" gives.
+    - rational-cocycle is "cocycle", as above.
+    - conjugation-swap at -1 is "edge-equivariance" of a,
+      b rho_- = rho_+ conj(a), and validate_hc needs no swap at 1 for
+      ell = 0.  With the equivariance of b, a rho_+ = rho_- conj(b), it gives
+      rho_+ conj(ab) = b rho_- conj(b) = ba rho_+, which is
+      "tail-conjugation".
     """
     report = validate_rep(v)
     if not report.ok:
@@ -541,15 +603,11 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
 
     n_window = ell + 1 + 2 * tail_weights
     weights = range(-n_window, n_window + 1, 2)
-    out = HCModule(ell, (ell + 1) % 2, n_window,
-                   {w: v.dims[owner(w)] for w in weights}, x_maps, y_maps,
-                   {w: v.rho[owner(w)] for w in weights},
-                   phi(x_maps[ell - 1] * y_maps[ell + 1]),
-                   phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
-    report = validate_hc(out)
-    if not report.ok:
-        raise AssertionError(f"construction bug: {report.failures()}")
-    return out
+    return HCModule(ell, (ell + 1) % 2, n_window,
+                    {w: v.dims[owner(w)] for w in weights}, x_maps, y_maps,
+                    {w: v.rho[owner(w)] for w in weights},
+                    phi(x_maps[ell - 1] * y_maps[ell + 1]),
+                    phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
 
 
 @dataclass(frozen=True)
@@ -570,12 +628,13 @@ def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
     and is_morphism); if it fails, that is a construction bug and
     AssertionError is raised.
 
-    The built module is validated once, by inverse_E; E is applied to it
-    without validating it or its image again, and the witness reuses the
-    normalizations E computed.  The image needs no validate_rep: a verified
-    witness is an isomorphism onto v, which inverse_E validated, and the
-    cocycle, edge-equivariance, the relations and nilpotency all carry over
-    along an isomorphism of rational representations.
+    inverse_E validates v and returns a module that is valid by the proof in
+    its docstring; E is applied to it without validating it or its image,
+    and the witness reuses the normalizations E computed.  The image needs
+    no validate_rep: a verified witness is an isomorphism onto v, which
+    inverse_E validated, and the cocycle, edge-equivariance, the relations
+    and nilpotency all carry over along an isomorphism of rational
+    representations.
     """
     module = inverse_E(v, ell)
     result, norms = _functor_E(module)

@@ -42,6 +42,13 @@ class RationalQuiver:
         self.src = src
         self.tgt = tgt
         self.relations = tuple((tuple(p), tuple(q)) for p, q in relations)
+        for path in (path for rel in self.relations for path in rel):
+            if not path:
+                raise ValueError("relation paths must be nonempty")
+            for e in path:
+                if not 0 <= e < edges.size:
+                    raise ValueError(f"relation path {list(path)} names edge {e}, "
+                                     f"outside 0..{edges.size - 1}")
 
     def path_endpoints(self, path):
         if not path:

@@ -28,6 +28,8 @@ from .exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
+    _check_field,
+    _field_tag,
     block_matrix,
     column_space_basis,
     descended_kernel,
@@ -52,7 +54,7 @@ class QuiverRep:
         if quiver.group.order > 2:
             raise NotQuadratic("representations are implemented for |G| <= 2")
         self.quiver = quiver
-        self.d = Fraction(d)
+        self.d = _field_tag(d)
         self.dims = tuple(dims)
         if len(self.dims) != quiver.vertices.size:
             raise ValueError("one dimension per vertex required")
@@ -62,6 +64,7 @@ class QuiverRep:
         for e, m in enumerate(self.edge_maps):
             if (m.rows, m.cols) != (self.dims[quiver.tgt[e]], self.dims[quiver.src[e]]):
                 raise ValueError(f"edge matrix {e} has wrong shape")
+            _check_field(m, self.d, f"edge matrix {e}")
         if quiver.group.order == 2:
             if rho is None:
                 raise ValueError("rational structure required over a quadratic group")
@@ -70,6 +73,7 @@ class QuiverRep:
                 cv = quiver.vertices.apply(1, v)
                 if (m.rows, m.cols) != (self.dims[cv], self.dims[v]):
                     raise ValueError(f"semilinear matrix at vertex {v} has wrong shape")
+                _check_field(m, self.d, f"semilinear matrix at vertex {v}")
         else:
             self.rho = None
 
@@ -110,7 +114,7 @@ class SpeciesRep:
         if not species.is_quadratic():
             raise NotQuadratic("species representations need a quadratic group")
         self.species = species
-        self.d = Fraction(d)
+        self.d = _field_tag(d)
         self.dims = tuple(dims)
         if len(self.dims) != species.n_indices:
             raise ValueError("one dimension per species index required")
@@ -124,6 +128,7 @@ class SpeciesRep:
                 cols = summand_domain_cols(species, i, j, summand, self.dims[i])
                 if (m.rows, m.cols) != (self.dims[j], cols):
                     raise ValueError(f"summand matrix at ({i},{j}) has wrong shape")
+                _check_field(m, self.d, f"summand matrix at ({i},{j})")
                 if species.realized_field(j) == "K" and not m.is_rational():
                     raise ValueError(f"matrix over K at ({i},{j}) must be rational")
             if mats:
@@ -305,13 +310,19 @@ def is_morphism(m: QuiverRep, n: QuiverRep, mats) -> bool:
 
 
 def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
-    """Search for an invertible rational morphism a -> b; None if absent.
+    """Search for an invertible rational morphism a -> b; None if none is
+    found.
 
-    Witnesses are verified exactly.  Absence is decided by dimension data and
-    a seeded large-coefficient search over the Hom space (an isomorphism, if
-    one exists, is a generic element of Hom, so the search misses it only on
-    a measure-zero set of draws).  Raises ValueError when the rational
-    structure of a or b breaks the cocycle, as hom_space does.
+    Witnesses are verified exactly.  Absence is proved only by dimension
+    data or by Hom = 0.  Otherwise the K-basis of Hom is tried, then `tries`
+    seeded combinations sum_i c_i B_i with each c_i drawn from [1, 10^6].
+    The product over the vertices of det(sum_i c_i B_i[v]) is a polynomial
+    in the c_i of degree at most sum(dims), and it is nonzero when an
+    isomorphism exists.  So by Schwartz-Zippel (Schwartz 1980, Zippel 1979)
+    one draw misses an existing isomorphism with probability at most
+    sum(dims) / 10^6.  None after the search therefore means "not found",
+    not a proof that a and b are not isomorphic.  Raises ValueError when the
+    rational structure of a or b breaks the cocycle, as hom_space does.
     """
     import random as _random
 

@@ -88,6 +88,29 @@ def test_group_without_identity_zero_exit_code(tmp_path, capsys):
         assert "element 0 must be the identity" in lines[0]
 
 
+@pytest.mark.parametrize("relations, message", [
+    ([[[0], [99]]], "relation path [99] names edge 99, outside 0..3"),
+    ([[[], [0]]], "relation paths must be nonempty"),
+])
+def test_malformed_relation_path_exit_code(tmp_path, capsys, relations, message):
+    """A relation path naming an edge the quiver lacks, or an empty one, is
+    malformed input for every loader of a quiver: exit 2 with one parse error
+    line, not a traceback or a usage error."""
+    rep = io.dump_rep(random_gelfand_rep(random.Random(5), max_dim=2))
+    rep["quiver"]["relations"] = relations
+    quiver = write(tmp_path, "q.json", rep["quiver"])
+    rep = write(tmp_path, "rep.json", rep)
+    for argv in (["quiver", "validate", "--in", quiver],
+                 ["rep", "validate", "--in", rep],
+                 ["hc", "from-quiver", "--in", rep, "--ell", "2",
+                  "--out", str(tmp_path / "out.json")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: malformed input to load_quiver: "
+                                f"ValueError: {message}\n")
+
+
 def test_stabilization_file_with_tau_loads():
     """Files written with the old "tau" key still load; the key is ignored."""
     from rquiver.exact import QuadMatrix

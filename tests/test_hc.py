@@ -391,30 +391,23 @@ def test_roundtrip_random_gelfand():
         assert rt.path.startswith("constructive")
 
 
-def test_roundtrip_validates_each_module_once(monkeypatch):
-    calls = Counter()
+def test_module_field_is_checked_at_construction():
+    """HCModule rejects a square d, and a ladder, rational-structure or tail
+    matrix with entries over another field than the module's."""
+    m, m_2 = build_example("principal", 1), build_example("principal", 1, d=2)
+    keys = ("x_maps", "y_maps", "rat", "phi_plus", "phi_minus")
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def module(d, **swapped):
+        return HCModule(m.ell, m.epsilon, m.window, m.spaces,
+                        **{k: swapped.get(k, getattr(m, k)) for k in keys}, d=d)
 
-    monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
-    monkeypatch.setattr(hc, "normalizations", counted("normalizations", hc.normalizations))
-    monkeypatch.setattr(HCModule, "__init__", counted("HCModule", HCModule.__init__))
-    rng = random.Random(17)
-    for ell in (1, 2, 3):
-        v = random_gelfand_rep(rng, max_dim=2)
-        calls.clear()
-        roundtrip_hc(v, ell)
-        assert calls == {"validate_hc": 1, "normalizations": 1, "HCModule": 1}
-        calls.clear()
-        inverse_E(v, ell)
-        assert calls["HCModule"] == 1
-    calls.clear()
-    inverse_E(random_cyclic_rep(rng, max_dim=2), 0)
-    assert calls["HCModule"] == 1
+    assert module(-1).d == -1
+    with pytest.raises(ValueError, match="d = 4 is a square"):
+        module(4)
+    for key, name in zip(keys, (r"X\[", r"Y\[", r"rational structure\[",
+                                r"tail Casimir phi_\+", "tail Casimir phi_-")):
+        with pytest.raises(ValueError, match=name + r".* is over sqrt\(2\), not sqrt\(-1\)"):
+            module(-1, **{key: getattr(m_2, key)})
 
 
 def test_E_stabilizes_once_per_conjugation_orbit(monkeypatch):

@@ -21,14 +21,17 @@ diagram commute.  E now stabilizes once per conjugation orbit and derives the
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from certificate import assert_same_certificate
 
+import rquiver.hc as hc
+import rquiver.reps as reps
 from rquiver.exact import QuadElement, QuadMatrix
-from rquiver.hc import KINDS, BlockFunctorResult, HCModule, build_example, functor_E, \
-    hc_hom_space, inverse_E, normalizations, roundtrip_hc, validate_hc
+from rquiver.hc import KINDS, BlockFunctorResult, HCModule, build_example, casimir_matrix, \
+    functor_E, hc_hom_space, inverse_E, normalizations, roundtrip_hc, validate_hc
 from rquiver.quiver import (
     CYCLIC_A,
     CYCLIC_B,
@@ -44,7 +47,7 @@ from rquiver.quiver import (
     cyclic_quiver,
     gelfand_quiver,
 )
-from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
+from rquiver.randomgen import change_basis, random_cyclic_rep, random_gelfand_rep
 from rquiver.reps import QuiverRep, hom_space, validate_rep
 from rquiver.serialize import dump_hc, dump_rep, load_hc
 from rquiver.unipotent import StabilizationProblem, scaled_sqrt, stabilize
@@ -307,6 +310,18 @@ def block_reps(d, ell, count, seed=3):
     return [make(rng, max_dim=2, d=d) for _ in range(count)]
 
 
+def shift_cyclic_rep(d):
+    """The shift J on Q^3 on both cyclic edges with rho = 1, moved by
+    g_- = diag(1, 2, 1 + sqrt(d)): ab = J^2 and ba = g_- J^2 g_-^-1 are
+    nonzero and differ, so phi_+ != phi_-."""
+    shift = QuadMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], d)
+    ident = QuadMatrix.identity(3, d)
+    gs = [None, None]
+    gs[CYCLIC_PLUS] = ident
+    gs[CYCLIC_MINUS] = QuadMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, QuadElement(1, 1, d)]], d)
+    return change_basis(QuiverRep(cyclic_quiver(), (3, 3), (shift, shift), (ident, ident), d), gs)
+
+
 # ---------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("d", FIELD_TAGS)
@@ -370,3 +385,113 @@ def test_hc_side_properties(d):
             for m2, r2 in zip(mods[1:], images[1:]):
                 dim_k, dim_l, _ = hc_hom_space(m1, m2)
                 assert dim_k == dim_l == hom_space(r1, r2).dim_K
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_roundtrip_validates_its_input_once(d, monkeypatch):
+    """A round trip validates its input rep once (in inverse_E) and runs no
+    validate_hc: the module inverse_E builds is valid by the proof in its
+    docstring, and E's image is checked through the witness.  It builds one
+    module and computes its normalizations once."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rep_check = counted("validate_rep", reps.validate_rep)
+    monkeypatch.setattr(hc, "validate_rep", rep_check)
+    monkeypatch.setattr(reps, "validate_rep", rep_check)
+    monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
+    monkeypatch.setattr(hc, "normalizations", counted("normalizations", hc.normalizations))
+    monkeypatch.setattr(HCModule, "__init__", counted("HCModule", HCModule.__init__))
+    for ell in range(4):
+        for v in block_reps(d, ell, 2, seed=17):
+            calls.clear()
+            roundtrip_hc(v, ell)
+            assert calls == {"validate_rep": 1, "HCModule": 1,
+                             **({"normalizations": 1} if ell else {})}, ell
+            calls.clear()
+            inverse_E(v, ell)
+            assert calls == {"validate_rep": 1, "HCModule": 1}, ell
+
+
+def failed_checks(m):
+    return {name for name, _ in validate_hc(m).failures()}
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_validate_hc_rejects_a_wrong_closed_form(d, monkeypatch):
+    """inverse_E returns its module unchecked, so the tests' validate_hc must
+    catch a construction that breaks the proof in its docstring.
+
+    - The interior closed forms 2X_w = s + w + 1, 2Y_{w+2} = s - w - 1 with
+      s + 1 in place of s (ell >= 2, where they are built, and a nonzero star
+      space): the bracket at -(ell-1) is off by -(2s + 1), whose eigenvalues
+      are -(2 ell + 1), so every such module is rejected.
+    - The two tail Casimirs exchanged, phi_+ = ell^2 + 4 Y_{-ell+1} X_{-ell-1}
+      and phi_- = ell^2 + 4 X_{ell-1} Y_{ell+1} (for ell = 0 the cycle ba on
+      the + tail and ab on the - tail): the bracket at ell+1 then fails
+      exactly when the two composites differ, that is, whenever the mutant
+      changes the module.
+    """
+    real_sqrt, real_module = hc.scaled_sqrt, hc.HCModule
+
+    def shifted_sqrt(phi, gamma):
+        return real_sqrt(phi, gamma) + QuadMatrix.identity(phi.rows, phi.d)
+
+    def swapped_tails(*args):
+        *head, phi_plus, phi_minus, field = args
+        return real_module(*head, phi_minus, phi_plus, field)
+
+    rejected = 0
+    for ell in (2, 3):
+        for v in block_reps(d, ell, 6, seed=23):
+            if v.dims[GELFAND_STAR] == 0:
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(hc, "scaled_sqrt", shifted_sqrt)
+                m = inverse_E(v, ell, 1)
+            assert "bracket" in failed_checks(m)
+            rejected += 1
+    assert rejected >= 4
+
+    # the shift rep first, then random reps, where the composites mostly agree
+    rng = random.Random(29 + FIELD_TAGS.index(d))
+    cases = [(shift_cyclic_rep(d), 0)] + [(random_cyclic_rep(rng, max_dim=3, d=d), 0) for _ in range(4)] + \
+        [(random_gelfand_rep(rng, max_dim=3, d=d), 1) for _ in range(4)]
+    for k, (v, ell) in enumerate(cases):
+        m = inverse_E(v, ell, 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(hc, "HCModule", swapped_tails)
+            bad = inverse_E(v, ell, 1)
+        assert validate_hc(m).ok
+        if k == 0:
+            assert m.phi_plus != m.phi_minus
+        if m.phi_plus == m.phi_minus:
+            assert validate_hc(bad).ok
+        else:
+            assert "bracket" in failed_checks(bad)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_tail_closed_forms_satisfy_the_module_identities(d):
+    """validate_hc checks the core weights and derives the tails from the
+    closed forms by the proof in its docstring; here the tail maps x_at and
+    y_at derive are checked at every window weight instead: the bracket
+    4[X, Y] = 4w, the conjugation swap, and C = phi_+- on the tails."""
+    for ell in range(4):
+        inputs = block_reps(d, ell, 3, seed=31) + ([shift_cyclic_rep(d)] if ell == 0 else [])
+        for v in inputs:
+            m = inverse_E(v, ell, 2)
+            ws = m.weights()
+            for w in ws[:-1]:
+                assert m.rat[w + 2] * m.x_at(w).conj() == m.y_at(-w) * m.rat[w], (ell, w)
+            for w in ws[1:-1]:
+                four_w = QuadMatrix.identity(m.dim(w), d).scale(4 * w)
+                assert (m.x_at(w - 2) * m.y_at(w) - m.y_at(w + 2) * m.x_at(w)).scale(4) == four_w
+            for w in ws[1:]:
+                if abs(w) >= ell + 1:
+                    assert casimir_matrix(m, w) == (m.phi_plus if w > 0 else m.phi_minus), (ell, w)

@@ -384,6 +384,32 @@ def test_not_quadratic_rejected():
         hf_witness(r)
 
 
+def test_rep_field_is_checked_at_construction():
+    """A square d, and a matrix with entries over another field than the
+    representation's, are rejected when the representation is built, not
+    deep inside validate_rep."""
+    from rquiver.quiver import cyclic_quiver
+
+    z = QuadMatrix.zeros(0, 0)
+    with pytest.raises(ValueError, match="d = 4 is a square"):
+        QuiverRep(cyclic_quiver(), (0, 0), (z, z), (z, z), 4)
+    one_2, one = QuadMatrix.identity(1, 2), QuadMatrix.identity(1, -1)
+    with pytest.raises(ValueError, match=r"edge matrix 0 is over sqrt\(2\), not sqrt\(-1\)"):
+        QuiverRep(cyclic_quiver(), (1, 1), (one_2, one_2), (one_2, one_2), -1)
+    with pytest.raises(ValueError, match=r"semilinear matrix at vertex 0 is over sqrt\(2\)"):
+        QuiverRep(cyclic_quiver(), (1, 1), (one.scale(0), one.scale(0)), (one_2, one), -1)
+    # a matrix without entries carries no field
+    empty = QuadMatrix.zeros(0, 0, 2)
+    assert QuiverRep(cyclic_quiver(), (0, 0), (empty, empty), (empty, empty), -1).d == -1
+    species = species_of_quiver(gelfand_quiver())
+    w = random_species_rep(random.Random(0), species, max_dim=2, d=2)
+    assert any(m._P for mats in w.maps.values() for m in mats)
+    with pytest.raises(ValueError, match=r"summand matrix at \(\d,\d\) is over sqrt\(2\)"):
+        SpeciesRep(species, w.dims, w.maps, -1)
+    with pytest.raises(ValueError, match="d = 9 is a square"):
+        SpeciesRep(species, w.dims, w.maps, 9)
+
+
 def test_species_is_morphism():
     from rquiver.reps import species_is_morphism
 
