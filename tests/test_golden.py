@@ -61,21 +61,41 @@ in hc_ext_ell2_d-1_bad_<name>_validate.txt and .json.  They were recorded
 while validate_hc still took the square roots of phi_+- to evaluate the
 identities at weights +-(ell+1).
 
+The quiver_* files are two quivers as json.dump(dump_quiver(q),
+sort_keys=True, indent=2) plus a newline: quiver_gelfand.json is
+gelfand_quiver(), and quiver_s3.json is random_group_quiver(random.Random(7),
+FiniteGroup.symmetric(3), max_v=6, max_e=12), with two vertex blocks of three
+cosets each (of the subgroups {0, 1} and {0, 5}) and two free edge orbits,
+whose summands have twists (4, 1) from block 0 to block 1 and (1, 0) back.  For each <tag> (gelfand, s3) the
+species_* files are written by
+
+    rquiver species from-quiver --in quiver_<tag>.json --out species_<tag>.json
+    rquiver species to-quiver --in species_<tag>.json --out species_<tag>_to_quiver.json
+    rquiver --json species roundtrip --in quiver_<tag>.json
+
+the last one's report, with the vertex bijection of the round-trip witness,
+in species_<tag>_roundtrip.json.  They were recorded while
+quiver_of_species and the round-trip witness still rebuilt every coset as a
+frozenset and looked it up in the coset list.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from rquiver.cli import main
 from rquiver.exact import QuadMatrix
+from rquiver.gsets import FiniteGroup
 from rquiver.quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS, \
     gelfand_quiver
+from rquiver.randomgen import random_group_quiver
 from rquiver.reps import QuiverRep
-from rquiver.serialize import dump_rep
+from rquiver.serialize import dump_quiver, dump_rep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -156,3 +176,28 @@ def test_hc_validate_failing_report_unchanged(name, section, key, k, capsys):
         assert main([*flags, "hc", "validate", "--in", str(module)]) == 1
         assert capsys.readouterr().out.encode() == \
             (GOLDEN / f"hc_ext_ell2_d-1_bad_{name}_validate.{suffix}").read_bytes()
+
+
+GOLDEN_QUIVERS = {
+    "gelfand": gelfand_quiver,
+    "s3": lambda: random_group_quiver(random.Random(7), FiniteGroup.symmetric(3),
+                                      max_v=6, max_e=12),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(GOLDEN_QUIVERS))
+def test_species_files_unchanged(tag, tmp_path, capsys):
+    quiver_file = GOLDEN / f"quiver_{tag}.json"
+    species_file = GOLDEN / f"species_{tag}.json"
+    assert json.dumps(dump_quiver(GOLDEN_QUIVERS[tag]()), sort_keys=True, indent=2) + "\n" == \
+        quiver_file.read_text()
+    out = tmp_path / "species.json"
+    assert main(["species", "from-quiver", "--in", str(quiver_file), "--out", str(out)]) == 0
+    assert out.read_bytes() == species_file.read_bytes()
+    out = tmp_path / "quiver.json"
+    assert main(["species", "to-quiver", "--in", str(species_file), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"species_{tag}_to_quiver.json").read_bytes()
+    capsys.readouterr()
+    assert main(["--json", "species", "roundtrip", "--in", str(quiver_file)]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / f"species_{tag}_roundtrip.json").read_bytes()
