@@ -261,20 +261,23 @@ def coset_union(group: FiniteGroup, subgroups):
 
     Returns (G-set, offsets, cosets): block b lists the cosets of its
     subgroup sorted by minimal element, and coset k of block b is the point
-    offsets[b] + k.
+    offsets[b] + k.  Coset 0 is H itself (element 0 is the identity and the
+    minimum of H), so the point of the coset tH in block b is t . offsets[b];
+    every consumer reads points off the action by this rule.  The action
+    sends coset c to the point of the coset holding a . min(c), read off one
+    element -> point table per block.
     """
     if any(sub.parent != group for sub in subgroups):
         raise ValueError("subgroup of a different group")
     cosets = tuple(tuple(sub.left_cosets()) for sub in subgroups)
     offsets = []
-    index = []
+    points = []
     size = 0
     for cs in cosets:
         offsets.append(size)
-        index.append({c: size + k for k, c in enumerate(cs)})
+        points.append({a: size + k for k, c in enumerate(cs) for a in c})
         size += len(cs)
-    action = [[idx[frozenset(group.mul(a, x) for x in c)]
-               for cs, idx in zip(cosets, index) for c in cs]
+    action = [[point[group.mul(a, min(c))] for cs, point in zip(cosets, points) for c in cs]
               for a in group.elements()]
     return GSet(group, size, action), tuple(offsets), cosets
 

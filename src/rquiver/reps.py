@@ -508,7 +508,7 @@ def hf_witness(r: QuiverRep):
     w, u = _functor_F(r, s, conv)
     q2, layout = quiver_of_species(s, with_layout=True)
     back = _functor_H(w, q2, layout)
-    witness = _roundtrip_witness(q, s, conv, q2, layout)
+    witness = _roundtrip_witness(q, conv, q2, layout)
     transported = transport_rep(back, q, witness.vertex_bijection,
                                 witness.edge_bijection)
     mats = []

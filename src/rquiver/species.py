@@ -156,6 +156,9 @@ class SpeciesQuiverLayout:
 
 
 def quiver_of_species(s: EtaleSpecies, with_layout=False):
+    """The quiver of a species, on unions of the coset spaces G/H_i and
+    G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j,
+    points read off the vertex action by coset_union's rule."""
     g = s.group
     vertices, vertex_offsets, vertex_cosets = coset_union(g, s.vertex_subgroups)
     edge_blocks = tuple((i, j, k, summand)
@@ -164,19 +167,12 @@ def quiver_of_species(s: EtaleSpecies, with_layout=False):
     edges, edge_offsets, edge_cosets = coset_union(
         g, [summand.subgroup for _, _, _, summand in edge_blocks])
 
-    src = [None] * edges.size
-    tgt = [None] * edges.size
-    for b, (i, j, _, summand) in enumerate(edge_blocks):
-        vi_cosets = {c: k for k, c in enumerate(vertex_cosets[i])}
-        vj_cosets = {c: k for k, c in enumerate(vertex_cosets[j])}
-        hi = s.vertex_subgroups[i]
-        hj = s.vertex_subgroups[j]
-        for k, c in enumerate(edge_cosets[b]):
-            t = min(c)
-            src_coset = frozenset(g.mul(g.mul(t, summand.twist_src), h) for h in hi.elements)
-            tgt_coset = frozenset(g.mul(g.mul(t, summand.twist_tgt), h) for h in hj.elements)
-            src[edge_offsets[b] + k] = vertex_offsets[i] + vi_cosets[src_coset]
-            tgt[edge_offsets[b] + k] = vertex_offsets[j] + vj_cosets[tgt_coset]
+    src = []
+    tgt = []
+    for (i, j, _, summand), cosets in zip(edge_blocks, edge_cosets):
+        for t in map(min, cosets):
+            src.append(vertices.apply(g.mul(t, summand.twist_src), vertex_offsets[i]))
+            tgt.append(vertices.apply(g.mul(t, summand.twist_tgt), vertex_offsets[j]))
     q = RationalQuiver(vertices, edges, src, tgt)
     if with_layout:
         return q, SpeciesQuiverLayout(vertex_offsets, vertex_cosets, edge_offsets,
@@ -199,30 +195,26 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
     """
     s, conv = species_of_quiver(q, with_conventions=True)
     q2, layout = quiver_of_species(s, with_layout=True)
-    return _roundtrip_witness(q, s, conv, q2, layout)
+    return _roundtrip_witness(q, conv, q2, layout)
 
 
-def _roundtrip_witness(q: RationalQuiver, s: EtaleSpecies, conv: QuiverConventions,
-                       q2: RationalQuiver,
+def _roundtrip_witness(q: RationalQuiver, conv: QuiverConventions, q2: RationalQuiver,
                        layout: SpeciesQuiverLayout) -> QuiverRoundtripWitness:
-    """roundtrip_quiver's witness, given the species of q with its
-    conventions and the quiver of that species with its layout."""
+    """roundtrip_quiver's witness, given the conventions of q's species and
+    the quiver of that species with its layout: by coset_union's rule,
+    v = t . v_i goes to t . vertex_offsets[i] and e = t . e_eps to
+    t . edge_offsets[b].  The checks below certify it."""
     g = q.group
-    fv = [None] * q.vertices.size
-    for v in range(q.vertices.size):
-        i = conv.vertex_orbit_of[v]
-        t = _min_transporter(q.vertices, conv.vertex_reps[i], v)
-        coset = frozenset(g.mul(t, h) for h in s.vertex_subgroups[i].elements)
-        fv[v] = layout.vertex_offsets[i] + layout.vertex_cosets[i].index(coset)
+    fv = [q2.vertices.apply(_min_transporter(q.vertices, conv.vertex_reps[i], v),
+                            layout.vertex_offsets[i])
+          for v, i in enumerate(conv.vertex_orbit_of)]
 
     fe = [None] * q.edges.size
-    for b, (i, j, k, summand) in enumerate(layout.edge_blocks):
+    for b, (i, j, k, _) in enumerate(layout.edge_blocks):
         # summand k at (i, j) came from the k-th edge orbit representative
         e_eps = conv.edge_reps_of(i, j)[k]
         for e in q.edges.orbit_of(e_eps):
-            t = _min_transporter(q.edges, e_eps, e)
-            coset = frozenset(g.mul(t, h) for h in summand.subgroup.elements)
-            fe[e] = layout.edge_offsets[b] + layout.edge_cosets[b].index(coset)
+            fe[e] = q2.edges.apply(_min_transporter(q.edges, e_eps, e), layout.edge_offsets[b])
 
     if None in fv or None in fe or len(set(fv)) != q2.vertices.size \
             or len(set(fe)) != q2.edges.size:
