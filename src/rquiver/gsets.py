@@ -102,6 +102,9 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements):
         elements = frozenset(elements)
+        for a in elements:
+            if not 0 <= a < parent.order:
+                raise ValueError(f"subgroup element {a} is not in 0..{parent.order - 1}")
         if parent.identity not in elements:
             raise ValueError("subgroup must contain the identity")
         for a in elements:

@@ -39,8 +39,14 @@ class EtaleSpecies:
                 raise ValueError("vertex subgroup of a different group")
         bims = {}
         for (i, j), summands in bimodules.items():
+            for x in (i, j):
+                if not 0 <= x < self.n_indices:
+                    raise ValueError(f"bimodule index {x} is not in 0..{self.n_indices - 1}")
             summands = tuple(summands)
             for s in summands:
+                for t in (s.twist_src, s.twist_tgt):
+                    if not 0 <= t < group.order:
+                        raise ValueError(f"twist {t} is not in 0..{group.order - 1}")
                 hi = self.vertex_subgroups[i]
                 hj = self.vertex_subgroups[j]
                 if not (s.subgroup.elements <= hi.conjugate(s.twist_src).elements

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,32 @@ def test_malformed_relation_path_exit_code(tmp_path, capsys, relations, message)
         assert captured.out == ""
         assert captured.err == ("parse error: malformed input to load_quiver: "
                                 f"ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("fields", 0, "subgroup"), [-5, 0, 1], "subgroup element -5 is not in 0..5"),
+    (("fields", 0, "subgroup"), [0, 1, 6], "subgroup element 6 is not in 0..5"),
+    (("bimodules", 0, "summands", 0, "twist_src"), -1, "twist -1 is not in 0..5"),
+    (("bimodules", 0, "summands", 0, "twist_src"), 6, "twist 6 is not in 0..5"),
+    (("bimodules", 0, "from"), -1, "bimodule index -1 is not in 0..1"),
+    (("bimodules", 0, "from"), 2, "bimodule index 2 is not in 0..1"),
+])
+def test_out_of_range_species_file_exit_code(tmp_path, capsys, path, value, message):
+    """A species file with a group element, a twist or an index outside its
+    range is malformed: exit 2 with one parse error line naming the value,
+    also where a negative value would alias a valid one."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    argv = ["species", "to-quiver", "--in", write(tmp_path, "species.json", doc),
+            "--out", str(tmp_path / "quiver.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: malformed input to load_species: ValueError: {message}\n"
 
 
 def test_stabilization_file_with_tau_loads():

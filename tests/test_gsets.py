@@ -103,6 +103,14 @@ def test_group_validation():
     assert s3.mul(s3.identity, 4) == 4
 
 
+@pytest.mark.parametrize("elements, bad", [((-5, 0, 1), -5), ((0, 1, 6), 6)])
+def test_subgroup_elements_must_lie_in_the_group(elements, bad):
+    """A negative element would alias one of the group through Python's
+    negative indexing: (-5, 0, 1) would pass as a subgroup of order 3."""
+    with pytest.raises(ValueError, match=rf"^subgroup element {bad} is not in 0\.\.5$"):
+        Subgroup(FiniteGroup.symmetric(3), elements)
+
+
 def test_orbits_trivial_and_gelfand():
     t = GSet.trivial(C2, 3)
     assert t.orbits() == [(0,), (1,), (2,)]

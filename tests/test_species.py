@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from rquiver.gsets import C2, FiniteGroup, GSet, Subgroup
+from rquiver.gsets import C2, FiniteGroup, GSet, Subgroup, coset_union
 from rquiver.quiver import (
     RationalQuiver,
     cyclic_quiver,
@@ -130,6 +131,22 @@ def test_roundtrip_species_rejects_changed_twist(monkeypatch):
     monkeypatch.setattr(species_mod, "species_of_quiver", one_twist_off)
     with pytest.raises(IsoSearchFailed):
         roundtrip_species(s)
+
+
+@pytest.mark.parametrize("key, twists, message", [
+    ((-1, 1), (0, 0), "bimodule index -1 is not in 0..1"),
+    ((0, 2), (0, 0), "bimodule index 2 is not in 0..1"),
+    ((0, 1), (-1, 0), "twist -1 is not in 0..1"),
+    ((0, 1), (0, 2), "twist 2 is not in 0..1"),
+])
+def test_species_rejects_out_of_range_indices_and_twists(key, twists, message):
+    """Negative values would alias an index or an element through Python's
+    negative indexing, and large ones would index past the tables."""
+    subs = [Subgroup.full(C2), Subgroup.trivial_in(C2)]
+    summand = BimoduleSummand(Subgroup.trivial_in(C2), *twists)
+    with pytest.raises(ValueError) as info:
+        EtaleSpecies(C2, subs, {key: [summand]})
+    assert str(info.value) == message
 
 
 def test_roundtrip_random_groups():
@@ -351,3 +368,93 @@ def test_quiver_of_species_matches_reference_on_random_species():
     for group in (FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
         for _ in range(15):
             assert_matches_reference(species_of_quiver(random_group_quiver(rng, group)))
+
+
+# ------------------------------------------------ round-trip witness checks
+
+V4 = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+V4_01, V4_03 = Subgroup(V4, {0, 1}), Subgroup(V4, {0, 3})
+
+
+def v4_vertices():
+    """The vertex block V4/{0, 1} and no edges."""
+    return RationalQuiver(coset_union(V4, [V4_01])[0], GSet.trivial(V4, 0), (), ())
+
+
+def v4_loops():
+    """One vertex with the loop block V4/{0, 1}."""
+    return RationalQuiver(GSet.trivial(V4, 1), coset_union(V4, [V4_01])[0], [0, 0], [0, 0])
+
+
+def v4_points_over_03(field):
+    """The vertices or the edges of the quiver as V4/{0, 3}: the minima 0, 2
+    of the cosets of {0, 1} lie in different cosets of {0, 3}, so the witness
+    is still a bijection, but {0, 1} no longer fixes the first point."""
+    def corrupt(q2, layout):
+        parts = {"vertices": q2.vertices, "edges": q2.edges,
+                 field: coset_union(V4, [V4_03])[0]}
+        return RationalQuiver(parts["vertices"], parts["edges"], q2.src, q2.tgt), layout
+    return corrupt
+
+
+def trivial_vertex_action(q2, layout):
+    return RationalQuiver(GSet.trivial(q2.group, q2.vertices.size), q2.edges,
+                          q2.src, q2.tgt), layout
+
+
+def one_tgt_moved(q2, layout):
+    tgt = list(q2.tgt)
+    tgt[0] = (tgt[0] + 1) % q2.vertices.size
+    return RationalQuiver(q2.vertices, q2.edges, q2.src, tgt), layout
+
+
+def vertex_offsets_reversed(q2, layout):
+    return q2, replace(layout, vertex_offsets=layout.vertex_offsets[::-1])
+
+
+WITNESS_FAULTS = {
+    # name: (quiver, corruption of quiver_of_species, message, hf_witness applies)
+    "trivial-vertex-action": (gelfand_quiver, trivial_vertex_action,
+                              "round-trip maps are not bijections", True),
+    "vertex-offsets-reversed": (gelfand_quiver, vertex_offsets_reversed,
+                                "round-trip maps are not bijections", False),
+    "tgt-moved": (gelfand_quiver, one_tgt_moved,
+                  "round-trip witness breaks src/tgt at edge", True),
+    "v4-vertices-moved": (v4_vertices, v4_points_over_03("vertices"),
+                          "round-trip witness is not equivariant on vertices", False),
+    "v4-edges-moved": (v4_loops, v4_points_over_03("edges"),
+                       "round-trip witness is not equivariant on edges", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_FAULTS))
+def test_roundtrip_witness_rejects_a_corrupted_quiver(name, monkeypatch):
+    """Each of the witness's four checks (bijections, src/tgt, equivariance on
+    vertices and on edges) rejects a quiver_of_species whose quiver or layout
+    is corrupted, in roundtrip_quiver and, over C2, in hf_witness.  The
+    Gelfand representation has dims (1, 1, 1), so a moved tgt keeps every
+    matrix shape and only the witness can object."""
+    import rquiver.reps as reps_mod
+    import rquiver.species as species_mod
+    from rquiver.exact import QuadMatrix
+    from rquiver.reps import QuiverRep
+    from rquiver.species import IsoSearchFailed
+
+    quiver, corrupt, message, with_rep = WITNESS_FAULTS[name]
+    q = quiver()
+    roundtrip_quiver(q)
+    honest = species_mod.quiver_of_species
+
+    def corrupted(s, with_layout=False):
+        q2, layout = corrupt(*honest(s, with_layout=True))
+        return (q2, layout) if with_layout else q2
+
+    monkeypatch.setattr(species_mod, "quiver_of_species", corrupted)
+    monkeypatch.setattr(reps_mod, "quiver_of_species", corrupted)
+    with pytest.raises(IsoSearchFailed, match=message):
+        roundtrip_quiver(q)
+    if with_rep:
+        one = QuadMatrix.identity(1)
+        r = QuiverRep(q, (1, 1, 1), [one] * 4, [one] * 3)
+        with pytest.raises(IsoSearchFailed, match=message):
+            reps_mod.hf_witness(r)
