@@ -78,6 +78,27 @@ in species_<tag>_roundtrip.json.  They were recorded while
 quiver_of_species and the round-trip witness still rebuilt every coset as a
 frozenset and looked it up in the coset list.
 
+The homs reports pin the order in which quiver homs, and so
+equivariant_maps, list the maps: for each <tag> (gelfand, s3),
+
+    rquiver --json quiver homs --a quiver_<tag>.json --b quiver_<tag>.json
+
+in quiver_<tag>_homs.json.  rep_c2_62_d2.json is a representation, over
+d = 2, of q = random_c2_quiver(random.Random(62), max_v=3, max_e=8), whose
+species has two indices and one summand of each of the five cases
+(|H_i|, |H_eps|, |H_j|).  With rng = random.Random(62), w is the first
+random_species_rep(rng, species_of_quiver(q), max_dim=2, d=2) with no zero
+dimension, and the file is change_basis(functor_H(w), gs) with
+gs = [random_invertible(rng, n, d=2) for n in its dims], written as
+json.dump(dump_rep(rep), sort_keys=True, indent=2) plus a newline.  The
+other two files are written by
+
+    rquiver rep to-species --in rep_c2_62_d2.json --out rep_c2_62_d2_to_species.json
+    rquiver rep from-species --in rep_c2_62_d2_to_species.json --out rep_c2_62_d2_from_species.json
+
+These five files were recorded while every orbit representative and twist
+was still found by its own scan of the group, before GSet.orbit_table.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
@@ -93,8 +114,10 @@ from rquiver.exact import QuadMatrix
 from rquiver.gsets import FiniteGroup
 from rquiver.quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS, \
     gelfand_quiver
-from rquiver.randomgen import random_group_quiver
-from rquiver.reps import QuiverRep
+from rquiver.randomgen import change_basis, random_c2_quiver, random_group_quiver, \
+    random_invertible, random_species_rep
+from rquiver.reps import QuiverRep, functor_H
+from rquiver.species import species_of_quiver
 from rquiver.serialize import dump_quiver, dump_rep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -201,3 +224,37 @@ def test_species_files_unchanged(tag, tmp_path, capsys):
     assert main(["--json", "species", "roundtrip", "--in", str(quiver_file)]) == 0
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / f"species_{tag}_roundtrip.json").read_bytes()
+
+
+@pytest.mark.parametrize("tag", sorted(GOLDEN_QUIVERS))
+def test_quiver_homs_report_unchanged(tag, capsys):
+    path = str(GOLDEN / f"quiver_{tag}.json")
+    assert main(["--json", "quiver", "homs", "--a", path, "--b", path]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"quiver_{tag}_homs.json").read_bytes()
+
+
+def golden_c2_rep():
+    q = random_c2_quiver(random.Random(62), max_v=3, max_e=8)
+    s = species_of_quiver(q)
+    cases = {(s.vertex_subgroups[i].order, x.subgroup.order, s.vertex_subgroups[j].order)
+             for (i, j), summands in s.bimodules.items() for x in summands}
+    assert len(cases) == 5
+    rng = random.Random(62)
+    w = random_species_rep(rng, s, max_dim=2, d=2)
+    while 0 in w.dims:
+        w = random_species_rep(rng, s, max_dim=2, d=2)
+    r = functor_H(w)
+    return change_basis(r, [random_invertible(rng, n, d=2) for n in r.dims])
+
+
+def test_species_rep_files_unchanged(tmp_path):
+    rep_file = GOLDEN / "rep_c2_62_d2.json"
+    species_rep_file = GOLDEN / "rep_c2_62_d2_to_species.json"
+    assert json.dumps(dump_rep(golden_c2_rep()), sort_keys=True, indent=2) + "\n" == \
+        rep_file.read_text()
+    out = tmp_path / "w.json"
+    assert main(["rep", "to-species", "--in", str(rep_file), "--out", str(out)]) == 0
+    assert out.read_bytes() == species_rep_file.read_bytes()
+    out = tmp_path / "r.json"
+    assert main(["rep", "from-species", "--in", str(species_rep_file), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "rep_c2_62_d2_from_species.json").read_bytes()
