@@ -1,10 +1,11 @@
 """Finite groups by multiplication table and finite G-sets.
 
-Points are dense integer indices; orbit representatives are always the
-minimal index, and coset spaces list cosets sorted by their minimal element,
-so every derived structure is deterministic.  Element 0 of every group is its
-identity, so it is the minimum of every subgroup H and H is the first coset
-of G/H.
+Points are dense integer indices.  GSet.orbit_table fixes every orbit
+representative (the minimal point) and every transport (the minimal group
+element) in rquiver, and coset spaces list cosets sorted by their minimal
+element, so every derived structure is deterministic.  Element 0 of every
+group is its identity, so it is the minimum of every subgroup H and H is the
+first coset of G/H.
 """
 
 from __future__ import annotations
@@ -193,16 +194,34 @@ class GSet:
     def orbit_of(self, x: int) -> tuple:
         return tuple(sorted({self.apply(g, x) for g in self.group.elements()}))
 
-    def orbits(self) -> list:
-        seen = set()
-        out = []
+    def orbit_table(self) -> tuple:
+        """(reps, orbit, transport), the one rule behind every orbit
+        representative and twist in rquiver.
+
+        reps lists the minimal point of each orbit in increasing order,
+        orbit[x] is the index in reps of x's orbit, and transport[x] is the
+        minimal t with t . reps[orbit[x]] = x.  One pass finds all three:
+        the points are taken in increasing order, each one not reached yet
+        is the minimal point of a new orbit, and the first t in increasing
+        order that reaches a point is its minimal transporter.
+        """
+        reps = []
+        orbit = [None] * self.size
+        transport = [None] * self.size
         for x in range(self.size):
-            if x in seen:
-                continue
-            orb = self.orbit_of(x)
-            seen |= set(orb)
-            out.append(orb)
-        return out
+            if transport[x] is None:
+                for t, row in enumerate(self.action):
+                    if transport[row[x]] is None:
+                        orbit[row[x]], transport[row[x]] = len(reps), t
+                reps.append(x)
+        return tuple(reps), tuple(orbit), tuple(transport)
+
+    def orbits(self) -> list:
+        reps, orbit, _ = self.orbit_table()
+        out = [[] for _ in reps]
+        for x, i in enumerate(orbit):
+            out[i].append(x)
+        return [tuple(o) for o in out]
 
     def stabilizer(self, p: int) -> Subgroup:
         return Subgroup(self.group,
@@ -262,13 +281,13 @@ class GSet:
 def coset_union(group: FiniteGroup, subgroups):
     """Disjoint union of the coset spaces G/H, one block per subgroup in order.
 
-    Returns (G-set, offsets, cosets): block b lists the cosets of its
-    subgroup sorted by minimal element, and coset k of block b is the point
-    offsets[b] + k.  Coset 0 is H itself (element 0 is the identity and the
-    minimum of H), so the point of the coset tH in block b is t . offsets[b];
-    every consumer reads points off the action by this rule.  The action
-    sends coset c to the point of the coset holding a . min(c), read off one
-    element -> point table per block.
+    Returns (G-set, offsets): block b holds the cosets of its subgroup sorted
+    by minimal element, and coset k of block b is the point offsets[b] + k.
+    Coset 0 is H itself (element 0 is the identity and the minimum of H), so
+    block b is one orbit whose minimal point is offsets[b], and by
+    GSet.orbit_table's rule the transport of the point of tH is min(tH).
+    The action sends coset c to the point of the coset holding a . min(c),
+    read off one element -> point table per block.
     """
     if any(sub.parent != group for sub in subgroups):
         raise ValueError("subgroup of a different group")
@@ -282,7 +301,7 @@ def coset_union(group: FiniteGroup, subgroups):
         size += len(cs)
     action = [[point[group.mul(a, min(c))] for cs, point in zip(cosets, points) for c in cs]
               for a in group.elements()]
-    return GSet(group, size, action), tuple(offsets), cosets
+    return GSet(group, size, action), tuple(offsets)
 
 
 def orbits(x: GSet) -> list:
@@ -320,32 +339,20 @@ def induce(x: GSet, sub: Subgroup):
 
 
 def equivariant_maps(x: GSet, y: GSet) -> list:
-    """All G-maps x -> y, each as a tuple of point images."""
+    """All G-maps x -> y, each as a tuple of point images.
+
+    A G-map is fixed by its images q of the orbit representatives, with
+    f(t . rep) = t . q, and every q fixed by stab(rep) gives one: if
+    t . rep = t' . rep then t^-1 t' fixes rep, so it fixes q and
+    t . q = t' . q.  So f(x) = transport[x] . q of x's orbit.
+    """
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    g = x.group
-    orbs = x.orbits()
+    reps, orbit, transport = x.orbit_table()
     choices = []
-    for orb in orbs:
-        rep = orb[0]
+    for rep in reps:
         stab = x.stabilizer(rep)
-        targets = [q for q in range(y.size)
-                   if all(y.apply(h, q) == q for h in stab.elements)]
-        choices.append((rep, targets))
-    maps = []
-    for picks in product(*(t for _, t in choices)):
-        f = [None] * x.size
-        ok = True
-        for (rep, _), q in zip(choices, picks):
-            for a in g.elements():
-                xx, yy = x.apply(a, rep), y.apply(a, q)
-                if f[xx] is None:
-                    f[xx] = yy
-                elif f[xx] != yy:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            maps.append(tuple(f))
-    return maps
+        choices.append([q for q in range(y.size)
+                        if all(y.apply(h, q) == q for h in stab.elements)])
+    return [tuple(y.apply(t, picks[i]) for i, t in zip(orbit, transport))
+            for picks in product(*choices)]

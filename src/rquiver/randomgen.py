@@ -90,30 +90,27 @@ def random_c2_quiver(rng, max_v=4, max_e=6):
         for k in range(n_swap_e):
             eperm += [n_fixed_e + 2 * k + 1, n_fixed_e + 2 * k]
         edges = GSet(C2, ne, [list(range(ne)), eperm])
-        ends = _equivariant_endpoints(rng, C2, vertices, edges)
+        ends = _equivariant_endpoints(rng, vertices, edges)
         if ends:
             return RationalQuiver(vertices, edges, *ends)
 
 
-def _equivariant_endpoints(rng, group, verts, edges):
-    """Equivariant (src, tgt): per edge orbit, its first edge gets a random
+def _equivariant_endpoints(rng, verts, edges):
+    """Equivariant (src, tgt): per edge orbit, its minimal edge gets a random
     source and target among the vertices its stabilizer fixes, and the rest
-    of the orbit follows by the action.  None when some stabilizer fixes no
-    vertex."""
-    src = [None] * edges.size
-    tgt = [None] * edges.size
-    for orb in edges.orbits():
-        e = orb[0]
+    of the orbit follows by the transports of edges.orbit_table.  None when
+    some stabilizer fixes no vertex."""
+    reps, orbit, transport = edges.orbit_table()
+    ends = []
+    for e in reps:
         stab = edges.stabilizer(e)
         cand = [v for v in range(verts.size)
                 if all(verts.apply(h, v) == v for h in stab.elements)]
         if not cand:
             return None
-        s, t = rng.choice(cand), rng.choice(cand)
-        for a in group.elements():
-            src[edges.apply(a, e)] = verts.apply(a, s)
-            tgt[edges.apply(a, e)] = verts.apply(a, t)
-    return src, tgt
+        ends.append((rng.choice(cand), rng.choice(cand)))
+    return ([verts.apply(t, ends[i][0]) for i, t in zip(orbit, transport)],
+            [verts.apply(t, ends[i][1]) for i, t in zip(orbit, transport)])
 
 
 def _all_subgroups(group):
@@ -143,7 +140,7 @@ def random_group_quiver(rng, group: FiniteGroup, max_v=4, max_e=6):
         edges = coset_union(group, e_blocks)[0]
         if verts.size > max_v or edges.size > max_e:
             continue
-        ends = _equivariant_endpoints(rng, group, verts, edges)
+        ends = _equivariant_endpoints(rng, verts, edges)
         if ends:
             return RationalQuiver(verts, edges, *ends)
 

@@ -468,25 +468,23 @@ def functor_H(w: SpeciesRep) -> QuiverRep:
     """
     if w.species.group.order != 2:
         raise NotQuadratic("functor_H needs a quadratic Galois group")
-    return _functor_H(w, *quiver_of_species(w.species, with_layout=True))
+    return _functor_H(w, *quiver_of_species(w.species, with_conventions=True))
 
 
-def _functor_H(w: SpeciesRep, q: RationalQuiver, layout) -> QuiverRep:
-    """functor_H on the quiver of w.species with its layout."""
+def _functor_H(w: SpeciesRep, q: RationalQuiver, conv) -> QuiverRep:
+    """functor_H on the quiver of w.species with its conventions."""
     s = w.species
     g = s.group
-    dims = [None] * q.vertices.size
-    for i in range(s.n_indices):
-        for k in range(len(layout.vertex_cosets[i])):
-            dims[layout.vertex_offsets[i] + k] = w.dims[i]
+    dims = [w.dims[i] for i in conv.vertex_orbit_of]
     rho = [QuadMatrix.identity(dims[q.vertices.apply(1, v)], w.d)
            for v in range(q.vertices.size)]
     edge_maps = [None] * q.edges.size
-    for b, (i, j, k, summand) in enumerate(layout.edge_blocks):
-        core = _summand_core(w, i, j, summand, w.summand_matrices(i, j)[k])
-        for e, coset in enumerate(layout.edge_cosets[b], layout.edge_offsets[b]):
-            ge = g.mul(min(coset), summand.twist_tgt)
-            edge_maps[e] = core if ge == 0 else core.conj()
+    for (i, j), reps in conv.edge_reps:
+        for summand, fmat, e_eps in zip(s.summands(i, j), w.summand_matrices(i, j), reps):
+            core = _summand_core(w, i, j, summand, fmat)
+            for e in q.edges.orbit_of(e_eps):
+                ge = g.mul(conv.edge_transport[e], summand.twist_tgt)
+                edge_maps[e] = core if ge == 0 else core.conj()
     return QuiverRep(q, dims, edge_maps, rho, w.d)
 
 
@@ -506,18 +504,14 @@ def hf_witness(r: QuiverRep):
         raise NotQuadratic("hf_witness needs a quadratic Galois group")
     s, conv = species_of_quiver(q, with_conventions=True)
     w, u = _functor_F(r, s, conv)
-    q2, layout = quiver_of_species(s, with_layout=True)
-    back = _functor_H(w, q2, layout)
-    witness = _roundtrip_witness(q, conv, q2, layout)
+    q2, conv2 = quiver_of_species(s, with_conventions=True)
+    back = _functor_H(w, q2, conv2)
+    witness = _roundtrip_witness(q, conv, q2, conv2)
     transported = transport_rep(back, q, witness.vertex_bijection,
                                 witness.edge_bijection)
-    mats = []
-    for v in range(q.vertices.size):
-        i = conv.vertex_orbit_of[v]
-        v_i = conv.vertex_reps[i]
-        t = q.vertices.transporter(v_i, v)[0]
-        mats.append(u[i] if t == 0 else r.rho[v_i] * u[i].conj())
-    return transported, tuple(mats)
+    mats = tuple(u[i] if t == 0 else r.rho[conv.vertex_reps[i]] * u[i].conj()
+                 for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
+    return transported, mats
 
 
 def transport_rep(r: QuiverRep, target: RationalQuiver, vertex_map, edge_map) -> QuiverRep:

@@ -6,14 +6,15 @@ summands (H_eps, twist_src, twist_tgt) where the twists are the group-element
 representatives of the cosets recording the two structure embeddings.  The
 summand's coset space G/H_eps reproduces the original edge orbit, with
   src(t H_eps) = t . twist_src . H_i,   tgt(t H_eps) = t . twist_tgt . H_j.
-Twist representatives are canonical: the minimal element of their coset.
+Twist representatives are canonical: the minimal element of their coset,
+read off GSet.orbit_table as the transport of the edge endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gsets import FiniteGroup, GSet, Subgroup, coset_union
+from .gsets import FiniteGroup, Subgroup, coset_union
 from .quiver import RationalQuiver, base_change as quiver_base_change, restrict as quiver_restrict
 
 
@@ -88,19 +89,17 @@ class EtaleSpecies:
         return f"EtaleSpecies(indices={self.n_indices}, summands={total})"
 
 
-def _min_transporter(gset: GSet, x: int, y: int) -> int:
-    ts = gset.transporter(x, y)
-    if not ts:
-        raise ValueError("points not in the same orbit")
-    return ts[0]
-
-
 @dataclass(frozen=True)
 class QuiverConventions:
-    """Chosen orbit representatives and twists behind a species_of_quiver call."""
+    """A quiver's orbit representatives and transports, by GSet.orbit_table's
+    rule, in the index and summand order of its species: index i is vertex
+    orbit i, summand k at (i, j) comes from the edge edge_reps_of(i, j)[k],
+    and its twists are the transports of that edge's endpoints."""
     vertex_reps: tuple        # v_i per index
     vertex_orbit_of: tuple    # vertex -> index
+    vertex_transport: tuple   # vertex v -> minimal t with t . v_i = v
     edge_reps: tuple          # sorted ((i, j), (e_eps, ...)) pairs, summand order
+    edge_transport: tuple     # edge e -> minimal t with t . e_eps = e
 
     def edge_reps_of(self, i: int, j: int) -> tuple:
         for key, reps in self.edge_reps:
@@ -109,81 +108,63 @@ class QuiverConventions:
         return ()
 
 
+def _conventions(q: RationalQuiver) -> QuiverConventions:
+    vertex_reps, orbit_of, vertex_transport = q.vertices.orbit_table()
+    edge_orbit_reps, _, edge_transport = q.edges.orbit_table()
+    edge_reps = {}
+    for e in edge_orbit_reps:
+        edge_reps.setdefault((orbit_of[q.src[e]], orbit_of[q.tgt[e]]), []).append(e)
+    return QuiverConventions(vertex_reps, orbit_of, vertex_transport,
+                             tuple(sorted((key, tuple(v)) for key, v in edge_reps.items())),
+                             edge_transport)
+
+
 def species_of_quiver(q: RationalQuiver, with_conventions=False):
     """The species dual to a rational quiver.
 
     Indices are vertex orbits ordered by minimal vertex, fields are the
     stabilizers of the minimal-index representatives, and every edge orbit of
-    E_ij contributes one summand whose twists transport the representatives
-    to the edge endpoints.
+    E_ij, taken by minimal edge e, contributes one summand whose twists are
+    the transports of src(e) and tgt(e): the minimal elements of the cosets
+    sigma H_i and tau H_j that carry v_i and v_j there.
     """
-    g = q.group
-    orbs = q.vertices.orbits()
-    vertex_reps = tuple(o[0] for o in orbs)
-    orbit_of = [None] * q.vertices.size
-    for i, o in enumerate(orbs):
-        for v in o:
-            orbit_of[v] = i
-    vertex_subgroups = [q.vertices.stabilizer(v) for v in vertex_reps]
-
-    edge_orbs = q.edges.orbits()
+    conv = _conventions(q)
+    orbit_of, transport = conv.vertex_orbit_of, conv.vertex_transport
     bims = {}
-    edge_reps = {}
-    for orb in edge_orbs:
-        e = orb[0]
-        i = orbit_of[q.src[e]]
-        j = orbit_of[q.tgt[e]]
-        h_eps = q.edges.stabilizer(e)
-        # transporter(v_i, x) is the coset sigma H_i, so its minimum is the canonical twist
-        sigma = _min_transporter(q.vertices, vertex_reps[i], q.src[e])
-        tau = _min_transporter(q.vertices, vertex_reps[j], q.tgt[e])
-        bims.setdefault((i, j), []).append(BimoduleSummand(h_eps, sigma, tau))
-        edge_reps.setdefault((i, j), []).append(e)
-    species = EtaleSpecies(g, vertex_subgroups, bims)
-    if with_conventions:
-        reps = tuple(sorted((key, tuple(v)) for key, v in edge_reps.items()))
-        return species, QuiverConventions(vertex_reps, tuple(orbit_of), reps)
-    return species
+    for e in sorted(e for _, reps in conv.edge_reps for e in reps):
+        bims.setdefault((orbit_of[q.src[e]], orbit_of[q.tgt[e]]), []).append(
+            BimoduleSummand(q.edges.stabilizer(e), transport[q.src[e]], transport[q.tgt[e]]))
+    species = EtaleSpecies(q.group, [q.vertices.stabilizer(v) for v in conv.vertex_reps], bims)
+    return (species, conv) if with_conventions else species
 
 
-@dataclass(frozen=True)
-class SpeciesQuiverLayout:
-    """How quiver_of_species laid out its points.
-
-    vertex_cosets[i] lists, per index, the cosets of H_i in order; the quiver
-    vertex of coset c in block i is vertex_offset[i] + position.  Same for
-    edge blocks, in the iteration order of the species' bimodule summands.
-    """
-    vertex_offsets: tuple
-    vertex_cosets: tuple
-    edge_offsets: tuple
-    edge_cosets: tuple
-    edge_blocks: tuple  # (i, j, k, summand) per block, summand = s.summands(i, j)[k]
-
-
-def quiver_of_species(s: EtaleSpecies, with_layout=False):
+def quiver_of_species(s: EtaleSpecies, with_conventions=False):
     """The quiver of a species, on unions of the coset spaces G/H_i and
-    G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j,
-    points read off the vertex action by coset_union's rule."""
-    g = s.group
-    vertices, vertex_offsets, vertex_cosets = coset_union(g, s.vertex_subgroups)
-    edge_blocks = tuple((i, j, k, summand)
-                        for (i, j), summands in sorted(s.bimodules.items())
-                        for k, summand in enumerate(summands))
-    edges, edge_offsets, edge_cosets = coset_union(
-        g, [summand.subgroup for _, _, _, summand in edge_blocks])
+    G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j.
 
-    src = []
-    tgt = []
-    for (i, j, _, summand), cosets in zip(edge_blocks, edge_cosets):
-        for t in map(min, cosets):
-            src.append(vertices.apply(g.mul(t, summand.twist_src), vertex_offsets[i]))
-            tgt.append(vertices.apply(g.mul(t, summand.twist_tgt), vertex_offsets[j]))
+    With with_conventions, also returns the quiver's QuiverConventions, and
+    they are its layout.  By coset_union, vertex block i is one orbit whose
+    minimal point is its offset, and the offsets increase with i, so orbit i
+    is block i with its offset as representative.  The edge blocks follow
+    the summands by sorted (i, j) and then k, and the edge at a block's
+    offset (the coset H_eps) runs from twist_src . H_i in block i to
+    twist_tgt . H_j in block j; so the k-th edge representative at (i, j) is
+    the offset of summand k's block.
+    """
+    g = s.group
+    vertices, vertex_offsets = coset_union(g, s.vertex_subgroups)
+    blocks = [(i, j, summand) for (i, j), summands in sorted(s.bimodules.items())
+              for summand in summands]
+    edges, edge_offsets = coset_union(g, [summand.subgroup for _, _, summand in blocks])
+    src = [None] * edges.size
+    tgt = [None] * edges.size
+    for (i, j, summand), b in zip(blocks, edge_offsets):
+        for t in g.elements():
+            e = edges.apply(t, b)
+            src[e] = vertices.apply(g.mul(t, summand.twist_src), vertex_offsets[i])
+            tgt[e] = vertices.apply(g.mul(t, summand.twist_tgt), vertex_offsets[j])
     q = RationalQuiver(vertices, edges, src, tgt)
-    if with_layout:
-        return q, SpeciesQuiverLayout(vertex_offsets, vertex_cosets, edge_offsets,
-                                      edge_cosets, edge_blocks)
-    return q
+    return (q, _conventions(q)) if with_conventions else q
 
 
 @dataclass(frozen=True)
@@ -200,27 +181,25 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
     Galois action by construction, which is verified before returning.
     """
     s, conv = species_of_quiver(q, with_conventions=True)
-    q2, layout = quiver_of_species(s, with_layout=True)
-    return _roundtrip_witness(q, conv, q2, layout)
+    return _roundtrip_witness(q, conv, *quiver_of_species(s, with_conventions=True))
 
 
 def _roundtrip_witness(q: RationalQuiver, conv: QuiverConventions, q2: RationalQuiver,
-                       layout: SpeciesQuiverLayout) -> QuiverRoundtripWitness:
-    """roundtrip_quiver's witness, given the conventions of q's species and
-    the quiver of that species with its layout: by coset_union's rule,
-    v = t . v_i goes to t . vertex_offsets[i] and e = t . e_eps to
-    t . edge_offsets[b].  The checks below certify it."""
+                       conv2: QuiverConventions) -> QuiverRoundtripWitness:
+    """roundtrip_quiver's witness, given the conventions of q and of the
+    quiver q2 of q's species: the point t . rep of q, with t its transport
+    by GSet.orbit_table's rule, goes to t . rep2 for the matching
+    representative rep2 of q2 (of the same index, or of the same summand).
+    The checks below certify it."""
     g = q.group
-    fv = [q2.vertices.apply(_min_transporter(q.vertices, conv.vertex_reps[i], v),
-                            layout.vertex_offsets[i])
-          for v, i in enumerate(conv.vertex_orbit_of)]
+    fv = [q2.vertices.apply(t, conv2.vertex_reps[i])
+          for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport)]
 
     fe = [None] * q.edges.size
-    for b, (i, j, k, _) in enumerate(layout.edge_blocks):
-        # summand k at (i, j) came from the k-th edge orbit representative
-        e_eps = conv.edge_reps_of(i, j)[k]
-        for e in q.edges.orbit_of(e_eps):
-            fe[e] = q2.edges.apply(_min_transporter(q.edges, e_eps, e), layout.edge_offsets[b])
+    for (i, j), reps in conv.edge_reps:
+        for e_eps, e2 in zip(reps, conv2.edge_reps_of(i, j)):
+            for e in q.edges.orbit_of(e_eps):
+                fe[e] = q2.edges.apply(conv.edge_transport[e], e2)
 
     if None in fv or None in fe or len(set(fv)) != q2.vertices.size \
             or len(set(fe)) != q2.edges.size:

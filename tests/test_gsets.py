@@ -34,6 +34,18 @@ def random_gset(rng, group, size):
             continue
 
 
+def shuffled_blocks(rng, group, pool):
+    """A union of up to three coset spaces G/H, each H drawn from pool, with
+    its points relabelled at random."""
+    blocks = coset_union(group, [rng.choice(pool) for _ in range(rng.randint(0, 3))])[0]
+    shuffle = rng.sample(range(blocks.size), blocks.size)
+    action = [[0] * blocks.size for _ in group.elements()]
+    for h in group.elements():
+        for p in range(blocks.size):
+            action[h][shuffle[p]] = shuffle[blocks.apply(h, p)]
+    return GSet(group, blocks.size, action)
+
+
 def ref_induce(x, sub):
     """Balanced product by union-find over all pairs (a, p), with the
     relation (a * emb(h), p) ~ (a, h.p); classes ordered by minimal pair."""
@@ -73,18 +85,50 @@ def test_induce_matches_union_find():
             hgrp, _ = sub.as_group()
             pool = _all_subgroups(hgrp)
             for _ in range(20):
-                blocks = coset_union(hgrp, [rng.choice(pool) for _ in range(rng.randint(0, 3))])[0]
-                shuffle = rng.sample(range(blocks.size), blocks.size)
-                action = [[0] * blocks.size for _ in hgrp.elements()]
-                for h in hgrp.elements():
-                    for p in range(blocks.size):
-                        action[h][shuffle[p]] = shuffle[blocks.apply(h, p)]
-                x = GSet(hgrp, blocks.size, action)
+                x = shuffled_blocks(rng, hgrp, pool)
                 ind, unit = induce(x, sub)
                 ref, ref_unit = ref_induce(x, sub)
                 assert (ind.size, ind.action, unit) == (ref.size, ref.action, ref_unit)
                 cases += 1
     assert cases == 260
+
+
+def ref_orbits(x):
+    """GSet.orbits as written before GSet.orbit_table, kept as the reference:
+    each point not seen yet starts a new orbit, listed sorted."""
+    seen = set()
+    out = []
+    for p in range(x.size):
+        if p in seen:
+            continue
+        orb = x.orbit_of(p)
+        seen |= set(orb)
+        out.append(orb)
+    return out
+
+
+V4 = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+TABLE_GROUPS = {"C2": C2, "C3": FiniteGroup.cyclic(3), "S3": FiniteGroup.symmetric(3), "V4": V4}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_orbit_table_matches_reference(name):
+    """orbit_table against the orbit scan it replaced and against the
+    minimum of transporter, on the coset_union of every subgroup, on
+    shuffled unions of coset spaces and on random G-sets."""
+    group = TABLE_GROUPS[name]
+    rng = random.Random(51)
+    pool = _all_subgroups(group)
+    xs = [coset_union(group, pool)[0]]
+    xs += [shuffled_blocks(rng, group, pool) for _ in range(20)]
+    xs += [random_gset(rng, group, n) for n in range(5)]
+    for x in xs:
+        reps, orbit, transport = x.orbit_table()
+        ref = ref_orbits(x)
+        assert x.orbits() == ref
+        assert reps == tuple(o[0] for o in ref)
+        assert all(p in ref[orbit[p]] for p in range(x.size))
+        assert transport == tuple(x.transporter(reps[orbit[p]], p)[0] for p in range(x.size))
 
 
 def test_group_validation():

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -332,13 +333,19 @@ def ref_quiver_of_species(s):
 
 
 def assert_matches_reference(s):
-    q, layout = quiver_of_species(s, with_layout=True)
-    ref_q, *ref_layout = ref_quiver_of_species(s)
+    """quiver_of_species's quiver equals the reference, and its conventions
+    are the reference layout: the vertex offsets as representatives, the
+    block of summand k at (i, j) at the k-th edge representative there, and
+    the minimum of each point's coset as its transport."""
+    q, conv = quiver_of_species(s, with_conventions=True)
+    ref_q, vertex_offsets, vertex_cosets, edge_offsets, edge_cosets = ref_quiver_of_species(s)
     assert dump_quiver(q) == dump_quiver(ref_q)
-    assert [layout.vertex_offsets, layout.vertex_cosets, layout.edge_offsets,
-            layout.edge_cosets] == ref_layout
-    for i, j, k, summand in layout.edge_blocks:
-        assert s.summands(i, j)[k] == summand
+    assert conv.vertex_reps == vertex_offsets
+    blocks = [(i, j, k) for (i, j), summands in sorted(s.bimodules.items())
+              for k in range(len(summands))]
+    assert tuple(conv.edge_reps_of(i, j)[k] for i, j, k in blocks) == edge_offsets
+    assert conv.vertex_transport == tuple(min(c) for cs in vertex_cosets for c in cs)
+    assert conv.edge_transport == tuple(min(c) for cs in edge_cosets for c in cs)
 
 
 GROUPS = {"C2": C2, "C3": FiniteGroup.cyclic(3), "S3": FiniteGroup.symmetric(3)}
@@ -359,6 +366,34 @@ def test_coset_spaces_match_reference_on_every_subgroup(name):
         for j in range(len(subs)):
             bims.setdefault((i, j), []).append(BimoduleSummand(trivial, e, e))
     assert_matches_reference(EtaleSpecies(group, subs, bims))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_quiver_of_species_conventions_are_its_block_offsets(name):
+    """Every subgroup as a vertex field and, between every pair of fields,
+    one summand per subgroup and canonical twist pair the fields allow: the
+    conventions of quiver_of_species are its coset_union layout, with index
+    i at the offset of vertex block i, the k-th edge representative at
+    (i, j) at the offset of summand k's block, and the minimum of each
+    point's coset as its transport."""
+    group = GROUPS[name]
+    subs = _all_subgroups(group)
+    minima = [[min(c) for c in h.left_cosets()] for h in subs]
+    bims = {}
+    for (i, hi), (j, hj) in product(enumerate(subs), repeat=2):
+        for sub, a, b in product(subs, minima[i], minima[j]):
+            if sub.elements <= hi.conjugate(a).elements & hj.conjugate(b).elements:
+                bims.setdefault((i, j), []).append(BimoduleSummand(sub, a, b))
+    s = EtaleSpecies(group, subs, bims)
+    q, conv = quiver_of_species(s, with_conventions=True)
+    assert conv.vertex_reps == coset_union(group, subs)[1]
+    assert conv.vertex_transport == tuple(m for ms in minima for m in ms)
+    blocks = [(i, j, k, x.subgroup) for (i, j), summands in sorted(bims.items())
+              for k, x in enumerate(summands)]
+    edge_offsets = coset_union(group, [sub for *_, sub in blocks])[1]
+    assert tuple(conv.edge_reps_of(i, j)[k] for i, j, k, _ in blocks) == edge_offsets
+    assert conv.edge_transport == tuple(min(c) for *_, sub in blocks for c in sub.left_cosets())
+    assert species_of_quiver(q) == s
 
 
 def test_quiver_of_species_matches_reference_on_random_species():
@@ -390,26 +425,27 @@ def v4_points_over_03(field):
     """The vertices or the edges of the quiver as V4/{0, 3}: the minima 0, 2
     of the cosets of {0, 1} lie in different cosets of {0, 3}, so the witness
     is still a bijection, but {0, 1} no longer fixes the first point."""
-    def corrupt(q2, layout):
+    def corrupt(q2, conv):
         parts = {"vertices": q2.vertices, "edges": q2.edges,
                  field: coset_union(V4, [V4_03])[0]}
-        return RationalQuiver(parts["vertices"], parts["edges"], q2.src, q2.tgt), layout
+        return RationalQuiver(parts["vertices"], parts["edges"], q2.src, q2.tgt), conv
     return corrupt
 
 
-def trivial_vertex_action(q2, layout):
+def trivial_vertex_action(q2, conv):
     return RationalQuiver(GSet.trivial(q2.group, q2.vertices.size), q2.edges,
-                          q2.src, q2.tgt), layout
+                          q2.src, q2.tgt), conv
 
 
-def one_tgt_moved(q2, layout):
+def one_tgt_moved(q2, conv):
     tgt = list(q2.tgt)
     tgt[0] = (tgt[0] + 1) % q2.vertices.size
-    return RationalQuiver(q2.vertices, q2.edges, q2.src, tgt), layout
+    return RationalQuiver(q2.vertices, q2.edges, q2.src, tgt), conv
 
 
-def vertex_offsets_reversed(q2, layout):
-    return q2, replace(layout, vertex_offsets=layout.vertex_offsets[::-1])
+def vertex_offsets_reversed(q2, conv):
+    """The vertex representatives of q2 are its vertex block offsets."""
+    return q2, replace(conv, vertex_reps=conv.vertex_reps[::-1])
 
 
 WITNESS_FAULTS = {
@@ -430,8 +466,8 @@ WITNESS_FAULTS = {
 @pytest.mark.parametrize("name", sorted(WITNESS_FAULTS))
 def test_roundtrip_witness_rejects_a_corrupted_quiver(name, monkeypatch):
     """Each of the witness's four checks (bijections, src/tgt, equivariance on
-    vertices and on edges) rejects a quiver_of_species whose quiver or layout
-    is corrupted, in roundtrip_quiver and, over C2, in hf_witness.  The
+    vertices and on edges) rejects a quiver_of_species whose quiver or
+    conventions are corrupted, in roundtrip_quiver and, over C2, in hf_witness.  The
     Gelfand representation has dims (1, 1, 1), so a moved tgt keeps every
     matrix shape and only the witness can object."""
     import rquiver.reps as reps_mod
@@ -445,9 +481,9 @@ def test_roundtrip_witness_rejects_a_corrupted_quiver(name, monkeypatch):
     roundtrip_quiver(q)
     honest = species_mod.quiver_of_species
 
-    def corrupted(s, with_layout=False):
-        q2, layout = corrupt(*honest(s, with_layout=True))
-        return (q2, layout) if with_layout else q2
+    def corrupted(s, with_conventions=False):
+        q2, conv = corrupt(*honest(s, with_conventions=True))
+        return (q2, conv) if with_conventions else q2
 
     monkeypatch.setattr(species_mod, "quiver_of_species", corrupted)
     monkeypatch.setattr(reps_mod, "quiver_of_species", corrupted)
