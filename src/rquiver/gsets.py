@@ -18,7 +18,7 @@ class FiniteGroup:
     """Group on elements 0..n-1 given by an explicit multiplication table
     whose element 0 is the identity."""
 
-    def __init__(self, table, generators=None):
+    def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         for row in table:
@@ -41,11 +41,11 @@ class FiniteGroup:
         self.order = n
         self.identity = 0
         self.inverse_table = tuple(inv)
-        self.generators = tuple(generators) if generators is not None else self.canonical_generators
 
     @cached_property
     def canonical_generators(self) -> tuple:
-        """The generators FiniteGroup(self.table) picks, found once per group."""
+        """Greedy generators: each element, in increasing order, that the
+        ones before it do not generate; found once per group."""
         gens = []
         span = {self.identity}
         for g in range(self.order):
@@ -83,7 +83,7 @@ class FiniteGroup:
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return FiniteGroup(table, generators=(1,) if n > 1 else ())
+        return FiniteGroup(table)
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
@@ -253,11 +253,11 @@ class GSet:
 
     @staticmethod
     def from_generator_perms(group: FiniteGroup, size: int, perms) -> "GSet":
-        """Action given by one permutation per designated generator."""
-        if len(perms) != len(group.generators):
+        """Action given by one permutation per canonical generator."""
+        if len(perms) != len(group.canonical_generators):
             raise ValueError("need one permutation per generator")
         known = {group.identity: tuple(range(size))}
-        for g, p in zip(group.generators, perms):
+        for g, p in zip(group.canonical_generators, perms):
             known[g] = tuple(p)
         changed = True
         while changed and len(known) < group.order:

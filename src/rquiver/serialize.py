@@ -110,8 +110,7 @@ def dump_gset(x: GSet) -> dict:
 
 @_loader
 def load_gset(data, group: FiniteGroup) -> GSet:
-    """The action is listed per canonical generator, which are group's
-    generators when group comes from load_group."""
+    """The action is listed per canonical generator of group."""
     return GSet.from_generator_perms(group, int(data["size"]),
                                      [list(p) for p in data["action"]])
 
@@ -164,6 +163,8 @@ def load_species(data) -> EtaleSpecies:
     _check_version(data)
     group = load_group(data["group"])
     subs = [Subgroup(group, f["subgroup"]) for f in data["fields"]]
+    if int(data["indices"]) != len(subs):
+        raise ParseError(f"indices {data['indices']} does not match the {len(subs)} fields")
     bims = {}
     for b in data["bimodules"]:
         bims[(int(b["from"]), int(b["to"]))] = [

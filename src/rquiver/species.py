@@ -48,6 +48,8 @@ class EtaleSpecies:
                 for t in (s.twist_src, s.twist_tgt):
                     if not 0 <= t < group.order:
                         raise ValueError(f"twist {t} is not in 0..{group.order - 1}")
+                if s.subgroup.parent != group:
+                    raise ValueError(f"summand subgroup of a different group at ({i},{j})")
                 hi = self.vertex_subgroups[i]
                 hj = self.vertex_subgroups[j]
                 if not (s.subgroup.elements <= hi.conjugate(s.twist_src).elements

@@ -138,6 +138,27 @@ def test_out_of_range_species_file_exit_code(tmp_path, capsys, path, value, mess
     assert captured.err == f"parse error: malformed input to load_species: ValueError: {message}\n"
 
 
+def test_load_species_checks_the_index_count():
+    """"indices" must be the number of fields."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    assert io.load_species(doc).n_indices == doc["indices"] == 2
+    for n in (1, 5):
+        with pytest.raises(io.ParseError, match=rf"^indices {n} does not match the 2 fields$"):
+            io.load_species({**doc, "indices": n})
+
+
+def test_species_file_with_wrong_index_count_exit_code(tmp_path, capsys):
+    """A species file claiming more indices than fields exits 2 with one
+    parse error line."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    argv = ["species", "to-quiver", "--in", write(tmp_path, "species.json", {**doc, "indices": 5}),
+            "--out", str(tmp_path / "quiver.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: indices 5 does not match the 2 fields\n"
+
+
 def test_stabilization_file_with_tau_loads():
     """Files written with the old "tau" key still load; the key is ignored."""
     from rquiver.exact import QuadMatrix

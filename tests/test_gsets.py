@@ -26,7 +26,7 @@ def random_gset(rng, group, size):
     while True:
         perms = []
         ok = True
-        for _ in group.generators:
+        for _ in group.canonical_generators:
             perms.append(rng.sample(range(size), size))
         try:
             return GSet.from_generator_perms(group, size, perms)

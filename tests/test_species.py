@@ -150,6 +150,15 @@ def test_species_rejects_out_of_range_indices_and_twists(key, twists, message):
     assert str(info.value) == message
 
 
+def test_species_rejects_a_summand_subgroup_of_another_group():
+    """A trivial subgroup of C3 lies in every subgroup of C2 as a set of
+    elements, so only its group tells it apart."""
+    summand = BimoduleSummand(Subgroup.trivial_in(FiniteGroup.cyclic(3)), 0, 0)
+    with pytest.raises(ValueError) as info:
+        EtaleSpecies(C2, [Subgroup.full(C2)], {(0, 0): [summand]})
+    assert str(info.value) == "summand subgroup of a different group at (0,0)"
+
+
 def test_roundtrip_random_groups():
     rng = random.Random(202)
     for group in (FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
