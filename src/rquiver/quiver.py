@@ -197,12 +197,9 @@ def quiver_homs(q1: RationalQuiver, q2: RationalQuiver):
     """Exhaustive list of equivariant quiver morphisms q1 -> q2."""
     if q1.group != q2.group:
         raise ValueError("quivers over different groups")
-    out = []
-    for fv in equivariant_maps(q1.vertices, q2.vertices):
-        for fe in equivariant_maps(q1.edges, q2.edges):
-            if _morphism_ok(q1, q2, fv, fe):
-                out.append(QuiverMorphism(fv, fe))
-    return out
+    edge_maps = equivariant_maps(q1.edges, q2.edges)
+    return [QuiverMorphism(fv, fe) for fv in equivariant_maps(q1.vertices, q2.vertices)
+            for fe in edge_maps if _morphism_ok(q1, q2, fv, fe)]
 
 
 def adjunction_forward(q_sub: RationalQuiver, sub: Subgroup, q_parent: RationalQuiver,

@@ -1,5 +1,6 @@
 """Rational quiver representations, species representations, Hom spaces with
-Galois descent, and the quasi-inverse functors between the two categories.
+Galois descent, and the quasi-inverse functors between the two categories;
+hf_witness builds H(F(r)) on r's own quiver.
 
 Linear algebra is implemented for quadratic extensions (group of order 2,
 optionally order 1 after base change); larger Galois groups are rejected with
@@ -40,7 +41,7 @@ from .exact import (
     sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport
-from .species import EtaleSpecies, _roundtrip_witness, quiver_of_species, species_of_quiver
+from .species import EtaleSpecies, quiver_conventions, quiver_of_species, species_of_quiver
 
 
 class NotQuadratic(ValueError):
@@ -102,11 +103,14 @@ def _summand_case(s: EtaleSpecies, i, j, summand):
             s.vertex_subgroups[j].order)
 
 
-def summand_domain_cols(s: EtaleSpecies, i, j, summand, n_i: int) -> int:
+def _eta_reps(s: EtaleSpecies, i, j, summand):
     hi, he, hj = _summand_case(s, i, j, summand)
-    deg_eps = 2 if he == 1 else 1
-    deg_j = 2 if hj == 1 else 1
-    return n_i * deg_eps // deg_j
+    return (0, 1) if (hj == 2 and he == 1) else (0,)
+
+
+def summand_domain_cols(s: EtaleSpecies, i, j, summand, n_i: int) -> int:
+    """n_i columns per eta: 2 n_i in the shapes (2,1,2) and (1,1,2)."""
+    return n_i * len(_eta_reps(s, i, j, summand))
 
 
 class SpeciesRep:
@@ -326,9 +330,9 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
     """
     import random as _random
 
-    _check_cocycle(a)
-    _check_cocycle(b)
     if a.quiver != b.quiver or a.dims != b.dims:
+        _check_cocycle(a)
+        _check_cocycle(b)
         return None
     if not any(a.dims):
         return tuple(QuadMatrix.zeros(0, 0, a.d) for _ in a.dims)
@@ -377,11 +381,6 @@ def _w_basis(r: QuiverRep, s: EtaleSpecies, conv):
     return out
 
 
-def _eta_reps(s: EtaleSpecies, i, j, summand):
-    hi, he, hj = _summand_case(s, i, j, summand)
-    return (0, 1) if (hj == 2 and he == 1) else (0,)
-
-
 def functor_F(r: QuiverRep) -> SpeciesRep:
     """Species representation of a rational quiver representation.
 
@@ -395,8 +394,7 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
     """
     if r.quiver.group.order != 2:
         raise NotQuadratic("functor_F needs a quadratic Galois group")
-    s, conv = species_of_quiver(r.quiver, with_conventions=True)
-    return _functor_F(r, s, conv)[0]
+    return _functor_F(r, species_of_quiver(r.quiver), quiver_conventions(r.quiver))[0]
 
 
 def _functor_F(r: QuiverRep, s: EtaleSpecies, conv):
@@ -468,11 +466,12 @@ def functor_H(w: SpeciesRep) -> QuiverRep:
     """
     if w.species.group.order != 2:
         raise NotQuadratic("functor_H needs a quadratic Galois group")
-    return _functor_H(w, *quiver_of_species(w.species, with_conventions=True))
+    q = quiver_of_species(w.species)
+    return _functor_H(w, q, quiver_conventions(q))
 
 
 def _functor_H(w: SpeciesRep, q: RationalQuiver, conv) -> QuiverRep:
-    """functor_H on the quiver of w.species with its conventions."""
+    """functor_H on a quiver q of species w.species, with its conventions."""
     s = w.species
     g = s.group
     dims = [w.dims[i] for i in conv.vertex_orbit_of]
@@ -491,37 +490,29 @@ def _functor_H(w: SpeciesRep, q: RationalQuiver, conv) -> QuiverRep:
 # ------------------------------------------------------------------ round trips
 
 def hf_witness(r: QuiverRep):
-    """Natural isomorphism H(F(r)) -> r.
+    """Natural isomorphism H(F(r)) -> r, with H(F(r)) built on r's quiver q.
 
-    H(F(r)) is transported to r's quiver along the anti-equivalence
-    round-trip witness; the component at v = t . v_i sends the standard
-    basis to phi_{v_i, t} of the chosen descent basis of W_i.  Returns
-    (transported H(F(r)), per-vertex matrices); the caller checks them with
-    is_morphism and invertibility.
+    The component at v = t . v_i sends the standard basis to phi_{v_i, t}
+    of the chosen descent basis of W_i.  Returns (H(F(r)), per-vertex
+    matrices); the caller checks them with is_morphism and invertibility.
+
+    This is functor_H(F(r)), on q2 = quiver_of_species(species_of_quiver(q)),
+    pulled back along roundtrip_quiver's witness, which sends t . v_i to
+    t . v2_i and t . e_eps to t . e2, with t the transport in q.  Both put
+    dims n_i and identity rho at t . v_i.  At t . e2, H puts the summand's
+    core, conjugated when t2 . twist_tgt != 1, with t2 q2's transport of
+    t . e2.  As stab(e2) = H_eps = stab(e_eps), t and t2 are both the
+    minimal element of t H_eps; so t2 = t, and _functor_H on q with q's
+    conventions puts the same edge map at t . e_eps.
     """
     q = r.quiver
     if q.group.order != 2:
         raise NotQuadratic("hf_witness needs a quadratic Galois group")
-    s, conv = species_of_quiver(q, with_conventions=True)
-    w, u = _functor_F(r, s, conv)
-    q2, conv2 = quiver_of_species(s, with_conventions=True)
-    back = _functor_H(w, q2, conv2)
-    witness = _roundtrip_witness(q, conv, q2, conv2)
-    transported = transport_rep(back, q, witness.vertex_bijection,
-                                witness.edge_bijection)
+    conv = quiver_conventions(q)
+    w, u = _functor_F(r, species_of_quiver(q), conv)
     mats = tuple(u[i] if t == 0 else r.rho[conv.vertex_reps[i]] * u[i].conj()
                  for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
-    return transported, mats
-
-
-def transport_rep(r: QuiverRep, target: RationalQuiver, vertex_map, edge_map) -> QuiverRep:
-    """Pull DATA of r back along a quiver isomorphism target -> r.quiver."""
-    dims = [r.dims[vertex_map[v]] for v in range(target.vertices.size)]
-    edges = [r.edge_maps[edge_map[e]] for e in range(target.edges.size)]
-    rho = None
-    if target.group.order == 2:
-        rho = [r.rho[vertex_map[v]] for v in range(target.vertices.size)]
-    return QuiverRep(target, dims, edges, rho, r.d)
+    return _functor_H(w, q, conv), mats
 
 
 def _tensor_matrix(s: EtaleSpecies, i, j, summand, psi: QuadMatrix) -> QuadMatrix:

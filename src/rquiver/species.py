@@ -7,7 +7,8 @@ representatives of the cosets recording the two structure embeddings.  The
 summand's coset space G/H_eps reproduces the original edge orbit, with
   src(t H_eps) = t . twist_src . H_i,   tgt(t H_eps) = t . twist_tgt . H_j.
 Twist representatives are canonical: the minimal element of their coset,
-read off GSet.orbit_table as the transport of the edge endpoint.
+read off GSet.orbit_table as the transport of the edge endpoint; the
+record quiver_conventions(q) holds these choices for a quiver q.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class QuiverConventions:
         return ()
 
 
-def _conventions(q: RationalQuiver) -> QuiverConventions:
+def quiver_conventions(q: RationalQuiver) -> QuiverConventions:
+    """The one builder of QuiverConventions: q's two orbit tables."""
     vertex_reps, orbit_of, vertex_transport = q.vertices.orbit_table()
     edge_orbit_reps, _, edge_transport = q.edges.orbit_table()
     edge_reps = {}
@@ -121,7 +123,7 @@ def _conventions(q: RationalQuiver) -> QuiverConventions:
                              edge_transport)
 
 
-def species_of_quiver(q: RationalQuiver, with_conventions=False):
+def species_of_quiver(q: RationalQuiver) -> EtaleSpecies:
     """The species dual to a rational quiver.
 
     Indices are vertex orbits ordered by minimal vertex, fields are the
@@ -130,28 +132,26 @@ def species_of_quiver(q: RationalQuiver, with_conventions=False):
     the transports of src(e) and tgt(e): the minimal elements of the cosets
     sigma H_i and tau H_j that carry v_i and v_j there.
     """
-    conv = _conventions(q)
+    conv = quiver_conventions(q)
     orbit_of, transport = conv.vertex_orbit_of, conv.vertex_transport
     bims = {}
     for e in sorted(e for _, reps in conv.edge_reps for e in reps):
         bims.setdefault((orbit_of[q.src[e]], orbit_of[q.tgt[e]]), []).append(
             BimoduleSummand(q.edges.stabilizer(e), transport[q.src[e]], transport[q.tgt[e]]))
-    species = EtaleSpecies(q.group, [q.vertices.stabilizer(v) for v in conv.vertex_reps], bims)
-    return (species, conv) if with_conventions else species
+    return EtaleSpecies(q.group, [q.vertices.stabilizer(v) for v in conv.vertex_reps], bims)
 
 
-def quiver_of_species(s: EtaleSpecies, with_conventions=False):
+def quiver_of_species(s: EtaleSpecies) -> RationalQuiver:
     """The quiver of a species, on unions of the coset spaces G/H_i and
     G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j.
 
-    With with_conventions, also returns the quiver's QuiverConventions, and
-    they are its layout.  By coset_union, vertex block i is one orbit whose
-    minimal point is its offset, and the offsets increase with i, so orbit i
-    is block i with its offset as representative.  The edge blocks follow
-    the summands by sorted (i, j) and then k, and the edge at a block's
-    offset (the coset H_eps) runs from twist_src . H_i in block i to
-    twist_tgt . H_j in block j; so the k-th edge representative at (i, j) is
-    the offset of summand k's block.
+    Its quiver_conventions are its layout.  By coset_union, vertex block i
+    is one orbit whose minimal point is its offset, and the offsets increase
+    with i, so orbit i is block i with its offset as representative.  The
+    edge blocks follow the summands by sorted (i, j) and then k, and the
+    edge at a block's offset (the coset H_eps) runs from twist_src . H_i in
+    block i to twist_tgt . H_j in block j; so the k-th edge representative
+    at (i, j) is the offset of summand k's block.
     """
     g = s.group
     vertices, vertex_offsets = coset_union(g, s.vertex_subgroups)
@@ -165,8 +165,7 @@ def quiver_of_species(s: EtaleSpecies, with_conventions=False):
             e = edges.apply(t, b)
             src[e] = vertices.apply(g.mul(t, summand.twist_src), vertex_offsets[i])
             tgt[e] = vertices.apply(g.mul(t, summand.twist_tgt), vertex_offsets[j])
-    q = RationalQuiver(vertices, edges, src, tgt)
-    return (q, _conventions(q)) if with_conventions else q
+    return RationalQuiver(vertices, edges, src, tgt)
 
 
 @dataclass(frozen=True)
@@ -176,23 +175,16 @@ class QuiverRoundtripWitness:
 
 
 def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
-    """Explicit iso q -> quiver_of_species(species_of_quiver(q)).
+    """Explicit iso q -> q2 = quiver_of_species(species_of_quiver(q)).
 
-    Vertex v = t . v_i goes to the coset t H_i in block i, and edge
-    e = t . e_eps to the coset t H_eps; this commutes with src/tgt and the
-    Galois action by construction, which is verified before returning.
+    The point t . rep of q, with t its transport in quiver_conventions(q),
+    goes to t . rep2 for the matching representative rep2 of q2 (of the
+    same index, or of the same summand): v = t . v_i goes to the coset t H_i
+    and e = t . e_eps to t H_eps.  The checks below certify it.
     """
-    s, conv = species_of_quiver(q, with_conventions=True)
-    return _roundtrip_witness(q, conv, *quiver_of_species(s, with_conventions=True))
-
-
-def _roundtrip_witness(q: RationalQuiver, conv: QuiverConventions, q2: RationalQuiver,
-                       conv2: QuiverConventions) -> QuiverRoundtripWitness:
-    """roundtrip_quiver's witness, given the conventions of q and of the
-    quiver q2 of q's species: the point t . rep of q, with t its transport
-    by GSet.orbit_table's rule, goes to t . rep2 for the matching
-    representative rep2 of q2 (of the same index, or of the same summand).
-    The checks below certify it."""
+    conv = quiver_conventions(q)
+    q2 = quiver_of_species(species_of_quiver(q))
+    conv2 = quiver_conventions(q2)
     g = q.group
     fv = [q2.vertices.apply(t, conv2.vertex_reps[i])
           for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport)]

@@ -28,7 +28,7 @@ from rquiver.exact import (
     sqrt_d,
 )
 from rquiver.gsets import C2, GSet, Subgroup
-from rquiver.hc import KINDS, build_example, hc_hom_space, inverse_E
+from rquiver.hc import KINDS, build_example, functor_E, hc_hom_space, inverse_E
 from rquiver.quiver import RationalQuiver, gelfand_quiver
 from rquiver.randomgen import (
     change_basis,
@@ -53,7 +53,8 @@ from rquiver.reps import (
     summand_domain_cols,
     validate_rep,
 )
-from rquiver.species import species_of_quiver
+from rquiver.serialize import dump_rep
+from rquiver.species import quiver_conventions, roundtrip_quiver, species_of_quiver
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
 
@@ -179,15 +180,20 @@ def ref_domain_basis(r, s, i, j, summand, u_i):
     return [(w, one) for w in cols]
 
 
-def ref_functor_F(r: QuiverRep) -> SpeciesRep:
-    q = r.quiver
-    g = q.group
-    s, conv = species_of_quiver(q, with_conventions=True)
+def ref_w_basis(r, s, conv):
     u = []
     for i, h in enumerate(s.vertex_subgroups):
         v_i = conv.vertex_reps[i]
         u.append(basis_matrix(fixed_space(SemilinearMap(r.rho[v_i], 1)), r.dims[v_i], r.d)
                  if h.order == 2 else QuadMatrix.identity(r.dims[v_i], r.d))
+    return u
+
+
+def ref_functor_F(r: QuiverRep) -> SpeciesRep:
+    q = r.quiver
+    g = q.group
+    s, conv = species_of_quiver(q), quiver_conventions(q)
+    u = ref_w_basis(r, s, conv)
     u_inv = [inverse(m) if m.rows else m for m in u]
     dims = [m.cols for m in u]
     maps = {}
@@ -232,6 +238,26 @@ def ref_summand_core(w, i, j, summand, fmat):
         v2 = fmat.apply(kappa(m2, d))
         cols.append(tuple(half * (a + rt * b) for a, b in zip(v1, v2)))
     return basis_matrix(cols, w.dims[j], d)
+
+
+def ref_hf_witness(r: QuiverRep):
+    """hf_witness as first built: H(F(r)) on the quiver q2 of r's species,
+    pulled back to r's quiver along roundtrip_quiver's witness q -> q2, and
+    the component at t . v_i the image of the descent basis u_i under
+    phi_{v_i, t}."""
+    q = r.quiver
+    h = functor_H(functor_F(r))
+    witness = roundtrip_quiver(q)
+    fv, fe = witness.vertex_bijection, witness.edge_bijection
+    back = QuiverRep(q, [h.dims[fv[v]] for v in range(q.vertices.size)],
+                     [h.edge_maps[fe[e]] for e in range(q.edges.size)],
+                     [h.rho[fv[v]] for v in range(q.vertices.size)], r.d)
+    conv = quiver_conventions(q)
+    u = ref_w_basis(r, species_of_quiver(q), conv)
+    mats = tuple(r.semilinear(conv.vertex_reps[i], t).matrix
+                 * (u[i].conj() if t else u[i])
+                 for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
+    return back, mats
 
 
 def ref_realify(m: QuadMatrix) -> QuadMatrix:
@@ -314,6 +340,34 @@ def test_functors_match_reference(d, monkeypatch):
             assert h == ref_h
 
 
+def assert_hf_witness_matches_reference(r):
+    back, mats = hf_witness(r)
+    ref_back, ref_mats = ref_hf_witness(r)
+    assert back.quiver is r.quiver
+    assert dump_rep(back) == dump_rep(ref_back)
+    assert (back.dims, back.edge_maps, back.rho) == (ref_back.dims, ref_back.edge_maps,
+                                                      ref_back.rho)
+    assert mats == ref_mats
+    assert is_morphism(back, r, mats)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hf_witness_matches_reference(d):
+    """H(F(r)) built on r's own quiver is the old H(F(r)) on the quiver of
+    r's species pulled back along the round-trip witness, on reps of random
+    C2 quivers moved to random bases (the QUIVER_SEEDS cover all five
+    summand shapes)."""
+    for seed in QUIVER_SEEDS + tuple(range(30, 36)):
+        for r in quiver_reps(seed, d, count=3, salt=3):
+            assert_hf_witness_matches_reference(r)
+
+
+def test_hf_witness_matches_reference_on_fixture_images():
+    for kind in KINDS:
+        for ell in (1, 2, 3):
+            assert_hf_witness_matches_reference(functor_E(build_example(kind, ell)).rep)
+
+
 @pytest.mark.parametrize("d", FIELD_TAGS)
 def test_realify_matches_reference(d):
     rng = random.Random(7)
@@ -365,7 +419,7 @@ def test_hom_rejects_mixed_field_tags():
 def test_hom_rejects_cocycle_breaking_rep():
     """Conjugation acts on Hom only through the cocycle, so hom_space checks it
     on both sides, also where Hom over L is zero; rep_isomorphic checks it
-    before it compares dimensions."""
+    itself where the dimensions differ, and through hom_space otherwise."""
     q = gelfand_quiver()
     one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
     good = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one))
@@ -413,6 +467,34 @@ def test_hom_rejects_rep_that_is_not_edge_equivariant():
 
 
 # ---------------------------------------------------------------- work gates
+
+def test_rep_isomorphic_checks_each_cocycle_once(monkeypatch):
+    """Two cocycle checks per rep_isomorphic call: hom_space's when the call
+    reaches it, rep_isomorphic's own when the dimensions differ, and none
+    when every space is zero, where every rho is 0 x 0."""
+    q = gelfand_quiver()
+    one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
+    good = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one))
+    z = QuadMatrix.zeros(0, 0)
+    null = QuiverRep(q, (0, 0, 0), (z, z, z, z), (z, z, z))
+    real = reps._cocycle_break
+    checked = []
+
+    def counted(r):
+        checked.append(r)
+        return real(r)
+
+    monkeypatch.setattr(reps, "_cocycle_break", counted)
+    pairs = [(good, good), (good, null), (null, good)]
+    pairs += [(r, r) for r in quiver_reps(QUIVER_SEEDS[0], Fraction(-1)) if any(r.dims)]
+    for a, b in pairs:
+        checked.clear()
+        rep_isomorphic(a, b)
+        assert checked == [a, b]
+    checked.clear()
+    assert rep_isomorphic(null, null) == (z, z, z)
+    assert checked == []
+
 
 def test_hc_hom_space_solves_on_the_ladder(monkeypatch):
     """hc_hom_space hands reps one block per weight |w| <= ell + 1, whatever

@@ -108,6 +108,31 @@ def test_homs_identity_present():
     assert QuiverMorphism((0, 1, 2), (0, 1, 2, 3)) in homs
 
 
+def test_homs_list_the_edge_maps_once(monkeypatch):
+    """quiver_homs lists the equivariant edge maps once, not once per vertex
+    map: two equivariant_maps calls for the S3 golden quiver against itself,
+    which has 4 vertex maps."""
+    import json
+    from pathlib import Path
+
+    import rquiver.quiver as quiver_mod
+    from rquiver.serialize import load_quiver
+
+    q = load_quiver(json.loads(
+        (Path(__file__).resolve().parent / "golden" / "quiver_s3.json").read_text()))
+    real = quiver_mod.equivariant_maps
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(quiver_mod, "equivariant_maps", counted)
+    homs = quiver_homs(q, q)
+    assert len(calls) == 2
+    assert len(real(q.vertices, q.vertices)) == 4 and len(homs) == 2
+
+
 def test_homs_split_loop_to_gelfand_empty():
     # a strict quiver morphism must send the loop to an edge with equal
     # endpoints; the Gelfand quiver has none

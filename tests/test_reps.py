@@ -21,7 +21,7 @@ from rquiver.reps import (
     rep_isomorphic,
     validate_rep,
 )
-from rquiver.species import species_of_quiver
+from rquiver.species import quiver_conventions, species_of_quiver
 from rquiver.randomgen import random_c2_quiver, random_species_rep
 
 
@@ -267,8 +267,8 @@ def test_H_after_F_isomorphic():
 
 
 def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
-    """hf_witness computes the species of r's quiver and the quiver of that
-    species once each, and passes them to F, H and the round-trip witness."""
+    """hf_witness computes the species of r's quiver once, and builds no
+    second quiver: H(F(r)) is built on r's own quiver."""
     import rquiver.reps as reps
     import rquiver.species as species
 
@@ -291,9 +291,10 @@ def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
         monkeypatch.setattr(reps, name, wrapper)
     for r in fixtures:
         calls.clear()
-        transported, mats = reps.hf_witness(r)
-        assert calls == {"species_of_quiver": 1, "quiver_of_species": 1}
-        assert is_morphism(transported, r, mats)
+        back, mats = reps.hf_witness(r)
+        assert calls == {"species_of_quiver": 1}
+        assert back.quiver is r.quiver
+        assert is_morphism(back, r, mats)
 
 
 def test_theta_rational_structure_consistency():
@@ -308,7 +309,7 @@ def test_theta_rational_structure_consistency():
     tested = 0
     for r in reps:
         q = r.quiver
-        s, conv = species_of_quiver(q, with_conventions=True)
+        s, conv = species_of_quiver(q), quiver_conventions(q)
         for (i, j), summands in s.bimodules.items():
             for summand in summands:
                 hi, he, hj = (s.vertex_subgroups[i].order, summand.subgroup.order,

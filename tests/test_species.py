@@ -18,6 +18,7 @@ from rquiver.serialize import dump_quiver
 from rquiver.species import (
     BimoduleSummand,
     EtaleSpecies,
+    quiver_conventions,
     quiver_of_species,
     roundtrip_quiver,
     roundtrip_species,
@@ -346,7 +347,8 @@ def assert_matches_reference(s):
     are the reference layout: the vertex offsets as representatives, the
     block of summand k at (i, j) at the k-th edge representative there, and
     the minimum of each point's coset as its transport."""
-    q, conv = quiver_of_species(s, with_conventions=True)
+    q = quiver_of_species(s)
+    conv = quiver_conventions(q)
     ref_q, vertex_offsets, vertex_cosets, edge_offsets, edge_cosets = ref_quiver_of_species(s)
     assert dump_quiver(q) == dump_quiver(ref_q)
     assert conv.vertex_reps == vertex_offsets
@@ -394,7 +396,8 @@ def test_quiver_of_species_conventions_are_its_block_offsets(name):
             if sub.elements <= hi.conjugate(a).elements & hj.conjugate(b).elements:
                 bims.setdefault((i, j), []).append(BimoduleSummand(sub, a, b))
     s = EtaleSpecies(group, subs, bims)
-    q, conv = quiver_of_species(s, with_conventions=True)
+    q = quiver_of_species(s)
+    conv = quiver_conventions(q)
     assert conv.vertex_reps == coset_union(group, subs)[1]
     assert conv.vertex_transport == tuple(m for ms in minima for m in ms)
     blocks = [(i, j, k, x.subgroup) for (i, j), summands in sorted(bims.items())
@@ -458,48 +461,49 @@ def vertex_offsets_reversed(q2, conv):
 
 
 WITNESS_FAULTS = {
-    # name: (quiver, corruption of quiver_of_species, message, hf_witness applies)
+    # name: (quiver, corruption of quiver_of_species and its conventions, message)
     "trivial-vertex-action": (gelfand_quiver, trivial_vertex_action,
-                              "round-trip maps are not bijections", True),
+                              "round-trip maps are not bijections"),
     "vertex-offsets-reversed": (gelfand_quiver, vertex_offsets_reversed,
-                                "round-trip maps are not bijections", False),
+                                "round-trip maps are not bijections"),
     "tgt-moved": (gelfand_quiver, one_tgt_moved,
-                  "round-trip witness breaks src/tgt at edge", True),
+                  "round-trip witness breaks src/tgt at edge"),
     "v4-vertices-moved": (v4_vertices, v4_points_over_03("vertices"),
-                          "round-trip witness is not equivariant on vertices", False),
+                          "round-trip witness is not equivariant on vertices"),
     "v4-edges-moved": (v4_loops, v4_points_over_03("edges"),
-                       "round-trip witness is not equivariant on edges", False),
+                       "round-trip witness is not equivariant on edges"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS_FAULTS))
 def test_roundtrip_witness_rejects_a_corrupted_quiver(name, monkeypatch):
     """Each of the witness's four checks (bijections, src/tgt, equivariance on
-    vertices and on edges) rejects a quiver_of_species whose quiver or
-    conventions are corrupted, in roundtrip_quiver and, over C2, in hf_witness.  The
-    Gelfand representation has dims (1, 1, 1), so a moved tgt keeps every
-    matrix shape and only the witness can object."""
-    import rquiver.reps as reps_mod
+    vertices and on edges) rejects, in roundtrip_quiver, a quiver_of_species
+    whose quiver or conventions are corrupted.  The corrupted conventions
+    reach roundtrip_quiver through quiver_conventions of the corrupted
+    quiver; every other quiver keeps its own."""
     import rquiver.species as species_mod
-    from rquiver.exact import QuadMatrix
-    from rquiver.reps import QuiverRep
     from rquiver.species import IsoSearchFailed
 
-    quiver, corrupt, message, with_rep = WITNESS_FAULTS[name]
+    quiver, corrupt, message = WITNESS_FAULTS[name]
     q = quiver()
     roundtrip_quiver(q)
-    honest = species_mod.quiver_of_species
+    honest_quiver, honest_conventions = species_mod.quiver_of_species, quiver_conventions
+    made = []
 
-    def corrupted(s, with_conventions=False):
-        q2, conv = corrupt(*honest(s, with_conventions=True))
-        return (q2, conv) if with_conventions else q2
+    def corrupted_quiver(s):
+        q2 = honest_quiver(s)
+        made.append(corrupt(q2, honest_conventions(q2)))
+        return made[-1][0]
 
-    monkeypatch.setattr(species_mod, "quiver_of_species", corrupted)
-    monkeypatch.setattr(reps_mod, "quiver_of_species", corrupted)
+    def conventions(quiver):
+        for q2, conv in made:
+            if q2 is quiver:
+                return conv
+        return honest_conventions(quiver)
+
+    monkeypatch.setattr(species_mod, "quiver_of_species", corrupted_quiver)
+    monkeypatch.setattr(species_mod, "quiver_conventions", conventions)
     with pytest.raises(IsoSearchFailed, match=message):
         roundtrip_quiver(q)
-    if with_rep:
-        one = QuadMatrix.identity(1)
-        r = QuiverRep(q, (1, 1, 1), [one] * 4, [one] * 3)
-        with pytest.raises(IsoSearchFailed, match=message):
-            reps_mod.hf_witness(r)
+    assert made
