@@ -348,6 +348,7 @@ def assert_hf_witness_matches_reference(r):
     assert (back.dims, back.edge_maps, back.rho) == (ref_back.dims, ref_back.edge_maps,
                                                       ref_back.rho)
     assert mats == ref_mats
+    # the reference runs functor_H too, so a fault in H shows only here
     assert is_morphism(back, r, mats)
 
 
@@ -363,6 +364,7 @@ def test_hf_witness_matches_reference(d):
 
 
 def test_hf_witness_matches_reference_on_fixture_images():
+    """The E-images of the four classical fixtures at ell = 1, 2, 3."""
     for kind in KINDS:
         for ell in (1, 2, 3):
             assert_hf_witness_matches_reference(functor_E(build_example(kind, ell)).rep)
