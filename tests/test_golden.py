@@ -99,6 +99,19 @@ other two files are written by
 These five files were recorded while every orbit representative and twist
 was still found by its own scan of the group, before GSet.orbit_table.
 
+The base-change and restriction files pin both sides of the adjunction.
+group_s3.json is FiniteGroup.symmetric(3) as json.dump(dump_group(g),
+sort_keys=True, indent=2) plus a newline; its subgroups {0, 1} and {0, 5}
+are the two used by quiver_s3.json.  The other four are written by
+
+    rquiver quiver base-change --in quiver_s3.json --subgroup 0,1 --out quiver_s3_base_change_01.json
+    rquiver quiver restrict --in quiver_gelfand.json --parent group_s3.json --subgroup 0,5 --out quiver_gelfand_restrict_05.json
+    rquiver species base-change --in species_s3.json --subgroup 0,1 --out species_s3_base_change_01.json
+    rquiver species restrict --in species_gelfand.json --parent group_s3.json --subgroup 0,5 --out species_gelfand_restrict_05.json
+
+They were recorded while gsets.induce still returned its unit map with the
+induced G-set.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
@@ -118,7 +131,7 @@ from rquiver.randomgen import change_basis, random_c2_quiver, random_group_quive
     random_invertible, random_species_rep
 from rquiver.reps import QuiverRep, functor_H
 from rquiver.species import species_of_quiver
-from rquiver.serialize import dump_quiver, dump_rep
+from rquiver.serialize import dump_group, dump_quiver, dump_rep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -258,3 +271,27 @@ def test_species_rep_files_unchanged(tmp_path):
     out = tmp_path / "r.json"
     assert main(["rep", "from-species", "--in", str(species_rep_file), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "rep_c2_62_d2_from_species.json").read_bytes()
+
+
+def test_group_file_unchanged():
+    assert json.dumps(dump_group(FiniteGroup.symmetric(3)), sort_keys=True, indent=2) + "\n" == \
+        (GOLDEN / "group_s3.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("quiver_s3_base_change_01.json",
+     ["quiver", "base-change", "--in", "quiver_s3.json", "--subgroup", "0,1"]),
+    ("quiver_gelfand_restrict_05.json",
+     ["quiver", "restrict", "--in", "quiver_gelfand.json", "--parent", "group_s3.json",
+      "--subgroup", "0,5"]),
+    ("species_s3_base_change_01.json",
+     ["species", "base-change", "--in", "species_s3.json", "--subgroup", "0,1"]),
+    ("species_gelfand_restrict_05.json",
+     ["species", "restrict", "--in", "species_gelfand.json", "--parent", "group_s3.json",
+      "--subgroup", "0,5"]),
+])
+def test_base_change_and_restrict_files_unchanged(name, argv, tmp_path):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
