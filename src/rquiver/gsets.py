@@ -312,14 +312,14 @@ def stabilizer(x: GSet, p: int) -> Subgroup:
     return x.stabilizer(p)
 
 
-def induce(x: GSet, sub: Subgroup):
+def induce(x: GSet, sub: Subgroup) -> GSet:
     """Balanced product G x_H X for the H-set x, H embedded in G via sub.
 
-    Returns (induced G-set, unit map X -> induced sending p to [(1, p)]).
     Every a in G is r_c h for the minimum r_c of its left coset c and one h
     in H, and (a, p) ~ (r_c, h.p) is the minimal pair of its class, so the
     class is the point c |X| + h.p: classes are ordered by their minimal
-    (g, p) pair, and the unit map is p |-> p since r_0 = 1.
+    (g, p) pair.  As r_0 = 1, the unit X -> G x_H X, p |-> [(1, p)], is the
+    identity on points: p of x is the point p of the induced set.
     """
     hgrp, embed = sub.as_group()
     if x.group != hgrp:
@@ -335,7 +335,7 @@ def induce(x: GSet, sub: Subgroup):
         return c * n + x.apply(h, p)
 
     action = [[point(g.mul(b, r), p) for r in reps for p in range(n)] for b in g.elements()]
-    return GSet(g, len(reps) * n, action), list(range(n))
+    return GSet(g, len(reps) * n, action)
 
 
 def equivariant_maps(x: GSet, y: GSet) -> list:

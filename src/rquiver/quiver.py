@@ -147,31 +147,27 @@ def restrict(q: RationalQuiver, sub: Subgroup) -> RationalQuiver:
 
     q must live over sub.as_group()[0]; vertices and edges are induced via the
     balanced product and src/tgt componentwise; relations are pushed through
-    the unit and closed under the parent action.
+    the unit, which is the identity on points, and closed under the parent
+    action.
     """
     hgrp, _ = sub.as_group()
     if q.group != hgrp:
         raise ValueError("quiver is not over the given subgroup")
     g = sub.parent
-    verts, vunit = induce(q.vertices, sub)
-    edges, eunit = induce(q.edges, sub)
+    verts = induce(q.vertices, sub)
+    edges = induce(q.edges, sub)
     # the induced edge class of (a, e) has endpoints the classes of (a, s(e)), (a, t(e))
     src = [None] * edges.size
     tgt = [None] * edges.size
     for e in range(q.edges.size):
-        e0 = eunit[e]
-        s0 = vunit[q.src[e]]
-        t0 = vunit[q.tgt[e]]
         for a in g.elements():
-            src[edges.apply(a, e0)] = verts.apply(a, s0)
-            tgt[edges.apply(a, e0)] = verts.apply(a, t0)
+            src[edges.apply(a, e)] = verts.apply(a, q.src[e])
+            tgt[edges.apply(a, e)] = verts.apply(a, q.tgt[e])
     relations = []
     seen = set()
     for p, qq in q.relations:
-        base = (tuple(eunit[e] for e in p), tuple(eunit[e] for e in qq))
         for a in g.elements():
-            img = (tuple(edges.apply(a, e) for e in base[0]),
-                   tuple(edges.apply(a, e) for e in base[1]))
+            img = (tuple(edges.apply(a, e) for e in p), tuple(edges.apply(a, e) for e in qq))
             if _rel_key(img) not in seen:
                 seen.add(_rel_key(img))
                 relations.append(img)
@@ -205,28 +201,26 @@ def quiver_homs(q1: RationalQuiver, q2: RationalQuiver):
 def adjunction_forward(q_sub: RationalQuiver, sub: Subgroup, q_parent: RationalQuiver,
                        morphism: QuiverMorphism) -> QuiverMorphism:
     """Hom_G(restrict(q_sub), q_parent) -> Hom_H(q_sub, base_change(q_parent)):
-    precompose with the unit maps."""
-    _, vunit = induce(q_sub.vertices, sub)
-    _, eunit = induce(q_sub.edges, sub)
-    fv = tuple(morphism.vertex_map[vunit[v]] for v in range(q_sub.vertices.size))
-    fe = tuple(morphism.edge_map[eunit[e]] for e in range(q_sub.edges.size))
-    return QuiverMorphism(fv, fe)
+    precompose with the unit maps, which are the identity on the points of
+    q_sub, the first points of restrict(q_sub)."""
+    return QuiverMorphism(morphism.vertex_map[:q_sub.vertices.size],
+                          morphism.edge_map[:q_sub.edges.size])
 
 
 def adjunction_backward(q_sub: RationalQuiver, sub: Subgroup, q_parent: RationalQuiver,
                         morphism: QuiverMorphism) -> QuiverMorphism:
     """Extend an H-morphism equivariantly over the classes [(a, x)]."""
     g = sub.parent
-    verts, vunit = induce(q_sub.vertices, sub)
-    edges, eunit = induce(q_sub.edges, sub)
+    verts = induce(q_sub.vertices, sub)
+    edges = induce(q_sub.edges, sub)
     fv = [None] * verts.size
     fe = [None] * edges.size
     for x in range(q_sub.vertices.size):
         for a in g.elements():
-            fv[verts.apply(a, vunit[x])] = q_parent.vertices.apply(a, morphism.vertex_map[x])
+            fv[verts.apply(a, x)] = q_parent.vertices.apply(a, morphism.vertex_map[x])
     for e in range(q_sub.edges.size):
         for a in g.elements():
-            fe[edges.apply(a, eunit[e])] = q_parent.edges.apply(a, morphism.edge_map[e])
+            fe[edges.apply(a, e)] = q_parent.edges.apply(a, morphism.edge_map[e])
     return QuiverMorphism(tuple(fv), tuple(fe))
 
 

@@ -41,7 +41,7 @@ from .exact import (
     sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport
-from .species import EtaleSpecies, quiver_conventions, quiver_of_species, species_of_quiver
+from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
 
 
 class NotQuadratic(ValueError):
@@ -394,13 +394,14 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
     """
     if r.quiver.group.order != 2:
         raise NotQuadratic("functor_F needs a quadratic Galois group")
-    return _functor_F(r, species_of_quiver(r.quiver), quiver_conventions(r.quiver))[0]
+    return _functor_F(r, quiver_conventions(r.quiver))[0]
 
 
-def _functor_F(r: QuiverRep, s: EtaleSpecies, conv):
-    """functor_F on the species of r.quiver with its conventions; returns
-    (F(r), the descent bases u_i of the W_i)."""
+def _functor_F(r: QuiverRep, conv):
+    """functor_F on the species of r.quiver, built from its conventions
+    conv; returns (F(r), the descent bases u_i of the W_i)."""
     q = r.quiver
+    s = _species(q, conv)
     u = _w_basis(r, s, conv)
     u_inv = [inverse(m) for m in u]
     dims = [u[i].cols for i in range(s.n_indices)]
@@ -496,8 +497,10 @@ def hf_witness(r: QuiverRep):
     of the chosen descent basis of W_i.  Returns (H(F(r)), per-vertex
     matrices); the caller checks them with is_morphism and invertibility.
 
-    This is functor_H(F(r)), on q2 = quiver_of_species(species_of_quiver(q)),
-    pulled back along roundtrip_quiver's witness, which sends t . v_i to
+    One conventions record conv of q serves both functors: _functor_F reads
+    the species s of q off it, and _functor_H lays H(F(r)) out on q with it.
+    This is functor_H(F(r)), on q2 = quiver_of_species(s), pulled back
+    along roundtrip_quiver's witness, which sends t . v_i to
     t . v2_i and t . e_eps to t . e2, with t the transport in q.  Both put
     dims n_i and identity rho at t . v_i.  At t . e2, H puts the summand's
     core, conjugated when t2 . twist_tgt != 1, with t2 q2's transport of
@@ -509,7 +512,7 @@ def hf_witness(r: QuiverRep):
     if q.group.order != 2:
         raise NotQuadratic("hf_witness needs a quadratic Galois group")
     conv = quiver_conventions(q)
-    w, u = _functor_F(r, species_of_quiver(q), conv)
+    w, u = _functor_F(r, conv)
     mats = tuple(u[i] if t == 0 else r.rho[conv.vertex_reps[i]] * u[i].conj()
                  for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
     return _functor_H(w, q, conv), mats

@@ -132,7 +132,11 @@ def species_of_quiver(q: RationalQuiver) -> EtaleSpecies:
     the transports of src(e) and tgt(e): the minimal elements of the cosets
     sigma H_i and tau H_j that carry v_i and v_j there.
     """
-    conv = quiver_conventions(q)
+    return _species(q, quiver_conventions(q))
+
+
+def _species(q: RationalQuiver, conv: QuiverConventions) -> EtaleSpecies:
+    """species_of_quiver(q), read off q's conventions conv."""
     orbit_of, transport = conv.vertex_orbit_of, conv.vertex_transport
     bims = {}
     for e in sorted(e for _, reps in conv.edge_reps for e in reps):
@@ -183,7 +187,7 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
     and e = t . e_eps to t H_eps.  The checks below certify it.
     """
     conv = quiver_conventions(q)
-    q2 = quiver_of_species(species_of_quiver(q))
+    q2 = quiver_of_species(_species(q, conv))
     conv2 = quiver_conventions(q2)
     g = q.group
     fv = [q2.vertices.apply(t, conv2.vertex_reps[i])
@@ -240,24 +244,3 @@ def species_base_change(s: EtaleSpecies, sub: Subgroup) -> EtaleSpecies:
 def species_restrict(s: EtaleSpecies, sub: Subgroup) -> EtaleSpecies:
     """Restriction to the base field, via the associated quiver."""
     return species_of_quiver(quiver_restrict(quiver_of_species(s), sub))
-
-
-def species_hom_count(s1: EtaleSpecies, s2: EtaleSpecies) -> int:
-    """Number of species morphisms s1 -> s2 (contravariantly, quiver homs
-    of the associated quivers in the opposite direction)."""
-    from .quiver import quiver_homs
-
-    return len(quiver_homs(quiver_of_species(s2), quiver_of_species(s1)))
-
-
-def species_adjunction_check(s_sub: EtaleSpecies, sub: Subgroup,
-                             s_parent: EtaleSpecies):
-    """Verify the restriction/base-change adjunction by enumeration.
-
-    Through the anti-equivalence the quiver-side bijection
-    Hom(restrict q_E, q_K) = Hom(q_E, base_change q_K) becomes
-    Hom(s_K, restrict s_E) = Hom(base_change s_K, s_E); both counts are
-    enumerated on the quiver side and returned as (lhs, rhs)."""
-    lhs = species_hom_count(s_parent, species_restrict(s_sub, sub))
-    rhs = species_hom_count(species_base_change(s_parent, sub), s_sub)
-    return lhs, rhs

@@ -266,17 +266,12 @@ def test_H_after_F_isomorphic():
         assert all(rank(mats[v]) == r.dims[v] for v in range(r.quiver.vertices.size))
 
 
-def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
-    """hf_witness computes the species of r's quiver once, and builds no
-    second quiver: H(F(r)) is built on r's own quiver."""
+def count_calls(monkeypatch, names):
+    """Counter of the calls to the named functions of rquiver.species, from
+    that module and from rquiver.reps, which imports some of them."""
     import rquiver.reps as reps
     import rquiver.species as species
 
-    rng = random.Random(5)
-    fixtures = [discrete_like_rep(), principal_like_rep()]
-    for _ in range(4):
-        q = random_c2_quiver(rng, max_v=3, max_e=4)
-        fixtures.append(functor_H(random_species_rep(rng, species_of_quiver(q), max_dim=2)))
     calls = Counter()
 
     def counted(name, real):
@@ -285,16 +280,49 @@ def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("species_of_quiver", "quiver_of_species"):
+    for name in names:
         wrapper = counted(name, getattr(species, name))
         monkeypatch.setattr(species, name, wrapper)
-        monkeypatch.setattr(reps, name, wrapper)
+        if hasattr(reps, name):
+            monkeypatch.setattr(reps, name, wrapper)
+    return calls
+
+
+def hf_fixtures(seed):
+    rng = random.Random(seed)
+    fixtures = [discrete_like_rep(), principal_like_rep()]
+    for _ in range(4):
+        q = random_c2_quiver(rng, max_v=3, max_e=4)
+        fixtures.append(functor_H(random_species_rep(rng, species_of_quiver(q), max_dim=2)))
+    return fixtures
+
+
+def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
+    """hf_witness computes the species of r's quiver once, and builds no
+    second quiver: H(F(r)) is built on r's own quiver."""
+    fixtures = hf_fixtures(5)
+    calls = count_calls(monkeypatch, ("_species", "species_of_quiver", "quiver_of_species"))
     for r in fixtures:
         calls.clear()
-        back, mats = reps.hf_witness(r)
-        assert calls == {"species_of_quiver": 1}
+        back, mats = hf_witness(r)
+        assert calls == {"_species": 1}
         assert back.quiver is r.quiver
         assert is_morphism(back, r, mats)
+
+
+def test_conventions_are_built_once_per_quiver(monkeypatch):
+    """functor_F and hf_witness build the conventions of r's quiver once,
+    and roundtrip_quiver once for q and once for the quiver of its
+    species: the species is read off the conventions the caller holds."""
+    from rquiver.species import roundtrip_quiver
+
+    fixtures = hf_fixtures(6)
+    calls = count_calls(monkeypatch, ("quiver_conventions",))
+    for r in fixtures:
+        for run, expected in ((functor_F, 1), (hf_witness, 1), (roundtrip_quiver, 2)):
+            calls.clear()
+            run(r.quiver if run is roundtrip_quiver else r)
+            assert calls == {"quiver_conventions": expected}, run.__name__
 
 
 def test_theta_rational_structure_consistency():
