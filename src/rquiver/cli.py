@@ -158,6 +158,15 @@ def _subgroup(group, spec: str) -> Subgroup:
         raise UsageError(f"bad subgroup {spec!r}: {exc}") from exc
 
 
+def _require_valid(what, validation):
+    """Stop with a usage error (exit 2) naming every failing check of a
+    validation report: the input does not meet the command's preconditions."""
+    failures = validation.failures()
+    if failures:
+        raise UsageError(f"invalid {what}: " + "; ".join(
+            f"FAIL {name}" + (f" [{witness}]" if witness else "") for name, witness in failures))
+
+
 def _report_validation(report, rep, prefix=""):
     for name, ok, witness in rep.checks:
         report.add(prefix + name, ok, witness)
@@ -202,6 +211,7 @@ def _cmd_species(args) -> Report:
     report = Report("species " + args.action)
     if args.action == "from-quiver":
         q = io.load_quiver(_read(args.infile))
+        _require_valid("quiver", validate(q))
         _write(args.out, io.dump_species(species_of_quiver(q)))
         report.add("written", True, args.out)
     elif args.action == "to-quiver":
@@ -210,6 +220,7 @@ def _cmd_species(args) -> Report:
         report.add("written", True, args.out)
     elif args.action == "roundtrip":
         q = io.load_quiver(_read(args.infile))
+        _require_valid("quiver", validate(q))
         witness = roundtrip_quiver(q)
         report.add("quiver-roundtrip", True,
                    f"vertex bijection {list(witness.vertex_bijection)}")
@@ -247,6 +258,8 @@ def _cmd_rep(args) -> Report:
                    f"dim_K = {hs.dim_K}, dim_L = {hs.dim_L}")
     elif args.action == "to-species":
         r = io.load_rep(_read(args.infile))
+        _require_valid("quiver", validate(r.quiver))
+        _require_valid("representation", validate_rep(r, require_nilpotent=False))
         _write(args.out, io.dump_species_rep(functor_F(r)))
         report.add("written", True, args.out)
     elif args.action == "from-species":

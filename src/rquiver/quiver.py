@@ -34,8 +34,8 @@ class RationalQuiver:
         if len(src) != edges.size or len(tgt) != edges.size:
             raise ValueError("src/tgt must assign a vertex to every edge")
         for v in src + tgt:
-            if not 0 <= v < vertices.size:
-                raise ValueError("src/tgt out of range")
+            if type(v) is not int or not 0 <= v < vertices.size:
+                raise ValueError(f"src/tgt entry {v!r} is not a vertex in 0..{vertices.size - 1}")
         self.group = vertices.group
         self.vertices = vertices
         self.edges = edges
@@ -46,7 +46,7 @@ class RationalQuiver:
             if not path:
                 raise ValueError("relation paths must be nonempty")
             for e in path:
-                if not 0 <= e < edges.size:
+                if type(e) is not int or not 0 <= e < edges.size:
                     raise ValueError(f"relation path {list(path)} names edge {e}, "
                                      f"outside 0..{edges.size - 1}")
 

@@ -70,6 +70,8 @@ class QuiverRep:
             if rho is None:
                 raise ValueError("rational structure required over a quadratic group")
             self.rho = tuple(rho)
+            if len(self.rho) != quiver.vertices.size:
+                raise ValueError("one semilinear matrix per vertex required")
             for v, m in enumerate(self.rho):
                 cv = quiver.vertices.apply(1, v)
                 if (m.rows, m.cols) != (self.dims[cv], self.dims[v]):

@@ -7,6 +7,11 @@ Q(sqrt(d)) are 4-tuples [a_num, a_den, b_num, b_den] under a field header
 G-sets are {"size", "action"} with one permutation per canonical group
 generator.  A stabilization problem is {"phi_plus", "phi_minus"}; the key
 "tau" of older files carried no information and is ignored.
+
+Vertex and edge indices (a quiver's "src", "tgt" and relation paths) must be
+JSON integers: 0.5, 1.0 and true are rejected, although Python counts true
+as the integer 1.  A representation's "semilinear" list has one matrix per
+vertex.
 """
 
 from __future__ import annotations

@@ -575,3 +575,101 @@ def test_load_rep_fuzz(data):
         io.load_rep(doc)
     except io.ParseError:
         pass
+
+
+# --------------------------------------------------------------- input checks
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_empty_semilinear_list_exit_code(tmp_path, capsys):
+    """A rep file with "semilinear": [] is malformed: rep validate and rep
+    to-species exit 2 with one parse error line, not an IndexError."""
+    doc = json.loads((GOLDEN / "rep_c2_62_d2.json").read_text())
+    doc["semilinear"] = []
+    path = write(tmp_path, "rep.json", doc)
+    for argv in (["rep", "validate", "--in", path],
+                 ["rep", "to-species", "--in", path, "--out", str(tmp_path / "w.json")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: malformed input to load_rep: "
+                                "ValueError: one semilinear matrix per vertex required\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("src", 0.5), ("src", 1.0), ("src", True), ("tgt", 0.5), ("relations", 0.5),
+])
+def test_non_integer_index_exit_code(tmp_path, capsys, key, value):
+    """An index that is not a JSON integer, in src, tgt or a relation path,
+    is malformed input for every loader of a quiver: exit 2 with one parse
+    error line, not a TypeError."""
+    rep = io.dump_rep(random_gelfand_rep(random.Random(5), max_dim=2))
+    if key == "relations":
+        rep["quiver"]["relations"][0][0][0] = value
+    else:
+        rep["quiver"][key][0] = value
+    quiver = write(tmp_path, "q.json", rep["quiver"])
+    rep = write(tmp_path, "rep.json", rep)
+    for argv in (["quiver", "validate", "--in", quiver],
+                 ["species", "from-quiver", "--in", quiver, "--out", str(tmp_path / "s.json")],
+                 ["rep", "validate", "--in", rep]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("parse error: malformed input to load_quiver: ValueError:")
+        assert repr(value) in lines[0]
+
+
+def test_species_commands_check_the_quiver(tmp_path, capsys):
+    """species from-quiver and species roundtrip exit 2 naming the failing
+    check on a quiver that quiver validate rejects, instead of writing a
+    species or raising IsoSearchFailed."""
+    q = gelfand_quiver()
+    from rquiver.quiver import RationalQuiver
+
+    broken = RationalQuiver(q.vertices, q.edges, (1, 1, 0, 0), q.tgt)
+    path = write(tmp_path, "bad.json", io.dump_quiver(broken))
+    assert main(["quiver", "validate", "--in", path]) == 1
+    capsys.readouterr()
+    out = tmp_path / "s.json"
+    for argv in (["species", "from-quiver", "--in", path, "--out", str(out)],
+                 ["species", "roundtrip", "--in", path]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: invalid quiver: FAIL equivariance "
+                                "[src(g*e) != g*src(e) at g=1, e=0]\n")
+    assert not out.exists()
+
+
+def test_rep_to_species_checks_the_rep(tmp_path, capsys):
+    """Every change of one entry of an edge matrix of the golden rep (1 added
+    to its rational or to its sqrt(d) part) that rep validate rejects (exit 1;
+    37 of the 38) makes rep to-species exit 2 naming the failing check,
+    instead of writing a species rep or raising AssertionError."""
+    doc = json.loads((GOLDEN / "rep_c2_62_d2.json").read_text())
+    out = tmp_path / "w.json"
+    rejected = 0
+    for m, matrix in enumerate(doc["edges"]):
+        for k in range(len(matrix["entries"])):
+            for part in (0, 2):
+                bad = json.loads(json.dumps(doc))
+                entry = bad["edges"][m]["entries"][k]
+                entry[part] += entry[part + 1]
+                path = write(tmp_path, "bad.json", bad)
+                status = main(["rep", "validate", "--allow-non-nilpotent", "--in", path])
+                capsys.readouterr()
+                if status == 0:
+                    continue
+                assert status == 1
+                rejected += 1
+                assert main(["rep", "to-species", "--in", path, "--out", str(out)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(
+                    "usage error: invalid representation: FAIL edge-equivariance [")
+                assert not out.exists()
+    assert rejected == 37

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from rquiver.gsets import C2, GSet, Subgroup
 from rquiver.quiver import (
     QuiverMorphism,
@@ -32,6 +34,19 @@ def test_equivariance_violation_detected():
     rep = validate(bad)
     assert not rep.ok
     assert any(name == "equivariance" for name, _ in rep.failures())
+
+
+def test_indices_must_be_integers():
+    """src, tgt and relation paths hold ints: a float passes a range check
+    and a bool is an int to Python, so both are rejected by type."""
+    q = gelfand_quiver()
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match=rf"^src/tgt entry {bad!r} is not a vertex in 0\.\.2$"):
+            RationalQuiver(q.vertices, q.edges, (bad,) + q.src[1:], q.tgt, q.relations)
+        with pytest.raises(ValueError, match=rf"^src/tgt entry {bad!r} is not a vertex"):
+            RationalQuiver(q.vertices, q.edges, q.src, q.tgt[:-1] + (bad,), q.relations)
+        with pytest.raises(ValueError, match=rf"names edge {bad!r}, outside 0\.\.3$"):
+            RationalQuiver(q.vertices, q.edges, q.src, q.tgt, (((3, bad), (2, 0)),))
 
 
 def test_split_flag():

@@ -439,6 +439,15 @@ def test_rep_field_is_checked_at_construction():
         SpeciesRep(species, w.dims, w.maps, 9)
 
 
+def test_rho_needs_one_matrix_per_vertex():
+    """A rational structure with fewer or more matrices than vertices is
+    rejected when the representation is built, not by an IndexError later."""
+    r = principal_like_rep()
+    for rho in ((), r.rho[:-1], r.rho + r.rho[:1]):
+        with pytest.raises(ValueError, match="^one semilinear matrix per vertex required$"):
+            QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)
+
+
 def test_species_is_morphism():
     from rquiver.reps import species_is_morphism
 
