@@ -1,11 +1,28 @@
 """Seeded generators of random quivers, species representations and
-nilpotent rational representations, used by the property suites."""
+nilpotent rational representations, used by the property suites, by
+``rquiver examples run --cases N`` and by the benchmark's set-ups.
+
+Draw order is part of the contract, so that a seed keeps giving the same
+inputs: an entry a + b*sqrt(d) draws a, then b (not drawn when the entry is
+rational), each by ``rng.randint(-span, span)``, in row-major order;
+triangular and factored matrices draw only their free entries, and a
+dimension 0 draws nothing.  ``tests/test_randomgen.py`` holds the
+entry-by-entry QuadElement construction as the reference for these draws.
+The matrices are built directly in the integer form of ``exact``: with
+d = dn/dd the entry is (a*dd + b*sqrt(D)) / dd, which ``exact._matrix``
+puts in lowest terms.
+
+An invertible draw costs one elimination: ``_invertible`` redraws until
+``inverse`` succeeds and returns the matrix with its inverse, and the
+generators reuse those inverses to move a representation to a random
+basis.  ``change_basis`` inverts each g_v once.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, inverse, rank
+from .exact import QuadElement, QuadMatrix, _field_tag, _matrix, inverse
 from .gsets import C2, FiniteGroup, GSet, Subgroup, coset_union
 from .quiver import RationalQuiver, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, SpeciesRep, summand_domain_cols
@@ -16,59 +33,63 @@ def random_quad(rng, span=3, d=-1):
                        Fraction(rng.randint(-span, span)), d)
 
 
+def _draw(rng, span, rational):
+    """(a, b) for the entry a + b*sqrt(d): a drawn first, then b unless rational."""
+    a = rng.randint(-span, span)
+    return a, 0 if rational else rng.randint(-span, span)
+
+
+def _integer_matrix(rows, cols, d, entries):
+    """The matrix over Q(sqrt(d)) whose row-major entries are a + b*sqrt(d)
+    for the integer pairs (a, b)."""
+    d = _field_tag(d)
+    dd = d.denominator
+    return _matrix(rows, cols, d, d.numerator * dd, [a * dd for a, _ in entries],
+                   [b for _, b in entries], dd)
+
+
 def random_matrix(rng, rows, cols, rational=False, span=3, d=-1):
-    ent = []
-    for _ in range(rows * cols):
-        if rational:
-            ent.append(QuadElement(Fraction(rng.randint(-span, span)), 0, d))
-        else:
-            ent.append(random_quad(rng, span, d))
-    return QuadMatrix(rows, cols, ent, d)
+    return _integer_matrix(rows, cols, d, [_draw(rng, span, rational)
+                                           for _ in range(rows * cols)])
+
+
+def _invertible(rng, n, span=2, rational=False, d=-1):
+    """(g, g^-1) for the first random n x n draw that is invertible; a
+    singular draw makes ``inverse`` raise and is drawn again."""
+    while True:
+        m = random_matrix(rng, n, n, rational, span, d)
+        try:
+            return m, inverse(m)
+        except ValueError:
+            continue
 
 
 def random_invertible(rng, n, span=2, rational=False, d=-1):
-    while True:
-        m = random_matrix(rng, n, n, rational, span, d)
-        if rank(m) == n:
-            return m
+    return _invertible(rng, n, span, rational, d)[0]
 
 
 def strictly_upper(rng, n, span=2, rational=False, d=-1):
-    zero = QuadElement(0, 0, d)
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            if j > i:
-                ent.append(QuadElement(Fraction(rng.randint(-span, span)),
-                                       0 if rational else Fraction(rng.randint(-span, span)),
-                                       d))
-            else:
-                ent.append(zero)
-    return QuadMatrix(n, n, ent, d)
+    return _integer_matrix(n, n, d, [_draw(rng, span, rational) if j > i else (0, 0)
+                                     for i in range(n) for j in range(n)])
 
 
 def random_unimodular(rng, n, span=2, rational=False, d=-1):
     """Invertible by construction: unit lower times unit upper triangular."""
     def unit(lower):
-        ent = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    ent.append(QuadElement(1, 0, d))
-                elif (j < i) == lower:
-                    ent.append(QuadElement(
-                        Fraction(rng.randint(-span, span)),
-                        0 if rational else Fraction(rng.randint(-span, span)), d))
-                else:
-                    ent.append(QuadElement(0, 0, d))
-        return QuadMatrix(n, n, ent, d)
+        return _integer_matrix(n, n, d, [
+            (1, 0) if i == j else _draw(rng, span, rational) if (j < i) == lower else (0, 0)
+            for i in range(n) for j in range(n)])
 
     return unit(True) * unit(False)
 
 
 def random_nilpotent(rng, n, span=2, rational=False, d=-1, fast=False):
-    g = (random_unimodular if fast else random_invertible)(rng, n, span, rational, d)
-    return g * strictly_upper(rng, n, span, rational, d) * inverse(g)
+    if fast:
+        g = random_unimodular(rng, n, span, rational, d)
+        g_inv = inverse(g)
+    else:
+        g, g_inv = _invertible(rng, n, span, rational, d)
+    return g * strictly_upper(rng, n, span, rational, d) * g_inv
 
 
 def random_c2_quiver(rng, max_v=4, max_e=6):
@@ -160,12 +181,17 @@ def random_species_rep(rng, species, max_dim=3, d=-1):
 
 def change_basis(r: QuiverRep, gs) -> QuiverRep:
     """Transport a representation along invertible per-vertex maps g_v."""
+    return _transport(r, gs, [inverse(g) for g in gs])
+
+
+def _transport(r: QuiverRep, gs, g_invs) -> QuiverRep:
+    """change_basis(r, gs) given the inverses g_invs[v] = g_v^-1."""
     q = r.quiver
-    edges = [gs[q.tgt[e]] * r.edge_maps[e] * inverse(gs[q.src[e]])
+    edges = [gs[q.tgt[e]] * r.edge_maps[e] * g_invs[q.src[e]]
              for e in range(q.edges.size)]
     rho = None
     if q.group.order == 2:
-        rho = [gs[q.vertices.apply(1, v)] * r.rho[v] * inverse(gs[v]).conj()
+        rho = [gs[q.vertices.apply(1, v)] * r.rho[v] * g_invs[v].conj()
                for v in range(q.vertices.size)]
     return QuiverRep(q, r.dims, edges, rho, r.d)
 
@@ -173,18 +199,17 @@ def change_basis(r: QuiverRep, gs) -> QuiverRep:
 def _nilpotent_factorization(rng, ds, dp, span=2, d=-1):
     """Rational P (ds x dp), Q (dp x ds) with P Q strictly upper triangular."""
     r = rng.randint(0, min(ds, dp, max(ds - 1, 0)))
-    zero = QuadElement(0, 0, d)
-    p_ent = [[zero] * dp for _ in range(ds)]
-    q_ent = [[zero] * ds for _ in range(dp)]
+    p_ent = [[(0, 0)] * dp for _ in range(ds)]
+    q_ent = [[(0, 0)] * ds for _ in range(dp)]
     for i in range(r):
-        p_ent[i][i] = QuadElement(1, 0, d)
-        q_ent[i][i + 1] = QuadElement(Fraction(rng.randint(1, span)), 0, d)
+        p_ent[i][i] = (1, 0)
+        q_ent[i][i + 1] = (rng.randint(1, span), 0)
     # free extra columns of P keep the factors generic without changing P Q
     for i in range(ds):
         for j in range(r, dp):
-            p_ent[i][j] = QuadElement(Fraction(rng.randint(-span, span)), 0, d)
-    p = QuadMatrix(ds, dp, [x for row in p_ent for x in row], d)
-    q = QuadMatrix(dp, ds, [x for row in q_ent for x in row], d)
+            p_ent[i][j] = (rng.randint(-span, span), 0)
+    p = _integer_matrix(ds, dp, d, [x for row in p_ent for x in row])
+    q = _integer_matrix(dp, ds, d, [x for row in q_ent for x in row])
     return p, q
 
 
@@ -194,30 +219,23 @@ def random_gelfand_rep(rng, max_dim=3, d=-1) -> QuiverRep:
     Built in the standard gauge (entrywise-conjugation rational structure),
     where the relation forces the star cycle composite to be a rational
     nilpotent matrix; the composite is prescribed by a strictly triangular
-    factorization and then everything is moved to a random basis.
+    factorization and then everything is moved to a random basis.  A
+    dimension 0 takes no draw, and products through it are zero matrices.
     """
     q = gelfand_quiver()
     ds = rng.randint(0, max_dim)
     dp = rng.randint(0, max_dim)
     p, qq = _nilpotent_factorization(rng, ds, dp, d=d)
-    s = random_invertible(rng, ds, rational=True, d=d) if ds else QuadMatrix.zeros(0, 0, d)
-    t = random_invertible(rng, dp, d=d) if dp else QuadMatrix.zeros(0, 0, d)
+    s, s_inv = _invertible(rng, ds, rational=True, d=d)
+    t, t_inv = _invertible(rng, dp, d=d)
     b_a = s * p * t                      # M(+) -> M(star)
-    b_b = inverse(t) * qq * inverse(s) if dp and ds else QuadMatrix.zeros(dp, ds, d)
-    if not (ds and dp):
-        b_a = QuadMatrix.zeros(ds, dp, d)
-    edges = [None] * 4
-    edges[0] = b_a            # a+
-    edges[1] = b_a.conj()     # a-
-    edges[2] = b_b            # b+
-    edges[3] = b_b.conj()     # b-
+    b_b = t_inv * qq * s_inv
+    edges = [b_a, b_a.conj(), b_b, b_b.conj()]     # a+, a-, b+, b-
     rho = [QuadMatrix.identity(ds, d), QuadMatrix.identity(dp, d),
            QuadMatrix.identity(dp, d)]
     rep = QuiverRep(q, (ds, dp, dp), edges, rho, d)
-    gs = [random_invertible(rng, ds, d=d) if ds else QuadMatrix.zeros(0, 0, d),
-          random_invertible(rng, dp, d=d) if dp else QuadMatrix.zeros(0, 0, d),
-          random_invertible(rng, dp, d=d) if dp else QuadMatrix.zeros(0, 0, d)]
-    return change_basis(rep, gs)
+    gs, g_invs = zip(*(_invertible(rng, n, d=d) for n in (ds, dp, dp)))
+    return _transport(rep, gs, g_invs)
 
 
 def random_cyclic_rep(rng, max_dim=3, d=-1) -> QuiverRep:
@@ -227,11 +245,11 @@ def random_cyclic_rep(rng, max_dim=3, d=-1) -> QuiverRep:
     if n == 0:
         z = QuadMatrix.zeros(0, 0, d)
         return QuiverRep(q, (0, 0), (z, z), (z, z), d)
-    p = random_invertible(rng, n, d=d)
+    p, p_inv = _invertible(rng, n, d=d)
     j = strictly_upper(rng, n, rational=True, d=d)
-    b_a = p * j * inverse(p.conj())
+    b_a = p * j * p_inv.conj()           # conj(p)^-1 = conj(p^-1)
     b_b = b_a.conj()
     rho = [QuadMatrix.identity(n, d), QuadMatrix.identity(n, d)]
     rep = QuiverRep(q, (n, n), (b_a, b_b), rho, d)
-    gs = [random_invertible(rng, n, d=d), random_invertible(rng, n, d=d)]
-    return change_basis(rep, gs)
+    gs, g_invs = zip(*(_invertible(rng, n, d=d) for _ in range(2)))
+    return _transport(rep, gs, g_invs)
