@@ -48,6 +48,15 @@ class NotQuadratic(ValueError):
     """Representation-level functors require a Galois group of order 2."""
 
 
+def _dimensions(dims) -> tuple:
+    """dims as a tuple, each an int (so no float or bool) and nonnegative."""
+    dims = tuple(dims)
+    for n in dims:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"dimension {n!r} is not a nonnegative int")
+    return dims
+
+
 class QuiverRep:
     """K-rational representation: dims, edge matrices, semilinear family."""
 
@@ -56,7 +65,7 @@ class QuiverRep:
             raise NotQuadratic("representations are implemented for |G| <= 2")
         self.quiver = quiver
         self.d = _field_tag(d)
-        self.dims = tuple(dims)
+        self.dims = _dimensions(dims)
         if len(self.dims) != quiver.vertices.size:
             raise ValueError("one dimension per vertex required")
         self.edge_maps = tuple(edge_maps)
@@ -121,7 +130,7 @@ class SpeciesRep:
             raise NotQuadratic("species representations need a quadratic group")
         self.species = species
         self.d = _field_tag(d)
-        self.dims = tuple(dims)
+        self.dims = _dimensions(dims)
         if len(self.dims) != species.n_indices:
             raise ValueError("one dimension per species index required")
         norm = {}

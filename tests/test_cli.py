@@ -623,6 +623,29 @@ def test_non_integer_index_exit_code(tmp_path, capsys, key, value):
         assert repr(value) in lines[0]
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0, 0.5, True])
+def test_non_integer_dimension_exit_code(tmp_path, capsys, value):
+    """A dimension that is not a JSON integer makes rep validate, rep
+    to-species, rep hom and rep from-species exit 2 with one parse error
+    line, not a TypeError, and not a report on a bool dimension."""
+    rep = json.loads((GOLDEN / "rep_c2_62_d2.json").read_text())
+    rep["dims"][0] = value
+    rep = write(tmp_path, "rep.json", rep)
+    wrep = json.loads((GOLDEN / "rep_c2_62_d2_to_species.json").read_text())
+    wrep["dims"][0] = value
+    wrep = write(tmp_path, "wrep.json", wrep)
+    out = str(tmp_path / "out.json")
+    for loader, argv in (("load_rep", ["rep", "validate", "--in", rep]),
+                         ("load_rep", ["rep", "to-species", "--in", rep, "--out", out]),
+                         ("load_rep", ["rep", "hom", "--a", rep, "--b", rep]),
+                         ("load_species_rep", ["rep", "from-species", "--in", wrep, "--out", out])):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"parse error: malformed input to {loader}: ValueError: "
+                                f"dimension {value!r} is not a nonnegative int\n")
+
+
 def test_species_commands_check_the_quiver(tmp_path, capsys):
     """species from-quiver and species roundtrip exit 2 naming the failing
     check on a quiver that quiver validate rejects, instead of writing a

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -446,6 +447,19 @@ def test_rho_needs_one_matrix_per_vertex():
     for rho in ((), r.rho[:-1], r.rho + r.rho[:1]):
         with pytest.raises(ValueError, match="^one semilinear matrix per vertex required$"):
             QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)
+
+
+def test_dims_must_be_nonnegative_ints():
+    """A float, bool or negative dimension is rejected when a quiver or
+    species representation is built, not by a TypeError later."""
+    r = principal_like_rep()
+    w = random_species_rep(random.Random(0), species_of_quiver(r.quiver), max_dim=2)
+    for bad in (1.0, 0.5, True, False, -1, "1", None):
+        dims = (bad,) + r.dims[1:]
+        with pytest.raises(ValueError, match=rf"^dimension {re.escape(repr(bad))} is not"):
+            QuiverRep(r.quiver, dims, r.edge_maps, r.rho, r.d)
+        with pytest.raises(ValueError, match=rf"^dimension {re.escape(repr(bad))} is not"):
+            SpeciesRep(w.species, (bad,) + w.dims[1:], w.maps, w.d)
 
 
 def test_species_is_morphism():
