@@ -1,0 +1,134 @@
+"""Loader fuzz: a bad JSON node never ends a CLI command in a traceback.
+
+Each node of a golden input file is, in turn, replaced by each value of
+REPLACEMENTS or dropped, and the file's command (COMMANDS) runs in-process
+through ``cli.main``.  Every run must return 0, 1 or 2: a malformed file is
+a parse or usage error (exit 2), and a well-formed but wrong one fails its
+checks (exit 1) or, when the change keeps it valid, passes (exit 0).
+
+    PYTHONPATH=src python tests/fuzz_loaders.py          # the tier-1 sample
+    PYTHONPATH=src python tests/fuzz_loaders.py --full   # every input golden
+
+The sample, which ``tests/test_fuzz_loaders.py`` runs, covers every node of
+``quiver_gelfand.json``, and every node of ``rep_c2_62_d2.json`` and
+``rep_c2_62_d2_to_species.json`` except the four integers of a field
+element.  ``--full`` covers every node of the quiver, species, rep and
+species-rep goldens and of ``hc_ext_rep_d-1.json``: 15,066 runs, about a
+minute on a 2-vCPU VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+REPLACEMENTS = (-1, 0.5, 1.0, True, "x", None, [])
+DROP = object()
+
+# one command per file type; IN and OUT stand for the input and output paths
+IN, OUT = "{in}", "{out}"
+COMMANDS = {
+    "quiver": ["quiver", "validate", "--in", IN],
+    "species": ["species", "to-quiver", "--in", IN, "--out", OUT],
+    "rep": ["rep", "validate", "--in", IN],
+    "species_rep": ["rep", "from-species", "--in", IN, "--out", OUT],
+}
+
+SAMPLE = (("quiver_gelfand.json", "quiver", False),
+          ("rep_c2_62_d2.json", "rep", True),
+          ("rep_c2_62_d2_to_species.json", "species_rep", True))
+
+FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "quiver"),
+        ("quiver_s3.json", "quiver"), ("quiver_s3_base_change_01.json", "quiver"),
+        ("species_gelfand_to_quiver.json", "quiver"), ("species_s3_to_quiver.json", "quiver"),
+        ("species_gelfand.json", "species"), ("species_gelfand_restrict_05.json", "species"),
+        ("species_s3.json", "species"), ("species_s3_base_change_01.json", "species"),
+        ("rep_c2_62_d2.json", "rep"), ("rep_c2_62_d2_from_species.json", "rep"),
+        ("hc_ext_rep_d-1.json", "rep"), ("rep_c2_62_d2_to_species.json", "species_rep"))
+
+
+def node_paths(node, path=()):
+    """The path (keys and indices from the root) of every node, root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+def in_field_element(path) -> bool:
+    """True for the integers of a field element: entries[k][i] of a matrix."""
+    return len(path) >= 3 and path[-3] == "entries"
+
+
+def mutants(doc, skip_field_integers=False):
+    """(path, value, mutated copy) for every node and every value of
+    REPLACEMENTS, and DROP, which removes the node (not the root)."""
+    for path in list(node_paths(doc)):
+        if skip_field_integers and in_field_element(path):
+            continue
+        for value in REPLACEMENTS + ((DROP,) if path else ()):
+            copy = json.loads(json.dumps(doc))
+            if not path:
+                yield path, value, value
+                continue
+            parent = copy
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, value, copy
+
+
+def run_file(name, kind, skip_field_integers, workdir):
+    """Run the file's command on each of its mutants; returns the list of
+    (path, value, outcome) whose outcome is not exit 0, 1 or 2."""
+    from rquiver.cli import main
+
+    doc = json.loads((GOLDEN / name).read_text())
+    src, out = Path(workdir) / "in.json", str(Path(workdir) / "out.json")
+    argv = [src.as_posix() if a == IN else out if a == OUT else a for a in COMMANDS[kind]]
+    bad = []
+    for path, value, mutant in mutants(doc, skip_field_integers):
+        src.unlink(missing_ok=True)  # a new file is cheaper than truncating on some file systems
+        src.write_text(json.dumps(mutant))
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                status = main(argv)
+        except Exception as exc:  # a traceback is the failure looked for
+            status = f"{type(exc).__name__}: {exc}"
+        if status not in (0, 1, 2):
+            bad.append((path, "drop" if value is DROP else value, status))
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--full", action="store_true",
+                        help="every node of every input golden, field integers included")
+    args = parser.parse_args(argv)
+    files = [(name, kind, False) for name, kind in FULL] if args.full else SAMPLE
+    failures = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, kind, skip in files:
+            bad = run_file(name, kind, skip, workdir)
+            failures += len(bad)
+            print(f"{name}: {COMMANDS[kind][0]} {COMMANDS[kind][1]}, {len(bad)} failures",
+                  flush=True)
+            for path, value, status in bad:
+                print(f"  {list(path)} = {value!r}: {status}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
