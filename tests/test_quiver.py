@@ -206,3 +206,43 @@ def test_random_quivers_validate():
     rng = random.Random(41)
     for _ in range(25):
         assert validate(random_c2_quiver(rng)).ok
+
+
+@pytest.mark.parametrize("src, tgt, relations, checks, flags", [
+    # edge 0 breaks src and tgt at once: src is checked first
+    ((1, 1, 0, 0), (1, 0, 1, 2), None,
+     (("equivariance", False, "src(g*e) != g*src(e) at g=1, e=0"),
+      ("relation-endpoints", False, "non-composable path in relation ((3, 1), (2, 0))"),
+      ("relation-stability", True, "")), ()),
+    # tgt fails at edge 0 and src at edges 2, 3: the first edge is reported
+    ((1, 2, 0, 1), (1, 0, 1, 2), None,
+     (("equivariance", False, "tgt(g*e) != g*tgt(e) at g=1, e=0"),
+      ("relation-endpoints", False, "relation paths ((3, 1), (2, 0)) have different endpoints"),
+      ("relation-stability", True, "")), ()),
+    # both relations fail endpoints and stability: the first is reported
+    (None, None, (((0, 1), (2, 0)), ((2, 0), (0, 2))),
+     (("equivariance", True, ""),
+      ("relation-endpoints", False, "non-composable path in relation ((0, 1), (2, 0))"),
+      ("relation-stability", False, "g=1 maps relation ((0, 1), (2, 0)) outside the list")),
+     ()),
+    (None, None, (((2, 0), (0, 2)), ((0, 1), (2, 0))),
+     (("equivariance", True, ""),
+      ("relation-endpoints", False, "relation paths ((2, 0), (0, 2)) have different endpoints"),
+      ("relation-stability", False, "g=1 maps relation ((2, 0), (0, 2)) outside the list")),
+     ()),
+])
+def test_validate_full_report(src, tgt, relations, checks, flags):
+    """Names, order, verdicts, witnesses and flags of quiver reports on the
+    Gelfand quiver's G-sets with broken src, tgt or relations."""
+    q = gelfand_quiver()
+    bad = RationalQuiver(q.vertices, q.edges, src or q.src, tgt or q.tgt,
+                         q.relations if relations is None else relations)
+    report = validate(bad)
+    assert (report.checks, report.flags) == (checks, flags)
+
+
+def test_validate_full_report_split():
+    report = validate(split_loop_quiver())
+    assert report.checks == (("equivariance", True, ""), ("relation-endpoints", True, ""),
+                             ("relation-stability", True, ""))
+    assert report.flags == ("split",)

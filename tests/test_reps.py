@@ -7,7 +7,7 @@ import pytest
 
 from rquiver.exact import QuadElement, QuadMatrix, sqrt_d
 from rquiver.gsets import C2, Subgroup
-from rquiver.quiver import gelfand_quiver
+from rquiver.quiver import RationalQuiver, gelfand_quiver
 from rquiver.reps import (
     NotQuadratic,
     QuiverRep,
@@ -537,3 +537,45 @@ def test_library_checks_survive_optimize():
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert "hom_space: rational structure breaks the cocycle at vertex 0" in out
     assert "rep_isomorphic: isomorphism witness is not a morphism" in out
+
+
+@pytest.mark.parametrize("require_nilpotent", [True, False])
+def test_validate_rep_full_report(require_nilpotent):
+    """Names, order, verdicts, witnesses and flags of rep reports.
+    relations-literal reports the last failing relation, the other checks
+    their first failure."""
+    q = gelfand_quiver()
+    one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
+    i_mat = QuadMatrix.from_rows([[qe_i()]])
+    nil = (("nilpotent", False, "a cyclic composite is not nilpotent"),)
+    # a+ = i, a- = -i, b+- = 1: both relations fail literally
+    q2 = RationalQuiver(q.vertices, q.edges, q.src, q.tgt,
+                        (((3, 1), (2, 0)), ((2, 0), (2, 0, 2, 0))))
+    r = QuiverRep(q2, (1, 1, 1), (i_mat, i_mat.conj(), one, one), (one, one, one))
+    report = validate_rep(r, require_nilpotent=require_nilpotent)
+    assert report.checks == (
+        ("cocycle", True, ""), ("edge-equivariance", True, ""),
+        ("relations-literal", False, "relation (2, 0) = (2, 0, 2, 0) fails literally"),
+    ) + (nil if require_nilpotent else ())
+    assert report.flags == ()
+
+    # rho_+ = -1 breaks the cocycle at vertex 1, b+ = i breaks equivariance at
+    # edges 2 and 3
+    r = QuiverRep(q, (1, 1, 1), (zero, zero, i_mat, one),
+                  (one, QuadMatrix.from_rows([[-1]]), one))
+    report = validate_rep(r, require_nilpotent=require_nilpotent)
+    assert report.checks == (
+        ("cocycle", False, "phi_(cv,c) o phi_(v,c) != id at v=1"),
+        ("edge-equivariance", False, "edge equivariance fails at e=2"),
+        ("relations-literal", True, ""),
+    ) + ((("nilpotent", True, ""),) if require_nilpotent else ())
+    assert report.flags == ("nilpotent",)
+
+    # over the trivial group only the relations and nilpotency are checked
+    r = rep_base_change(QuiverRep(q2, (1, 1, 1), (i_mat, i_mat.conj(), one, one),
+                                  (one, one, one)), Subgroup.trivial_in(C2))
+    report = validate_rep(r, require_nilpotent=require_nilpotent)
+    assert report.checks == (
+        ("relations-literal", False, "relation (2, 0) = (2, 0, 2, 0) fails literally"),
+    ) + (nil if require_nilpotent else ())
+    assert report.flags == ()
