@@ -452,3 +452,24 @@ def test_module_without_tail_maps(d):
         assert dump_rep(functor_E(core).rep) == dump_rep(functor_E(m).rep)
         assert all(core.x_at(w) == m.x_maps[w] for w in m.x_maps)
         assert all(core.y_at(w) == m.y_maps[w] for w in m.y_maps)
+
+
+def test_tail_dims_reports_its_last_failure():
+    """tail-dims reports its last failure: of two dimension jumps the one at
+    the higher weight, and a tail Casimir that is not ell^2 + nilpotent over
+    any jump.  The validator stops after it."""
+    m = build_example("principal", 2)
+    n = m.dim(7) + 1
+    spaces = {**m.spaces, 7: n, -7: n}
+    rat = {**m.rat, 7: QuadMatrix.identity(n, m.d), -7: QuadMatrix.identity(n, m.d)}
+    core_x = {w: f for w, f in m.x_maps.items() if not m.x_in_tail(w)}
+    core_y = {w: f for w, f in m.y_maps.items() if not m.y_in_tail(w)}
+    jumps = HCModule(m.ell, m.epsilon, m.window, spaces, core_x, core_y, rat,
+                     m.phi_plus, m.phi_minus, m.d)
+    assert validate_hc(jumps).checks == (
+        ("shape", True, ""), ("tail-dims", False, "tail dimension jump at weight 7"))
+    phi = QuadMatrix.identity(m.phi_plus.rows, m.d).scale(5)
+    both = HCModule(m.ell, m.epsilon, m.window, spaces, core_x, core_y, rat,
+                    phi, m.phi_minus, m.d)
+    assert validate_hc(both).checks == (
+        ("shape", True, ""), ("tail-dims", False, "tail Casimir is not lambda + nilpotent"))
