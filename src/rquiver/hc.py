@@ -26,7 +26,7 @@ from .gsets import C2, GSet
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
-    ValidationReport, cyclic_quiver, gelfand_quiver
+    ValidationReport, check, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, hom_space, is_morphism, validate_rep
 from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
     scaled_sqrt, stabilize, unipotent_sqrt
@@ -215,67 +215,56 @@ def validate_hc(m: HCModule) -> ValidationReport:
     So square roots of phi_+- are taken only to compare stored tail maps
     with the closed forms.
     """
-    checks = []
     ell = m.ell
 
-    ok, wit = True, ""
-    try:
+    def shape():
         ws = m.weights()
         for name, maps, allowed in (("space", m.spaces, ws), ("X", m.x_maps, ws[:-1]),
                                     ("Y", m.y_maps, ws[1:]), ("rational structure", m.rat, ws)):
             stray = [w for w in maps if w not in allowed]
             if stray:
-                raise ValueError(f"{name} stored at weight {min(stray)}, outside the window")
+                yield f"{name} stored at weight {min(stray)}, outside the window"
         for name, maps, sources, step, in_tail in (("X", m.x_maps, ws[:-1], 2, m.x_in_tail),
                                                    ("Y", m.y_maps, ws[1:], -2, m.y_in_tail)):
             for w in sources:
                 f = maps.get(w)
                 if f is None and not in_tail(w):
-                    raise ValueError(f"{name}[{w}] missing")
+                    yield f"{name}[{w}] missing"
                 if f is not None and (f.rows, f.cols) != (m.dim(w + step), m.dim(w)):
-                    raise ValueError(f"{name}[{w}] has wrong shape")
+                    yield f"{name}[{w}] has wrong shape"
         for w in ws:
             r = m.rat.get(w)
             if r is None or (r.rows, r.cols) != (m.dim(-w), m.dim(w)):
-                raise ValueError(f"rational structure at {w} missing or misshapen")
+                yield f"rational structure at {w} missing or misshapen"
         for name, phi in (("phi_+", m.phi_plus), ("phi_-", m.phi_minus)):
             if phi.rows != phi.cols:
-                raise ValueError(f"tail Casimir {name} is not square")
-    except ValueError as exc:
-        ok, wit = False, str(exc)
-    checks.append(("shape", ok, wit))
-    if not ok:
+                yield f"tail Casimir {name} is not square"
+
+    checks = [check("shape", shape())]
+    if not checks[-1][1]:
         return ValidationReport(tuple(checks))
 
-    ok, wit = True, ""
-    dplus = m.phi_plus.rows
-    dminus = m.phi_minus.rows
-    for w in m.weights():
-        if w >= ell + 1 and m.dim(w) != dplus:
-            ok, wit = False, f"tail dimension jump at weight {w}"
-        if w <= -(ell + 1) and m.dim(w) != dminus:
-            ok, wit = False, f"tail dimension jump at weight {w}"
+    # tail-dims and tail-consistency report their last failure
     lam = Fraction(ell * ell)
-    for phi in (m.phi_plus, m.phi_minus):
-        dev = phi - QuadMatrix.identity(phi.rows, m.d).scale(lam)
-        if nilpotency_exponent(dev) is None:
-            ok, wit = False, "tail Casimir is not lambda + nilpotent"
-    checks.append(("tail-dims", ok, wit))
-    if not ok:
+    checks.append(check("tail-dims", [*(
+        f"tail dimension jump at weight {w}" for w in m.weights()
+        if abs(w) > ell and m.dim(w) != (m.phi_plus if w > 0 else m.phi_minus).rows), *(
+        "tail Casimir is not lambda + nilpotent" for phi in (m.phi_plus, m.phi_minus)
+        if nilpotency_exponent(phi - QuadMatrix.identity(phi.rows, m.d).scale(lam)) is None)
+    ][-1:]))
+    if not checks[-1][1]:
         return ValidationReport(tuple(checks))
 
-    ok, wit = True, ""
-    for w in m.weights():
-        stored = m.x_maps.get(w)
-        if stored is not None and m.x_in_tail(w) and stored != m._tail_x(w):
-            ok, wit = False, f"X[{w}] disagrees with the tail closed form"
-        stored = m.y_maps.get(w)
-        if stored is not None and m.y_in_tail(w) and stored != m._tail_y(w):
-            ok, wit = False, f"Y[{w}] disagrees with the tail closed form"
-        if abs(w) > ell + 1 and m.rat[w] != m.rat[ell + 1 if w > 0 else -(ell + 1)]:
-            ok, wit = False, f"rational structure at {w} is not constant along the tail"
-    checks.append(("tail-consistency", ok, wit))
-    if not ok:
+    checks.append(check("tail-consistency", [
+        wit for w in m.weights() for wit, bad in (
+            (f"X[{w}] disagrees with the tail closed form",
+             w in m.x_maps and m.x_in_tail(w) and m.x_maps[w] != m._tail_x(w)),
+            (f"Y[{w}] disagrees with the tail closed form",
+             w in m.y_maps and m.y_in_tail(w) and m.y_maps[w] != m._tail_y(w)),
+            (f"rational structure at {w} is not constant along the tail",
+             abs(w) > ell + 1 and m.rat[w] != m.rat[ell + 1 if w > 0 else -(ell + 1)]))
+        if bad][-1:]))
+    if not checks[-1][1]:
         return ValidationReport(tuple(checks))
 
     top = ell + 1
@@ -288,45 +277,25 @@ def validate_hc(m: HCModule) -> ValidationReport:
     xy[-top] = m.phi_minus - ident[-top].scale(Fraction((ell + 2) ** 2))
     yx = {w: (m.y_at(w + 2) * m.x_at(w)).scale(4) for w in core[:-1]}
     yx[top] = m.phi_plus - ident[top].scale(Fraction((ell + 2) ** 2))
-
-    ok, wit = True, ""
-    for w in core:
-        if xy[w] - yx[w] != ident[w].scale(Fraction(4 * w)):
-            ok, wit = False, f"4[X,Y] != 4w at weight {w}"
-            break
-    checks.append(("bracket", ok, wit))
-
-    ok, wit = True, ""
-    for w in core[1:]:  # C = phi_- at -(ell+1), which tail-dims checked
-        if nilpotency_exponent(ident[w].scale(Fraction((w - 1) ** 2) - lam) + xy[w]) is None:
-            ok, wit = False, f"(C - ell^2) not nilpotent at weight {w}"
-            break
-    checks.append(("casimir-nilpotent", ok, wit))
-
-    ok, wit = True, ""
-    for w in core:
-        if not (m.rat[-w] * m.rat[w].conj()).is_identity():
-            ok, wit = False, f"rational cocycle fails at weight {w}"
-            break
-    checks.append(("rational-cocycle", ok, wit))
-
     r = m.rat[top]
     tails_conjugate = m.phi_minus * r == r * m.phi_plus.conj()
-    ok, wit = True, ""
-    for w in core:
-        if w == top:  # R conj(S_+) = S_- R, see the docstring
-            swapped = tails_conjugate or ell == 0
-        else:
-            swapped = m.rat[w + 2] * m.x_at(w).conj() == m.y_at(-w) * m.rat[w]
-        if not swapped:
-            ok, wit = False, f"conjugation does not swap X and Y at weight {w}"
-            break
-    checks.append(("conjugation-swap", ok, wit))
-
-    ok, wit = True, ""
-    if not tails_conjugate:
-        ok, wit = False, "tail Casimirs are not conjugate under the rational structure"
-    checks.append(("tail-conjugation", ok, wit))
+    checks += [
+        check("bracket", (f"4[X,Y] != 4w at weight {w}" for w in core
+                          if xy[w] - yx[w] != ident[w].scale(Fraction(4 * w)))),
+        # C = phi_- at -(ell+1), which tail-dims checked
+        check("casimir-nilpotent", (
+            f"(C - ell^2) not nilpotent at weight {w}" for w in core[1:]
+            if nilpotency_exponent(ident[w].scale(Fraction((w - 1) ** 2) - lam) + xy[w]) is None)),
+        check("rational-cocycle", (f"rational cocycle fails at weight {w}" for w in core
+                                   if not (m.rat[-w] * m.rat[w].conj()).is_identity())),
+        # at the top weight the swap is R conj(S_+) = S_- R, see the docstring
+        check("conjugation-swap", (
+            f"conjugation does not swap X and Y at weight {w}" for w in core
+            if not ((tails_conjugate or ell == 0) if w == top else
+                    m.rat[w + 2] * m.x_at(w).conj() == m.y_at(-w) * m.rat[w]))),
+        check("tail-conjugation", [] if tails_conjugate else
+              ["tail Casimirs are not conjugate under the rational structure"]),
+    ]
     return ValidationReport(tuple(checks))
 
 

@@ -21,6 +21,14 @@ class ValidationReport:
         return [(n, w) for n, ok, w in self.checks if not ok]
 
 
+def check(name, witnesses):
+    """The (name, ok, witness) triple of one check: it fails with the first
+    witness that the iterable of failures yields, and passes if it yields none."""
+    for witness in witnesses:
+        return name, False, witness
+    return name, True, ""
+
+
 class RationalQuiver:
     """Vertices and edges as G-sets over a common group, with src/tgt maps
     and relations given as pairs of paths (edge sequences in traversal
@@ -85,45 +93,23 @@ class QuiverMorphism:
 
 
 def validate(q: RationalQuiver) -> ValidationReport:
-    checks = []
-    ok = True
-    witness = ""
-    for g in q.group.elements():
-        for e in range(q.edges.size):
-            ge = q.edges.apply(g, e)
-            if q.src[ge] != q.vertices.apply(g, q.src[e]):
-                ok, witness = False, f"src(g*e) != g*src(e) at g={g}, e={e}"
-                break
-            if q.tgt[ge] != q.vertices.apply(g, q.tgt[e]):
-                ok, witness = False, f"tgt(g*e) != g*tgt(e) at g={g}, e={e}"
-                break
-        if not ok:
-            break
-    checks.append(("equivariance", ok, witness))
-
-    ok, witness = True, ""
-    for p, qq in q.relations:
-        ends_p = q.path_endpoints(p)
-        ends_q = q.path_endpoints(qq)
-        if ends_p is None or ends_q is None:
-            ok, witness = False, f"non-composable path in relation {(p, qq)}"
-            break
-        if ends_p != ends_q:
-            ok, witness = False, f"relation paths {(p, qq)} have different endpoints"
-            break
-    checks.append(("relation-endpoints", ok, witness))
-
-    ok, witness = True, ""
     keys = {_rel_key(r) for r in q.relations}
-    for g in q.group.elements():
-        for p, qq in q.relations:
-            image = (q.act_path(g, p), q.act_path(g, qq))
-            if _rel_key(image) not in keys:
-                ok, witness = False, f"g={g} maps relation {(p, qq)} outside the list"
-                break
-        if not ok:
-            break
-    checks.append(("relation-stability", ok, witness))
+    checks = (
+        check("equivariance", (
+            f"{side}(g*e) != g*{side}(e) at g={g}, e={e}"
+            for g in q.group.elements() for e in range(q.edges.size)
+            for side, end in (("src", q.src), ("tgt", q.tgt))
+            if end[q.edges.apply(g, e)] != q.vertices.apply(g, end[e]))),
+        check("relation-endpoints", (
+            f"non-composable path in relation {rel}" if None in ends
+            else f"relation paths {rel} have different endpoints"
+            for rel in q.relations for ends in [[q.path_endpoints(p) for p in rel]]
+            if None in ends or ends[0] != ends[1])),
+        check("relation-stability", (
+            f"g={g} maps relation {rel} outside the list"
+            for g in q.group.elements() for rel in q.relations
+            if _rel_key([q.act_path(g, p) for p in rel]) not in keys)),
+    )
 
     flags = []
     if all(q.vertices.apply(g, x) == x for g in q.group.elements()
@@ -131,7 +117,7 @@ def validate(q: RationalQuiver) -> ValidationReport:
        all(q.edges.apply(g, e) == e for g in q.group.elements()
            for e in range(q.edges.size)):
         flags.append("split")
-    return ValidationReport(tuple(checks), tuple(flags))
+    return ValidationReport(checks, tuple(flags))
 
 
 def base_change(q: RationalQuiver, sub: Subgroup) -> RationalQuiver:

@@ -40,7 +40,7 @@ from .exact import (
     kron,
     sqrt_d,
 )
-from .quiver import RationalQuiver, ValidationReport
+from .quiver import RationalQuiver, ValidationReport, check
 from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
 
 
@@ -179,32 +179,22 @@ def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
     q = r.quiver
     checks = []
     if q.group.order == 2:
-        v = _cocycle_break(r)
-        checks.append(("cocycle", v is None,
-                       "" if v is None else f"phi_(cv,c) o phi_(v,c) != id at v={v}"))
-
-        ok, witness = True, ""
-        for e in range(q.edges.size):
-            ce = q.edges.apply(1, e)
-            lhs = r.edge_maps[ce] * r.rho[q.src[e]]
-            rhs = r.rho[q.tgt[e]] * r.edge_maps[e].conj()
-            if lhs != rhs:
-                ok, witness = False, f"edge equivariance fails at e={e}"
-                break
-        checks.append(("edge-equivariance", ok, witness))
-
-    ok, witness = True, ""
-    for p, qq in q.relations:
-        if r.path_matrix(p) != r.path_matrix(qq):
-            ok, witness = False, f"relation {p} = {qq} fails literally"
-    checks.append(("relations-literal", ok, witness))
-
+        checks += [
+            check("cocycle", (f"phi_(cv,c) o phi_(v,c) != id at v={v}"
+                              for v in [_cocycle_break(r)] if v is not None)),
+            check("edge-equivariance", (
+                f"edge equivariance fails at e={e}" for e in range(q.edges.size)
+                if r.edge_maps[q.edges.apply(1, e)] * r.rho[q.src[e]]
+                != r.rho[q.tgt[e]] * r.edge_maps[e].conj())),
+        ]
+    # reports the last failing relation
+    checks.append(check("relations-literal", [*(
+        f"relation {p} = {qq} fails literally" for p, qq in q.relations
+        if r.path_matrix(p) != r.path_matrix(qq))][-1:]))
     nil = is_nilpotent_rep(r)
-    flags = ("nilpotent",) if nil else ()
     if require_nilpotent:
-        checks.append(("nilpotent", nil,
-                       "" if nil else "a cyclic composite is not nilpotent"))
-    return ValidationReport(tuple(checks), flags)
+        checks.append(check("nilpotent", [] if nil else ["a cyclic composite is not nilpotent"]))
+    return ValidationReport(tuple(checks), ("nilpotent",) if nil else ())
 
 
 def _cocycle_break(r: QuiverRep):
