@@ -8,10 +8,14 @@ G-sets are {"size", "action"} with one permutation per canonical group
 generator.  A stabilization problem is {"phi_plus", "phi_minus"}; the key
 "tau" of older files carried no information and is ignored.
 
-Vertex and edge indices (a quiver's "src", "tgt" and relation paths) must be
-JSON integers: 0.5, 1.0 and true are rejected, although Python counts true
-as the integer 1.  A representation's "semilinear" list has one matrix per
-vertex.
+Every integer a loader reads must be a JSON integer: 0.5, 1.0, "1" and true
+are rejected, not truncated, although Python counts true as the integer 1.
+That covers the integers of field elements and matrix sizes, G-set sizes,
+vertex and edge indices (a quiver's "src", "tgt" and relation paths),
+dimensions, species indices and twists, and an HC module's ell, epsilon,
+window and space dimensions; only the weights that key JSON objects are
+strings read by int().  A representation's "semilinear" list has one matrix
+per vertex.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ def _loader(load):
     return wrapper
 
 
+def _int(x) -> int:
+    """x if it is a JSON integer; a float, bool or string is rejected, not truncated."""
+    if type(x) is not int:
+        raise ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _check_version(data):
     if not isinstance(data, dict) or data.get("version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version "
@@ -66,7 +77,7 @@ def dump_fraction(x) -> list:
 
 @_loader
 def load_fraction(data) -> Fraction:
-    return Fraction(int(data[0]), int(data[1]))
+    return Fraction(_int(data[0]), _int(data[1]))
 
 
 def dump_matrix(m: QuadMatrix) -> dict:
@@ -82,14 +93,14 @@ def dump_matrix(m: QuadMatrix) -> dict:
 @_loader
 def load_matrix(data, d) -> QuadMatrix:
     d = _field_tag(d)
-    rows, cols, dd = int(data["rows"]), int(data["cols"]), d.denominator
+    rows, cols, dd = _int(data["rows"]), _int(data["cols"]), d.denominator
     if rows < 0 or cols < 0:
         raise ParseError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
     entries = []
     for e in data["entries"]:
         if len(e) != 4:
             raise ParseError(f"a field element has 4 integers, got {len(e)}")
-        entries.append((int(e[0]), int(e[1]), int(e[2]), int(e[3]) * dd))
+        entries.append((_int(e[0]), _int(e[1]), _int(e[2]), _int(e[3]) * dd))
     if len(entries) != rows * cols:
         raise ParseError("entries length does not match rows*cols")
     # a zero denominator makes den zero and its division below raise
@@ -116,7 +127,7 @@ def dump_gset(x: GSet) -> dict:
 @_loader
 def load_gset(data, group: FiniteGroup) -> GSet:
     """The action is listed per canonical generator of group."""
-    return GSet.from_generator_perms(group, int(data["size"]),
+    return GSet.from_generator_perms(group, _int(data["size"]),
                                      [list(p) for p in data["action"]])
 
 
@@ -168,13 +179,13 @@ def load_species(data) -> EtaleSpecies:
     _check_version(data)
     group = load_group(data["group"])
     subs = [Subgroup(group, f["subgroup"]) for f in data["fields"]]
-    if int(data["indices"]) != len(subs):
+    if _int(data["indices"]) != len(subs):
         raise ParseError(f"indices {data['indices']} does not match the {len(subs)} fields")
     bims = {}
     for b in data["bimodules"]:
-        bims[(int(b["from"]), int(b["to"]))] = [
+        bims[(_int(b["from"]), _int(b["to"]))] = [
             BimoduleSummand(Subgroup(group, x["subgroup"]),
-                            int(x["twist_src"]), int(x["twist_tgt"]))
+                            _int(x["twist_src"]), _int(x["twist_tgt"]))
             for x in b["summands"]]
     return EtaleSpecies(group, subs, bims)
 
@@ -221,7 +232,7 @@ def load_species_rep(data) -> SpeciesRep:
     species = load_species(data["species"])
     maps = {}
     for entry in data["maps"]:
-        maps[(int(entry["from"]), int(entry["to"]))] = [
+        maps[(_int(entry["from"]), _int(entry["to"]))] = [
             load_matrix(m, d) for m in entry["matrices"]]
     return SpeciesRep(species, data["dims"], maps, d)
 
@@ -249,8 +260,8 @@ def load_hc(data):
     _check_version(data)
     d = load_fraction(data["d"])
     return HCModule(
-        int(data["ell"]), int(data["epsilon"]), int(data["window"]),
-        {int(w): int(v) for w, v in data["spaces"].items()},
+        _int(data["ell"]), _int(data["epsilon"]), _int(data["window"]),
+        {int(w): _int(v) for w, v in data["spaces"].items()},
         {int(w): load_matrix(m, d) for w, m in data["X"].items()},
         {int(w): load_matrix(m, d) for w, m in data["Y"].items()},
         {int(w): load_matrix(m, d) for w, m in data["rational"].items()},

@@ -159,6 +159,44 @@ def test_species_file_with_wrong_index_count_exit_code(tmp_path, capsys):
     assert captured.err == "parse error: indices 5 does not match the 2 fields\n"
 
 
+@pytest.mark.parametrize("name, argv, path, value", [
+    ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "entries", 0, 0), 0.5),
+    ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "entries", 0, 0), True),
+    ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "entries", 0, 3), 1.0),
+    ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "rows"), 1.9),
+    ("rep_c2_62_d2.json", ["rep", "validate"], ("d", 1), 1.0),
+    ("quiver_gelfand.json", ["quiver", "validate"], ("vertices", "size"), 3.0),
+    ("species_s3.json", ["species", "to-quiver"], ("bimodules", 0, "from"), 0.5),
+    ("species_s3.json", ["species", "to-quiver"], ("bimodules", 0, "to"), "0"),
+    ("species_s3.json", ["species", "to-quiver"],
+     ("bimodules", 0, "summands", 0, "twist_src"), 0.0),
+    ("species_s3.json", ["species", "to-quiver"], ("indices",), 2.0),
+    ("rep_c2_62_d2_to_species.json", ["rep", "from-species"], ("maps", 1, "to"), True),
+    ("hc_build_principal_ell2.json", ["hc", "validate"], ("window",), 11.9),
+    ("hc_build_principal_ell2.json", ["hc", "validate"], ("ell",), 2.0),
+    ("hc_build_principal_ell2.json", ["hc", "validate"], ("epsilon",), True),
+    ("hc_build_principal_ell2.json", ["hc", "validate"], ("spaces", "1"), 1.5),
+    ("unipotent_matrix.json", ["--json", "unipotent", "sqrt"], ("d", 0), -1.5),
+])
+def test_non_integer_in_file_exit_code(tmp_path, capsys, name, argv, path, value):
+    """Every integer a loader reads must be a JSON integer: a float, bool or
+    string there is malformed input (exit 2 with one parse error line), not
+    a value truncated by int()."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    argv = [*argv, "--in", write(tmp_path, "in.json", doc)]
+    if argv[1] in ("to-quiver", "from-species"):
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: expected an integer, got {value!r}\n"
+
+
 def test_stabilization_file_with_tau_loads():
     """Files written with the old "tau" key still load; the key is ignored."""
     from rquiver.exact import QuadMatrix
@@ -479,17 +517,24 @@ def ref_dump_matrix(m):
                         for x in m.entries]}
 
 
+def _ref_int(x):
+    """The loaders read JSON integers only; int() would truncate 0.5 and true."""
+    if type(x) is not int:
+        raise io.ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _ref_parse_element(data, d):
     if len(data) != 4:
         raise io.ParseError(f"a field element has 4 integers, got {len(data)}")
-    return QuadElement(Fraction(int(data[0]), int(data[1])),
-                       Fraction(int(data[2]), int(data[3])), d)
+    return QuadElement(Fraction(_ref_int(data[0]), _ref_int(data[1])),
+                       Fraction(_ref_int(data[2]), _ref_int(data[3])), d)
 
 
 @io._loader
 def ref_load_matrix(data, d):
     """load_matrix as it was, one QuadElement per entry."""
-    return QuadMatrix(int(data["rows"]), int(data["cols"]),
+    return QuadMatrix(_ref_int(data["rows"]), _ref_int(data["cols"]),
                       [_ref_parse_element(e, d) for e in data["entries"]], d)
 
 
