@@ -4,6 +4,7 @@ verification-report rendering for every subsystem."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -395,6 +396,7 @@ def _cmd_examples(args) -> Report:
 
 # ------------------------------------------------------------------- main
 
+@functools.cache  # parse_args does not change the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rquiver",
@@ -467,8 +469,7 @@ DISPATCH = {
 
 
 def run(argv) -> Report:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return DISPATCH[args.command](args)
 
 
