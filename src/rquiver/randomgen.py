@@ -83,13 +83,10 @@ def random_unimodular(rng, n, span=2, rational=False, d=-1):
     return unit(True) * unit(False)
 
 
-def random_nilpotent(rng, n, span=2, rational=False, d=-1, fast=False):
-    if fast:
-        g = random_unimodular(rng, n, span, rational, d)
-        g_inv = inverse(g)
-    else:
-        g, g_inv = _invertible(rng, n, span, rational, d)
-    return g * strictly_upper(rng, n, span, rational, d) * g_inv
+def random_nilpotent(rng, n, span=2, rational=False, d=-1):
+    """g N g^-1 for a unimodular g and a strictly upper triangular N."""
+    g = random_unimodular(rng, n, span, rational, d)
+    return g * strictly_upper(rng, n, span, rational, d) * inverse(g)
 
 
 def random_c2_quiver(rng, max_v=4, max_e=6):

@@ -135,7 +135,7 @@ def test_criterion_4_unipotent_algorithms():
     while stab_cases < 200:
         dim = rng.randint(1, 6)
         # an n x n nilpotent has exponent <= n <= 6, as the criterion asks
-        n = random_nilpotent(rng, dim, span=1, fast=True)
+        n = random_nilpotent(rng, dim, span=1)
         q0 = QuadMatrix.identity(dim, n.d) + strictly_upper(rng, dim, span=1)
         p0 = inverse(q0) * (QuadMatrix.identity(dim, n.d) + n)
         prob = StabilizationProblem(p0, q0)
@@ -153,7 +153,7 @@ def test_criterion_4_unipotent_algorithms():
     sqrt_cases = 0
     while sqrt_cases < 200:
         dim = rng.randint(1, 6)
-        m = QuadMatrix.identity(dim) + random_nilpotent(rng, dim, span=1, fast=True)
+        m = QuadMatrix.identity(dim) + random_nilpotent(rng, dim, span=1)
         root = unipotent_sqrt(m)
         assert root * root == m
         assert root == binomial_series_sqrt(m)
