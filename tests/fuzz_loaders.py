@@ -13,8 +13,10 @@ The sample, which ``tests/test_fuzz_loaders.py`` runs, covers every node of
 ``quiver_gelfand.json``, and every node of ``rep_c2_62_d2.json`` and
 ``rep_c2_62_d2_to_species.json`` except the four integers of a field
 element.  ``--full`` covers every node of the quiver, species, rep and
-species-rep goldens and of ``hc_ext_rep_d-1.json``: 15,066 runs, about a
-minute on a 2-vCPU VM.
+species-rep goldens, of ``hc_ext_rep_d-1.json``, of three HC-module files
+(``hc validate`` and ``hc to-quiver``) and of four unipotent files
+(``unipotent stabilize`` and ``unipotent sqrt``): 32,587 runs, about 20 s
+on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ COMMANDS = {
     "species": ["species", "to-quiver", "--in", IN, "--out", OUT],
     "rep": ["rep", "validate", "--in", IN],
     "species_rep": ["rep", "from-species", "--in", IN, "--out", OUT],
+    "hc": ["hc", "validate", "--in", IN],
+    "hc_image": ["hc", "to-quiver", "--in", IN, "--out", OUT],
+    "pair": ["unipotent", "stabilize", "--in", IN],
+    "matrix": ["unipotent", "sqrt", "--in", IN],
 }
 
 SAMPLE = (("quiver_gelfand.json", "quiver", False),
@@ -51,7 +57,11 @@ FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "
         ("species_gelfand.json", "species"), ("species_gelfand_restrict_05.json", "species"),
         ("species_s3.json", "species"), ("species_s3_base_change_01.json", "species"),
         ("rep_c2_62_d2.json", "rep"), ("rep_c2_62_d2_from_species.json", "rep"),
-        ("hc_ext_rep_d-1.json", "rep"), ("rep_c2_62_d2_to_species.json", "species_rep"))
+        ("hc_ext_rep_d-1.json", "rep"), ("rep_c2_62_d2_to_species.json", "species_rep"),
+        ("hc_ext_ell2_d-1.json", "hc"), ("hc_build_discrete_ell0.json", "hc"),
+        ("hc_build_principal_dual_ell1.json", "hc_image"),
+        ("unipotent_pair_d-1.json", "pair"), ("unipotent_pair_d1_2.json", "pair"),
+        ("unipotent_matrix.json", "matrix"), ("unipotent_matrix_gamma.json", "matrix"))
 
 
 def node_paths(node, path=()):
