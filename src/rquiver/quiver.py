@@ -110,14 +110,9 @@ def validate(q: RationalQuiver) -> ValidationReport:
             for g in q.group.elements() for rel in q.relations
             if _rel_key([q.act_path(g, p) for p in rel]) not in keys)),
     )
-
-    flags = []
-    if all(q.vertices.apply(g, x) == x for g in q.group.elements()
-           for x in range(q.vertices.size)) and \
-       all(q.edges.apply(g, e) == e for g in q.group.elements()
-           for e in range(q.edges.size)):
-        flags.append("split")
-    return ValidationReport(checks, tuple(flags))
+    split = all(s.apply(g, x) == x for s in (q.vertices, q.edges)
+                for g in q.group.elements() for x in range(s.size))
+    return ValidationReport(checks, ("split",) if split else ())
 
 
 def base_change(q: RationalQuiver, sub: Subgroup) -> RationalQuiver:

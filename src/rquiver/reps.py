@@ -188,9 +188,9 @@ def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
                 != r.rho[q.tgt[e]] * r.edge_maps[e].conj())),
         ]
     # reports the last failing relation
-    checks.append(check("relations-literal", [*(
+    checks.append(check("relations-literal", [
         f"relation {p} = {qq} fails literally" for p, qq in q.relations
-        if r.path_matrix(p) != r.path_matrix(qq))][-1:]))
+        if r.path_matrix(p) != r.path_matrix(qq)][-1:]))
     nil = is_nilpotent_rep(r)
     if require_nilpotent:
         checks.append(check("nilpotent", [] if nil else ["a cyclic composite is not nilpotent"]))
