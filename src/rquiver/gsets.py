@@ -21,9 +21,9 @@ class FiniteGroup:
     def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         n = len(table)
-        for row in table:
-            if len(row) != n or sorted(row) != list(range(n)):
-                raise ValueError("table rows must be permutations of 0..n-1")
+        for row in table:  # ints only: no float, and no bool read as 0 or 1
+            if any(type(x) is not int for x in row) or sorted(row) != list(range(n)):
+                raise ValueError(f"table row {list(row)} is not a permutation of 0..{n - 1}")
         if not n or any(table[0][x] != x or table[x][0] != x for x in range(n)):
             raise ValueError("element 0 must be the identity")
         for a, b, c in product(range(n), repeat=3):
@@ -102,10 +102,11 @@ class Subgroup:
     """Subset of a FiniteGroup closed under multiplication and inverse."""
 
     def __init__(self, parent: FiniteGroup, elements):
-        elements = frozenset(elements)
+        elements = tuple(elements)
         for a in elements:
-            if not 0 <= a < parent.order:
-                raise ValueError(f"subgroup element {a} is not in 0..{parent.order - 1}")
+            if type(a) is not int or not 0 <= a < parent.order:
+                raise ValueError(f"subgroup element {a!r} is not in 0..{parent.order - 1}")
+        elements = frozenset(elements)
         if parent.identity not in elements:
             raise ValueError("subgroup must contain the identity")
         for a in elements:

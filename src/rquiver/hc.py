@@ -27,7 +27,7 @@ from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
     ValidationReport, check, cyclic_quiver, gelfand_quiver
-from .reps import QuiverRep, hom_space, is_morphism, validate_rep
+from .reps import QuiverRep, _dimensions, hom_space, is_morphism, validate_rep
 from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
     scaled_sqrt, stabilize, unipotent_sqrt
 
@@ -60,10 +60,10 @@ class HCModule:
 
     def __init__(self, ell, epsilon, window, spaces, x_maps, y_maps, rat,
                  phi_plus, phi_minus, d=-1):
-        self.ell = int(ell)
-        self.epsilon = int(epsilon)
-        self.window = int(window)
-        self.spaces = dict(spaces)
+        if any(type(x) is not int for x in (ell, epsilon, window)):  # no float, no bool
+            raise ValueError(f"ell, epsilon, window must be ints: {ell!r}, {epsilon!r}, {window!r}")
+        self.ell, self.epsilon, self.window = ell, epsilon, window
+        self.spaces = dict(zip(spaces, _dimensions(spaces.values())))
         self.x_maps = dict(x_maps)
         self.y_maps = dict(y_maps)
         self.rat = dict(rat)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix, _field_tag, _matrix, inverse
-from .gsets import C2, FiniteGroup, GSet, Subgroup, coset_union
+from .gsets import C2, FiniteGroup, Subgroup, coset_union
 from .quiver import RationalQuiver, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, SpeciesRep, summand_domain_cols
 
@@ -94,23 +94,16 @@ def random_c2_quiver(rng, max_v=4, max_e=6):
     while True:
         n_fixed_v = rng.randint(0, max_v // 2)
         n_swap_v = rng.randint(0 if n_fixed_v else 1, max_v // 2)
-        nv = n_fixed_v + 2 * n_swap_v
-        if nv == 0:
-            continue
-        perm = list(range(n_fixed_v))
-        for k in range(n_swap_v):
-            perm += [n_fixed_v + 2 * k + 1, n_fixed_v + 2 * k]
-        vertices = GSet(C2, nv, [list(range(nv)), perm])
-        n_fixed_e = rng.randint(0, max_e // 2)
-        n_swap_e = rng.randint(0, max_e // 2)
-        ne = n_fixed_e + 2 * n_swap_e
-        eperm = list(range(n_fixed_e))
-        for k in range(n_swap_e):
-            eperm += [n_fixed_e + 2 * k + 1, n_fixed_e + 2 * k]
-        edges = GSet(C2, ne, [list(range(ne)), eperm])
+        vertices = _c2_set(n_fixed_v, n_swap_v)
+        edges = _c2_set(rng.randint(0, max_e // 2), rng.randint(0, max_e // 2))
         ends = _equivariant_endpoints(rng, vertices, edges)
         if ends:
             return RationalQuiver(vertices, edges, *ends)
+
+
+def _c2_set(n_fixed, n_swap):
+    """n_fixed fixed points, then n_swap swapped pairs of points."""
+    return coset_union(C2, [Subgroup.full(C2)] * n_fixed + [Subgroup.trivial_in(C2)] * n_swap)[0]
 
 
 def _equivariant_endpoints(rng, verts, edges):

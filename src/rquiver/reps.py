@@ -212,30 +212,21 @@ def _cocycle_break(r: QuiverRep):
 
 
 def is_nilpotent_rep(r: QuiverRep) -> bool:
-    """Arrow ideal acts nilpotently: the decreasing chain of image subspaces
-    R_{k+1}(v) = sum_e edge_e(R_k(src e)) reaches zero."""
+    """Arrow ideal acts nilpotently: the image chain R_0(v) = M_v,
+    R_{k+1}(v) = sum_e edge_e(R_k(src e)) reaches zero.  R_k(v) is spanned by
+    the images of the paths of length k into v, so the chain decreases, and it
+    stays put once a step leaves it unchanged.  Every other step drops the
+    total dimension, so after sum(dims) steps it is zero iff it ever is."""
     q = r.quiver
-    current = {v: QuadMatrix.identity(r.dims[v], r.d) for v in range(q.vertices.size)}
-    total = sum(r.dims)
-    for _ in range(total + 1):
-        if all(m.cols == 0 for m in current.values()):
+    current = [QuadMatrix.identity(n, r.d) for n in r.dims]
+    for _ in range(sum(r.dims)):
+        if not any(m.cols for m in current):
             return True
-        nxt = {}
-        for v in range(q.vertices.size):
-            pieces = None
-            for e in range(q.edges.size):
-                if q.tgt[e] != v:
-                    continue
-                img = r.edge_maps[e] * current[q.src[e]]
-                pieces = img if pieces is None else pieces.hstack(img)
-            if pieces is None:
-                nxt[v] = QuadMatrix.zeros(r.dims[v], 0, r.d)
-            else:
-                nxt[v] = column_space_basis(pieces)
-        if all(nxt[v].cols == current[v].cols for v in nxt):
-            return all(m.cols == 0 for m in nxt.values())
-        current = nxt
-    return all(m.cols == 0 for m in current.values())
+        nxt = [QuadMatrix.zeros(n, 0, r.d) for n in r.dims]
+        for e in range(q.edges.size):
+            nxt[q.tgt[e]] = nxt[q.tgt[e]].hstack(r.edge_maps[e] * current[q.src[e]])
+        current = [column_space_basis(m) for m in nxt]
+    return not any(m.cols for m in current)
 
 
 def rep_base_change(r: QuiverRep, sub) -> QuiverRep:

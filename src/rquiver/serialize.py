@@ -10,12 +10,13 @@ generator.  A stabilization problem is {"phi_plus", "phi_minus"}; the key
 
 Every integer a loader reads must be a JSON integer: 0.5, 1.0, "1" and true
 are rejected, not truncated, although Python counts true as the integer 1.
-That covers the integers of field elements and matrix sizes, G-set sizes,
-vertex and edge indices (a quiver's "src", "tgt" and relation paths),
-dimensions, species indices and twists, and an HC module's ell, epsilon,
-window and space dimensions; only the weights that key JSON objects are
-strings read by int().  A representation's "semilinear" list has one matrix
-per vertex.
+That covers the integers of field elements and matrix sizes, group tables
+and subgroups, G-set sizes, vertex and edge indices (a quiver's "src", "tgt"
+and relation paths), dimensions, species indices and twists, and an HC
+module's ell, epsilon, window and space dimensions.  The weights that key an
+HC module's JSON objects are strings, each the canonical decimal form of its
+weight.  A representation's "semilinear" list has one matrix per vertex, and
+a species field's "realization" is the one dump_species writes for it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ def _int(x) -> int:
     if type(x) is not int:
         raise ParseError(f"expected an integer, got {x!r}")
     return x
+
+
+def _weight(key: str) -> int:
+    """The weight key names, if key is its canonical decimal string."""
+    if str(int(key)) != key:
+        raise ParseError(f"weight key {key!r} is not a canonical integer")
+    return int(key)
 
 
 def _check_version(data):
@@ -153,15 +161,16 @@ def load_quiver(data) -> RationalQuiver:
                           [(tuple(p), tuple(qq)) for p, qq in data["relations"]])
 
 
+def _realization(s: EtaleSpecies, i: int):
+    """How a species file names field i: "Q" or "Q(sqrt d)" over C2, else None."""
+    if not s.is_quadratic():
+        return None
+    return "Q" if s.realized_field(i) == "K" else "Q(sqrt d)"
+
+
 def dump_species(s: EtaleSpecies) -> dict:
-    fields = []
-    for i, h in enumerate(s.vertex_subgroups):
-        entry = {"subgroup": sorted(h.elements)}
-        if s.is_quadratic():
-            entry["realization"] = "Q" if s.realized_field(i) == "K" else "Q(sqrt d)"
-        else:
-            entry["realization"] = None
-        fields.append(entry)
+    fields = [{"subgroup": sorted(h.elements), "realization": _realization(s, i)}
+              for i, h in enumerate(s.vertex_subgroups)]
     bims = []
     for (i, j), summands in sorted(s.bimodules.items()):
         bims.append({
@@ -187,7 +196,11 @@ def load_species(data) -> EtaleSpecies:
             BimoduleSummand(Subgroup(group, x["subgroup"]),
                             _int(x["twist_src"]), _int(x["twist_tgt"]))
             for x in b["summands"]]
-    return EtaleSpecies(group, subs, bims)
+    species = EtaleSpecies(group, subs, bims)
+    for i, f in enumerate(data["fields"]):
+        if f["realization"] != (want := _realization(species, i)):
+            raise ParseError(f"field {i} has realization {f['realization']!r}, not {want!r}")
+    return species
 
 
 def dump_rep(r: QuiverRep) -> dict:
@@ -261,10 +274,10 @@ def load_hc(data):
     d = load_fraction(data["d"])
     return HCModule(
         _int(data["ell"]), _int(data["epsilon"]), _int(data["window"]),
-        {int(w): _int(v) for w, v in data["spaces"].items()},
-        {int(w): load_matrix(m, d) for w, m in data["X"].items()},
-        {int(w): load_matrix(m, d) for w, m in data["Y"].items()},
-        {int(w): load_matrix(m, d) for w, m in data["rational"].items()},
+        {_weight(w): _int(v) for w, v in data["spaces"].items()},
+        {_weight(w): load_matrix(m, d) for w, m in data["X"].items()},
+        {_weight(w): load_matrix(m, d) for w, m in data["Y"].items()},
+        {_weight(w): load_matrix(m, d) for w, m in data["rational"].items()},
         load_matrix(data["tails"]["plus"], d),
         load_matrix(data["tails"]["minus"], d),
         d,

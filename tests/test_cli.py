@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from rquiver.randomgen import random_c2_quiver, random_gelfand_rep, random_speci
 from rquiver.reps import QuiverRep
 from rquiver.species import species_of_quiver
 from rquiver.unipotent import StabilizationProblem
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write(tmp_path, name, doc):
@@ -119,12 +122,13 @@ def test_malformed_relation_path_exit_code(tmp_path, capsys, relations, message)
     (("bimodules", 0, "summands", 0, "twist_src"), 6, "twist 6 is not in 0..5"),
     (("bimodules", 0, "from"), -1, "bimodule index -1 is not in 0..1"),
     (("bimodules", 0, "from"), 2, "bimodule index 2 is not in 0..1"),
+    (("fields", 0, "subgroup"), [0, True], "subgroup element True is not in 0..5"),
 ])
 def test_out_of_range_species_file_exit_code(tmp_path, capsys, path, value, message):
     """A species file with a group element, a twist or an index outside its
     range is malformed: exit 2 with one parse error line naming the value,
-    also where a negative value would alias a valid one."""
-    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    also where a negative value or true would alias a valid one."""
+    doc = json.loads((GOLDEN / "species_s3.json").read_text())
     *parents, last = path
     node = doc
     for key in parents:
@@ -138,9 +142,47 @@ def test_out_of_range_species_file_exit_code(tmp_path, capsys, path, value, mess
     assert captured.err == f"parse error: malformed input to load_species: ValueError: {message}\n"
 
 
+def test_bool_in_group_table_exit_code(tmp_path, capsys):
+    """true in a group table is not read as element 1: quiver validate exits
+    2 with one parse error line."""
+    doc = json.loads((GOLDEN / "quiver_gelfand.json").read_text())
+    doc["group"]["table"][0][1] = True
+    assert main(["quiver", "validate", "--in", write(tmp_path, "q.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: malformed input to load_group: "
+                            "ValueError: table row [0, True] is not a permutation of 0..1\n")
+
+
+@pytest.mark.parametrize("name, i, value, want", [
+    ("species_gelfand.json", 0, "Q(sqrt d)", "Q"),
+    ("species_gelfand.json", 1, "Q", "Q(sqrt d)"),
+    ("species_gelfand.json", 1, None, "Q(sqrt d)"),
+    ("species_s3.json", 0, "Q", None),
+])
+def test_species_field_realization_is_checked(tmp_path, capsys, name, i, value, want):
+    """A field's "realization" must be the one dump_species writes for its
+    subgroup ("Q" for the full C2, "Q(sqrt d)" for the trivial subgroup, null
+    past C2): load_species raises a ParseError naming both, and species
+    to-quiver exits 2 with that line."""
+    doc = json.loads((GOLDEN / name).read_text())
+    assert doc["fields"][i]["realization"] == want
+    doc["fields"][i]["realization"] = value
+    message = f"field {i} has realization {value!r}, not {want!r}"
+    with pytest.raises(io.ParseError, match=rf"^{re.escape(message)}$"):
+        io.load_species(doc)
+    argv = ["species", "to-quiver", "--in", write(tmp_path, "species.json", doc),
+            "--out", str(tmp_path / "quiver.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+    assert not (tmp_path / "quiver.json").exists()
+
+
 def test_load_species_checks_the_index_count():
     """"indices" must be the number of fields."""
-    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    doc = json.loads((GOLDEN / "species_s3.json").read_text())
     assert io.load_species(doc).n_indices == doc["indices"] == 2
     for n in (1, 5):
         with pytest.raises(io.ParseError, match=rf"^indices {n} does not match the 2 fields$"):
@@ -150,7 +192,7 @@ def test_load_species_checks_the_index_count():
 def test_species_file_with_wrong_index_count_exit_code(tmp_path, capsys):
     """A species file claiming more indices than fields exits 2 with one
     parse error line."""
-    doc = json.loads((Path(__file__).resolve().parent / "golden" / "species_s3.json").read_text())
+    doc = json.loads((GOLDEN / "species_s3.json").read_text())
     argv = ["species", "to-quiver", "--in", write(tmp_path, "species.json", {**doc, "indices": 5}),
             "--out", str(tmp_path / "quiver.json")]
     assert main(argv) == 2
@@ -182,7 +224,7 @@ def test_non_integer_in_file_exit_code(tmp_path, capsys, name, argv, path, value
     """Every integer a loader reads must be a JSON integer: a float, bool or
     string there is malformed input (exit 2 with one parse error line), not
     a value truncated by int()."""
-    doc = json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
+    doc = json.loads((GOLDEN / name).read_text())
     *parents, last = path
     node = doc
     for key in parents:
@@ -195,6 +237,27 @@ def test_non_integer_in_file_exit_code(tmp_path, capsys, name, argv, path, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parse error: expected an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("section, key, new_key, value, message", [
+    ("spaces", "1", "1", -1,
+     "malformed input to load_hc: ValueError: dimension -1 is not a nonnegative int"),
+    ("spaces", "1", " 1", None, "weight key ' 1' is not a canonical integer"),
+    ("X", "1", "+1", None, "weight key '+1' is not a canonical integer"),
+    ("rational", "-1", "-01", None, "weight key '-01' is not a canonical integer"),
+])
+def test_hc_file_dimension_and_weight_key_exit_code(tmp_path, capsys, section, key, new_key,
+                                                     value, message):
+    """A negative space dimension is malformed, not a shape failure, and a
+    weight key must be the canonical decimal string of its weight, so " 1"
+    cannot pass as 1: hc validate exits 2 with one parse error line."""
+    doc = json.loads((GOLDEN / "hc_build_principal_ell2.json").read_text())
+    old = doc[section].pop(key)
+    doc[section][new_key] = old if value is None else value
+    assert main(["hc", "validate", "--in", write(tmp_path, "m.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
 
 
 def test_stabilization_file_with_tau_loads():
@@ -415,17 +478,19 @@ def test_failing_check_exit_code(tmp_path):
     assert main(["quiver", "validate", "--in", path]) == 1
 
 
-def test_hc_from_quiver_file_holds_the_core(tmp_path, capsys):
+@pytest.mark.parametrize("kind, ell", [("principal", 2), ("discrete", 0)])
+def test_hc_from_quiver_file_holds_the_core(tmp_path, kind, ell):
     """hc build -> to-quiver -> from-quiver -> validate, and the file written
-    by from-quiver stores no tail ladder map."""
+    by from-quiver stores no tail ladder map: X only at -(ell+1)..ell-1 and Y
+    only at -(ell-1)..ell+1."""
     built, rep, back = (tmp_path / n for n in ("m.json", "r.json", "b.json"))
-    assert main(["hc", "build", "--kind", "principal", "--ell", "2", "--out", str(built)]) == 0
+    assert main(["hc", "build", "--kind", kind, "--ell", str(ell), "--out", str(built)]) == 0
     assert main(["hc", "to-quiver", "--in", str(built), "--out", str(rep)]) == 0
-    assert main(["hc", "from-quiver", "--in", str(rep), "--ell", "2", "--out", str(back)]) == 0
+    assert main(["hc", "from-quiver", "--in", str(rep), "--ell", str(ell), "--out", str(back)]) == 0
     assert main(["hc", "validate", "--in", str(back)]) == 0
     doc = json.loads(back.read_text())
-    assert sorted(map(int, doc["X"])) == [-3, -1, 1]
-    assert sorted(map(int, doc["Y"])) == [-1, 1, 3]
+    assert sorted(map(int, doc["X"])) == list(range(-ell - 1, ell, 2))
+    assert sorted(map(int, doc["Y"])) == list(range(1 - ell, ell + 2, 2))
 
 
 def test_examples_random_cases(capsys):
@@ -623,9 +688,6 @@ def test_load_rep_fuzz(data):
 
 
 # --------------------------------------------------------------- input checks
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
 
 def test_empty_semilinear_list_exit_code(tmp_path, capsys):
     """A rep file with "semilinear": [] is malformed: rep validate and rep

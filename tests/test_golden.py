@@ -191,6 +191,8 @@ def test_hc_extension_E_image_unchanged(tag, d, tmp_path, capsys):
     out = tmp_path / "module.json"
     assert main(["hc", "from-quiver", "--in", str(rep_file), "--ell", "2", "--out", str(out)]) == 0
     assert out.read_bytes() == module_file.read_bytes()
+    # inverse_E returns its module without validate_hc (its docstring proves it valid)
+    assert main(["hc", "validate", "--in", str(out)]) == 0
     out = tmp_path / "image.json"
     capsys.readouterr()
     assert main(["--json", "hc", "to-quiver", "--in", str(module_file), "--out", str(out)]) == 0

@@ -157,6 +157,21 @@ def test_subgroup_elements_must_lie_in_the_group(elements, bad):
         Subgroup(FiniteGroup.symmetric(3), elements)
 
 
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_group_and_subgroup_elements_must_be_ints(value):
+    """true would pass as element 1 of a table or a subgroup, and 1.0 would
+    fail later with a TypeError; both are rejected up front."""
+    s3 = FiniteGroup.symmetric(3)
+    table = [list(row) for row in s3.table]
+    table[0][1] = value
+    with pytest.raises(ValueError, match=rf"^table row \[0, {value!r}, 2, 3, 4, 5\] is not "
+                                         rf"a permutation of 0\.\.5$"):
+        FiniteGroup(table)
+    for elements in ([0, value], [0, 1, value]):
+        with pytest.raises(ValueError, match=rf"^subgroup element {value!r} is not in 0\.\.5$"):
+            Subgroup(s3, elements)
+
+
 def test_orbits_trivial_and_gelfand():
     t = GSet.trivial(C2, 3)
     assert t.orbits() == [(0,), (1,), (2,)]

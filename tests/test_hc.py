@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -83,6 +84,28 @@ def test_bad_parity_rejected():
                  m.phi_plus, m.phi_minus)
     with pytest.raises(NotApplicable):
         build_example("finite", 0)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("ell", 2.0, "ell, epsilon, window must be ints: 2.0, 1, 11"),
+    ("epsilon", True, "ell, epsilon, window must be ints: 2, True, 11"),
+    ("window", 11.9, "ell, epsilon, window must be ints: 2, 1, 11.9"),
+    ("spaces", -1, "dimension -1 is not a nonnegative int"),
+    ("spaces", True, "dimension True is not a nonnegative int"),
+    ("spaces", 1.0, "dimension 1.0 is not a nonnegative int"),
+])
+def test_module_fields_must_be_ints(key, value, message):
+    """ell, epsilon and window are ints, not truncated by int(), and every
+    space dimension is a nonnegative int, as QuiverRep requires of dims."""
+    m = build_example("principal", 2)
+    fields = {"ell": m.ell, "epsilon": m.epsilon, "window": m.window, "spaces": dict(m.spaces)}
+    if key == "spaces":
+        fields["spaces"][1] = value
+    else:
+        fields[key] = value
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        HCModule(fields["ell"], fields["epsilon"], fields["window"], fields["spaces"],
+                 m.x_maps, m.y_maps, m.rat, m.phi_plus, m.phi_minus)
 
 
 def test_validator_catches_bracket_break():
