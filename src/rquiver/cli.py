@@ -168,6 +168,16 @@ def _require_valid(what, validation):
             f"FAIL {name}" + (f" [{witness}]" if witness else "") for name, witness in failures))
 
 
+def _load_valid_rep(path) -> QuiverRep:
+    """The rep in the file at path, once its quiver and the rep itself pass
+    validation (nilpotency is not required): the rep commands that compute
+    with a rep are defined on valid reps only."""
+    r = io.load_rep(_read(path))
+    _require_valid("quiver", validate(r.quiver))
+    _require_valid("representation", validate_rep(r, require_nilpotent=False))
+    return r
+
+
 def _report_validation(report, rep, prefix=""):
     for name, ok, witness in rep.checks:
         report.add(prefix + name, ok, witness)
@@ -250,32 +260,25 @@ def _cmd_rep(args) -> Report:
         _report_validation(report, validate_rep(
             r, require_nilpotent=not args.allow_non_nilpotent))
     elif args.action == "hom":
-        a = io.load_rep(_read(args.a))
-        b = io.load_rep(_read(args.b))
-        hs = hom_space(a, b)
+        hs = hom_space(_load_valid_rep(args.a), _load_valid_rep(args.b))
         report.payload["dim_K"] = hs.dim_K
         report.payload["dim_L"] = hs.dim_L
         report.add("descent", hs.dim_K == hs.dim_L,
                    f"dim_K = {hs.dim_K}, dim_L = {hs.dim_L}")
     elif args.action == "to-species":
-        r = io.load_rep(_read(args.infile))
-        _require_valid("quiver", validate(r.quiver))
-        _require_valid("representation", validate_rep(r, require_nilpotent=False))
-        _write(args.out, io.dump_species_rep(functor_F(r)))
+        _write(args.out, io.dump_species_rep(functor_F(_load_valid_rep(args.infile))))
         report.add("written", True, args.out)
     elif args.action == "from-species":
         w = io.load_species_rep(_read(args.infile))
         _write(args.out, io.dump_rep(functor_H(w)))
         report.add("written", True, args.out)
     elif args.action == "isomorphic":
-        a = io.load_rep(_read(args.a))
-        b = io.load_rep(_read(args.b))
-        mats = rep_isomorphic(a, b, seed=args.seed)
+        mats = rep_isomorphic(_load_valid_rep(args.a), _load_valid_rep(args.b), seed=args.seed)
         report.payload["isomorphic"] = mats is not None
         report.add("search", True,
                    "witness found" if mats is not None else "no isomorphism")
     elif args.action == "base-change":
-        r = io.load_rep(_read(args.infile))
+        r = _load_valid_rep(args.infile)
         out = rep_base_change(r, _subgroup(r.quiver.group, args.subgroup))
         _write(args.out, io.dump_rep(out))
         report.add("written", True, args.out)

@@ -815,23 +815,20 @@ class SemilinearMap:
         return f"SemilinearMap(sigma={self.sigma}, {self.matrix!r})"
 
 
-def fixed_space_matrix(phi: SemilinearMap) -> QuadMatrix:
-    """Matrix whose columns are a K-basis of {v : phi(v) = v} for a
-    conjugate-semilinear involution.
+def fixed_space_matrix(a: QuadMatrix) -> QuadMatrix:
+    """Matrix whose columns are a K-basis of {v : a.conj(v) = v}, for the
+    matrix a of a conjugate-semilinear involution v |-> a.conj(v).
 
     Splitting v = x + sqrt(d) y and the matrix A = P_d + sqrt(d) Q_d turns
     A.conj(v) = v into the rational system
         (P_d - 1) x - d Q_d y = 0,   Q_d x - (P_d + 1) y = 0,
     solved here scaled by den, where P_d = P/den and Q_d = dd Q/den.
-    Galois descent guarantees exactly n = domain_dim basis vectors, which
+    Galois descent guarantees exactly n = a.cols basis vectors, which
     are returned in L-coordinates and span L^n over L.
 
-    Raises CocycleViolation when phi is not conjugate-semilinear or
-    phi o phi differs from the identity.
+    Raises CocycleViolation when a is not square or a conj(a) differs from
+    the identity.
     """
-    if phi.sigma != 1:
-        raise CocycleViolation("fixed_space needs a conjugate-semilinear map")
-    a = phi.matrix
     if a.rows != a.cols:
         raise CocycleViolation("fixed_space needs a square map")
     if not (a * a.conj()).is_identity():
@@ -859,8 +856,10 @@ def fixed_space_matrix(phi: SemilinearMap) -> QuadMatrix:
 
 
 def fixed_space(phi: SemilinearMap) -> list:
-    """The columns of fixed_space_matrix(phi), as coordinate tuples."""
-    f = fixed_space_matrix(phi)
+    """The columns of fixed_space_matrix(phi.matrix), as coordinate tuples."""
+    if phi.sigma != 1:
+        raise CocycleViolation("fixed_space needs a conjugate-semilinear map")
+    f = fixed_space_matrix(phi.matrix)
     return [f.col(j) for j in range(f.cols)]
 
 
@@ -909,7 +908,7 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
     if v * theta != w:
         raise ValueError("conjugation does not preserve Hom: "
                          "a rational structure is not edge-equivariant")
-    return l_basis, _split_columns(v * fixed_space_matrix(SemilinearMap(theta, 1)), shapes)
+    return l_basis, _split_columns(v * fixed_space_matrix(theta), shapes)
 
 
 def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from .exact import (
     QuadElement,
     QuadMatrix,
-    SemilinearMap,
     _check_field,
     _field_tag,
     block_matrix,
@@ -38,7 +37,6 @@ from .exact import (
     intertwining_system,
     inverse,
     kron,
-    sqrt_d,
 )
 from .quiver import RationalQuiver, ValidationReport, check
 from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
@@ -88,11 +86,6 @@ class QuiverRep:
                 _check_field(m, self.d, f"semilinear matrix at vertex {v}")
         else:
             self.rho = None
-
-    def semilinear(self, v: int, g: int) -> SemilinearMap:
-        if g == self.quiver.group.identity:
-            return SemilinearMap(QuadMatrix.identity(self.dims[v], self.d), 0)
-        return SemilinearMap(self.rho[v], 1)
 
     def path_matrix(self, path) -> QuadMatrix:
         m = QuadMatrix.identity(self.dims[self.quiver.src[path[0]]], self.d)
@@ -270,8 +263,10 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     which in row-major vec form is rho_N[cv] (x) conj(rho_M[v])^T applied to
     conj(psi_cv): one Kronecker matrix per vertex acts on the whole kernel.
     Raises ValueError when the rational structure of m or n breaks the
-    cocycle, or is not edge-equivariant, since then conjugation does not act
-    on Hom.
+    cocycle, or when conjugation moves the L-Hom out of itself, which only a
+    structure that is not edge-equivariant does.  A non-equivariant structure
+    can still leave the L-Hom in place (always when it is 0), and then the
+    result is returned unchecked: validate_rep is the full check on m and n.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations over different quivers")
@@ -359,30 +354,20 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
 
 # ------------------------------------------------------------------ functor F
 
-def _w_basis(r: QuiverRep, s: EtaleSpecies, conv):
-    """Per species index: invertible L-matrix whose columns are the chosen
-    basis of W_i inside M(v_i) (a K-basis for full stabilizer, std basis else)."""
-    out = []
-    for i, h in enumerate(s.vertex_subgroups):
-        v_i = conv.vertex_reps[i]
-        dim = r.dims[v_i]
-        if h.order == 2:
-            out.append(fixed_space_matrix(SemilinearMap(r.rho[v_i], 1)))
-        else:
-            out.append(QuadMatrix.identity(dim, r.d))
-    return out
-
-
 def functor_F(r: QuiverRep) -> SpeciesRep:
     """Species representation of a rational quiver representation.
 
-    W_i is the fixed space of the stabilizer action on M(v_i); the summand
-    matrix entries come from evaluating, per coset eta of the target
-    stabilizer, the composite
-        phi_{t(e_eps), eta tau^{-1}} o phi_{e_eps} o phi_{v_i, sigma}
-    on the canonical domain basis, then expressing the result in the W_j
-    basis (rationality of those coordinates over K-realized vertices is the
-    Galois-descent guarantee and is asserted).
+    F works in the descent gauge g, one invertible matrix per vertex: at a
+    representative v_i, the fixed_space_matrix basis of W_i when the
+    stabilizer is the whole group and the standard basis when it is
+    trivial; at the conjugate of a free representative v_i, rho[v_i].
+    Then g_{cv}^-1 rho[v] conj(g_v) = 1 at every v, so g^-1 r g carries the
+    identity rational structure of H(F(r)), and its edge map at the
+    representative e of a summand, g_tgt^-1 A_e g_src, is what functor_H
+    puts there: the summand's core, conjugated when twist_tgt != 1.  The
+    summand matrix is therefore _summand_matrix of that core.  r must pass
+    validate_rep: at a one-eta summand into a K-realized index the core
+    of a valid r is rational, and SpeciesRep rejects it otherwise.
     """
     if r.quiver.group.order != 2:
         raise NotQuadratic("functor_F needs a quadratic Galois group")
@@ -391,43 +376,29 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
 
 def _functor_F(r: QuiverRep, conv):
     """functor_F on the species of r.quiver, built from its conventions
-    conv; returns (F(r), the descent bases u_i of the W_i)."""
+    conv; returns (F(r), the descent gauge g, one matrix per vertex)."""
     q = r.quiver
     s = _species(q, conv)
-    u = _w_basis(r, s, conv)
-    u_inv = [inverse(m) for m in u]
-    dims = [u[i].cols for i in range(s.n_indices)]
-    rt = sqrt_d(r.d)
-    g = q.group
+    gauge, gauge_inv = [], []
+    for v, (i, t) in enumerate(zip(conv.vertex_orbit_of, conv.vertex_transport)):
+        if t:  # v = c v_i with v_i free: the cocycle inverts rho[v_i] by conj(rho[v])
+            gauge.append(r.rho[conv.vertex_reps[i]])
+            gauge_inv.append(r.rho[v].conj())
+        else:
+            u = (fixed_space_matrix(r.rho[v]) if s.vertex_subgroups[i].order == 2
+                 else QuadMatrix.identity(r.dims[v], r.d))
+            gauge.append(u)
+            gauge_inv.append(inverse(u))
     maps = {}
     for (i, j), summands in sorted(s.bimodules.items()):
-        reps = conv.edge_reps_of(i, j)
         mats = []
-        for summand, e_eps in zip(summands, reps):
-            case = _summand_case(s, i, j, summand)
-            edge = SemilinearMap(r.edge_maps[e_eps], 0)
-            first = r.semilinear(conv.vertex_reps[i], summand.twist_src)
-            # per eta: the composite's images of the domain basis u_i (x) 1,
-            # and of its second half u_i (x) sqrt(d) or (sqrt(d) u_i) (x) 1 up
-            # to sqrt(d), negated when gtail, or the composite, conjugates it
-            parts = []
-            for eta in _eta_reps(s, i, j, summand):
-                gtail = g.mul(eta, g.inv(summand.twist_tgt))
-                comp = r.semilinear(q.tgt[e_eps], gtail).compose(edge).compose(first)
-                img = comp.matrix * (u[i].conj() if comp.sigma else u[i])
-                flip = gtail if case == (2, 1, 2) else comp.sigma
-                parts.append((img, -img if flip else img))
-            if len(parts) == 1:
-                images = parts[0][0]
-            else:
-                (x0, y0), (x1, y1) = parts
-                images = (x0 + x1).hstack((y0 + y1).scale(rt))
-            mat = u_inv[j] * images
-            if s.realized_field(j) == "K" and not mat.is_rational():
-                raise AssertionError("descent failure: expected rational coordinates")
-            mats.append(mat)
+        for summand, e in zip(summands, conv.edge_reps_of(i, j)):
+            edge = gauge_inv[q.tgt[e]] * r.edge_maps[e] * gauge[q.src[e]]
+            mats.append(_summand_matrix(s, i, j, summand,
+                                        edge.conj() if summand.twist_tgt else edge))
         maps[(i, j)] = tuple(mats)
-    return SpeciesRep(s, dims, maps, r.d), u
+    dims = [r.dims[v] for v in conv.vertex_reps]
+    return SpeciesRep(s, dims, maps, r.d), tuple(gauge)
 
 
 # ------------------------------------------------------------------ functor H
@@ -447,6 +418,18 @@ def _summand_core(w: SpeciesRep, i, j, summand, fmat: QuadMatrix) -> QuadMatrix:
     return fmat * block_matrix([n_i, n_i], [n_i], [
         (0, 0, eye.scale(Fraction(1, 2))),
         (1, 0, eye.scale(QuadElement(0, Fraction(-1 if p else 1, 2) / d, d)))], d)
+
+
+def _summand_matrix(s: EtaleSpecies, i, j, summand, core: QuadMatrix) -> QuadMatrix:
+    """Inverse of _summand_core: the summand matrix whose core is core.
+    For two eta, core = X + sqrt(d) Y with X, Y rational gives [2X | 2dY],
+    with -2dY when p = 1."""
+    if len(_eta_reps(s, i, j, summand)) == 1:
+        return core
+    g = s.group
+    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+    x, y = core.parts()
+    return x.scale(2).hstack(y.scale(-2 * core.d if p else 2 * core.d))
 
 
 def functor_H(w: SpeciesRep) -> QuiverRep:
@@ -485,9 +468,10 @@ def _functor_H(w: SpeciesRep, q: RationalQuiver, conv) -> QuiverRep:
 def hf_witness(r: QuiverRep):
     """Natural isomorphism H(F(r)) -> r, with H(F(r)) built on r's quiver q.
 
-    The component at v = t . v_i sends the standard basis to phi_{v_i, t}
-    of the chosen descent basis of W_i.  Returns (H(F(r)), per-vertex
-    matrices); the caller checks them with is_morphism and invertibility.
+    Its component at v is the descent gauge g_v of _functor_F, which sends
+    the standard basis at v = t . v_i to phi_{v_i, t} of the chosen descent
+    basis of W_i.  Returns (H(F(r)), per-vertex matrices); the caller checks
+    them with is_morphism and invertibility.
 
     One conventions record conv of q serves both functors: _functor_F reads
     the species s of q off it, and _functor_H lays H(F(r)) out on q with it.
@@ -504,10 +488,8 @@ def hf_witness(r: QuiverRep):
     if q.group.order != 2:
         raise NotQuadratic("hf_witness needs a quadratic Galois group")
     conv = quiver_conventions(q)
-    w, u = _functor_F(r, conv)
-    mats = tuple(u[i] if t == 0 else r.rho[conv.vertex_reps[i]] * u[i].conj()
-                 for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
-    return _functor_H(w, q, conv), mats
+    w, gauge = _functor_F(r, conv)
+    return _functor_H(w, q, conv), gauge
 
 
 def _tensor_matrix(s: EtaleSpecies, i, j, summand, psi: QuadMatrix) -> QuadMatrix:

@@ -1,22 +1,27 @@
 """Loader fuzz: a bad JSON node never ends a CLI command in a traceback.
 
 Each node of a golden input file is, in turn, replaced by each value of
-REPLACEMENTS or dropped, and the file's command (COMMANDS) runs in-process
-through ``cli.main``.  Every run must return 0, 1 or 2: a malformed file is
-a parse or usage error (exit 2), and a well-formed but wrong one fails its
-checks (exit 1) or, when the change keeps it valid, passes (exit 0).
+REPLACEMENTS or dropped, and a command that reads the file (COMMANDS) runs
+in-process through ``cli.main``.  Every run must return 0, 1 or 2: a
+malformed file is a parse or usage error (exit 2), and a well-formed but
+wrong one fails its checks (exit 1) or, when the change keeps it valid,
+passes (exit 0).
 
     PYTHONPATH=src python tests/fuzz_loaders.py          # the tier-1 sample
     PYTHONPATH=src python tests/fuzz_loaders.py --full   # every input golden
 
 The sample, which ``tests/test_fuzz_loaders.py`` runs, covers every node of
-``quiver_gelfand.json``, and every node of ``rep_c2_62_d2.json`` and
-``rep_c2_62_d2_to_species.json`` except the four integers of a field
-element.  ``--full`` covers every node of the quiver, species, rep and
-species-rep goldens, of ``hc_ext_rep_d-1.json``, of three HC-module files
-(``hc validate`` and ``hc to-quiver``) and of four unipotent files
-(``unipotent stabilize`` and ``unipotent sqrt``): 32,587 runs, about 20 s
-on a 2-vCPU VM.
+``quiver_gelfand.json``, and every node of ``rep_c2_62_d2.json`` (``rep
+validate`` and ``rep to-species``) and ``rep_c2_62_d2_to_species.json``
+except the four integers of a field element: 3,556 runs.  ``--full`` covers
+every node of the quiver, species, rep and species-rep goldens, of
+``hc_ext_rep_d-1.json``, of three HC-module files (``hc validate`` and ``hc
+to-quiver``) and of four unipotent files (``unipotent stabilize`` and
+``unipotent sqrt``).  It also runs ``rep to-species`` on
+``rep_c2_62_d2.json`` and ``hc_ext_rep_d-1.json``, ``hc from-quiver`` and
+``hc roundtrip`` with ``--ell 2`` on the latter, and ``rep hom``, ``rep
+isomorphic`` (the mutant against the unmutated golden, on each side) and
+``rep base-change`` on the former: 54,178 runs, about 45 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -34,13 +39,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REPLACEMENTS = (-1, 0.5, 1.0, True, "x", None, [])
 DROP = object()
 
-# one command per file type; IN and OUT stand for the input and output paths
-IN, OUT = "{in}", "{out}"
+# the commands a file runs, by name; IN and OUT stand for the mutated input
+# and the output path, ORIG for the unmutated golden (the other side of a pair)
+IN, OUT, ORIG = "{in}", "{out}", "{orig}"
 COMMANDS = {
     "quiver": ["quiver", "validate", "--in", IN],
     "species": ["species", "to-quiver", "--in", IN, "--out", OUT],
     "rep": ["rep", "validate", "--in", IN],
+    "to_species": ["rep", "to-species", "--in", IN, "--out", OUT],
+    "hom_a": ["rep", "hom", "--a", IN, "--b", ORIG],
+    "hom_b": ["rep", "hom", "--a", ORIG, "--b", IN],
+    "isomorphic_a": ["rep", "isomorphic", "--a", IN, "--b", ORIG],
+    "isomorphic_b": ["rep", "isomorphic", "--a", ORIG, "--b", IN],
+    "base_change": ["rep", "base-change", "--in", IN, "--subgroup", "0", "--out", OUT],
     "species_rep": ["rep", "from-species", "--in", IN, "--out", OUT],
+    "hc_from_quiver": ["hc", "from-quiver", "--in", IN, "--ell", "2", "--out", OUT],
+    "hc_roundtrip": ["hc", "roundtrip", "--in", IN, "--ell", "2"],
     "hc": ["hc", "validate", "--in", IN],
     "hc_image": ["hc", "to-quiver", "--in", IN, "--out", OUT],
     "pair": ["unipotent", "stabilize", "--in", IN],
@@ -49,6 +63,7 @@ COMMANDS = {
 
 SAMPLE = (("quiver_gelfand.json", "quiver", False),
           ("rep_c2_62_d2.json", "rep", True),
+          ("rep_c2_62_d2.json", "to_species", True),
           ("rep_c2_62_d2_to_species.json", "species_rep", True))
 
 FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "quiver"),
@@ -57,7 +72,12 @@ FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "
         ("species_gelfand.json", "species"), ("species_gelfand_restrict_05.json", "species"),
         ("species_s3.json", "species"), ("species_s3_base_change_01.json", "species"),
         ("rep_c2_62_d2.json", "rep"), ("rep_c2_62_d2_from_species.json", "rep"),
-        ("hc_ext_rep_d-1.json", "rep"), ("rep_c2_62_d2_to_species.json", "species_rep"),
+        ("hc_ext_rep_d-1.json", "rep"), ("rep_c2_62_d2.json", "to_species"),
+        ("hc_ext_rep_d-1.json", "to_species"), ("rep_c2_62_d2.json", "hom_a"),
+        ("rep_c2_62_d2.json", "hom_b"), ("rep_c2_62_d2.json", "isomorphic_a"),
+        ("rep_c2_62_d2.json", "isomorphic_b"), ("rep_c2_62_d2.json", "base_change"),
+        ("hc_ext_rep_d-1.json", "hc_from_quiver"), ("hc_ext_rep_d-1.json", "hc_roundtrip"),
+        ("rep_c2_62_d2_to_species.json", "species_rep"),
         ("hc_ext_ell2_d-1.json", "hc"), ("hc_build_discrete_ell0.json", "hc"),
         ("hc_build_principal_dual_ell1.json", "hc_image"),
         ("unipotent_pair_d-1.json", "pair"), ("unipotent_pair_d1_2.json", "pair"),
@@ -106,7 +126,8 @@ def run_file(name, kind, skip_field_integers, workdir):
 
     doc = json.loads((GOLDEN / name).read_text())
     src, out = Path(workdir) / "in.json", str(Path(workdir) / "out.json")
-    argv = [src.as_posix() if a == IN else out if a == OUT else a for a in COMMANDS[kind]]
+    paths = {IN: src.as_posix(), OUT: out, ORIG: (GOLDEN / name).as_posix()}
+    argv = [paths.get(a, a) for a in COMMANDS[kind]]
     bad = []
     for path, value, mutant in mutants(doc, skip_field_integers):
         src.unlink(missing_ok=True)  # a new file is cheaper than truncating on some file systems
@@ -133,8 +154,7 @@ def main(argv=None) -> int:
         for name, kind, skip in files:
             bad = run_file(name, kind, skip, workdir)
             failures += len(bad)
-            print(f"{name}: {COMMANDS[kind][0]} {COMMANDS[kind][1]}, {len(bad)} failures",
-                  flush=True)
+            print(f"{name}: {' '.join(COMMANDS[kind])}, {len(bad)} failures", flush=True)
             for path, value, status in bad:
                 print(f"  {list(path)} = {value!r}: {status}")
     return 1 if failures else 0

@@ -349,13 +349,16 @@ def test_hc_rejected_input_exit_code(tmp_path, capsys):
 
 def test_rep_rejected_input_exit_code(tmp_path, capsys):
     """A left-out option, and a rational structure that breaks the cocycle,
-    exit 2 with one usage error line."""
+    exit 2 with one usage error line; the boundary check names the cocycle
+    and the edge-equivariance it breaks."""
     doc = io.dump_rep(functor_E(build_example("principal", 2)).rep)
     good = write(tmp_path, "rep.json", doc)
     doc["semilinear"][0]["entries"] = [[2, 1, 0, 1]]  # rho_star = 2
     bad = write(tmp_path, "bad.json", doc)
     other = write(tmp_path, "other.json", io.dump_rep(functor_E(build_example("discrete", 2)).rep))
-    cocycle = "usage error: rational structure breaks the cocycle at vertex 0\n"
+    cocycle = ("usage error: invalid representation: FAIL cocycle "
+               "[phi_(cv,c) o phi_(v,c) != id at v=0]; "
+               "FAIL edge-equivariance [edge equivariance fails at e=2]\n")
     for argv, err in (
         (["rep", "hom", "--a", good], None),
         (["rep", "base-change", "--in", good, "--out", str(tmp_path / "out.json")], None),
@@ -374,7 +377,7 @@ def test_rep_rejected_input_exit_code(tmp_path, capsys):
 def test_rep_hom_names_a_non_equivariant_structure(tmp_path, capsys):
     """A rational structure that keeps the cocycle but is not edge-equivariant
     (rho = 1, a+ = 1, a- = 2) exits 2 with one usage error line naming the
-    cause."""
+    failing check."""
     q = gelfand_quiver()
     one, zero = QuadMatrix.identity(1), QuadMatrix.zeros(1, 1)
     good = QuiverRep(q, (1, 1, 1), (one, one, zero, zero), (one, one, one))
@@ -384,8 +387,32 @@ def test_rep_hom_names_a_non_equivariant_structure(tmp_path, capsys):
     assert main(["rep", "hom", "--a", a, "--b", b]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("usage error: conjugation does not preserve Hom: "
-                            "a rational structure is not edge-equivariant\n")
+    assert captured.err == ("usage error: invalid representation: FAIL edge-equivariance "
+                            "[edge equivariance fails at e=0]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "hom", "--a", "{bad}", "--b", "{good}"],
+    ["rep", "hom", "--a", "{good}", "--b", "{bad}"],
+    ["rep", "isomorphic", "--a", "{bad}", "--b", "{good}"],
+    ["rep", "base-change", "--in", "{bad}", "--subgroup", "0", "--out", "{out}"],
+], ids=["hom-a", "hom-b", "isomorphic", "base-change"])
+def test_rep_commands_check_the_rep(tmp_path, capsys, argv):
+    """The golden rep with the sqrt(d) part of one edge entry set to -1
+    keeps the cocycle but is not edge-equivariant.  rep hom, isomorphic and
+    base-change exit 2 with one line naming the failing check, as rep
+    to-species does, and write nothing: hom_space found Hom = 0 there before
+    reaching its own check, and base-change wrote the invalid rep."""
+    doc = json.loads((GOLDEN / "rep_c2_62_d2.json").read_text())
+    doc["edges"][0]["entries"][0][2] = -1
+    paths = {"bad": write(tmp_path, "bad.json", doc), "out": str(tmp_path / "out.json"),
+             "good": str(GOLDEN / "rep_c2_62_d2.json")}
+    assert main([x.format(**paths) for x in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: invalid representation: FAIL edge-equivariance "
+                            "[edge equivariance fails at e=0]\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_hc_construction_bug_propagates(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Deterministic loader fuzz: every node of three golden inputs, replaced by
-a bad value or dropped, gives exit 0, 1 or 2 and no traceback.  The full
-sweep over every input golden is ``python tests/fuzz_loaders.py --full``."""
+a bad value or dropped, gives exit 0, 1 or 2 and no traceback under each of
+the four sample commands.  The full sweep over every input golden is
+``python tests/fuzz_loaders.py --full``."""
 
 import pytest
 

@@ -54,7 +54,13 @@ from rquiver.reps import (
     validate_rep,
 )
 from rquiver.serialize import dump_rep
-from rquiver.species import quiver_conventions, roundtrip_quiver, species_of_quiver
+from rquiver.species import (
+    BimoduleSummand,
+    EtaleSpecies,
+    quiver_conventions,
+    roundtrip_quiver,
+    species_of_quiver,
+)
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
 
@@ -189,6 +195,13 @@ def ref_w_basis(r, s, conv):
     return u
 
 
+def semilinear(r: QuiverRep, v: int, g: int) -> SemilinearMap:
+    """phi_{v,g} of r: the identity for g = 1, else c o rho[v]."""
+    if g == r.quiver.group.identity:
+        return SemilinearMap(QuadMatrix.identity(r.dims[v], r.d), 0)
+    return SemilinearMap(r.rho[v], 1)
+
+
 def ref_functor_F(r: QuiverRep) -> SpeciesRep:
     q = r.quiver
     g = q.group
@@ -202,10 +215,10 @@ def ref_functor_F(r: QuiverRep) -> SpeciesRep:
         for summand, e_eps in zip(summands, conv.edge_reps_of(i, j)):
             composites = []
             for eta in reps._eta_reps(s, i, j, summand):
-                first = r.semilinear(conv.vertex_reps[i], summand.twist_src)
+                first = semilinear(r, conv.vertex_reps[i], summand.twist_src)
                 edge = SemilinearMap(r.edge_maps[e_eps], 0)
                 gtail = g.mul(eta, g.inv(summand.twist_tgt))
-                last = r.semilinear(q.tgt[e_eps], gtail)
+                last = semilinear(r, q.tgt[e_eps], gtail)
                 composites.append((last.compose(edge).compose(first), gtail))
             cols = []
             for w, x in ref_domain_basis(r, s, i, j, summand, u[i]):
@@ -254,7 +267,7 @@ def ref_hf_witness(r: QuiverRep):
                      [h.rho[fv[v]] for v in range(q.vertices.size)], r.d)
     conv = quiver_conventions(q)
     u = ref_w_basis(r, species_of_quiver(q), conv)
-    mats = tuple(r.semilinear(conv.vertex_reps[i], t).matrix
+    mats = tuple(semilinear(r, conv.vertex_reps[i], t).matrix
                  * (u[i].conj() if t else u[i])
                  for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
     return back, mats
@@ -338,6 +351,23 @@ def test_functors_match_reference(d, monkeypatch):
                 patch.setattr(reps, "_summand_core", ref_summand_core)
                 ref_h = functor_H(w)
             assert h == ref_h
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_summand_matrix_inverts_summand_core(d):
+    """F's _summand_matrix undoes H's _summand_core on random rational
+    summand matrices of both two-eta shapes, (2,1,2) and (1,1,2), with
+    p = 0 (twists (0,0), (1,1)) and p = 1 (twists (1,0), (0,1))."""
+    rng = random.Random(9)
+    full, trivial = Subgroup.full(C2), Subgroup.trivial_in(C2)
+    for h_src in (full, trivial):
+        for twists in ((0, 0), (1, 1), (1, 0), (0, 1)):
+            summand = BimoduleSummand(trivial, *twists)
+            s = EtaleSpecies(C2, [h_src, full], {(0, 1): [summand]})
+            dims = (rng.randint(1, 3), rng.randint(1, 3))
+            f = random_matrix(rng, dims[1], 2 * dims[0], rational=True, d=d)
+            core = reps._summand_core(SpeciesRep(s, dims, {(0, 1): [f]}, d), 0, 1, summand, f)
+            assert reps._summand_matrix(s, 0, 1, summand, core) == f
 
 
 def assert_hf_witness_matches_reference(r):
