@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from . import hc as hc_mod
 from . import serialize as io
-from .exact import QuadElement
 from .gsets import Subgroup
 from .quiver import (
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS,
@@ -71,21 +70,28 @@ class Report:
         return "\n".join(lines)
 
 
-def _fmt_element(x: QuadElement) -> str:
-    if x.b == 0:
-        return str(x.a)
-    if x.a == 0:
-        return f"{x.b}i" if x.d == -1 else f"{x.b}r"
-    sign = "+" if x.b > 0 else "-"
-    unit = "i" if x.d == -1 else "r"
-    return f"{x.a}{sign}{abs(x.b)}{unit}"
+def _fmt_ratio(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for n/den in lowest terms, den > 0."""
+    return str(n) if den == 1 else f"{n}/{den}"
 
 
 def _fmt_matrix(m) -> str:
+    """Rows of entries a, bi or a+bi (r in place of i when d != -1), read
+    off m.coefficients(), so no field element is built."""
     if m.rows == 0 or m.cols == 0:
         return "0"
-    return "[" + "; ".join(" ".join(_fmt_element(x) for x in m.row(r))
-                           for r in range(m.rows)) + "]"
+    unit = "i" if m.d == -1 else "r"
+    cells = []
+    for an, ad, bn, bd in m.coefficients():
+        if not bn:
+            cells.append(_fmt_ratio(an, ad))
+        elif not an:
+            cells.append(_fmt_ratio(bn, bd) + unit)
+        else:
+            cells.append(_fmt_ratio(an, ad) + ("+" if bn > 0 else "-")
+                         + _fmt_ratio(abs(bn), bd) + unit)
+    c = m.cols
+    return "[" + "; ".join(" ".join(cells[i:i + c]) for i in range(0, len(cells), c)) + "]"
 
 
 def render_diagram(rep: QuiverRep) -> str:

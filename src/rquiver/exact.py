@@ -423,6 +423,17 @@ class QuadMatrix:
                 _matrix(self.rows, self.cols, self.d, self._D, [dd * y for y in self._Q],
                         zeros, self._den))
 
+    def coefficients(self) -> list:
+        """[a.numerator, a.denominator, b.numerator, b.denominator] of each
+        entry a + b*sqrt(d), row-major, read off the integer form without
+        building elements: a = P/den and b = Q*dd/den, as sqrt(D) = dd*sqrt(d)."""
+        den, dd = self._den, self.d.denominator
+        out = []
+        for p, q in zip(self._P, self._Q):
+            g, h = gcd(p, den), gcd(q * dd, den)
+            out.append([p // g, den // g, q * dd // h, den // h])
+        return out
+
     def transpose(self) -> "QuadMatrix":
         c = self.cols
         return _matrix(self.cols, self.rows, self.d, self._D,

@@ -30,8 +30,10 @@ from .exact import (
     QuadMatrix,
     _check_field,
     _field_tag,
+    _matrix,
+    _rows_matrix,
+    _rref,
     block_matrix,
-    column_space_basis,
     descended_kernel,
     fixed_space_matrix,
     intertwining_system,
@@ -169,15 +171,42 @@ def realify(m: QuadMatrix) -> QuadMatrix:
 # ------------------------------------------------------------------ validate
 
 def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
+    """Validation report of r, one (name, ok, witness) per check, in order:
+
+    - cocycle (|G| = 2): rho[cv] conj(rho[v]) = 1 at every vertex v; the
+      witness is the least failing vertex (see _cocycle_break);
+    - edge-equivariance (|G| = 2): A_{ce} rho[src e] = rho[tgt e] conj(A_e)
+      at every edge e; the witness is the least failing edge;
+    - relations-literal: both sides of each relation give one matrix; the
+      witness is the last failing relation;
+    - nilpotent (if require_nilpotent): is_nilpotent_rep(r).
+    The flags hold "nilpotent" when r is nilpotent, whether or not checked.
+
+    Edge-equivariance checks one edge e <= ce per edge orbit when the cocycle
+    holds and src(ce) = c src(e), tgt(ce) = c tgt(e) on every edge.  Then
+    the check at e implies the one at ce: with s, t = src e, tgt e, conjugate
+    A_{ce} rho[s] = rho[t] conj(A_e), multiply by rho[ct] on the left and by
+    rho[cs] on the right, and use rho[ct] conj(rho[t]) = 1 and (the cocycle
+    at cs, conjugated) conj(rho[s]) rho[cs] = 1; what remains is
+    rho[ct] conj(A_{ce}) = A_e rho[cs], the check at ce since c(ce) = e.  So
+    the failing edges form whole orbits, and the least of them is still the
+    witness.  Otherwise every edge is checked."""
     q = r.quiver
     checks = []
     if q.group.order == 2:
+        broken = _cocycle_break(r)
+        ce = [q.edges.apply(1, e) for e in range(q.edges.size)]
+        cv = [q.vertices.apply(1, v) for v in range(q.vertices.size)]
+        per_orbit = broken is None and all(
+            (q.src[ce[e]], q.tgt[ce[e]]) == (cv[q.src[e]], cv[q.tgt[e]])
+            for e in range(q.edges.size))
         checks += [
             check("cocycle", (f"phi_(cv,c) o phi_(v,c) != id at v={v}"
-                              for v in [_cocycle_break(r)] if v is not None)),
+                              for v in [broken] if v is not None)),
             check("edge-equivariance", (
                 f"edge equivariance fails at e={e}" for e in range(q.edges.size)
-                if r.edge_maps[q.edges.apply(1, e)] * r.rho[q.src[e]]
+                if (e <= ce[e] or not per_orbit)
+                and r.edge_maps[ce[e]] * r.rho[q.src[e]]
                 != r.rho[q.tgt[e]] * r.edge_maps[e].conj())),
         ]
     # reports the last failing relation
@@ -207,19 +236,44 @@ def _cocycle_break(r: QuiverRep):
 def is_nilpotent_rep(r: QuiverRep) -> bool:
     """Arrow ideal acts nilpotently: the image chain R_0(v) = M_v,
     R_{k+1}(v) = sum_e edge_e(R_k(src e)) reaches zero.  R_k(v) is spanned by
-    the images of the paths of length k into v, so the chain decreases, and it
-    stays put once a step leaves it unchanged.  Every other step drops the
-    total dimension, so after sum(dims) steps it is zero iff it ever is."""
+    the images of the paths of length k into v, so the chain decreases; once a
+    step leaves every dimension unchanged it leaves every R_k(v) unchanged,
+    and the chain is stationary and nonzero from then on.  Every other step
+    drops the total dimension, so the loop ends within sum(dims) steps.
+
+    R_k(v) is kept as the rows of a reduced row basis B_k(v), so that the
+    image of edge e is spanned by the rows of B_k(src e) A_e^T: one product
+    per nonzero edge map from a nonzero R_k, the products into v stacked, one
+    elimination per vertex.  The images are taken edge by edge, never through
+    a sum of edge maps: paths that meet again can cancel in a sum
+    (a+ b+ = -a- b- on the Gelfand quiver) although each of them is a
+    nonzero composite."""
     q = r.quiver
-    current = [QuadMatrix.identity(n, r.d) for n in r.dims]
-    for _ in range(sum(r.dims)):
-        if not any(m.cols for m in current):
-            return True
-        nxt = [QuadMatrix.zeros(n, 0, r.d) for n in r.dims]
-        for e in range(q.edges.size):
-            nxt[q.tgt[e]] = nxt[q.tgt[e]].hstack(r.edge_maps[e] * current[q.src[e]])
-        current = [column_space_basis(m) for m in nxt]
-    return not any(m.cols for m in current)
+    d = r.d
+    D = d.numerator * d.denominator
+    into = [[] for _ in r.dims]
+    for e in range(q.edges.size):
+        if not r.edge_maps[e].is_zero():  # a zero map adds nothing to an image
+            into[q.tgt[e]].append((q.src[e], r.edge_maps[e].transpose()))
+    basis = [QuadMatrix.identity(n, d) for n in r.dims]
+    dims = list(r.dims)
+    while any(dims):
+        nxt = []
+        for n, edges in zip(r.dims, into):
+            blocks = [basis[s] * at for s, at in edges if dims[s]]
+            rows = []
+            if blocks:
+                # _rref reads each row up to a nonzero factor, so every block
+                # keeps its own denominator
+                rows = _rref(_matrix(sum(b.rows for b in blocks), n, d, D,
+                                     [x for b in blocks for x in b._P],
+                                     [x for b in blocks for x in b._Q], 1))[1]
+            nxt.append(_rows_matrix(rows, n, d, D))
+        step = [m.rows for m in nxt]
+        if step == dims:
+            return False
+        basis, dims = nxt, step
+    return True
 
 
 def rep_base_change(r: QuiverRep, sub) -> QuiverRep:

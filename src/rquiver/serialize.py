@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .exact import QuadMatrix, _field_tag, _matrix
 from .gsets import FiniteGroup, GSet, Subgroup
@@ -89,13 +89,7 @@ def load_fraction(data) -> Fraction:
 
 
 def dump_matrix(m: QuadMatrix) -> dict:
-    # entry k is (P + Q sqrt(D)) / den with sqrt(D) = dd sqrt(d), d = dn/dd
-    den, dd = m._den, m.d.denominator
-    entries = []
-    for p, q in zip(m._P, m._Q):
-        g, h = gcd(p, den), gcd(q * dd, den)
-        entries.append([p // g, den // g, q * dd // h, den // h])
-    return {"rows": m.rows, "cols": m.cols, "entries": entries}
+    return {"rows": m.rows, "cols": m.cols, "entries": m.coefficients()}
 
 
 @_loader

@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rquiver.cli as cli
 import rquiver.serialize as io
 from rquiver.cli import main, render_diagram, run
 from rquiver.exact import QuadElement, QuadMatrix
 from rquiver.hc import build_example, functor_E
 from rquiver.quiver import cyclic_quiver, gelfand_quiver
-from rquiver.randomgen import random_c2_quiver, random_gelfand_rep, random_species_rep
+from rquiver.randomgen import (
+    random_c2_quiver, random_cyclic_rep, random_gelfand_rep, random_species_rep,
+)
 from rquiver.reps import QuiverRep
 from rquiver.species import species_of_quiver
 from rquiver.unipotent import StabilizationProblem
@@ -455,7 +458,7 @@ def test_render_diagram_dual_inclusion():
     text = render_diagram(rep)
     # inclusion-direction arrows (a maps) nonzero, b maps zero
     assert "a- : M(-) -> M(*) = [1]" in text
-    assert "b+ : M(*) -> M(+) = 0" in text or "b+ : M(*) -> M(+) = [0]" in text
+    assert "b+ : M(*) -> M(+) = [0]" in text.splitlines()
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -600,6 +603,45 @@ def test_load_matrix_fuzz(doc):
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
 SQUARE_TAGS = (Fraction(4), Fraction(1, 9))
+
+
+def ref_fmt_element(x):
+    """The diagram's entry format as it was, from a QuadElement."""
+    if x.b == 0:
+        return str(x.a)
+    if x.a == 0:
+        return f"{x.b}i" if x.d == -1 else f"{x.b}r"
+    sign = "+" if x.b > 0 else "-"
+    unit = "i" if x.d == -1 else "r"
+    return f"{x.a}{sign}{abs(x.b)}{unit}"
+
+
+def ref_fmt_matrix(m):
+    if m.rows == 0 or m.cols == 0:
+        return "0"
+    return "[" + "; ".join(" ".join(ref_fmt_element(x) for x in m.row(r))
+                           for r in range(m.rows)) + "]"
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_render_diagram_matches_element_formatter(d, monkeypatch):
+    """render_diagram reads its entries off the integer form; the text is
+    the one the QuadElement formatter printed, on random Gelfand and cyclic
+    reps in random bases, whose entries have every shape (a, bi, a+bi and
+    a-bi, fractions, dd != 1 for d = 1/2 and -5/3)."""
+    rng = random.Random(41)
+    rs = [random_gelfand_rep(rng, max_dim=3, d=d) for _ in range(8)]
+    rs += [random_cyclic_rep(rng, max_dim=3, d=d) for _ in range(8)]
+    texts = [render_diagram(r) for r in rs]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_fmt_matrix", ref_fmt_matrix)
+        assert texts == [render_diagram(r) for r in rs]
+    unit = "i" if d == -1 else "r"
+    cells = {c for t in texts for c in re.findall(r"[-+0-9/ir]+", t)}
+    assert any("/" in c for c in cells)
+    for shape in (rf"^-?\d+(/\d+)?{unit}$", rf"^-?\d+(/\d+)?\+\d+(/\d+)?{unit}$",
+                  rf"^-?\d+(/\d+)?-\d+(/\d+)?{unit}$"):
+        assert any(re.match(shape, c) for c in cells), shape
 
 
 def ref_dump_matrix(m):

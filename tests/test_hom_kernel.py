@@ -294,6 +294,11 @@ def species_rep_with_dims(rng, s, dims, d):
 # seeds of random_c2_quiver(max_v=3, max_e=4) whose species have, between
 # them, all five summand cases (hi, he, hj)
 QUIVER_SEEDS = (1, 5, 16, 21)
+# a seed whose species has summands with twist_tgt = 1, where F conjugates the
+# core, and a two-eta summand with p = 1, of shape (1,1,2).  The conventions
+# give every (2,1,2) summand the twists (0, 0), so no quiver's species has a
+# (2,1,2) summand with p = 1.
+TWIST_SEED = 57
 
 
 def quiver_reps(seed: int, d, count=3, max_dim=2, salt=0):
@@ -342,7 +347,7 @@ def test_hom_space_matches_reference(d):
 
 @pytest.mark.parametrize("d", FIELD_TAGS)
 def test_functors_match_reference(d, monkeypatch):
-    for seed in QUIVER_SEEDS:
+    for seed in QUIVER_SEEDS + (TWIST_SEED,):
         for r in quiver_reps(seed, d, count=2, max_dim=3, salt=1):
             w, ref = functor_F(r), ref_functor_F(r)
             assert (w.dims, w.maps) == (ref.dims, ref.maps)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from rquiver.exact import QuadElement, QuadMatrix, sqrt_d
+from rquiver.exact import QuadElement, QuadMatrix, column_space_basis, is_nilpotent, sqrt_d
 from rquiver.gsets import C2, Subgroup
-from rquiver.quiver import RationalQuiver, gelfand_quiver
+from rquiver.quiver import (
+    GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS,
+    RationalQuiver, ValidationReport, check, cyclic_quiver, gelfand_quiver,
+)
 from rquiver.reps import (
     NotQuadratic,
     QuiverRep,
@@ -20,10 +23,20 @@ from rquiver.reps import (
     is_nilpotent_rep,
     rep_base_change,
     rep_isomorphic,
+    summand_domain_cols,
     validate_rep,
+    _cocycle_break,
 )
 from rquiver.species import quiver_conventions, species_of_quiver
-from rquiver.randomgen import random_c2_quiver, random_species_rep
+from rquiver.randomgen import (
+    change_basis,
+    random_c2_quiver,
+    random_cyclic_rep,
+    random_gelfand_rep,
+    random_invertible,
+    random_species_rep,
+)
+from rquiver.randomgen import random_matrix as random_tagged_matrix
 
 
 def qm(rows, d=-1):
@@ -122,7 +135,6 @@ def test_relation_literal_vs_conjugacy():
 
 
 def test_nilpotency_flag():
-    assert is_nilpotent_rep(principal_like_rep()) is False or True  # computed below
     r = principal_like_rep()
     # cycle star -> + -> star is a+ o b+ = 0, so nilpotent
     assert is_nilpotent_rep(r)
@@ -579,3 +591,205 @@ def test_validate_rep_full_report(require_nilpotent):
         ("relations-literal", False, "relation (2, 0) = (2, 0, 2, 0) fails literally"),
     ) + (nil if require_nilpotent else ())
     assert report.flags == ()
+
+
+# ------------------------------------- nilpotency and validation, reference
+
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+
+
+def ref_is_nilpotent_rep(r):
+    """The image chain on column bases: every step hstacks the images
+    A_e R_k(src e) into each vertex and takes their column_space_basis, for
+    sum(dims) steps without stopping early."""
+    q = r.quiver
+    current = [QuadMatrix.identity(n, r.d) for n in r.dims]
+    for _ in range(sum(r.dims)):
+        if not any(m.cols for m in current):
+            return True
+        nxt = [QuadMatrix.zeros(n, 0, r.d) for n in r.dims]
+        for e in range(q.edges.size):
+            nxt[q.tgt[e]] = nxt[q.tgt[e]].hstack(r.edge_maps[e] * current[q.src[e]])
+        current = [column_space_basis(m) for m in nxt]
+    return not any(m.cols for m in current)
+
+
+def ref_validate_rep(r, require_nilpotent=True):
+    """validate_rep with edge-equivariance checked at every edge."""
+    q = r.quiver
+    checks = []
+    if q.group.order == 2:
+        checks += [
+            check("cocycle", (f"phi_(cv,c) o phi_(v,c) != id at v={v}"
+                              for v in [_cocycle_break(r)] if v is not None)),
+            check("edge-equivariance", (
+                f"edge equivariance fails at e={e}" for e in range(q.edges.size)
+                if r.edge_maps[q.edges.apply(1, e)] * r.rho[q.src[e]]
+                != r.rho[q.tgt[e]] * r.edge_maps[e].conj())),
+        ]
+    checks.append(check("relations-literal", [
+        f"relation {p} = {qq} fails literally" for p, qq in q.relations
+        if r.path_matrix(p) != r.path_matrix(qq)][-1:]))
+    nil = ref_is_nilpotent_rep(r)
+    if require_nilpotent:
+        checks.append(check("nilpotent", [] if nil else ["a cyclic composite is not nilpotent"]))
+    return ValidationReport(tuple(checks), ("nilpotent",) if nil else ())
+
+
+def sparse_matrix(rng, rows, cols, d, allowed=lambda i, j: True):
+    """Random matrix over Q(sqrt(d)), about half its allowed entries zero."""
+    ent = [QuadElement(rng.randint(-2, 2), rng.randint(-1, 1), d)
+           if allowed(i, j) and rng.random() < 0.5 else QuadElement(0, 0, d)
+           for i in range(rows) for j in range(cols)]
+    return QuadMatrix(rows, cols, ent, d)
+
+
+def random_chain_rep(rng, d):
+    """A rep of a random C2 quiver with sparse edge maps and rho = 1.  Half
+    of the draws give every basis vector a level in 0..2 and let the edge
+    maps only lower levels, so that every path of length 3 is zero."""
+    q = random_c2_quiver(rng, max_v=3, max_e=4)
+    orbit_dims = [rng.randint(0, 3) for _ in range(q.vertices.size)]
+    dims = [orbit_dims[min(v, q.vertices.apply(1, v))] for v in range(q.vertices.size)]
+    graded = rng.random() < 0.5
+    levels = [[rng.randint(0, 2) if graded else 0 for _ in range(n)] for n in dims]
+    edges = []
+    for e in range(q.edges.size):
+        s, t = q.src[e], q.tgt[e]
+        allowed = ((lambda i, j: levels[t][i] < levels[s][j]) if graded
+                   else (lambda i, j: True))
+        edges.append(sparse_matrix(rng, dims[t], dims[s], d, allowed))
+    return QuiverRep(q, dims, edges, [QuadMatrix.identity(n, d) for n in dims], d)
+
+
+def stationary_rep(quiver_kind, d):
+    """A non-nilpotent rep whose image chain stops moving after a few steps:
+    an invertible 1-cycle next to a nilpotent Jordan block of size 2 per
+    vertex."""
+    one = QuadElement(1, 0, d)
+    zero = QuadElement(0, 0, d)
+    jordan = QuadMatrix(3, 3, [one, zero, zero, zero, zero, one, zero, zero, zero], d)
+    keep = QuadMatrix(3, 3, [one] + [zero] * 8, d)
+    eye = QuadMatrix.identity(3, d)
+    if quiver_kind == "cyclic":
+        return QuiverRep(cyclic_quiver(), (3, 3), (jordan, keep), (eye, eye), d)
+    return QuiverRep(gelfand_quiver(), (3, 3, 3), (jordan, keep, keep, jordan),
+                     (eye, eye, eye), d)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_is_nilpotent_rep_matches_column_chain(d):
+    """The row-basis chain with its early exit gives the column chain's
+    verdict on random reps (both verdicts occur), on their trivial-group
+    base changes, on random Gelfand and cyclic reps, on non-nilpotent reps
+    whose chain goes stationary early, and on cancelling_paths_rep."""
+    rng = random.Random(71)
+    rs = [random_chain_rep(rng, d) for _ in range(40)]
+    rs += [rep_base_change(r, Subgroup.trivial_in(C2)) for r in rs[:10]]
+    rs += [random_gelfand_rep(rng, max_dim=3, d=d) for _ in range(6)]
+    rs += [random_cyclic_rep(rng, max_dim=3, d=d) for _ in range(6)]
+    rs += [stationary_rep("cyclic", d), stationary_rep("gelfand", d), cancelling_paths_rep()]
+    verdicts = [ref_is_nilpotent_rep(r) for r in rs]
+    assert [is_nilpotent_rep(r) for r in rs] == verdicts
+    assert True in verdicts[:40] and False in verdicts[:40]
+    assert verdicts[-3:] == [False, False, False]
+
+
+def cancelling_paths_rep():
+    """Gelfand dims (1,1,1), a+ = b+ = a- = 1, b- = -1."""
+    one = QuadMatrix.identity(1)
+    edges = [None] * 4
+    edges[GELFAND_A_PLUS] = edges[GELFAND_B_PLUS] = edges[GELFAND_A_MINUS] = one
+    edges[GELFAND_B_MINUS] = -one
+    return QuiverRep(gelfand_quiver(), (1, 1, 1), edges, (one, one, one))
+
+
+def test_nilpotency_sees_each_path_not_their_sum():
+    """The summed adjacency A of cancelling_paths_rep has A^4 = 0, because
+    a+ b+ + a- b- = 0, but the path a+ b+ is 1, so the rep is not
+    nilpotent."""
+    r = cancelling_paths_rep()
+    q, edges = r.quiver, r.edge_maps
+    adjacency = [[0] * 3 for _ in range(3)]
+    for e, m in enumerate(edges):
+        adjacency[q.tgt[e]][q.src[e]] += m[0, 0]
+    assert is_nilpotent(QuadMatrix.from_rows(adjacency))
+    assert (edges[GELFAND_A_PLUS] * edges[GELFAND_B_PLUS]).is_identity()
+    assert is_nilpotent_rep(r) is False
+    assert ref_is_nilpotent_rep(r) is False
+
+
+def valid_reps(rng, d, count):
+    """Valid reps of random C2 quivers with edges: H of random species reps
+    with every dimension 1 or 2, moved to random bases."""
+    out = []
+    while len(out) < count:
+        q = random_c2_quiver(rng, max_v=3, max_e=4)
+        if not q.edges.size:
+            continue
+        s = species_of_quiver(q)
+        dims = [rng.randint(1, 2) for _ in range(s.n_indices)]
+        maps = {(i, j): [random_tagged_matrix(rng, dims[j], summand_domain_cols(s, i, j, x, dims[i]),
+                                              s.realized_field(j) == "K", d=d) for x in summands]
+                for (i, j), summands in s.bimodules.items()}
+        r = functor_H(SpeciesRep(s, dims, maps, d))
+        out.append(change_basis(r, [random_invertible(rng, n, d=d) for n in r.dims]))
+    return out
+
+
+def with_rho(r, v, m):
+    rho = list(r.rho)
+    rho[v] = m
+    return QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)
+
+
+def with_edge(r, e, m):
+    edges = list(r.edge_maps)
+    edges[e] = m
+    return QuiverRep(r.quiver, r.dims, edges, r.rho, r.d)
+
+
+def bump(m):
+    """m plus 1 at entry (0, 0)."""
+    return m + QuadMatrix(m.rows, m.cols, [QuadElement(int(k == 0), 0, m.d)
+                                           for k in range(m.rows * m.cols)], m.d)
+
+
+def corrupted_reps(rng, d):
+    """Valid reps and their corruptions: rho doubled at each vertex in turn
+    (so at either vertex of every orbit), each edge map in turn changed at
+    one entry, and one edge moved to a source that breaks
+    src(ce) = c src(e), on quivers whose dims are all equal."""
+    out = []
+    for r in valid_reps(rng, d, 6):
+        q = r.quiver
+        out.append(r)
+        out += [with_rho(r, v, r.rho[v].scale(2)) for v in range(q.vertices.size) if r.dims[v]]
+        out += [with_edge(r, e, bump(m)) for e, m in enumerate(r.edge_maps) if m.rows * m.cols]
+    for r in valid_reps(rng, d, 20):
+        q = r.quiver
+        others = [(e, w) for e in range(q.edges.size) for w in range(q.vertices.size)
+                  if w != q.src[e] and r.dims[w] == r.dims[q.src[e]]]
+        if len(set(r.dims)) > 1 or not others:
+            continue
+        e, w = rng.choice(others)
+        src = list(q.src)
+        src[e] = w
+        q2 = RationalQuiver(q.vertices, q.edges, src, q.tgt, q.relations)
+        out.append(QuiverRep(q2, r.dims, r.edge_maps, r.rho, r.d))
+    return out
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_validate_rep_matches_all_edges_reference(d):
+    """Whole reports (names, verdicts, witnesses, flags) equal those of the
+    all-edges reference on valid reps and their corruptions; every check
+    fails somewhere, and so does edge-equivariance on the moved-edge quivers."""
+    rs = corrupted_reps(random.Random(73), d)
+    failed = set()
+    for r in rs:
+        for require_nilpotent in (True, False):
+            report = validate_rep(r, require_nilpotent)
+            assert report == ref_validate_rep(r, require_nilpotent)
+            failed.update(n for n, _ in report.failures())
+    assert {"cocycle", "edge-equivariance"} <= failed
