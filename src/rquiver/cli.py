@@ -18,8 +18,8 @@ from .quiver import (
     GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR,
     base_change, cyclic_quiver, gelfand_quiver, quiver_homs, restrict, validate,
 )
-from .reps import QuiverRep, functor_F, functor_H, hom_space, rep_base_change, \
-    rep_isomorphic, validate_rep
+from .reps import QuiverRep, _validate_structure, functor_F, functor_H, hom_space, \
+    rep_base_change, rep_isomorphic, validate_rep
 from .species import (
     quiver_of_species, roundtrip_quiver, roundtrip_species,
     species_base_change, species_of_quiver, species_restrict,
@@ -176,11 +176,11 @@ def _require_valid(what, validation):
 
 def _load_valid_rep(path) -> QuiverRep:
     """The rep in the file at path, once its quiver and the rep itself pass
-    validation (nilpotency is not required): the rep commands that compute
-    with a rep are defined on valid reps only."""
+    validation (nilpotency is neither required nor computed): the rep
+    commands that compute with a rep are defined on valid reps only."""
     r = io.load_rep(_read(path))
     _require_valid("quiver", validate(r.quiver))
-    _require_valid("representation", validate_rep(r, require_nilpotent=False))
+    _require_valid("representation", _validate_structure(r))
     return r
 
 

@@ -830,20 +830,32 @@ def fixed_space_matrix(a: QuadMatrix) -> QuadMatrix:
     """Matrix whose columns are a K-basis of {v : a.conj(v) = v}, for the
     matrix a of a conjugate-semilinear involution v |-> a.conj(v).
 
-    Splitting v = x + sqrt(d) y and the matrix A = P_d + sqrt(d) Q_d turns
-    A.conj(v) = v into the rational system
-        (P_d - 1) x - d Q_d y = 0,   Q_d x - (P_d + 1) y = 0,
-    solved here scaled by den, where P_d = P/den and Q_d = dd Q/den.
-    Galois descent guarantees exactly n = a.cols basis vectors, which
-    are returned in L-coordinates and span L^n over L.
+    Galois descent guarantees exactly n = a.cols basis vectors, which are
+    returned in L-coordinates and span L^n over L.  The identity is returned
+    unchanged: its fixed vectors are the rational ones, and the reduced
+    kernel of _fixed_space_core's system [[0, 0], [0, -2 I]] is [I; 0].
 
     Raises CocycleViolation when a is not square or a conj(a) differs from
     the identity.
     """
     if a.rows != a.cols:
         raise CocycleViolation("fixed_space needs a square map")
+    if a.is_identity():
+        return a
     if not (a * a.conj()).is_identity():
         raise CocycleViolation("phi o phi is not the identity; no K-structure")
+    return _fixed_space_core(a)
+
+
+def _fixed_space_core(a: QuadMatrix) -> QuadMatrix:
+    """fixed_space_matrix of a square a with a conj(a) = 1, which the caller
+    guarantees; it is not checked here.
+
+    Splitting v = x + sqrt(d) y and the matrix A = P_d + sqrt(d) Q_d turns
+    A.conj(v) = v into the rational system
+        (P_d - 1) x - d Q_d y = 0,   Q_d x - (P_d + 1) y = 0,
+    solved here scaled by den, where P_d = P/den and Q_d = dd Q/den.
+    """
     n, d, den = a.rows, a.d, a._den
     P = []
     for i in range(n):
@@ -893,16 +905,24 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
     The unknowns of system are the row-major entries of blocks of the given
     shapes, one block after the other, and both bases come as tuples of
     per-block matrices.  conjugate describes the conjugate-semilinear
-    involution that defines the K-structure, one pair (s, T) per block b:
-    block b of the image of x is T conj(x_s) in row-major vec form.  With V
-    the kernel matrix and W its image, theta solves V theta = W, and the
-    K-basis is V F for F = fixed_space_matrix(theta).  V is the identity on
-    its free rows (the free columns of the reduced system), so those rows of
-    V theta = W read theta = W there; the whole of V theta = W is then checked
-    exactly.  It fails when W leaves the span of V, which for a Hom space
-    means that a rational structure is not edge-equivariant, and raises
-    ValueError.  Without conjugate (trivial Galois group) the K-basis is the
-    L-basis.
+    involution sigma that defines the K-structure, one triple (s, A, B) per
+    block b: block b of sigma(x) is A conj(x_s B), which in row-major vec
+    form is (A (x) conj(B)^T) conj(vec x_s).  Those Kronecker matrices are
+    formed only when the kernel is nonzero.  With V the kernel matrix and
+    W = sigma(V), theta solves V theta = W, and the K-basis is V F for F the
+    fixed-space matrix of theta.  V is the identity on its free rows (the
+    free columns of the reduced system), so those rows of V theta = W read
+    theta = W there; the whole of V theta = W is then checked exactly.  It
+    fails when W leaves the span of V, which for a Hom space means that a
+    rational structure is not edge-equivariant, and raises ValueError.
+    Without conjugate (trivial Galois group) the K-basis is the L-basis.
+
+    Precondition: sigma o sigma = 1 (for Hom, both rational structures meet
+    the cocycle).  Then theta conj(theta) = 1 holds without a product: apply
+    sigma, which is conjugate-semilinear, to V theta = W = sigma(V) column by
+    column to get sigma(V) conj(theta) = sigma(W) = V, so
+    V theta conj(theta) = W conj(theta) = V, and V has full column rank.  So
+    the descent calls _fixed_space_core, which skips that product check.
     """
     v, free = _kernel_matrix(system)
     l_basis = _split_columns(v, shapes)
@@ -910,16 +930,17 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
         return l_basis, (l_basis if conjugate is None else [])
     h, sizes = v.cols, [r * c for r, c in shapes]
     o, vc = list(accumulate(sizes, initial=0)), v.conj()
-    images = [(b, 0, t * _matrix(sizes[s], h, v.d, v._D, vc._P[o[s] * h:o[s + 1] * h],
-                                 vc._Q[o[s] * h:o[s + 1] * h], vc._den))
-              for b, (s, t) in enumerate(conjugate) if sizes[b]]
+    images = [(b, 0, kron(a, m.conj().transpose()) * _matrix(
+                   sizes[s], h, v.d, v._D, vc._P[o[s] * h:o[s + 1] * h],
+                   vc._Q[o[s] * h:o[s + 1] * h], vc._den))
+              for b, (s, a, m) in enumerate(conjugate) if sizes[b]]
     w = block_matrix(sizes, [h], images, v.d)
     theta = _matrix(h, h, v.d, v._D, [x for fc in free for x in w._P[fc * h:(fc + 1) * h]],
                     [x for fc in free for x in w._Q[fc * h:(fc + 1) * h]], w._den)
     if v * theta != w:
         raise ValueError("conjugation does not preserve Hom: "
                          "a rational structure is not edge-equivariant")
-    return l_basis, _split_columns(v * fixed_space_matrix(theta), shapes)
+    return l_basis, _split_columns(v * _fixed_space_core(theta), shapes)
 
 
 def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:

@@ -6,6 +6,11 @@ element) in rquiver, and coset spaces list cosets sorted by their minimal
 element, so every derived structure is deterministic.  Element 0 of every
 group is its identity, so it is the minimum of every subgroup H and H is the
 first coset of G/H.
+
+The public constructors check every axiom.  A structure derived from valid
+ones (a stabilizer, a conjugate, a subgroup as a group, a restricted action,
+a union of coset spaces) meets them by construction, so it is built by its
+class's private _unchecked constructor, which checks nothing.
 """
 
 from __future__ import annotations
@@ -37,10 +42,15 @@ class FiniteGroup:
                     break
             if inv[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        self.table = table
-        self.order = n
-        self.identity = 0
-        self.inverse_table = tuple(inv)
+        self.table, self.order, self.identity, self.inverse_table = table, n, 0, tuple(inv)
+
+    @classmethod
+    def _unchecked(cls, table: tuple, inverse_table: tuple) -> "FiniteGroup":
+        """Group of a table (a tuple of tuples, element 0 the identity) and
+        its inverses, derived from a valid group; nothing is checked."""
+        g = object.__new__(cls)
+        g.table, g.order, g.identity, g.inverse_table = table, len(table), 0, inverse_table
+        return g
 
     @cached_property
     def canonical_generators(self) -> tuple:
@@ -72,7 +82,7 @@ class FiniteGroup:
         return range(self.order)
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (isinstance(other, FiniteGroup) and self.table == other.table)
 
     def __hash__(self):
         return hash(self.table)
@@ -115,8 +125,14 @@ class Subgroup:
             for b in elements:
                 if parent.mul(a, b) not in elements:
                     raise ValueError("subgroup not closed under multiplication")
-        self.parent = parent
-        self.elements = elements
+        self.parent, self.elements = parent, elements
+
+    @classmethod
+    def _unchecked(cls, parent: FiniteGroup, elements: frozenset) -> "Subgroup":
+        """Subgroup of a set known to be one; nothing is checked."""
+        sub = object.__new__(cls)
+        sub.parent, sub.elements = parent, elements
+        return sub
 
     @property
     def order(self) -> int:
@@ -147,14 +163,16 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         p = self.parent
-        return Subgroup(p, {p.mul(p.mul(g, h), p.inv(g)) for h in self.elements})
+        return Subgroup._unchecked(p, frozenset(p.mul(p.mul(g, h), p.inv(g))
+                                                for h in self.elements))
 
     def as_group(self):
-        """(FiniteGroup on the sorted elements, embedding list into the parent)."""
-        embed = sorted(self.elements)
+        """(FiniteGroup on the sorted elements, embedding list into the parent).
+        Element 0 of the parent is the least element, so it stays element 0."""
+        p, embed = self.parent, sorted(self.elements)
         pos = {g: i for i, g in enumerate(embed)}
-        table = [[pos[self.parent.mul(a, b)] for b in embed] for a in embed]
-        return FiniteGroup(table), embed
+        table = tuple(tuple(pos[p.mul(a, b)] for b in embed) for a in embed)
+        return FiniteGroup._unchecked(table, tuple(pos[p.inv(a)] for a in embed)), embed
 
     @staticmethod
     def full(group: FiniteGroup) -> "Subgroup":
@@ -185,9 +203,15 @@ class GSet:
                 for x in range(size):
                     if action[g][action[h][x]] != action[gh][x]:
                         raise ValueError("action is not compatible with the group law")
-        self.group = group
-        self.size = size
-        self.action = action
+        self.group, self.size, self.action = group, size, action
+
+    @classmethod
+    def _unchecked(cls, group: FiniteGroup, size: int, action: tuple) -> "GSet":
+        """G-set of an action (a tuple of tuples) known to be one; nothing is
+        checked."""
+        x = object.__new__(cls)
+        x.group, x.size, x.action = group, size, action
+        return x
 
     def apply(self, g: int, x: int) -> int:
         return self.action[g][x]
@@ -225,8 +249,8 @@ class GSet:
         return [tuple(o) for o in out]
 
     def stabilizer(self, p: int) -> Subgroup:
-        return Subgroup(self.group,
-                        {g for g in self.group.elements() if self.apply(g, p) == p})
+        return Subgroup._unchecked(self.group, frozenset(
+            g for g, row in enumerate(self.action) if row[p] == p))
 
     def transporter(self, x: int, y: int):
         """Sorted list of g with g.x = y (a coset of the stabilizer)."""
@@ -234,9 +258,10 @@ class GSet:
 
     def restrict_to(self, sub: Subgroup) -> "GSet":
         """Same points, action restricted to the subgroup (as its own group)."""
+        if sub.parent != self.group:
+            raise ValueError("subgroup of a different group")
         hgrp, embed = sub.as_group()
-        action = [self.action[embed[h]] for h in range(hgrp.order)]
-        return GSet(hgrp, self.size, action)
+        return GSet._unchecked(hgrp, self.size, tuple(self.action[g] for g in embed))
 
     def __eq__(self, other):
         return (isinstance(other, GSet) and self.group == other.group
@@ -300,9 +325,9 @@ def coset_union(group: FiniteGroup, subgroups):
         offsets.append(size)
         points.append({a: size + k for k, c in enumerate(cs) for a in c})
         size += len(cs)
-    action = [[point[group.mul(a, min(c))] for cs, point in zip(cosets, points) for c in cs]
-              for a in group.elements()]
-    return GSet(group, size, action), tuple(offsets)
+    action = tuple(tuple(point[group.mul(a, min(c))] for cs, point in zip(cosets, points)
+                         for c in cs) for a in group.elements())
+    return GSet._unchecked(group, size, action), tuple(offsets)
 
 
 def orbits(x: GSet) -> list:

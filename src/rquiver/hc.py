@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix, _check_field, _field_tag, \
@@ -665,6 +666,17 @@ def build_example(kind: str, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS,
 
 # ------------------------------------------------------------------ HC Hom
 
+@cache
+def _ladder_quiver(n: int) -> RationalQuiver:
+    """The C2 ladder quiver on n vertices: vertex k is the k-th weight of the
+    ladder, edge k is X: k -> k+1, edge n-1+k is Y: k+1 -> k, and
+    conjugation reverses both lists.  Built once per length and shared, like
+    gelfand_quiver(); it is never modified."""
+    v, e = list(range(n)), list(range(2 * n - 2))
+    return RationalQuiver(GSet(C2, n, [v, v[::-1]]), GSet(C2, len(e), [e, e[::-1]]),
+                          v[:-1] + v[1:], v[1:] + v[:-1])
+
+
 def hc_hom_space(m1: HCModule, m2: HCModule):
     """Hom between two modules of one block, as quiver Hom on their ladders.
 
@@ -704,11 +716,7 @@ def hc_hom_space(m1: HCModule, m2: HCModule):
         raise ValueError(f"modules over different fields sqrt({m1.d}) and sqrt({m2.d})")
     top = m1.ell + 1
     ladder = range(-top, top + 1, 2)
-    # vertex k is weight ladder[k]; edge k is X: k -> k+1, edge n-1+k is
-    # Y: k+1 -> k, and conjugation reverses both lists
-    v, e = list(range(len(ladder))), list(range(2 * len(ladder) - 2))
-    quiver = RationalQuiver(GSet(C2, len(v), [v, v[::-1]]), GSet(C2, len(e), [e, e[::-1]]),
-                            v[:-1] + v[1:], v[1:] + v[:-1])
+    quiver = _ladder_quiver(len(ladder))
 
     def rep(m):
         return QuiverRep(quiver, [m.dim(w) for w in ladder],

@@ -38,7 +38,6 @@ from .exact import (
     fixed_space_matrix,
     intertwining_system,
     inverse,
-    kron,
 )
 from .quiver import RationalQuiver, ValidationReport, check
 from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
@@ -172,15 +171,28 @@ def realify(m: QuadMatrix) -> QuadMatrix:
 
 def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
     """Validation report of r, one (name, ok, witness) per check, in order:
+    the checks of _validate_structure, then
+    - nilpotent (if require_nilpotent): is_nilpotent_rep(r).
+    The flags hold "nilpotent" when r is nilpotent, whether or not checked."""
+    checks = _validate_structure(r).checks
+    nil = is_nilpotent_rep(r)
+    if require_nilpotent:
+        checks += (check("nilpotent", [] if nil else ["a cyclic composite is not nilpotent"]),)
+    return ValidationReport(checks, ("nilpotent",) if nil else ())
+
+
+def _validate_structure(r: QuiverRep) -> ValidationReport:
+    """The checks of validate_rep(r, require_nilpotent=False), without the
+    nilpotency flag, so without running is_nilpotent_rep.  Passing them is
+    the precondition of functor_F, hf_witness, hom_space, rep_isomorphic and
+    rep_base_change, and the CLI checks it on every rep it loads for them:
 
     - cocycle (|G| = 2): rho[cv] conj(rho[v]) = 1 at every vertex v; the
       witness is the least failing vertex (see _cocycle_break);
     - edge-equivariance (|G| = 2): A_{ce} rho[src e] = rho[tgt e] conj(A_e)
       at every edge e; the witness is the least failing edge;
     - relations-literal: both sides of each relation give one matrix; the
-      witness is the last failing relation;
-    - nilpotent (if require_nilpotent): is_nilpotent_rep(r).
-    The flags hold "nilpotent" when r is nilpotent, whether or not checked.
+      witness is the last failing relation.
 
     Edge-equivariance checks one edge e <= ce per edge orbit when the cocycle
     holds and src(ce) = c src(e), tgt(ce) = c tgt(e) on every edge.  Then
@@ -213,10 +225,7 @@ def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
     checks.append(check("relations-literal", [
         f"relation {p} = {qq} fails literally" for p, qq in q.relations
         if r.path_matrix(p) != r.path_matrix(qq)][-1:]))
-    nil = is_nilpotent_rep(r)
-    if require_nilpotent:
-        checks.append(check("nilpotent", [] if nil else ["a cyclic composite is not nilpotent"]))
-    return ValidationReport(tuple(checks), ("nilpotent",) if nil else ())
+    return ValidationReport(tuple(checks))
 
 
 def _cocycle_break(r: QuiverRep):
@@ -277,7 +286,9 @@ def is_nilpotent_rep(r: QuiverRep) -> bool:
 
 
 def rep_base_change(r: QuiverRep, sub) -> QuiverRep:
-    """Restrict the semilinear family to a subgroup of the Galois group."""
+    """Restrict the semilinear family to a subgroup of the Galois group.
+    r must pass validate_rep(require_nilpotent=False); that is not checked
+    here, and the CLI checks it at the boundary."""
     from .quiver import base_change as quiver_base_change
 
     if sub.parent != r.quiver.group:
@@ -315,7 +326,10 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     phi_{M,cv,c} o phi_{M,v,c} = id gives phi_{M,cv,c}^{-1} = phi_{M,v,c}, so
     the image has the matrix rho_N[cv] conj(psi_cv) conj(rho_M[v]) at v,
     which in row-major vec form is rho_N[cv] (x) conj(rho_M[v])^T applied to
-    conj(psi_cv): one Kronecker matrix per vertex acts on the whole kernel.
+    conj(psi_cv): one Kronecker matrix per vertex acts on the whole kernel,
+    and descended_kernel forms them only when the L-Hom is nonzero.  The
+    cocycles make this conjugation an involution, which is the precondition
+    of descended_kernel.
     Raises ValueError when the rational structure of m or n breaks the
     cocycle, or when conjugation moves the L-Hom out of itself, which only a
     structure that is not edge-equivariant does.  A non-equivariant structure
@@ -331,9 +345,7 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     _check_cocycle(n)
     conjugate = None
     if q.group.order == 2:
-        flip = [q.vertices.apply(1, v) for v in range(q.vertices.size)]
-        conjugate = [(cv, kron(n.rho[cv], m.rho[v].conj().transpose()))
-                     for v, cv in enumerate(flip)]
+        conjugate = [(cv, n.rho[cv], m.rho[v]) for v, cv in enumerate(q.vertices.action[1])]
     shapes = [(n.dims[v], m.dims[v]) for v in range(q.vertices.size)]
     system = intertwining_system(shapes, [(q.tgt[e], q.src[e], m.edge_maps[e], n.edge_maps[e])
                                           for e in range(q.edges.size)], m.d)
@@ -368,6 +380,8 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
     sum(dims) / 10^6.  None after the search therefore means "not found",
     not a proof that a and b are not isomorphic.  Raises ValueError when the
     rational structure of a or b breaks the cocycle, as hom_space does.
+    a and b must pass validate_rep(require_nilpotent=False); the rest of
+    that check is not made here, and the CLI makes it at the boundary.
     """
     import random as _random
 
@@ -420,8 +434,10 @@ def functor_F(r: QuiverRep) -> SpeciesRep:
     representative e of a summand, g_tgt^-1 A_e g_src, is what functor_H
     puts there: the summand's core, conjugated when twist_tgt != 1.  The
     summand matrix is therefore _summand_matrix of that core.  r must pass
-    validate_rep: at a one-eta summand into a K-realized index the core
-    of a valid r is rational, and SpeciesRep rejects it otherwise.
+    validate_rep(require_nilpotent=False); that is not checked here, and the
+    CLI checks it at the boundary.  At a one-eta summand into a K-realized
+    index the core of a valid r is rational, and SpeciesRep rejects it
+    otherwise.
     """
     if r.quiver.group.order != 2:
         raise NotQuadratic("functor_F needs a quadratic Galois group")
@@ -525,7 +541,9 @@ def hf_witness(r: QuiverRep):
     Its component at v is the descent gauge g_v of _functor_F, which sends
     the standard basis at v = t . v_i to phi_{v_i, t} of the chosen descent
     basis of W_i.  Returns (H(F(r)), per-vertex matrices); the caller checks
-    them with is_morphism and invertibility.
+    them with is_morphism and invertibility.  r must pass
+    validate_rep(require_nilpotent=False), as for functor_F; that is not
+    checked here, and the CLI checks it at the boundary.
 
     One conventions record conv of q serves both functors: _functor_F reads
     the species s of q off it, and _functor_H lays H(F(r)) out on q with it.

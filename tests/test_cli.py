@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rquiver.cli as cli
+import rquiver.reps as reps
 import rquiver.serialize as io
 from rquiver.cli import main, render_diagram, run
 from rquiver.exact import QuadElement, QuadMatrix
@@ -399,13 +400,17 @@ def test_rep_hom_names_a_non_equivariant_structure(tmp_path, capsys):
     ["rep", "hom", "--a", "{good}", "--b", "{bad}"],
     ["rep", "isomorphic", "--a", "{bad}", "--b", "{good}"],
     ["rep", "base-change", "--in", "{bad}", "--subgroup", "0", "--out", "{out}"],
-], ids=["hom-a", "hom-b", "isomorphic", "base-change"])
+    ["rep", "to-species", "--in", "{bad}", "--out", "{out}"],
+    ["rep", "isomorphic", "--a", "{good}", "--b", "{bad}"],
+], ids=["hom-a", "hom-b", "isomorphic", "base-change", "to-species", "isomorphic-b"])
 def test_rep_commands_check_the_rep(tmp_path, capsys, argv):
     """The golden rep with the sqrt(d) part of one edge entry set to -1
-    keeps the cocycle but is not edge-equivariant.  rep hom, isomorphic and
-    base-change exit 2 with one line naming the failing check, as rep
-    to-species does, and write nothing: hom_space found Hom = 0 there before
-    reaching its own check, and base-change wrote the invalid rep."""
+    keeps the cocycle but is not edge-equivariant.  Every rep command that
+    reaches F, Hom or base change (hom, isomorphic, base-change, to-species)
+    exits 2 with one line naming the failing check and writes nothing: the
+    library states a valid rep as its precondition and does not check it,
+    so hom_space found Hom = 0 there before reaching its own check, and
+    base-change wrote the invalid rep."""
     doc = json.loads((GOLDEN / "rep_c2_62_d2.json").read_text())
     doc["edges"][0]["entries"][0][2] = -1
     paths = {"bad": write(tmp_path, "bad.json", doc), "out": str(tmp_path / "out.json"),
@@ -842,6 +847,32 @@ def test_species_commands_check_the_quiver(tmp_path, capsys):
         assert captured.err == ("usage error: invalid quiver: FAIL equivariance "
                                 "[src(g*e) != g*src(e) at g=1, e=0]\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "to-species", "--in", "{rep}", "--out", "{out}"],
+    ["rep", "hom", "--a", "{rep}", "--b", "{rep}"],
+    ["rep", "isomorphic", "--a", "{rep}", "--b", "{rep}"],
+    ["rep", "base-change", "--in", "{rep}", "--subgroup", "0", "--out", "{out}"],
+], ids=["to-species", "hom", "isomorphic", "base-change"])
+def test_rep_commands_skip_the_nilpotency_check(tmp_path, capsys, monkeypatch, argv):
+    """The rep commands check their input reps without computing the
+    nilpotency flag: no is_nilpotent_rep call, where rep validate makes one
+    to fill its flags even when nilpotency is not required."""
+    calls = []
+    nilpotent = reps.is_nilpotent_rep
+
+    def counted(r):
+        calls.append(r)
+        return nilpotent(r)
+
+    monkeypatch.setattr(reps, "is_nilpotent_rep", counted)
+    paths = {"rep": str(GOLDEN / "rep_c2_62_d2.json"), "out": str(tmp_path / "out.json")}
+    assert main([x.format(**paths) for x in argv]) == 0
+    assert calls == []
+    assert main(["rep", "validate", "--allow-non-nilpotent", "--in", paths["rep"]]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_rep_to_species_checks_the_rep(tmp_path, capsys):

@@ -21,10 +21,12 @@ from rquiver.exact import (
     QuadMatrix,
     SemilinearMap,
     _field_tag,
+    _fixed_space_core,
     _matrix,
     basis_matrix,
     column_space_basis,
     fixed_space,
+    fixed_space_matrix,
     inverse,
     kernel_basis,
     kron,
@@ -294,6 +296,18 @@ def test_fixed_space_matches_reference():
             b = invertible_matrix(rng, n, d)
             a = b * inverse(b.conj())
             assert fixed_space(SemilinearMap(a, 1)) == ref_fixed_space(a)
+
+
+def test_fixed_space_of_the_identity_is_the_identity():
+    """fixed_space_matrix returns the identity unchanged, and that is what
+    the eliminating core finds: the reduced kernel of [[0, 0], [0, -2 I]] is
+    [I; 0]."""
+    for d in FIELD_TAGS:
+        for n in range(5):
+            ident = QuadMatrix.identity(n, d)
+            assert fixed_space_matrix(ident) is ident
+            core = _fixed_space_core(ident)
+            assert core == ident and core is not ident
 
 
 # ---------------------------------------------------------------- properties

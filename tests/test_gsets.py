@@ -133,6 +133,40 @@ def test_orbit_table_matches_reference(name):
         assert transport == tuple(x.transporter(reps[orbit[p]], p)[0] for p in range(x.size))
 
 
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_derived_structures_equal_checked_builds(name, monkeypatch):
+    """stabilizer, conjugate, as_group, restrict_to and coset_union never
+    enter a checked __init__, and each of their results holds exactly what
+    the checked public constructor builds from the same data."""
+    group = TABLE_GROUPS[name]
+    rng = random.Random(52)
+    pool = _all_subgroups(group)
+    xs = [coset_union(group, pool)[0]] + [random_gset(rng, group, n) for n in range(5)]
+
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__}.__init__ entered")
+
+    derived = []
+    with monkeypatch.context() as patch:
+        for cls in (FiniteGroup, Subgroup, GSet):
+            patch.setattr(cls, "__init__", refuse)
+        for x in xs:
+            derived += [x.stabilizer(p) for p in range(x.size)]
+            derived += [x.restrict_to(sub) for sub in pool]
+        derived += [sub.conjugate(g) for sub in pool for g in group.elements()]
+        derived += [sub.as_group()[0] for sub in pool]
+        derived += [coset_union(group, pool)[0]] + [coset_union(group, [s])[0] for s in pool]
+    checked = {
+        FiniteGroup: lambda g: FiniteGroup(g.table),
+        Subgroup: lambda s: Subgroup(s.parent, s.elements),
+        GSet: lambda x: GSet(FiniteGroup(x.group.table), x.size, x.action),
+    }
+    assert {type(obj) for obj in derived} == set(checked)
+    for obj in derived:
+        ref = checked[type(obj)](obj)
+        assert type(ref) is type(obj) and vars(ref) == vars(obj)
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [0, 1]])

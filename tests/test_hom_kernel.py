@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import rquiver.exact as exact
+import rquiver.hc as hc
 import rquiver.reps as reps
 from rquiver.exact import (
     QuadElement,
@@ -550,6 +551,102 @@ def test_hc_hom_space_solves_on_the_ladder(monkeypatch):
             seen.clear()
             hc_hom_space(m, m)
             assert seen == [ell + 2], (ell, tail_weights)
+
+
+def test_hc_hom_space_builds_each_ladder_once(monkeypatch):
+    """hc_hom_space hands reps one shared ladder quiver per length, built
+    with its two checked G-sets on the first call only and equal to a fresh
+    build."""
+    mods = [build_example("discrete", ell) for ell in range(4)]
+    seen, inits = [], []
+    solve, init = hc.hom_space, GSet.__init__
+
+    def recording(a, b):
+        seen.append(a.quiver)
+        return solve(a, b)
+
+    def counted_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(hc, "hom_space", recording)
+    monkeypatch.setattr(GSet, "__init__", counted_init)
+    hc._ladder_quiver.cache_clear()
+    for m in mods + mods:
+        hc_hom_space(m, m)
+    assert len(inits) == 2 * len(mods)
+    assert [q.vertices.size for q in seen] == [ell + 2 for ell in range(4)] * 2
+    for ell, q in enumerate(seen[:4]):
+        assert seen[4 + ell] is q
+        fresh = hc._ladder_quiver.__wrapped__(ell + 2)
+        assert fresh is not q and fresh == q
+
+
+def hom_pairs():
+    """Every ordered pair of the quiver_reps of each seed and field tag."""
+    return [(a, b) for d in FIELD_TAGS for seed in QUIVER_SEEDS
+            for rs in [quiver_reps(seed, d)] for a in rs for b in rs]
+
+
+def nonempty_blocks(a, b) -> int:
+    """Vertices at which Hom(a, b) has a nonempty block."""
+    return sum(1 for x, y in zip(a.dims, b.dims) if x * y)
+
+
+def test_hom_space_forms_kronecker_matrices_only_for_a_nonzero_hom(monkeypatch):
+    """hom_space forms no Kronecker matrix when Hom over L is 0, and one per
+    vertex with a nonempty block otherwise."""
+    kron, calls = exact.kron, []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return kron(a, b)
+
+    pairs = hom_pairs()
+    monkeypatch.setattr(exact, "kron", counting)
+    monkeypatch.setattr(reps, "kron", counting, raising=False)
+    kinds = set()
+    for a, b in pairs:
+        calls.clear()
+        hs = hom_space(a, b)
+        assert len(calls) == (nonempty_blocks(a, b) if hs.dim_L else 0)
+        kinds.add((hs.dim_L > 0, nonempty_blocks(a, b) == len(a.dims)))
+    assert kinds >= {(False, True), (True, True)}
+
+
+def test_descent_makes_no_cocycle_product(monkeypatch):
+    """descended_kernel never calls the public fixed_space_matrix, and its
+    only products are the Kronecker images, V theta and V F: theta
+    conj(theta) = 1 follows from the checks that ran before (see its
+    docstring)."""
+    mul, descend, products, active = QuadMatrix.__mul__, reps.descended_kernel, [], []
+
+    def counting(x, y):
+        if active:
+            products.append((x, y))
+        return mul(x, y)
+
+    def tracked(*args):
+        active.append(True)
+        try:
+            return descend(*args)
+        finally:
+            active.clear()
+
+    def refuse(a):
+        raise AssertionError("descended_kernel called fixed_space_matrix")
+
+    pairs = hom_pairs()
+    monkeypatch.setattr(exact, "fixed_space_matrix", refuse)
+    monkeypatch.setattr(QuadMatrix, "__mul__", counting)
+    monkeypatch.setattr(reps, "descended_kernel", tracked)
+    nonzero = 0
+    for a, b in pairs:
+        products.clear()
+        hs = hom_space(a, b)
+        assert len(products) == (nonempty_blocks(a, b) + 2 if hs.dim_L else 0)
+        nonzero += hs.dim_L > 0
+    assert nonzero
 
 
 def test_hom_space_eliminates_twice_and_solves_nothing(monkeypatch):
