@@ -144,7 +144,8 @@ def _read(path):
         raise io.ParseError(f"{path}: {exc}") from exc
 
 
-def _write(path, doc):
+def _write(report, path, doc):
+    """Write doc as JSON to path and record the "written" check in report."""
     if path is None:
         raise UsageError("the output file option --out is missing")
     try:
@@ -153,6 +154,7 @@ def _write(path, doc):
             fh.write("\n")
     except OSError as exc:
         raise UsageError(str(exc)) from exc
+    report.add("written", True, path)
 
 
 def _subgroup(group, spec: str) -> Subgroup:
@@ -201,15 +203,13 @@ def _cmd_quiver(args) -> Report:
     elif args.action == "base-change":
         q = io.load_quiver(_read(args.infile))
         out = base_change(q, _subgroup(q.group, args.subgroup))
-        _write(args.out, io.dump_quiver(out))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_quiver(out))
     elif args.action == "restrict":
         q = io.load_quiver(_read(args.infile))
         parent = io.load_group(_read(args.parent))
         sub = _subgroup(parent, args.subgroup)
         out = restrict(q, sub)
-        _write(args.out, io.dump_quiver(out))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_quiver(out))
     elif args.action == "homs":
         a = io.load_quiver(_read(args.a))
         b = io.load_quiver(_read(args.b))
@@ -229,12 +229,10 @@ def _cmd_species(args) -> Report:
     if args.action == "from-quiver":
         q = io.load_quiver(_read(args.infile))
         _require_valid("quiver", validate(q))
-        _write(args.out, io.dump_species(species_of_quiver(q)))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_species(species_of_quiver(q)))
     elif args.action == "to-quiver":
         s = io.load_species(_read(args.infile))
-        _write(args.out, io.dump_quiver(quiver_of_species(s)))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_quiver(quiver_of_species(s)))
     elif args.action == "roundtrip":
         q = io.load_quiver(_read(args.infile))
         _require_valid("quiver", validate(q))
@@ -246,14 +244,12 @@ def _cmd_species(args) -> Report:
     elif args.action == "base-change":
         s = io.load_species(_read(args.infile))
         out = species_base_change(s, _subgroup(s.group, args.subgroup))
-        _write(args.out, io.dump_species(out))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_species(out))
     elif args.action == "restrict":
         s = io.load_species(_read(args.infile))
         parent = io.load_group(_read(args.parent))
         out = species_restrict(s, _subgroup(parent, args.subgroup))
-        _write(args.out, io.dump_species(out))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_species(out))
     return report
 
 
@@ -272,12 +268,10 @@ def _cmd_rep(args) -> Report:
         report.add("descent", hs.dim_K == hs.dim_L,
                    f"dim_K = {hs.dim_K}, dim_L = {hs.dim_L}")
     elif args.action == "to-species":
-        _write(args.out, io.dump_species_rep(functor_F(_load_valid_rep(args.infile))))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_species_rep(functor_F(_load_valid_rep(args.infile))))
     elif args.action == "from-species":
         w = io.load_species_rep(_read(args.infile))
-        _write(args.out, io.dump_rep(functor_H(w)))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_rep(functor_H(w)))
     elif args.action == "isomorphic":
         mats = rep_isomorphic(_load_valid_rep(args.a), _load_valid_rep(args.b), seed=args.seed)
         report.payload["isomorphic"] = mats is not None
@@ -286,8 +280,7 @@ def _cmd_rep(args) -> Report:
     elif args.action == "base-change":
         r = _load_valid_rep(args.infile)
         out = rep_base_change(r, _subgroup(r.quiver.group, args.subgroup))
-        _write(args.out, io.dump_rep(out))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_rep(out))
     return report
 
 
@@ -325,22 +318,19 @@ def _cmd_hc(args) -> Report:
         raise UsageError(f"hc {args.action} needs --{option}")
     if args.action == "build":
         m = hc_mod.build_example(args.kind, args.ell)
-        _write(args.out, io.dump_hc(m))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_hc(m))
     elif args.action == "validate":
         m = io.load_hc(_read(args.infile))
         _report_validation(report, hc_mod.validate_hc(m))
     elif args.action == "to-quiver":
         m = io.load_hc(_read(args.infile))
         res = hc_mod.functor_E(m)
-        _write(args.out, io.dump_rep(res.rep))
+        _write(report, args.out, io.dump_rep(res.rep))
         report.payload["iterations"] = res.iterations
-        report.add("written", True, args.out)
     elif args.action == "from-quiver":
         r = io.load_rep(_read(args.infile))
         m = hc_mod.inverse_E(r, args.ell)
-        _write(args.out, io.dump_hc(m))
-        report.add("written", True, args.out)
+        _write(report, args.out, io.dump_hc(m))
     elif args.action == "roundtrip":
         r = io.load_rep(_read(args.infile))
         rt = hc_mod.roundtrip_hc(r, args.ell)

@@ -10,7 +10,11 @@ den > 0 and gcd(den, P, Q) = 1.  That form is canonical, so equality is a
 comparison of integer lists, and every matrix operation runs on Python
 integers without a Fraction per entry.  Rank, kernels, solving and inverses
 share one fraction-free Gauss-Jordan elimination.  Field elements are built
-from the integers only when entries are read.
+from the integers only when entries are read.  This module is the only one
+that reads or writes the integer arrays: other modules build matrices from
+integers with ``from_coefficients``, the inverse of
+``QuadMatrix.coefficients``, and reach the elimination only through its
+public functions (``rank``, ``row_space_basis``, ...).
 
 Products with a sqrt(D) term in either factor are packed (Kronecker
 substitution): each entry p + q*sqrt(D) becomes the integer p + q*2^s, with
@@ -250,6 +254,28 @@ def _matrix(rows: int, cols: int, d: Fraction, D: int, P: list, Q: list,
     return m
 
 
+def from_coefficients(rows: int, cols: int, coefficients, d=-1) -> "QuadMatrix":
+    """Inverse of QuadMatrix.coefficients(): the rows x cols matrix over
+    Q(sqrt(d)) whose row-major entries are a_num/a_den + (b_num/b_den)*sqrt(d),
+    given as one integer 4-tuple (a_num, a_den, b_num, b_den) per entry.  The
+    denominators need not be reduced or positive; a zero one raises
+    ZeroDivisionError.  As b*sqrt(d) = (b/dd)*sqrt(D), den is the lcm of the
+    a_den and b_den*dd, and _matrix puts the arrays in lowest terms."""
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    if len(coefficients) != rows * cols:
+        raise ValueError("entries length does not match rows*cols")
+    d = _field_tag(d)
+    dd = d.denominator
+    a, a_den, b, b_den = zip(*coefficients) if coefficients else ((),) * 4
+    # lcm(dd x, dd y) = dd lcm(x, y); a zero denominator makes den zero, and
+    # the divisions below raise
+    den = lcm(*a_den, dd * lcm(*b_den))
+    return _matrix(rows, cols, d, d.numerator * dd,
+                   [x * (den // y) for x, y in zip(a, a_den)],
+                   [x * (den // (y * dd)) for x, y in zip(b, b_den)], den)
+
+
 def _check_fields(x: "QuadMatrix", y: "QuadMatrix"):
     if x.d is not y.d and x.d != y.d and x._P and y._P:
         raise ValueError(f"mixing fields sqrt({x.d}) and sqrt({y.d})")
@@ -272,12 +298,8 @@ class QuadMatrix:
 
     __slots__ = ("rows", "cols", "d", "_D", "_P", "_Q", "_den", "_entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[QuadElement], d=None):
+    def __new__(cls, rows: int, cols: int, entries: Sequence[QuadElement], d=None):
         entries = tuple(entries)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError("entries length does not match rows*cols")
         if entries:
             d0 = entries[0].d
             for e in entries:
@@ -286,21 +308,9 @@ class QuadMatrix:
             if d is not None and _as_fraction(d) != d0:
                 raise ValueError("matrix field tag disagrees with entries")
             d = d0
-        else:
-            d = _field_tag(d if d is not None else -1)
-        dd = d.denominator
-        avals = [e.a for e in entries]
-        bvals = [e.b if dd == 1 else e.b / dd for e in entries]
-        den = lcm(*(x.denominator for x in avals), *(x.denominator for x in bvals))
-        # den is the lcm of reduced denominators, so the form is canonical
-        _SET_ROWS(self, rows)
-        _SET_COLS(self, cols)
-        _SET_TAG(self, d)
-        _SET_RADICAND(self, d.numerator * dd)
-        _SET_P(self, [x.numerator * (den // x.denominator) for x in avals])
-        _SET_Q(self, [x.numerator * (den // x.denominator) for x in bvals])
-        _SET_DEN(self, den)
-        _SET_ENTRIES(self, None)
+        return from_coefficients(rows, cols, [
+            (e.a.numerator, e.a.denominator, e.b.numerator, e.b.denominator)
+            for e in entries], -1 if d is None else d)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadMatrix is immutable")
@@ -750,11 +760,16 @@ def inverse(m: QuadMatrix) -> QuadMatrix:
     return solve_unique(m, QuadMatrix.identity(m.rows, m.d))
 
 
+def row_space_basis(m: QuadMatrix) -> QuadMatrix:
+    """Matrix whose rows are the nonzero rows of the reduced row echelon form
+    of m: the canonical basis of its row space, so matrices with one row
+    space give one basis."""
+    return _rows_matrix(_rref(m)[1], m.cols, m.d, m._D)
+
+
 def column_space_basis(m: QuadMatrix) -> QuadMatrix:
     """Matrix whose columns are a basis of the column space of m."""
-    t = m.transpose()
-    _, rows = _rref(t)
-    return _rows_matrix(rows, m.rows, t.d, t._D).transpose()
+    return row_space_basis(m.transpose()).transpose()
 
 
 def nilpotency_exponent(m: QuadMatrix):
@@ -942,12 +957,3 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
                          "a rational structure is not edge-equivariant")
     return l_basis, _split_columns(v * _fixed_space_core(theta), shapes)
 
-
-def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:
-    """Columns = the given coordinate vectors (n rows)."""
-    cols = len(vectors)
-    ent = []
-    for r in range(n):
-        for v in vectors:
-            ent.append(v[r])
-    return QuadMatrix(n, cols, ent, d)

@@ -8,9 +8,9 @@ rational), each by ``rng.randint(-span, span)``, in row-major order;
 triangular and factored matrices draw only their free entries, and a
 dimension 0 draws nothing.  ``tests/test_randomgen.py`` holds the
 entry-by-entry QuadElement construction as the reference for these draws.
-The matrices are built directly in the integer form of ``exact``: with
-d = dn/dd the entry is (a*dd + b*sqrt(D)) / dd, which ``exact._matrix``
-puts in lowest terms.
+A draw gives the entry's coefficients (a, 1, b, 1), from which
+``exact.from_coefficients`` builds the matrix without a field element per
+entry.
 
 An invertible draw costs one elimination: ``_invertible`` redraws until
 ``inverse`` succeeds and returns the matrix with its inverse, and the
@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix, _field_tag, _matrix, inverse
+from .exact import QuadElement, QuadMatrix, from_coefficients, inverse
 from .gsets import C2, FiniteGroup, Subgroup, coset_union
-from .quiver import RationalQuiver, cyclic_quiver, gelfand_quiver
+from .quiver import (
+    CYCLIC_A, CYCLIC_B, GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS,
+    GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, RationalQuiver, cyclic_quiver, gelfand_quiver,
+)
 from .reps import QuiverRep, SpeciesRep, summand_domain_cols
 
 
@@ -33,24 +36,20 @@ def random_quad(rng, span=3, d=-1):
                        Fraction(rng.randint(-span, span)), d)
 
 
+# the coefficients (a_num, a_den, b_num, b_den) of the entries 0 and 1
+_ZERO, _ONE = (0, 1, 0, 1), (1, 1, 0, 1)
+
+
 def _draw(rng, span, rational):
-    """(a, b) for the entry a + b*sqrt(d): a drawn first, then b unless rational."""
+    """The coefficients of an entry a + b*sqrt(d) with integers a and b: a
+    drawn first, then b unless rational."""
     a = rng.randint(-span, span)
-    return a, 0 if rational else rng.randint(-span, span)
-
-
-def _integer_matrix(rows, cols, d, entries):
-    """The matrix over Q(sqrt(d)) whose row-major entries are a + b*sqrt(d)
-    for the integer pairs (a, b)."""
-    d = _field_tag(d)
-    dd = d.denominator
-    return _matrix(rows, cols, d, d.numerator * dd, [a * dd for a, _ in entries],
-                   [b for _, b in entries], dd)
+    return a, 1, 0 if rational else rng.randint(-span, span), 1
 
 
 def random_matrix(rng, rows, cols, rational=False, span=3, d=-1):
-    return _integer_matrix(rows, cols, d, [_draw(rng, span, rational)
-                                           for _ in range(rows * cols)])
+    return from_coefficients(rows, cols, [_draw(rng, span, rational)
+                                          for _ in range(rows * cols)], d)
 
 
 def _invertible(rng, n, span=2, rational=False, d=-1):
@@ -69,16 +68,16 @@ def random_invertible(rng, n, span=2, rational=False, d=-1):
 
 
 def strictly_upper(rng, n, span=2, rational=False, d=-1):
-    return _integer_matrix(n, n, d, [_draw(rng, span, rational) if j > i else (0, 0)
-                                     for i in range(n) for j in range(n)])
+    return from_coefficients(n, n, [_draw(rng, span, rational) if j > i else _ZERO
+                                    for i in range(n) for j in range(n)], d)
 
 
 def random_unimodular(rng, n, span=2, rational=False, d=-1):
     """Invertible by construction: unit lower times unit upper triangular."""
     def unit(lower):
-        return _integer_matrix(n, n, d, [
-            (1, 0) if i == j else _draw(rng, span, rational) if (j < i) == lower else (0, 0)
-            for i in range(n) for j in range(n)])
+        return from_coefficients(n, n, [
+            _ONE if i == j else _draw(rng, span, rational) if (j < i) == lower else _ZERO
+            for i in range(n) for j in range(n)], d)
 
     return unit(True) * unit(False)
 
@@ -189,17 +188,17 @@ def _transport(r: QuiverRep, gs, g_invs) -> QuiverRep:
 def _nilpotent_factorization(rng, ds, dp, span=2, d=-1):
     """Rational P (ds x dp), Q (dp x ds) with P Q strictly upper triangular."""
     r = rng.randint(0, min(ds, dp, max(ds - 1, 0)))
-    p_ent = [[(0, 0)] * dp for _ in range(ds)]
-    q_ent = [[(0, 0)] * ds for _ in range(dp)]
+    p_ent = [[_ZERO] * dp for _ in range(ds)]
+    q_ent = [[_ZERO] * ds for _ in range(dp)]
     for i in range(r):
-        p_ent[i][i] = (1, 0)
-        q_ent[i][i + 1] = (rng.randint(1, span), 0)
+        p_ent[i][i] = _ONE
+        q_ent[i][i + 1] = (rng.randint(1, span), 1, 0, 1)
     # free extra columns of P keep the factors generic without changing P Q
     for i in range(ds):
         for j in range(r, dp):
-            p_ent[i][j] = (rng.randint(-span, span), 0)
-    p = _integer_matrix(ds, dp, d, [x for row in p_ent for x in row])
-    q = _integer_matrix(dp, ds, d, [x for row in q_ent for x in row])
+            p_ent[i][j] = (rng.randint(-span, span), 1, 0, 1)
+    p = from_coefficients(ds, dp, [x for row in p_ent for x in row], d)
+    q = from_coefficients(dp, ds, [x for row in q_ent for x in row], d)
     return p, q
 
 
@@ -218,13 +217,17 @@ def random_gelfand_rep(rng, max_dim=3, d=-1) -> QuiverRep:
     p, qq = _nilpotent_factorization(rng, ds, dp, d=d)
     s, s_inv = _invertible(rng, ds, rational=True, d=d)
     t, t_inv = _invertible(rng, dp, d=d)
-    b_a = s * p * t                      # M(+) -> M(star)
-    b_b = t_inv * qq * s_inv
-    edges = [b_a, b_a.conj(), b_b, b_b.conj()]     # a+, a-, b+, b-
-    rho = [QuadMatrix.identity(ds, d), QuadMatrix.identity(dp, d),
-           QuadMatrix.identity(dp, d)]
-    rep = QuiverRep(q, (ds, dp, dp), edges, rho, d)
-    gs, g_invs = zip(*(_invertible(rng, n, d=d) for n in (ds, dp, dp)))
+    dims = [0] * 3
+    dims[GELFAND_STAR] = ds
+    dims[GELFAND_PLUS] = dims[GELFAND_MINUS] = dp
+    edges = [None] * 4
+    edges[GELFAND_A_PLUS] = s * p * t               # M(+) -> M(star)
+    edges[GELFAND_A_MINUS] = edges[GELFAND_A_PLUS].conj()
+    edges[GELFAND_B_PLUS] = t_inv * qq * s_inv
+    edges[GELFAND_B_MINUS] = edges[GELFAND_B_PLUS].conj()
+    rho = [QuadMatrix.identity(n, d) for n in dims]
+    rep = QuiverRep(q, dims, edges, rho, d)
+    gs, g_invs = zip(*(_invertible(rng, n, d=d) for n in dims))
     return _transport(rep, gs, g_invs)
 
 
@@ -232,14 +235,12 @@ def random_cyclic_rep(rng, max_dim=3, d=-1) -> QuiverRep:
     """Random nilpotent rational representation of the cyclic quiver."""
     q = cyclic_quiver()
     n = rng.randint(0, max_dim)
-    if n == 0:
-        z = QuadMatrix.zeros(0, 0, d)
-        return QuiverRep(q, (0, 0), (z, z), (z, z), d)
     p, p_inv = _invertible(rng, n, d=d)
     j = strictly_upper(rng, n, rational=True, d=d)
-    b_a = p * j * p_inv.conj()           # conj(p)^-1 = conj(p^-1)
-    b_b = b_a.conj()
-    rho = [QuadMatrix.identity(n, d), QuadMatrix.identity(n, d)]
-    rep = QuiverRep(q, (n, n), (b_a, b_b), rho, d)
+    edges = [None] * 2
+    edges[CYCLIC_A] = p * j * p_inv.conj()          # conj(p)^-1 = conj(p^-1)
+    edges[CYCLIC_B] = edges[CYCLIC_A].conj()
+    rho = [QuadMatrix.identity(n, d)] * 2
+    rep = QuiverRep(q, (n, n), edges, rho, d)
     gs, g_invs = zip(*(_invertible(rng, n, d=d) for _ in range(2)))
     return _transport(rep, gs, g_invs)

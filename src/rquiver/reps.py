@@ -30,14 +30,12 @@ from .exact import (
     QuadMatrix,
     _check_field,
     _field_tag,
-    _matrix,
-    _rows_matrix,
-    _rref,
     block_matrix,
     descended_kernel,
     fixed_space_matrix,
     intertwining_system,
     inverse,
+    row_space_basis,
 )
 from .quiver import RationalQuiver, ValidationReport, check
 from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
@@ -158,15 +156,6 @@ class SpeciesRep:
         return f"SpeciesRep(dims={self.dims})"
 
 
-# ------------------------------------------------------------------ helpers
-
-def realify(m: QuadMatrix) -> QuadMatrix:
-    """K-matrix of an L-matrix in the stacked basis (w_1..w_n, sqrt(d) w_1..)."""
-    a, b = m.parts()
-    return block_matrix([m.rows] * 2, [m.cols] * 2,
-                        [(0, 0, a), (0, 1, b.scale(m.d)), (1, 0, b), (1, 1, a)], m.d)
-
-
 # ------------------------------------------------------------------ validate
 
 def validate_rep(r: QuiverRep, require_nilpotent=True) -> ValidationReport:
@@ -252,32 +241,29 @@ def is_nilpotent_rep(r: QuiverRep) -> bool:
 
     R_k(v) is kept as the rows of a reduced row basis B_k(v), so that the
     image of edge e is spanned by the rows of B_k(src e) A_e^T: one product
-    per nonzero edge map from a nonzero R_k, the products into v stacked, one
-    elimination per vertex.  The images are taken edge by edge, never through
-    a sum of edge maps: paths that meet again can cancel in a sum
+    per nonzero edge map from a nonzero R_k; block_matrix stacks the
+    products into v (when there are two or more) and row_space_basis reduces
+    them, one elimination per vertex that receives any.  The images are taken edge by edge, never
+    through a sum of edge maps: paths that meet again can cancel in a sum
     (a+ b+ = -a- b- on the Gelfand quiver) although each of them is a
     nonzero composite."""
     q = r.quiver
-    d = r.d
-    D = d.numerator * d.denominator
     into = [[] for _ in r.dims]
     for e in range(q.edges.size):
         if not r.edge_maps[e].is_zero():  # a zero map adds nothing to an image
             into[q.tgt[e]].append((q.src[e], r.edge_maps[e].transpose()))
-    basis = [QuadMatrix.identity(n, d) for n in r.dims]
+    basis = [QuadMatrix.identity(n, r.d) for n in r.dims]
     dims = list(r.dims)
     while any(dims):
         nxt = []
         for n, edges in zip(r.dims, into):
             blocks = [basis[s] * at for s, at in edges if dims[s]]
-            rows = []
-            if blocks:
-                # _rref reads each row up to a nonzero factor, so every block
-                # keeps its own denominator
-                rows = _rref(_matrix(sum(b.rows for b in blocks), n, d, D,
-                                     [x for b in blocks for x in b._P],
-                                     [x for b in blocks for x in b._Q], 1))[1]
-            nxt.append(_rows_matrix(rows, n, d, D))
+            if not blocks:
+                nxt.append(QuadMatrix.zeros(0, n, r.d))
+                continue
+            stack = blocks[0] if len(blocks) == 1 else block_matrix(
+                [b.rows for b in blocks], [n], [(k, 0, b) for k, b in enumerate(blocks)], r.d)
+            nxt.append(row_space_basis(stack))
         step = [m.rows for m in nxt]
         if step == dims:
             return False
@@ -473,6 +459,14 @@ def _functor_F(r: QuiverRep, conv):
 
 # ------------------------------------------------------------------ functor H
 
+def _relative_twist(s: EtaleSpecies, summand) -> int:
+    """p = twist_tgt^-1 twist_src of a summand.  p = 1 flips the sign of the
+    sqrt(d) half in _summand_core and _summand_matrix and conjugates psi_i
+    in species_is_morphism."""
+    g = s.group
+    return g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+
+
 def _summand_core(w: SpeciesRep, i, j, summand, fmat: QuadMatrix) -> QuadMatrix:
     """L-matrix M(tau^-1 sigma v_i) -> M(v_j) of (f (x) 1_L) restricted to the
     eta = 1 component of the canonical decomposition."""
@@ -481,8 +475,7 @@ def _summand_core(w: SpeciesRep, i, j, summand, fmat: QuadMatrix) -> QuadMatrix:
         return fmat
     # two-eta case: for fmat = [L | R] the component is (L -+ R / sqrt(d)) / 2,
     # with - when p = 1
-    g = s.group
-    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+    p = _relative_twist(s, summand)
     n_i, d = w.dims[i], w.d
     eye = QuadMatrix.identity(n_i, d)
     return fmat * block_matrix([n_i, n_i], [n_i], [
@@ -496,8 +489,7 @@ def _summand_matrix(s: EtaleSpecies, i, j, summand, core: QuadMatrix) -> QuadMat
     with -2dY when p = 1."""
     if len(_eta_reps(s, i, j, summand)) == 1:
         return core
-    g = s.group
-    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+    p = _relative_twist(s, summand)
     x, y = core.parts()
     return x.scale(2).hstack(y.scale(-2 * core.d if p else 2 * core.d))
 
@@ -564,22 +556,23 @@ def hf_witness(r: QuiverRep):
     return _functor_H(w, q, conv), gauge
 
 
-def _tensor_matrix(s: EtaleSpecies, i, j, summand, psi: QuadMatrix) -> QuadMatrix:
-    """Matrix of psi_i (x) 1 on the canonical domain basis of the summand."""
-    case = _summand_case(s, i, j, summand)
-    if case in ((2, 2, 2), (2, 1, 1)):
-        return psi
-    if case == (2, 1, 2):
-        return block_matrix([psi.rows] * 2, [psi.cols] * 2, [(0, 0, psi), (1, 1, psi)], psi.d)
-    if case == (1, 1, 2):
-        return realify(psi)
-    g = s.group
-    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
-    return psi.conj() if p else psi
-
-
 def species_is_morphism(w1: SpeciesRep, w2: SpeciesRep, psis) -> bool:
-    """Check that per-index L_i-linear maps intertwine the summand maps."""
+    """Check that per-index L_i-linear maps psi_i intertwine the summand maps.
+
+    At a summand from i to j the condition is psi_j f1 = f2 (psi_i (x) 1) on
+    its canonical domain basis (Dlab-Ringel, Mem. AMS 173, 1976).  It is
+    tested on _summand_core's cores as psi_j core(f1) = core(f2) psi_i', with
+    psi_i' = conj(psi_i) when p = 1 and psi_i otherwise.  With one eta,
+    core(f) = f and psi_i (x) 1 = psi_i' (psi_i is rational in (2,2,2) and
+    (2,1,1)).  With two eta, core(f) = f C for C = [1/2; c], c = +-1/(2 sqrt(d))
+    (- when p = 1), and (psi_i (x) 1) C = C psi_i', as psi_i (x) 1 is
+    diag(psi_i, psi_i) in (2,1,2), where psi_i is rational, and
+    [[a, d b], [b, a]] for psi_i = a + sqrt(d) b in (1,1,2).  So the core
+    equation is X C = 0 for X = psi_j f1 - f2 (psi_i (x) 1) = [X1 | X2].  As f,
+    psi_j and psi_i (x) 1 are rational there, so is X, and the rational and
+    sqrt(d) parts of X C = X1 / 2 +- sqrt(d) X2 / (2d) are the two column
+    blocks of X, up to nonzero factors: X C = 0 only when X = 0.
+    """
     if w1.species != w2.species:
         return False
     s = w1.species
@@ -589,9 +582,10 @@ def species_is_morphism(w1: SpeciesRep, w2: SpeciesRep, psis) -> bool:
         if (psi.rows, psi.cols) != (w2.dims[i], w1.dims[i]):
             return False
     for (i, j), summands in s.bimodules.items():
-        for k, summand in enumerate(summands):
-            f1 = w1.summand_matrices(i, j)[k]
-            f2 = w2.summand_matrices(i, j)[k]
-            if psis[j] * f1 != f2 * _tensor_matrix(s, i, j, summand, psis[i]):
+        for summand, f1, f2 in zip(summands, w1.summand_matrices(i, j),
+                                   w2.summand_matrices(i, j)):
+            psi = psis[i].conj() if _relative_twist(s, summand) else psis[i]
+            if (psis[j] * _summand_core(w1, i, j, summand, f1)
+                    != _summand_core(w2, i, j, summand, f2) * psi):
                 return False
     return True

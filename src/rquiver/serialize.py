@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
 
-from .exact import QuadMatrix, _field_tag, _matrix
+from .exact import QuadMatrix, _field_tag, from_coefficients
 from .gsets import FiniteGroup, GSet, Subgroup
 from .quiver import RationalQuiver
 from .reps import QuiverRep, SpeciesRep
@@ -94,22 +93,18 @@ def dump_matrix(m: QuadMatrix) -> dict:
 
 @_loader
 def load_matrix(data, d) -> QuadMatrix:
-    d = _field_tag(d)
-    rows, cols, dd = _int(data["rows"]), _int(data["cols"]), d.denominator
+    d = _field_tag(d)  # a square d is reported before any fault in data
+    rows, cols = _int(data["rows"]), _int(data["cols"])
     if rows < 0 or cols < 0:
         raise ParseError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
     entries = []
     for e in data["entries"]:
         if len(e) != 4:
             raise ParseError(f"a field element has 4 integers, got {len(e)}")
-        entries.append((_int(e[0]), _int(e[1]), _int(e[2]), _int(e[3]) * dd))
+        entries.append((_int(e[0]), _int(e[1]), _int(e[2]), _int(e[3])))
     if len(entries) != rows * cols:
         raise ParseError("entries length does not match rows*cols")
-    # a zero denominator makes den zero and its division below raise
-    den = lcm(*(x for e in entries for x in (e[1], e[3])))
-    return _matrix(rows, cols, d, d.numerator * dd,
-                   [a * (den // a_den) for a, a_den, _, _ in entries],
-                   [b * (den // b_den) for _, _, b, b_den in entries], den)
+    return from_coefficients(rows, cols, entries, d)
 
 
 def dump_group(g: FiniteGroup) -> dict:

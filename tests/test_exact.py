@@ -9,7 +9,6 @@ from rquiver.exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
-    basis_matrix,
     conj,
     fixed_space,
     inverse,
@@ -23,6 +22,12 @@ from rquiver.exact import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 elements = st.builds(lambda a, b: QuadElement(a, b, -1), rationals, rationals)
+
+
+def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:
+    """Columns = the given coordinate vectors (n rows); a test helper since
+    the library builds no matrix from coordinate tuples."""
+    return QuadMatrix(n, len(vectors), [v[r] for r in range(n) for v in vectors], d)
 
 
 def rational_rank_oracle(m: QuadMatrix) -> int:

@@ -23,15 +23,16 @@ from rquiver.exact import (
     _field_tag,
     _fixed_space_core,
     _matrix,
-    basis_matrix,
     column_space_basis,
     fixed_space,
     fixed_space_matrix,
+    from_coefficients,
     inverse,
     kernel_basis,
     kron,
     nilpotency_exponent,
     rank,
+    row_space_basis,
     solve_unique,
 )
 
@@ -253,6 +254,27 @@ def test_elimination_matches_reference():
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == ref_kernel(matrix_rows(m), cols, zero, one)
         assert column_space_basis(m) == ref_column_space(m)
+        assert row_space_basis(m.transpose()) == ref_column_space(m).transpose()
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_from_coefficients_inverts_coefficients(d):
+    """from_coefficients(coefficients()) is the matrix, also when each
+    fraction is written with a common factor k (negative or not) in its
+    numerator and denominator; any zero denominator raises."""
+    rng = random.Random(5)
+    for rows, cols in ((0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (4, 4)):
+        m = random_matrix(rng, rows, cols, d)
+        coefficients = m.coefficients()
+        assert from_coefficients(rows, cols, coefficients, d) == m
+        scaled = [[x * k for x in c] for c in coefficients
+                  for k in [rng.choice((-3, -1, 2, 5))]]
+        assert from_coefficients(rows, cols, scaled, d) == m
+        for k in range(2 * rows * cols):
+            zeroed = [list(c) for c in coefficients]
+            zeroed[k // 2][1 + 2 * (k % 2)] = 0
+            with pytest.raises(ZeroDivisionError):
+                from_coefficients(rows, cols, zeroed, d)
 
 
 def test_solve_and_inverse_match_reference():
@@ -365,7 +387,8 @@ def test_fixed_space_spans(b):
     phi = SemilinearMap(b * inverse(b.conj()), 1)
     basis = fixed_space(phi)
     assert len(basis) == b.rows
-    assert rank(basis_matrix(basis, b.rows, b.d)) == b.rows
+    # the basis vectors as rows: their rank is the rank of the basis
+    assert rank(QuadMatrix(len(basis), b.rows, [x for v in basis for x in v], b.d)) == b.rows
     for v in basis:
         assert phi.apply(v) == v
 

@@ -20,7 +20,6 @@ from rquiver.exact import (
     QuadElement,
     QuadMatrix,
     SemilinearMap,
-    basis_matrix,
     fixed_space,
     inverse,
     kernel_basis,
@@ -48,9 +47,9 @@ from rquiver.reps import (
     hf_witness,
     hom_space,
     is_morphism,
-    realify,
     rep_base_change,
     rep_isomorphic,
+    species_is_morphism,
     summand_domain_cols,
     validate_rep,
 )
@@ -67,6 +66,11 @@ FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(
 
 
 # ---------------------------------------------------------------- reference
+
+def basis_matrix(vectors: list, n: int, d=-1) -> QuadMatrix:
+    """Columns = the given coordinate vectors (n rows)."""
+    return QuadMatrix(n, len(vectors), [v[r] for r in range(n) for v in vectors], d)
+
 
 def ref_hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     q = m.quiver
@@ -282,6 +286,33 @@ def ref_realify(m: QuadMatrix) -> QuadMatrix:
     return QuadMatrix(2 * m.rows, 2 * m.cols, list(top.entries) + list(bot.entries), d)
 
 
+def ref_tensor_matrix(s, i, j, summand, psi: QuadMatrix) -> QuadMatrix:
+    """Matrix of psi_i (x) 1 on the canonical domain basis of the summand,
+    as species_is_morphism used it before it compared eta = 1 cores."""
+    case = reps._summand_case(s, i, j, summand)
+    if case in ((2, 2, 2), (2, 1, 1)):
+        return psi
+    if case == (2, 1, 2):
+        zero = QuadMatrix.zeros(psi.rows, psi.cols, psi.d)
+        top, bottom = psi.hstack(zero), zero.hstack(psi)
+        return QuadMatrix(2 * psi.rows, 2 * psi.cols, top.entries + bottom.entries, psi.d)
+    if case == (1, 1, 2):
+        return ref_realify(psi)
+    g = s.group
+    p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
+    return psi.conj() if p else psi
+
+
+def ref_species_is_morphism(w1, w2, psis) -> bool:
+    """psi_j f1 = f2 (psi_i (x) 1) at every summand (shapes and fields are
+    those of the constructed inputs, so they are not checked here)."""
+    s = w1.species
+    return all(psis[j] * f1 == f2 * ref_tensor_matrix(s, i, j, summand, psis[i])
+               for (i, j), summands in s.bimodules.items()
+               for summand, f1, f2 in zip(summands, w1.summand_matrices(i, j),
+                                          w2.summand_matrices(i, j)))
+
+
 # ---------------------------------------------------------------- inputs
 
 def species_rep_with_dims(rng, s, dims, d):
@@ -406,12 +437,58 @@ def test_hf_witness_matches_reference_on_fixture_images():
             assert_hf_witness_matches_reference(functor_E(build_example(kind, ell)).rep)
 
 
+def perturbed(rng, m: QuadMatrix) -> QuadMatrix:
+    """m with 1 added to one random entry; m must have an entry."""
+    k, ent = rng.randrange(m.rows * m.cols), list(m.entries)
+    ent[k] = ent[k] + 1
+    return QuadMatrix(m.rows, m.cols, ent, m.d)
+
+
 @pytest.mark.parametrize("d", FIELD_TAGS)
-def test_realify_matches_reference(d):
-    rng = random.Random(7)
-    for rows, cols in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 2)):
-        m = random_matrix(rng, rows, cols, d=d)
-        assert realify(m) == ref_realify(m)
+def test_species_is_morphism_matches_reference(d):
+    """species_is_morphism, which compares eta = 1 cores, against the summand
+    equation psi_j f1 = f2 (psi_i (x) 1) of ref_tensor_matrix.  On constructed
+    morphisms f2 = psi_j f1 (psi_i (x) 1)^-1 both hold; a perturbed f2 breaks
+    both, as psi_i (x) 1 is invertible; a perturbed psi_i gets one verdict
+    from both.  The species of QUIVER_SEEDS and TWIST_SEED have all five
+    summand shapes and p = 1 summands of shape (1,1,2); the one-summand
+    species give p = 0 and p = 1 to each shape with trivial H_eps."""
+    rng = random.Random(17)
+    full, trivial = Subgroup.full(C2), Subgroup.trivial_in(C2)
+    species = [species_of_quiver(random_c2_quiver(random.Random(seed), max_v=3, max_e=4))
+               for seed in QUIVER_SEEDS + (TWIST_SEED,)]
+    species += [EtaleSpecies(C2, [h_src, h_tgt], {(0, 1): [BimoduleSummand(trivial, *twists)]})
+                for h_src in (full, trivial) for h_tgt in (full, trivial)
+                for twists in ((0, 0), (1, 1), (1, 0), (0, 1))]
+    seen, psi_verdicts = set(), set()
+    for s in species:
+        seen |= {(reps._summand_case(s, i, j, x), reps._relative_twist(s, x))
+                 for (i, j), summands in s.bimodules.items() for x in summands}
+        for _ in range(4):
+            dims = [rng.randint(1, 3) for _ in range(s.n_indices)]
+            w1 = species_rep_with_dims(rng, s, dims, d)
+            psis = [random_invertible(rng, n, rational=s.realized_field(i) == "K", d=d)
+                    for i, n in enumerate(dims)]
+            maps = {(i, j): [psis[j] * f * inverse(ref_tensor_matrix(s, i, j, x, psis[i]))
+                             for x, f in zip(summands, w1.summand_matrices(i, j))]
+                    for (i, j), summands in s.bimodules.items()}
+            w2 = SpeciesRep(s, dims, maps, d)
+            assert ref_species_is_morphism(w1, w2, psis)
+            assert species_is_morphism(w1, w2, psis)
+            for key, mats in maps.items():
+                for k, f in enumerate(mats):
+                    w3 = SpeciesRep(s, dims, {**maps, key: mats[:k] + [perturbed(rng, f)]
+                                              + mats[k + 1:]}, d)
+                    assert not ref_species_is_morphism(w1, w3, psis)
+                    assert not species_is_morphism(w1, w3, psis)
+            for i, psi in enumerate(psis):
+                bad = psis[:i] + [perturbed(rng, psi)] + psis[i + 1:]
+                verdict = ref_species_is_morphism(w1, w2, bad)
+                assert species_is_morphism(w1, w2, bad) == verdict
+                psi_verdicts.add(verdict)
+    assert {case for case, _ in seen} == {(2, 2, 2), (2, 1, 2), (2, 1, 1), (1, 1, 2), (1, 1, 1)}
+    assert {((1, 1, 1), 1), ((1, 1, 2), 1), ((2, 1, 2), 1), ((2, 1, 1), 1)} <= seen
+    assert psi_verdicts == {True, False}
 
 
 def test_hc_hom_space_matches_reference():
