@@ -33,8 +33,8 @@ code writes to a matrix's integer lists in place: every operation builds new
 lists, and a matrix may share them with its operands (``conj`` relies on
 this too).
 
-Semilinear maps bundle a matrix with a Galois tag and compose with the
-convention  v |-> matrix . sigma(v),  sigma applied entrywise.
+A conjugate-semilinear map is its matrix a, v |-> a . conj(v), with conj
+applied entrywise.
 """
 
 from __future__ import annotations
@@ -789,58 +789,6 @@ def nilpotency_exponent(m: QuadMatrix):
     return None
 
 
-def is_nilpotent(m: QuadMatrix) -> bool:
-    return nilpotency_exponent(m) is not None
-
-
-class SemilinearMap:
-    """Map v |-> matrix . sigma(v) between coordinate spaces over Q(sqrt(d)).
-
-    sigma is 0 (identity) or 1 (conjugation), applied entrywise to the input
-    coordinates before the matrix acts.  Composition multiplies matrices with
-    the rule  mat(p2 o p1) = mat(p2) . sigma2(mat(p1))  and xors the tags.
-    """
-
-    __slots__ = ("sigma", "matrix", "domain_dim", "codomain_dim")
-
-    def __init__(self, matrix: QuadMatrix, sigma: int = 1):
-        if sigma not in (0, 1):
-            raise ValueError("sigma tag must be 0 (identity) or 1 (conjugation)")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "domain_dim", matrix.cols)
-        object.__setattr__(self, "codomain_dim", matrix.rows)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SemilinearMap is immutable")
-
-    def apply(self, v: Sequence[QuadElement]) -> tuple:
-        if self.sigma:
-            v = [x.conj() for x in v]
-        return self.matrix.apply(v)
-
-    def compose(self, first: "SemilinearMap") -> "SemilinearMap":
-        """self o first."""
-        m1 = first.matrix
-        if self.sigma:
-            m1 = m1.conj()
-        return SemilinearMap(self.matrix * m1, self.sigma ^ first.sigma)
-
-    def inverse(self) -> "SemilinearMap":
-        minv = inverse(self.matrix)
-        if self.sigma:
-            minv = minv.conj()
-        return SemilinearMap(minv, self.sigma)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemilinearMap):
-            return NotImplemented
-        return self.sigma == other.sigma and self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"SemilinearMap(sigma={self.sigma}, {self.matrix!r})"
-
-
 def fixed_space_matrix(a: QuadMatrix) -> QuadMatrix:
     """Matrix whose columns are a K-basis of {v : a.conj(v) = v}, for the
     matrix a of a conjugate-semilinear involution v |-> a.conj(v).
@@ -893,11 +841,13 @@ def _fixed_space_core(a: QuadMatrix) -> QuadMatrix:
     return _matrix(n, n, d, a._D, [dd * p for p in k._P[:n * n]], k._P[n * n:], k._den * dd)
 
 
-def fixed_space(phi: SemilinearMap) -> list:
-    """The columns of fixed_space_matrix(phi.matrix), as coordinate tuples."""
-    if phi.sigma != 1:
-        raise CocycleViolation("fixed_space needs a conjugate-semilinear map")
-    f = fixed_space_matrix(phi.matrix)
+def fixed_space(a: QuadMatrix) -> list:
+    """The columns of fixed_space_matrix(a), as coordinate tuples.
+
+    No library code calls this; it stays because the benchmark's tracer
+    (bench/spans.py) wraps exact.fixed_space by name.
+    """
+    f = fixed_space_matrix(a)
     return [f.col(j) for j in range(f.cols)]
 
 

@@ -20,20 +20,13 @@ basis.  ``change_basis`` inverts each g_v once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import QuadElement, QuadMatrix, from_coefficients, inverse
+from .exact import QuadMatrix, from_coefficients, inverse
 from .gsets import C2, FiniteGroup, Subgroup, coset_union
 from .quiver import (
     CYCLIC_A, CYCLIC_B, GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS,
     GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, RationalQuiver, cyclic_quiver, gelfand_quiver,
 )
 from .reps import QuiverRep, SpeciesRep, summand_domain_cols
-
-
-def random_quad(rng, span=3, d=-1):
-    return QuadElement(Fraction(rng.randint(-span, span)),
-                       Fraction(rng.randint(-span, span)), d)
 
 
 # the coefficients (a_num, a_den, b_num, b_den) of the entries 0 and 1

@@ -83,6 +83,8 @@ class QuiverRep:
                 if (m.rows, m.cols) != (self.dims[cv], self.dims[v]):
                     raise ValueError(f"semilinear matrix at vertex {v} has wrong shape")
                 _check_field(m, self.d, f"semilinear matrix at vertex {v}")
+        elif rho is not None:
+            raise ValueError("a rational structure needs a quadratic group, not |G| = 1")
         else:
             self.rho = None
 

@@ -15,8 +15,9 @@ and subgroups, G-set sizes, vertex and edge indices (a quiver's "src", "tgt"
 and relation paths), dimensions, species indices and twists, and an HC
 module's ell, epsilon, window and space dimensions.  The weights that key an
 HC module's JSON objects are strings, each the canonical decimal form of its
-weight.  A representation's "semilinear" list has one matrix per vertex, and
-a species field's "realization" is the one dump_species writes for it.
+weight.  A representation's "semilinear" list is present exactly when
+|G| = 2 and has one matrix per vertex, and a species field's "realization"
+is the one dump_species writes for it.
 """
 
 from __future__ import annotations

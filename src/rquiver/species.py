@@ -77,11 +77,6 @@ class EtaleSpecies:
             raise ValueError("realizations only exist in the quadratic case")
         return "K" if self.vertex_subgroups[i].order == 2 else "L"
 
-    def summand_field(self, s: BimoduleSummand) -> str:
-        if not self.is_quadratic():
-            raise ValueError("realizations only exist in the quadratic case")
-        return "K" if s.subgroup.order == 2 else "L"
-
     def __eq__(self, other):
         return (isinstance(other, EtaleSpecies) and self.group == other.group
                 and self.vertex_subgroups == other.vertex_subgroups

@@ -13,7 +13,8 @@ import rquiver.serialize as io
 from rquiver.cli import main, render_diagram, run
 from rquiver.exact import QuadElement, QuadMatrix
 from rquiver.hc import build_example, functor_E
-from rquiver.quiver import cyclic_quiver, gelfand_quiver
+from rquiver.gsets import FiniteGroup
+from rquiver.quiver import cyclic_quiver, gelfand_quiver, split_loop_quiver
 from rquiver.randomgen import (
     random_c2_quiver, random_cyclic_rep, random_gelfand_rep, random_species_rep,
 )
@@ -776,6 +777,22 @@ def test_empty_semilinear_list_exit_code(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("parse error: malformed input to load_rep: "
                                 "ValueError: one semilinear matrix per vertex required\n")
+
+
+def test_rep_validate_rejects_rho_over_the_trivial_group(tmp_path, capsys):
+    """A trivial-group rep file that carries a "semilinear" list is malformed:
+    rep validate exits 2 with one parse error line."""
+    q = split_loop_quiver(FiniteGroup.cyclic(1))
+    z = QuadMatrix.zeros(2, 2)
+    doc = io.dump_rep(QuiverRep(q, (2,), (z,)))
+    assert main(["rep", "validate", "--in", write(tmp_path, "good.json", doc)]) == 0
+    capsys.readouterr()
+    doc["semilinear"] = [io.dump_matrix(QuadMatrix.identity(2))]
+    assert main(["rep", "validate", "--in", write(tmp_path, "bad.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: malformed input to load_rep: ValueError: "
+                            "a rational structure needs a quadratic group, not |G| = 1\n")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -8,11 +8,9 @@ from rquiver.exact import (
     CocycleViolation,
     QuadElement,
     QuadMatrix,
-    SemilinearMap,
     conj,
     fixed_space,
     inverse,
-    is_nilpotent,
     kernel_basis,
     nilpotency_exponent,
     qe,
@@ -168,42 +166,21 @@ def test_nilpotency_exponent():
         p, e = p * m, e + 1
     assert e == 5
     assert nilpotency_exponent(m) == 5
-    assert not is_nilpotent(QuadMatrix.identity(3))
+    assert nilpotency_exponent(QuadMatrix.identity(3)) is None
 
 
-# ---------------------------------------------------------------- semilinear
-
-def test_semilinear_composition_rule():
-    a = QuadMatrix.from_rows([[qe(0, 1), qe(1)], [qe(2), qe(0)]])
-    b = QuadMatrix.from_rows([[qe(1, 1), qe(0)], [qe(0), qe(1, -1)]])
-    p1 = SemilinearMap(a, 1)
-    p2 = SemilinearMap(b, 1)
-    comp = p2.compose(p1)
-    assert comp.sigma == 0
-    v = (qe(1, 2), qe(-3, 1))
-    assert comp.apply(v) == p2.apply(p1.apply(v))
-
-
-def test_semilinear_associativity():
-    rng = random.Random(11)
-    ms = [SemilinearMap(random_matrix(rng, 2, 2), rng.randint(0, 1)) for _ in range(3)]
-    lhs = ms[0].compose(ms[1]).compose(ms[2])
-    rhs = ms[0].compose(ms[1].compose(ms[2]))
-    assert lhs == rhs
-    assert lhs.sigma == (ms[0].sigma ^ ms[1].sigma ^ ms[2].sigma)
-
+# ---------------------------------------------------------------- fixed space
 
 def test_fixed_space_entrywise_conjugation():
-    phi = SemilinearMap(QuadMatrix.identity(2), 1)
-    basis = fixed_space(phi)
+    basis = fixed_space(QuadMatrix.identity(2))
     assert len(basis) == 2
     assert (qe(1), qe(0)) in basis and (qe(0), qe(1)) in basis
 
 
 def test_fixed_space_swap():
     # phi(v) = [[0,1],[1,0]] conj(v); fixed space contains (1,1), (i,-i)
-    phi = SemilinearMap(QuadMatrix.from_rows([[0, 1], [1, 0]]), 1)
-    basis = fixed_space(phi)
+    a = QuadMatrix.from_rows([[0, 1], [1, 0]])
+    basis = fixed_space(a)
     assert len(basis) == 2
     bm = basis_matrix(basis, 2)
     assert rank(bm) == 2  # L-linearly independent
@@ -211,28 +188,23 @@ def test_fixed_space_swap():
         aug = bm.hstack(basis_matrix([cand], 2))
         assert rank(aug) == 2  # candidate lies in the L-span
     for v in basis:
-        assert phi.apply(v) == v
+        assert a.apply([x.conj() for x in v]) == v
 
 
 def test_fixed_space_pure_imaginary_line():
     # phi = -conj on L^1: fixed line is spanned by sqrt(-1)
-    phi = SemilinearMap(QuadMatrix.from_rows([[-1]]), 1)
-    basis = fixed_space(phi)
+    basis = fixed_space(QuadMatrix.from_rows([[-1]]))
     assert len(basis) == 1
     v = basis[0][0]
     assert v.a == 0 and v.b != 0
 
 
 def test_fixed_space_cocycle_violation():
-    phi = SemilinearMap(QuadMatrix.from_rows([[qe(0, 1)]]), 1)
     # matrix * conj(matrix) = i * (-i) = 1 -> fine; break it with 2*conj
-    ok = fixed_space(phi)
+    ok = fixed_space(QuadMatrix.from_rows([[qe(0, 1)]]))
     assert len(ok) == 1
-    bad = SemilinearMap(QuadMatrix.from_rows([[2]]), 1)
     with pytest.raises(CocycleViolation):
-        fixed_space(bad)
-    with pytest.raises(CocycleViolation):
-        fixed_space(SemilinearMap(QuadMatrix.identity(2), 0))
+        fixed_space(QuadMatrix.from_rows([[2]]))
 
 
 def test_fixed_space_random_involutions():
@@ -244,10 +216,9 @@ def test_fixed_space_random_involutions():
         if rank(b) < 3:
             continue
         a = b * inverse(b.conj())
-        phi = SemilinearMap(a, 1)
-        basis = fixed_space(phi)
+        basis = fixed_space(a)
         assert len(basis) == 3
         assert rank(basis_matrix(basis, 3)) == 3
         for v in basis:
-            assert phi.apply(v) == v
+            assert a.apply([x.conj() for x in v]) == v
         count += 1

@@ -19,7 +19,6 @@ import rquiver.reps as reps
 from rquiver.exact import (
     QuadElement,
     QuadMatrix,
-    SemilinearMap,
     fixed_space,
     inverse,
     kernel_basis,
@@ -112,14 +111,12 @@ def ref_hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
         out = []
         for v in range(q.vertices.size):
             cv = q.vertices.apply(1, v)
-            sm_inv = SemilinearMap(m.rho[cv], 1).inverse()
-            comp = SemilinearMap(n.rho[cv], 1).compose(
-                SemilinearMap(mats[cv], 0)).compose(sm_inv)
-            out.append(comp.matrix)
+            # n.rho o mats o m.rho^-1; the inverse of v |-> a.conj(v) has matrix conj(a^-1)
+            out.append(n.rho[cv] * mats[cv].conj() * inverse(m.rho[cv]))
         conjugated.append(tuple(out))
     vmat = basis_matrix([sum((x.entries for x in mats), ()) for mats in l_basis], total, m.d)
     wmat = basis_matrix([sum((x.entries for x in mats), ()) for mats in conjugated], total, m.d)
-    fixed = fixed_space(SemilinearMap(solve_unique(vmat, wmat), 1))
+    fixed = fixed_space(solve_unique(vmat, wmat))
     k_basis = [unvec(vmat.apply(coords)) for coords in fixed]
     return HomSpace(k_basis, h, len(k_basis), list(l_basis))
 
@@ -162,8 +159,8 @@ def ref_hc_hom_space(m1, m2):
                 for w in weights}
 
     def conj_act(psi):
-        return {w: SemilinearMap(m2.rat[-w], 1).compose(SemilinearMap(psi[-w], 0)).compose(
-            SemilinearMap(m1.rat[w], 1)).matrix for w in weights}
+        # rat_2 o psi o rat_1, each rat conjugate-semilinear
+        return {w: m2.rat[-w] * psi[-w].conj() * m1.rat[w].conj() for w in weights}
 
     def flat(p):
         return sum((p[w].entries for w in weights), ())
@@ -171,7 +168,7 @@ def ref_hc_hom_space(m1, m2):
     base = [unvec(v) for v in sols]
     vmat = basis_matrix([flat(p) for p in base], total, m1.d)
     wmat = basis_matrix([flat(conj_act(p)) for p in base], total, m1.d)
-    fixed = fixed_space(SemilinearMap(solve_unique(vmat, wmat), 1))
+    fixed = fixed_space(solve_unique(vmat, wmat))
     k_basis = [unvec(vmat.apply(x)) for x in fixed]
     return len(k_basis), len(sols), k_basis
 
@@ -195,19 +192,24 @@ def ref_w_basis(r, s, conv):
     u = []
     for i, h in enumerate(s.vertex_subgroups):
         v_i = conv.vertex_reps[i]
-        u.append(basis_matrix(fixed_space(SemilinearMap(r.rho[v_i], 1)), r.dims[v_i], r.d)
+        u.append(basis_matrix(fixed_space(r.rho[v_i]), r.dims[v_i], r.d)
                  if h.order == 2 else QuadMatrix.identity(r.dims[v_i], r.d))
     return u
 
 
-def semilinear(r: QuiverRep, v: int, g: int) -> SemilinearMap:
-    """phi_{v,g} of r: the identity for g = 1, else c o rho[v]."""
+def semilinear(r: QuiverRep, v: int, g: int) -> tuple:
+    """phi_{v,g} of r as (matrix, sigma), the map v |-> matrix . conj^sigma(v):
+    the identity for g = 1, else c o rho[v]."""
     if g == r.quiver.group.identity:
-        return SemilinearMap(QuadMatrix.identity(r.dims[v], r.d), 0)
-    return SemilinearMap(r.rho[v], 1)
+        return QuadMatrix.identity(r.dims[v], r.d), 0
+    return r.rho[v], 1
 
 
 def ref_functor_F(r: QuiverRep) -> SpeciesRep:
+    def compose(p2, p1):
+        """p2 o p1 for (matrix, sigma) pairs: m2 . conj^sigma2(m1), sigmas xored."""
+        return p2[0] * (p1[0].conj() if p2[1] else p1[0]), p2[1] ^ p1[1]
+
     q = r.quiver
     g = q.group
     s, conv = species_of_quiver(q), quiver_conventions(q)
@@ -221,16 +223,16 @@ def ref_functor_F(r: QuiverRep) -> SpeciesRep:
             composites = []
             for eta in reps._eta_reps(s, i, j, summand):
                 first = semilinear(r, conv.vertex_reps[i], summand.twist_src)
-                edge = SemilinearMap(r.edge_maps[e_eps], 0)
+                edge = r.edge_maps[e_eps], 0
                 gtail = g.mul(eta, g.inv(summand.twist_tgt))
                 last = semilinear(r, q.tgt[e_eps], gtail)
-                composites.append((last.compose(edge).compose(first), gtail))
+                composites.append((compose(compose(last, edge), first), gtail))
             cols = []
             for w, x in ref_domain_basis(r, s, i, j, summand, u[i]):
                 val = None
-                for comp, gtail in composites:
+                for (cm, sigma), gtail in composites:
                     scal = x.conj() if gtail == 1 else x
-                    term = tuple(scal * y for y in comp.apply(w))
+                    term = tuple(scal * y for y in cm.apply([z.conj() for z in w] if sigma else w))
                     val = term if val is None else tuple(p + t for p, t in zip(val, term))
                 cols.append(u_inv[j].apply(val))
             mats.append(basis_matrix(cols, dims[j], r.d))
@@ -272,7 +274,7 @@ def ref_hf_witness(r: QuiverRep):
                      [h.rho[fv[v]] for v in range(q.vertices.size)], r.d)
     conv = quiver_conventions(q)
     u = ref_w_basis(r, species_of_quiver(q), conv)
-    mats = tuple(semilinear(r, conv.vertex_reps[i], t).matrix
+    mats = tuple(semilinear(r, conv.vertex_reps[i], t)[0]
                  * (u[i].conj() if t else u[i])
                  for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport))
     return back, mats
@@ -514,6 +516,30 @@ def test_hom_descent_properties(d):
                 hs = hom_space(a, b)
                 assert hs.dim_K == hs.dim_L
                 assert all(is_morphism(a, b, mats) for mats in hs.basis)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_rep_isomorphic_at_every_field_tag(d):
+    """A random rep and its image under a random change of basis, which keeps
+    the rational structure, are isomorphic by a full-rank witness; two reps of
+    equal dimensions, one with all maps zero and one with b+- = 1, are not."""
+    rng = random.Random(29)
+    for make in (random_gelfand_rep, random_cyclic_rep):
+        drawn = 0
+        while drawn < 3:
+            r = make(rng, max_dim=3, d=d)
+            if not any(r.dims):
+                continue
+            s = change_basis(r, [random_invertible(rng, n, d=d) for n in r.dims])
+            iso = rep_isomorphic(r, s)
+            assert iso is not None and is_morphism(r, s, iso)
+            assert all(rank(iso[v]) == r.dims[v] for v in range(len(r.dims)))
+            drawn += 1
+    one, zero = QuadMatrix.identity(1, d), QuadMatrix.zeros(1, 1, d)
+    q = gelfand_quiver()
+    null = QuiverRep(q, (1, 1, 1), (zero,) * 4, (one, one, one), d)
+    b_one = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one), d)
+    assert rep_isomorphic(null, b_one) is None and rep_isomorphic(b_one, null) is None
 
 
 def test_hom_rejects_mixed_field_tags():

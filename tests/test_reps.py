@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from rquiver.exact import QuadElement, QuadMatrix, column_space_basis, is_nilpotent, sqrt_d
-from rquiver.gsets import C2, Subgroup
+from rquiver.exact import QuadElement, QuadMatrix, column_space_basis, nilpotency_exponent, sqrt_d
+from rquiver.gsets import C2, FiniteGroup, Subgroup
 from rquiver.quiver import (
     GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS,
-    RationalQuiver, ValidationReport, check, cyclic_quiver, gelfand_quiver,
+    RationalQuiver, ValidationReport, check, cyclic_quiver, gelfand_quiver, split_loop_quiver,
 )
 from rquiver.reps import (
     NotQuadratic,
@@ -461,6 +461,17 @@ def test_rho_needs_one_matrix_per_vertex():
             QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)
 
 
+def test_rho_over_the_trivial_group_is_rejected():
+    """A rational structure given over a group of order 1 is rejected when the
+    representation is built, not silently dropped: such a rep carries none."""
+    q = split_loop_quiver(FiniteGroup.cyclic(1))
+    z = QuadMatrix.zeros(2, 2)
+    for rho in (["garbage"], [QuadMatrix.identity(2)], ()):
+        with pytest.raises(ValueError, match=r"^a rational structure needs a quadratic group"):
+            QuiverRep(q, [2], [z], rho)
+    assert QuiverRep(q, [2], [z]).rho is None
+
+
 def test_dims_must_be_nonnegative_ints():
     """A float, bool or negative dimension is rejected when a quiver or
     species representation is built, not by a TypeError later."""
@@ -713,7 +724,7 @@ def test_nilpotency_sees_each_path_not_their_sum():
     adjacency = [[0] * 3 for _ in range(3)]
     for e, m in enumerate(edges):
         adjacency[q.tgt[e]][q.src[e]] += m[0, 0]
-    assert is_nilpotent(QuadMatrix.from_rows(adjacency))
+    assert nilpotency_exponent(QuadMatrix.from_rows(adjacency)) is not None
     assert (edges[GELFAND_A_PLUS] * edges[GELFAND_B_PLUS]).is_identity()
     assert is_nilpotent_rep(r) is False
     assert ref_is_nilpotent_rep(r) is False

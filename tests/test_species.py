@@ -40,7 +40,8 @@ def test_gelfand_species_shape():
     a = s.summands(1, 0)
     b = s.summands(0, 1)
     assert len(a) == 1 and len(b) == 1
-    assert s.summand_field(a[0]) == "L" and s.summand_field(b[0]) == "L"
+    # each summand's field is L: its subgroup is trivial
+    assert a[0].subgroup.order == 1 and b[0].subgroup.order == 1
     # untwisted bimodules
     assert a[0].twist_src == 0 and a[0].twist_tgt == 0
     assert b[0].twist_src == 0 and b[0].twist_tgt == 0
