@@ -196,19 +196,6 @@ class QuadElement:
         return f"({self.a}+{self.b}*sqrt({self.d}))"
 
 
-def qe(a, b=0, d=-1) -> QuadElement:
-    return QuadElement(a, b, d)
-
-
-def sqrt_d(d=-1) -> QuadElement:
-    return QuadElement(0, 1, d)
-
-
-def conj(x: QuadElement) -> QuadElement:
-    """Non-trivial Galois automorphism a + b*sqrt(d) -> a - b*sqrt(d)."""
-    return x.conj()
-
-
 _ZERO = Fraction(0)
 _SET_A, _SET_B, _SET_D = (QuadElement.__dict__[s].__set__ for s in QuadElement.__slots__)
 

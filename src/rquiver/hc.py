@@ -30,7 +30,7 @@ from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     ValidationReport, check, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, _dimensions, hom_space, is_morphism, validate_rep
 from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
-    scaled_sqrt, stabilize, unipotent_sqrt
+    scaled_sqrt, stabilize
 
 
 class OutOfWindow(ValueError):
@@ -401,17 +401,16 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     report = validate_hc(m)
     if not report.ok:
         raise ValueError(f"invalid module: {report.failures()}")
-    result = _functor_E(m)[0]
+    result = _functor_E(m)
     report = validate_rep(result.rep)
     if not report.ok:
         raise AssertionError(f"construction bug: {report.failures()}")
     return result
 
 
-def _functor_E(m: HCModule):
+def _functor_E(m: HCModule) -> BlockFunctorResult:
     """functor_E on a module already validated, without validating the
-    representation it builds; also returns its Normalizations (None for
-    ell = 0).
+    representation it builds.
 
     Conjugation fixes star and swaps + and -, so only (1, T_+) and (X*, Y*)
     are stabilized.  With r_+- = rat[+-(ell+1)] the cocycle gives
@@ -436,7 +435,7 @@ def _functor_E(m: HCModule):
         rho = [None, None]
         rho[CYCLIC_PLUS] = m.rat[1]
         rho[CYCLIC_MINUS] = m.rat[-1]
-        return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0), None
+        return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0)
 
     norms = normalizations(m)
     run_plus = stabilize(StabilizationProblem(
@@ -460,7 +459,7 @@ def _functor_E(m: HCModule):
     rho[GELFAND_MINUS] = run_plus.phi_minus_inf * m.rat[-(ell + 1)]
     iterations = max(run_plus.iterations, run_star.iterations)
     return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star,
-                              iterations), norms
+                              iterations)
 
 
 def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCModule:
@@ -560,13 +559,13 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
         x_maps[ell - 1] = v.edge_maps[GELFAND_B_PLUS]
         y_maps[ell + 1] = v.edge_maps[GELFAND_A_PLUS]
         y_maps[-(ell - 1)] = v.edge_maps[GELFAND_B_MINUS]
-        n_star = y_maps[ell + 1] * x_maps[ell - 1]
-        s_star = scaled_sqrt(phi(n_star), QuadElement(ell, 0, d))
-        half = QuadElement(Fraction(1, 2), 0, d)
-        ident_s = QuadMatrix.identity(v.dims[star], d)
-        for w in range(-(ell - 1), ell - 2, 2):
-            x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
-            y_maps[w + 2] = (s_star - ident_s.scale(w + 1)).scale(half)
+        if ell >= 2:  # the interior maps, at -(ell-1) <= w <= ell-3, are all that read s
+            s_star = scaled_sqrt(phi(y_maps[ell + 1] * x_maps[ell - 1]), QuadElement(ell, 0, d))
+            half = QuadElement(Fraction(1, 2), 0, d)
+            ident_s = QuadMatrix.identity(v.dims[star], d)
+            for w in range(-(ell - 1), ell - 2, 2):
+                x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
+                y_maps[w + 2] = (s_star - ident_s.scale(w + 1)).scale(half)
 
     def owner(w):
         return plus if w >= ell + 1 else minus if w <= -(ell + 1) else star
@@ -591,33 +590,35 @@ class HCRoundtrip:
 def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
     """Witness E(inverse_E(v)) ~ v following the essential-surjectivity proof.
 
-    For ell >= 1 the witness is (X*', T_-^(1/2), 1) on the (star, minus,
-    plus) spaces, where X*' is the normalized extremal power of the built
-    module and T_- the unipotent Casimir product; for ell = 0 it is the
-    identity.  The witness is verified exactly (equal dimensions, full rank
+    For ell = 0 the witness is the identity.  For ell >= 1 it is read off
+    the image r2 = E(inverse_E(v)): psi = (X*', psi_-, 1) on the (star,
+    minus, plus) spaces, with X*' = r2's x_star, the normalized extremal power
+    of the built module.  Since psi_+ = 1, the morphism condition at + reads
+    psi_- rho_2[+] = rho_v[+], and the cocycle rho_2[-] conj(rho_2[+]) = 1
+    gives rho_2[+]^-1 = conj(rho_2[-]); so psi_- = rho_v[+] conj(rho_2[-]),
+    which is the proof's T_-^(1/2) (T_- the module's unipotent Casimir
+    product).  The witness is verified exactly (equal dimensions, full rank
     and is_morphism); if it fails, that is a construction bug and
-    AssertionError is raised.
+    AssertionError is raised.  The check at + then tests r2's cocycle, which
+    psi_- assumed, so a wrong image still fails it.
 
     inverse_E validates v and returns a module that is valid by the proof in
-    its docstring; E is applied to it without validating it or its image,
-    and the witness reuses the normalizations E computed.  The image needs
-    no validate_rep: a verified witness is an isomorphism onto v, which
-    inverse_E validated, and the cocycle, edge-equivariance, the relations
-    and nilpotency all carry over along an isomorphism of rational
-    representations.
+    its docstring; E is applied to it without validating it or its image.
+    The image needs no validate_rep: a verified witness is an isomorphism
+    onto v, which inverse_E validated, and the cocycle, edge-equivariance,
+    the relations and nilpotency all carry over along an isomorphism of
+    rational representations.
     """
     module = inverse_E(v, ell)
-    result, norms = _functor_E(module)
+    result = _functor_E(module)
     r2 = result.rep
-    if ell == 0:
-        mats = tuple(QuadMatrix.identity(v.dims[i], v.d) for i in range(2))
-    else:
-        mats = [None] * 3
-        mats[GELFAND_STAR] = norms.x_star
-        mats[GELFAND_PLUS] = QuadMatrix.identity(v.dims[GELFAND_PLUS], v.d)
-        mats[GELFAND_MINUS] = unipotent_sqrt(norms.t_minus)
-        mats = tuple(mats)
-    if not (r2.dims == v.dims and all(rank(mats[i]) == v.dims[i] for i in range(len(mats)))
+    same_dims = r2.dims == v.dims
+    mats = [QuadMatrix.identity(n, v.d) for n in v.dims]
+    if ell >= 1 and same_dims:
+        mats[GELFAND_STAR] = result.x_star
+        mats[GELFAND_MINUS] = v.rho[GELFAND_PLUS] * r2.rho[GELFAND_MINUS].conj()
+    mats = tuple(mats)
+    if not (same_dims and all(rank(mats[i]) == v.dims[i] for i in range(len(mats)))
             and is_morphism(r2, v, mats)):
         raise AssertionError("constructive witness is not an isomorphism; construction bug")
     return HCRoundtrip(mats, "constructive", module, r2)

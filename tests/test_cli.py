@@ -542,6 +542,31 @@ def test_examples_negative_cases_is_a_usage_error(capsys):
     assert captured.err == "usage error: --cases must be nonnegative\n"
 
 
+def test_examples_all_validates_each_fixture_once(monkeypatch):
+    """examples run --all takes its "module valid" and "block functor"
+    verdicts from the functor_E call that checks both, so each of the 12
+    fixtures makes one validate_hc call and three validate_rep calls (the
+    input of inverse_E in build_example, E's image in functor_E, and the
+    input of inverse_E in roundtrip_hc); the report re-ran both checks
+    before, 24 and 48 calls in all."""
+    import rquiver.hc as hc
+
+    calls = {"validate_hc": 0, "validate_rep": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rep_check = counted("validate_rep", reps.validate_rep)
+    for module in (hc, reps, cli):
+        monkeypatch.setattr(module, "validate_rep", rep_check)
+    monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
+    assert run(["examples", "run", "--all"]).exit_status == 0
+    assert calls == {"validate_hc": 12, "validate_rep": 36}
+
+
 # --------------------------------------------------------------- malformed input
 
 def test_rep_missing_fields_exit_code(tmp_path, capsys):

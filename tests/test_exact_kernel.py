@@ -697,9 +697,11 @@ def test_field_tag_store_is_bounded(monkeypatch):
 
 def test_roundtrip_multiply_count(monkeypatch):
     """roundtrip_hc of the golden Jordan-block extension rep at ell = 2 makes
-    1080 integer multiplies through exact.mul (1404 while inverse_E ran
-    validate_hc on its own output, 3186 before products with an identity or
-    empty operand were skipped)."""
+    999 integer multiplies through exact.mul (1080 while the witness took
+    T_-^(1/2) by a second binomial series instead of reading it off E's
+    rational structure, 1404 while inverse_E ran validate_hc on its own
+    output, 3186 before products with an identity or empty operand were
+    skipped)."""
     import rquiver.exact as exact
     from rquiver.hc import roundtrip_hc
     from rquiver.serialize import load_rep
@@ -714,4 +716,4 @@ def test_roundtrip_multiply_count(monkeypatch):
     rep = load_rep(json.loads(golden.read_text()))
     monkeypatch.setattr(exact, "mul", counting_mul)
     roundtrip_hc(rep, 2)
-    assert calls[0] == 1080
+    assert calls[0] == 999

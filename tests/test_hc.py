@@ -27,6 +27,7 @@ from rquiver.hc import (
     validate_hc,
 )
 from rquiver.quiver import (
+    CYCLIC_PLUS,
     GELFAND_A_MINUS,
     GELFAND_A_PLUS,
     GELFAND_B_MINUS,
@@ -458,8 +459,9 @@ def test_E_stabilizes_once_per_conjugation_orbit(monkeypatch):
 
 
 def test_roundtrip_takes_no_tail_roots(monkeypatch):
-    """A round trip takes the star root of inverse_E (ell >= 1) and no square
-    root of phi_+-: validate_hc and normalizations read phi_+- itself."""
+    """A round trip takes the star root of inverse_E only where its interior
+    maps read it (ell >= 2), and no square root of phi_+-: validate_hc and
+    normalizations read phi_+- itself."""
     calls = Counter()
 
     def counted(*args):
@@ -473,7 +475,7 @@ def test_roundtrip_takes_no_tail_roots(monkeypatch):
     for v, ell in cases:
         calls.clear()
         rt = roundtrip_hc(v, ell)
-        assert calls["scaled_sqrt"] == (1 if ell else 0)
+        assert calls["scaled_sqrt"] == (1 if ell >= 2 else 0)
         assert rt.module._tails == {}
 
 
@@ -488,23 +490,29 @@ def test_roundtrip_random_cyclic():
 def test_corrupted_E_image_is_a_construction_bug(monkeypatch):
     """functor_E validates E's image; roundtrip_hc does not and relies on its
     witness.  An image whose rational structure is doubled at one vertex
-    raises AssertionError in both."""
-    cases = [(functor_E(build_example(kind, ell)).rep, build_example(kind, ell), ell)
-             for kind, ell in (("discrete", 0), ("principal", 2))]
+    raises AssertionError in both.  The discrete ell = 2 image is doubled at
+    + and at - as well: the witness's - component is forced by the cocycle
+    there, so this checks that a broken cocycle still fails the witness."""
+    cases = [("discrete", 0, CYCLIC_PLUS), ("principal", 2, GELFAND_STAR),
+             ("discrete", 2, GELFAND_PLUS), ("discrete", 2, GELFAND_MINUS)]
     real = hc._functor_E
+    for kind, ell, vertex in cases:
+        m = build_example(kind, ell)
+        v = functor_E(m).rep
 
-    def corrupted(m):
-        result, norms = real(m)
-        r = result.rep
-        rho = (r.rho[0].scale(2),) + r.rho[1:]
-        return replace(result, rep=QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d)), norms
+        def corrupted(module):
+            result = real(module)
+            r = result.rep
+            rho = list(r.rho)
+            rho[vertex] = rho[vertex].scale(2)
+            return replace(result, rep=QuiverRep(r.quiver, r.dims, r.edge_maps, rho, r.d))
 
-    monkeypatch.setattr(hc, "_functor_E", corrupted)
-    for v, m, ell in cases:
-        with pytest.raises(AssertionError, match="construction bug"):
-            functor_E(m)
-        with pytest.raises(AssertionError, match="construction bug"):
-            roundtrip_hc(v, ell)
+        with monkeypatch.context() as mp:
+            mp.setattr(hc, "_functor_E", corrupted)
+            with pytest.raises(AssertionError, match="construction bug"):
+                functor_E(m)
+            with pytest.raises(AssertionError, match="construction bug"):
+                roundtrip_hc(v, ell)
 
 
 # ---------------------------------------------------------------- hom

@@ -20,9 +20,11 @@ diagram commute.  E now stabilizes once per conjugation orbit and derives the
 - side; the two must give the same representation and iteration count.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from certificate import assert_same_certificate
@@ -49,8 +51,8 @@ from rquiver.quiver import (
 )
 from rquiver.randomgen import change_basis, random_cyclic_rep, random_gelfand_rep
 from rquiver.reps import QuiverRep, hom_space, validate_rep
-from rquiver.serialize import dump_hc, dump_rep, load_hc
-from rquiver.unipotent import StabilizationProblem, scaled_sqrt, stabilize
+from rquiver.serialize import dump_hc, dump_rep, load_hc, load_rep
+from rquiver.unipotent import StabilizationProblem, scaled_sqrt, stabilize, unipotent_sqrt
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
 
@@ -385,6 +387,27 @@ def test_hc_side_properties(d):
             for m2, r2 in zip(mods[1:], images[1:]):
                 dim_k, dim_l, _ = hc_hom_space(m1, m2)
                 assert dim_k == dim_l == hom_space(r1, r2).dim_K
+
+
+GOLDEN_EXTENSION_REPS = {Fraction(-1): "hc_ext_rep_d-1.json", Fraction(2): "hc_ext_rep_d2.json"}
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_roundtrip_witness_is_the_casimir_root(d):
+    """roundtrip_hc reads the - component of its witness off E's rational
+    structure, psi_- = rho_v[+] conj(rho_E[-]); it is the proof's T_-^(1/2),
+    the unipotent square root of the module's Casimir product, computed here
+    as the reference.  The star and + components are X*' and the identity."""
+    cases = [(v, ell) for ell in (1, 2, 3, 4) for v in block_reps(d, ell, 10, seed=31)]
+    if d in GOLDEN_EXTENSION_REPS:
+        golden = Path(__file__).parent / "golden" / GOLDEN_EXTENSION_REPS[d]
+        cases.append((load_rep(json.loads(golden.read_text())), 2))
+    for v, ell in cases:
+        rt = roundtrip_hc(v, ell)
+        norms = normalizations(rt.module)
+        assert rt.witness[GELFAND_MINUS] == unipotent_sqrt(norms.t_minus)
+        assert rt.witness[GELFAND_STAR] == norms.x_star
+        assert rt.witness[GELFAND_PLUS].is_identity()
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS)

@@ -24,11 +24,10 @@ from rquiver.exact import (
     kernel_basis,
     rank,
     solve_unique,
-    sqrt_d,
 )
 from rquiver.gsets import C2, GSet, Subgroup
 from rquiver.hc import KINDS, build_example, functor_E, hc_hom_space, inverse_E
-from rquiver.quiver import RationalQuiver, gelfand_quiver
+from rquiver.quiver import RationalQuiver, cyclic_quiver, gelfand_quiver
 from rquiver.randomgen import (
     change_basis,
     random_c2_quiver,
@@ -179,7 +178,7 @@ def kappa(v, d):
 
 def ref_domain_basis(r, s, i, j, summand, u_i):
     case = reps._summand_case(s, i, j, summand)
-    one, rt = QuadElement(1, 0, r.d), sqrt_d(r.d)
+    one, rt = QuadElement(1, 0, r.d), QuadElement(0, 1, r.d)
     cols = [u_i.col(k) for k in range(u_i.cols)]
     if case == (2, 1, 2):
         return [(w, one) for w in cols] + [(w, rt) for w in cols]
@@ -246,7 +245,7 @@ def ref_summand_core(w, i, j, summand, fmat):
         return fmat
     g = s.group
     p = g.mul(g.inv(summand.twist_tgt), summand.twist_src)
-    rt = sqrt_d(d)
+    rt = QuadElement(0, 1, d)
     half = QuadElement(Fraction(1, 2), 0, d)
     cols = []
     for k in range(w.dims[i]):
@@ -540,6 +539,36 @@ def test_rep_isomorphic_at_every_field_tag(d):
     null = QuiverRep(q, (1, 1, 1), (zero,) * 4, (one, one, one), d)
     b_one = QuiverRep(q, (1, 1, 1), (zero, zero, one, one), (one, one, one), d)
     assert rep_isomorphic(null, b_one) is None and rep_isomorphic(b_one, null) is None
+
+
+PARTITIONS = ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))  # every partition of n <= 3
+
+
+def jordan_cyclic_rep(rng, partition, d):
+    """J_lambda: dims (n, n) on the cyclic quiver, both edges the rational
+    nilpotent Jordan matrix of type lambda and rho = 1, moved by random
+    invertible gauges so that rho is no longer 1."""
+    n, starts = sum(partition), {sum(partition[:k]) for k in range(len(partition))}
+    one, zero = QuadElement(1, 0, d), QuadElement(0, 0, d)
+    j = QuadMatrix(n, n, [one if c == r + 1 and c not in starts else zero
+                          for r in range(n) for c in range(n)], d)
+    ident = QuadMatrix.identity(n, d)
+    r = QuiverRep(cyclic_quiver(), (n, n), (j, j), (ident, ident), d)
+    return change_basis(r, [random_invertible(rng, n, d=d) for _ in range(2)])
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_cyclic_jordan_hom_closed_form(d):
+    """An oracle that does not share the descent code: on the cyclic quiver
+    dim_K Hom(J_lambda, J_mu) = dim_L = 2 sum_ij min(lambda_i, mu_j)
+    (Jacobson, Ann. Math. 38, 1937).  The gauges make rho != 1, so a descent
+    that forgets a conjugation gives wrong dimensions."""
+    rng = random.Random(37 + FIELD_TAGS.index(d))
+    for lam in PARTITIONS:
+        for mu in PARTITIONS:
+            hs = hom_space(jordan_cyclic_rep(rng, lam, d), jordan_cyclic_rep(rng, mu, d))
+            expected = 2 * sum(min(a, b) for a in lam for b in mu)
+            assert (hs.dim_K, hs.dim_L) == (expected, expected), (lam, mu)
 
 
 def test_hom_rejects_mixed_field_tags():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rquiver.exact import QuadElement, QuadMatrix, column_space_basis, nilpotency_exponent, sqrt_d
+from rquiver.exact import QuadElement, QuadMatrix, column_space_basis, nilpotency_exponent
 from rquiver.gsets import C2, FiniteGroup, Subgroup
 from rquiver.quiver import (
     GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS,
@@ -113,7 +113,7 @@ def test_edge_equivariance_violation():
 
 
 def qe_i():
-    return sqrt_d(-1)
+    return QuadElement(0, 1, -1)
 
 
 def test_relation_literal_vs_conjugacy():
@@ -381,7 +381,7 @@ def test_theta_rational_structure_consistency():
 
                 n_i = r.dims[v_i]
                 one = QuadElement(1)
-                rt = sqrt_d(-1)
+                rt = QuadElement(0, 1, -1)
                 for k in range(n_i):
                     e_k = tuple(QuadElement(1 if t == k else 0) for t in range(n_i))
                     for x in (one, rt):
