@@ -26,12 +26,12 @@ bound on s is stated and proved in ``_product``.
 Trivial operands cost no arithmetic: a product with an identity factor is
 the other factor when both carry the same tag object, and a product with an
 empty inner dimension or result is built as the zero matrix; a sum with an
-empty or zero right operand and the inverse of an identity are read off the
-same way.  ``_field_tag`` interns the tags it has validated, so matrices over
-one field share one tag object.  Returning an operand is safe because no
-code writes to a matrix's integer lists in place: every operation builds new
-lists, and a matrix may share them with its operands (``conj`` relies on
-this too).
+empty or zero right operand, a stack of one block, and the inverse, rank
+and fixed space of an identity are read off the same way.  ``_field_tag``
+interns the tags it has validated, so matrices over one field share one tag
+object.  Returning an operand is safe because no code writes to a matrix's
+integer lists in place: every operation builds new lists, and a matrix may
+share them with its operands (``conj`` relies on this too).
 
 A conjugate-semilinear map is its matrix a, v |-> a . conj(v), with conj
 applied entrywise.
@@ -561,28 +561,6 @@ def kron(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
     return _matrix(a.rows * b.rows, ac * bc, base.d, D, P, Q, a._den * b._den)
 
 
-def block_matrix(row_sizes, col_sizes, blocks, d=-1) -> QuadMatrix:
-    """Matrix over Q(sqrt(d)) assembled from blocks (i, j, m): m, of shape
-    row_sizes[i] x col_sizes[j], is added at block row i and block column j,
-    over one common denominator; entries outside every block are zero."""
-    d = _field_tag(d)
-    blocks = list(blocks)
-    r0, c0 = list(accumulate(row_sizes, initial=0)), list(accumulate(col_sizes, initial=0))
-    cols, den = c0[-1], lcm(*(m._den for _, _, m in blocks))
-    P, Q = [0] * (r0[-1] * cols), [0] * (r0[-1] * cols)
-    for i, j, m in blocks:
-        if (m.rows, m.cols) != (row_sizes[i], col_sizes[j]):
-            raise ValueError(f"block ({i},{j}) has the wrong shape")
-        if m._P and m.d != d:
-            raise ValueError(f"mixing fields sqrt({m.d}) and sqrt({d})")
-        f, mc = den // m._den, m.cols
-        for r in range(m.rows):
-            k, src = (r0[i] + r) * cols + c0[j], slice(r * mc, (r + 1) * mc)
-            P[k:k + mc] = [u + f * v for u, v in zip(P[k:k + mc], m._P[src])]
-            Q[k:k + mc] = [u + f * v for u, v in zip(Q[k:k + mc], m._Q[src])]
-    return _matrix(r0[-1], cols, d, d.numerator * d.denominator, P, Q, den)
-
-
 def intertwining_system(shapes, equations, d=-1) -> QuadMatrix:
     """Linear system in the row-major entries of blocks psi_0, psi_1, ...
     (psi_b of shape shapes[b]) whose kernel is the set of psi with
@@ -687,15 +665,34 @@ def _rref(m: QuadMatrix):
     return pivots, rows
 
 
-def _rows_matrix(rows: list, ncols: int, d: Fraction, D: int) -> QuadMatrix:
-    """The matrix whose rows are the (P, Q, den) rows of an echelon form."""
-    den = lcm(*(r[2] for r in rows))
+def _rows_matrix(parts: list, rows: int, cols: int, d: Fraction, D: int) -> QuadMatrix:
+    """The rows x cols matrix made of parts, one under the other, over one
+    common denominator.  A part (P, Q, den) is the integer form of whole
+    rows: an echelon row, a matrix's rows, or a selection of them.  rows is
+    given, since a part with no columns has empty lists but still has rows."""
+    den = lcm(*(part[2] for part in parts))
     P, Q = [], []
-    for xp, xq, rden in rows:
-        f = den // rden
+    for xp, xq, pden in parts:
+        f = den // pden
         P += [u * f for u in xp]
         Q += [v * f for v in xq]
-    return _matrix(len(rows), ncols, d, D, P, Q, den)
+    return _matrix(rows, cols, d, D, P, Q, den)
+
+
+def vstack(blocks: Sequence[QuadMatrix], d=-1) -> QuadMatrix:
+    """The blocks over Q(sqrt(d)), all with one column count, one under the
+    other.  A single block is returned as it is (trivial operands, module
+    docstring); blocks without entries may carry any tag."""
+    d = _field_tag(d)
+    cols = blocks[0].cols
+    for m in blocks:
+        if m.cols != cols:
+            raise ValueError("vstack column mismatch")
+        _check_field(m, d, "vstack block")
+    if len(blocks) == 1:
+        return blocks[0]
+    return _rows_matrix([(m._P, m._Q, m._den) for m in blocks], sum(m.rows for m in blocks),
+                        cols, d, d.numerator * d.denominator)
 
 
 def _kernel_matrix(m: QuadMatrix) -> tuple:
@@ -717,6 +714,8 @@ def _kernel_matrix(m: QuadMatrix) -> tuple:
 
 
 def rank(m: QuadMatrix) -> int:
+    if m.is_identity():
+        return m.rows
     return len(_rref(m)[0])
 
 
@@ -736,7 +735,7 @@ def solve_unique(a: QuadMatrix, b: QuadMatrix) -> QuadMatrix:
         raise ValueError("matrix does not have full column rank")
     n = a.cols
     return _rows_matrix([(xp[n:], xq[n:], den) for xp, xq, den in rows],
-                        b.cols, aug.d, aug._D)
+                        n, b.cols, aug.d, aug._D)
 
 
 def inverse(m: QuadMatrix) -> QuadMatrix:
@@ -751,7 +750,8 @@ def row_space_basis(m: QuadMatrix) -> QuadMatrix:
     """Matrix whose rows are the nonzero rows of the reduced row echelon form
     of m: the canonical basis of its row space, so matrices with one row
     space give one basis."""
-    return _rows_matrix(_rref(m)[1], m.cols, m.d, m._D)
+    rows = _rref(m)[1]
+    return _rows_matrix(rows, len(rows), m.cols, m.d, m._D)
 
 
 def column_space_basis(m: QuadMatrix) -> QuadMatrix:
@@ -882,13 +882,13 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
         return l_basis, (l_basis if conjugate is None else [])
     h, sizes = v.cols, [r * c for r, c in shapes]
     o, vc = list(accumulate(sizes, initial=0)), v.conj()
-    images = [(b, 0, kron(a, m.conj().transpose()) * _matrix(
-                   sizes[s], h, v.d, v._D, vc._P[o[s] * h:o[s + 1] * h],
-                   vc._Q[o[s] * h:o[s + 1] * h], vc._den))
+    images = [kron(a, m.conj().transpose()) * _matrix(
+                  sizes[s], h, v.d, v._D, vc._P[o[s] * h:o[s + 1] * h],
+                  vc._Q[o[s] * h:o[s + 1] * h], vc._den)
               for b, (s, a, m) in enumerate(conjugate) if sizes[b]]
-    w = block_matrix(sizes, [h], images, v.d)
-    theta = _matrix(h, h, v.d, v._D, [x for fc in free for x in w._P[fc * h:(fc + 1) * h]],
-                    [x for fc in free for x in w._Q[fc * h:(fc + 1) * h]], w._den)
+    w = vstack(images, v.d)
+    theta = _rows_matrix([(w._P[fc * h:(fc + 1) * h], w._Q[fc * h:(fc + 1) * h], w._den)
+                          for fc in free], h, h, v.d, v._D)
     if v * theta != w:
         raise ValueError("conjugation does not preserve Hom: "
                          "a rational structure is not edge-equivariant")

@@ -473,12 +473,12 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     on the plus side 2X = (w+1), 2Y = (1-w) + 4n/(w-1), mirrored by
     conjugation on the minus side.
 
-    Raises ValueError on an invalid representation (a broken Gelfand
-    relation is one: validate_rep checks the relation literally) or a quiver
-    that does not match ell.  The module is returned without validate_hc: it
-    passes every check of validate_hc whenever v passes validate_rep, as
-    follows.  It stores the core ladder maps only, and x_at / y_at derive the
-    tail maps from phi_+-.
+    Raises ValueError on a quiver that does not match ell, checked first,
+    and on an invalid representation (a broken Gelfand relation is one:
+    validate_rep checks the relation literally).  The module is returned
+    without validate_hc: it passes every check of validate_hc whenever v
+    passes validate_rep, as follows.  It stores the core ladder maps only,
+    and x_at / y_at derive the tail maps from phi_+-.
 
     ell >= 1.  Write a_+-: +- -> star and b_+-: star -> +- for the edge maps,
     rho_v for the rational structure, n = a_+ b_+ and s = scaled_sqrt(ell^2 +
@@ -534,6 +534,9 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
       rho_+ conj(ab) = b rho_- conj(b) = ba rho_+, which is
       "tail-conjugation".
     """
+    if v.quiver != (cyclic_quiver() if ell == 0 else gelfand_quiver()):
+        raise ValueError("ell = 0 expects a cyclic-quiver representation" if ell == 0
+                         else "ell >= 1 expects a Gelfand-quiver representation")
     report = validate_rep(v)
     if not report.ok:
         raise ValueError(f"invalid representation: {report.failures()}")
@@ -545,15 +548,11 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
 
     x_maps, y_maps = {}, {}
     if ell == 0:
-        if v.quiver != cyclic_quiver():
-            raise ValueError("ell = 0 expects a cyclic-quiver representation")
         plus, minus, star = CYCLIC_PLUS, CYCLIC_MINUS, None
         # each cyclic edge is both boundary maps of its side
         x_maps[-1] = v.edge_maps[CYCLIC_A]
         y_maps[1] = v.edge_maps[CYCLIC_B]
     else:
-        if v.quiver != gelfand_quiver():
-            raise ValueError("ell >= 1 expects a Gelfand-quiver representation")
         plus, minus, star = GELFAND_PLUS, GELFAND_MINUS, GELFAND_STAR
         x_maps[-(ell + 1)] = v.edge_maps[GELFAND_A_MINUS]
         x_maps[ell - 1] = v.edge_maps[GELFAND_B_PLUS]

@@ -30,12 +30,12 @@ from .exact import (
     QuadMatrix,
     _check_field,
     _field_tag,
-    block_matrix,
     descended_kernel,
     fixed_space_matrix,
     intertwining_system,
     inverse,
     row_space_basis,
+    vstack,
 )
 from .quiver import RationalQuiver, ValidationReport, check
 from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
@@ -243,10 +243,10 @@ def is_nilpotent_rep(r: QuiverRep) -> bool:
 
     R_k(v) is kept as the rows of a reduced row basis B_k(v), so that the
     image of edge e is spanned by the rows of B_k(src e) A_e^T: one product
-    per nonzero edge map from a nonzero R_k; block_matrix stacks the
-    products into v (when there are two or more) and row_space_basis reduces
-    them, one elimination per vertex that receives any.  The images are taken edge by edge, never
-    through a sum of edge maps: paths that meet again can cancel in a sum
+    per nonzero edge map from a nonzero R_k; vstack stacks the products into
+    v and row_space_basis reduces them, one elimination per vertex that
+    receives any.  The images are taken edge by edge, never through a sum of
+    edge maps: paths that meet again can cancel in a sum
     (a+ b+ = -a- b- on the Gelfand quiver) although each of them is a
     nonzero composite."""
     q = r.quiver
@@ -263,9 +263,7 @@ def is_nilpotent_rep(r: QuiverRep) -> bool:
             if not blocks:
                 nxt.append(QuadMatrix.zeros(0, n, r.d))
                 continue
-            stack = blocks[0] if len(blocks) == 1 else block_matrix(
-                [b.rows for b in blocks], [n], [(k, 0, b) for k, b in enumerate(blocks)], r.d)
-            nxt.append(row_space_basis(stack))
+            nxt.append(row_space_basis(vstack(blocks, r.d)))
         step = [m.rows for m in nxt]
         if step == dims:
             return False
@@ -354,18 +352,21 @@ def is_morphism(m: QuiverRep, n: QuiverRep, mats) -> bool:
     return True
 
 
-def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
+ISOMORPHISM_TRIES = 64  # seeded combinations rep_isomorphic tries after the basis
+
+
+def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0):
     """Search for an invertible rational morphism a -> b; None if none is
     found.
 
     Witnesses are verified exactly.  Absence is proved only by dimension
-    data or by Hom = 0.  Otherwise the K-basis of Hom is tried, then `tries`
-    seeded combinations sum_i c_i B_i with each c_i drawn from [1, 10^6].
-    The product over the vertices of det(sum_i c_i B_i[v]) is a polynomial
-    in the c_i of degree at most sum(dims), and it is nonzero when an
-    isomorphism exists.  So by Schwartz-Zippel (Schwartz 1980, Zippel 1979)
-    one draw misses an existing isomorphism with probability at most
-    sum(dims) / 10^6.  None after the search therefore means "not found",
+    data or by Hom = 0.  Otherwise the K-basis of Hom is tried, then
+    ISOMORPHISM_TRIES seeded combinations sum_i c_i B_i with each c_i drawn
+    from [1, 10^6].  The product over the vertices of det(sum_i c_i B_i[v])
+    is a polynomial in the c_i of degree at most sum(dims), and it is
+    nonzero when an isomorphism exists.  So by Schwartz-Zippel (Schwartz
+    1980, Zippel 1979) one draw misses an existing isomorphism with
+    probability at most sum(dims) / 10^6.  None after the search therefore means "not found",
     not a proof that a and b are not isomorphic.  Raises ValueError when the
     rational structure of a or b breaks the cocycle, as hom_space does.
     a and b must pass validate_rep(require_nilpotent=False); the rest of
@@ -392,7 +393,7 @@ def rep_isomorphic(a: QuiverRep, b: QuiverRep, seed=0, tries=64):
         if invertible(mats):
             return mats
     rng = _random.Random(seed)
-    for _ in range(tries):
+    for _ in range(ISOMORPHISM_TRIES):
         coeffs = [rng.randint(1, 10 ** 6) for _ in hs.basis]
         mats = []
         for v in range(a.quiver.vertices.size):
@@ -480,9 +481,8 @@ def _summand_core(w: SpeciesRep, i, j, summand, fmat: QuadMatrix) -> QuadMatrix:
     p = _relative_twist(s, summand)
     n_i, d = w.dims[i], w.d
     eye = QuadMatrix.identity(n_i, d)
-    return fmat * block_matrix([n_i, n_i], [n_i], [
-        (0, 0, eye.scale(Fraction(1, 2))),
-        (1, 0, eye.scale(QuadElement(0, Fraction(-1 if p else 1, 2) / d, d)))], d)
+    return fmat * vstack([eye.scale(Fraction(1, 2)),
+                          eye.scale(QuadElement(0, Fraction(-1 if p else 1, 2) / d, d))], d)
 
 
 def _summand_matrix(s: EtaleSpecies, i, j, summand, core: QuadMatrix) -> QuadMatrix:

@@ -2,7 +2,7 @@
 
 Entry k of a matrix is (P[k] + Q[k]*sqrt(D)) / den in a canonical form that
 only ``exact`` maintains.  Every other library module builds matrices
-through public constructors (``from_coefficients``, ``block_matrix``, ...)
+through public constructors (``from_coefficients``, ``vstack``, ...)
 and reads them through public accessors (``coefficients``, ``parts``, ...).
 This test reads the sources, so it holds on every interpreter the suite
 runs on and costs no import.

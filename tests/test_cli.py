@@ -352,6 +352,24 @@ def test_hc_rejected_input_exit_code(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
 
 
+def test_hc_from_quiver_names_the_wrong_quiver(capsys):
+    """A rep of a quiver that is neither the Gelfand nor the cyclic quiver
+    is rejected for its quiver, before (and instead of) the failing
+    nilpotency check that the rep would also fail."""
+    other = str(GOLDEN / "rep_c2_62_d2.json")
+    for argv, err in (
+        (["hc", "from-quiver", "--in", other, "--ell", "1"],
+         "usage error: ell >= 1 expects a Gelfand-quiver representation\n"),
+        (["hc", "roundtrip", "--in", other, "--ell", "2"],
+         "usage error: ell >= 1 expects a Gelfand-quiver representation\n"),
+        (["hc", "from-quiver", "--in", other, "--ell", "0"],
+         "usage error: ell = 0 expects a cyclic-quiver representation\n"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), argv
+
+
 def test_rep_rejected_input_exit_code(tmp_path, capsys):
     """A left-out option, and a rational structure that breaks the cocycle,
     exit 2 with one usage error line; the boundary check names the cocycle

@@ -9,6 +9,7 @@ every result must agree exactly, for every field tag.
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from pathlib import Path
@@ -33,6 +34,7 @@ from rquiver.exact import (
     rank,
     row_space_basis,
     solve_unique,
+    vstack,
 )
 
 FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
@@ -652,6 +654,48 @@ def test_inverse_of_identity_matches_elimination(d):
                                same_tag_object=False)
 
 
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_rank_of_identity_runs_no_elimination(d, monkeypatch):
+    import rquiver.exact as exact
+
+    idents = [(n, m) for n in range(5) for m in (
+        QuadMatrix.identity(n, d), integer_matrix(n, n, d, QuadMatrix.identity(n)._P,
+                                                  [0] * (n * n)))]
+    assert all(len(exact._rref(m)[0]) == n for n, m in idents)
+    calls = []
+    real_rref = exact._rref
+    monkeypatch.setattr(exact, "_rref", lambda m: calls.append(m) or real_rref(m))
+    assert [rank(m) for _, m in idents] == [n for n, _ in idents]
+    assert calls == []
+    # any other matrix is still eliminated, a scaled identity included
+    assert rank(QuadMatrix.identity(3, d).scale(2)) == 3 and len(calls) == 1
+
+
+def test_roundtrip_elimination_count(monkeypatch):
+    """100 round trips of the examples' --cases mix (seed 11) make 350
+    eliminations (597 while rank eliminated the identity components of the
+    witness)."""
+    import rquiver.exact as exact
+    from rquiver.hc import roundtrip_hc
+    from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
+
+    calls = [0]
+    real_rref = exact._rref
+
+    def counting_rref(m):
+        calls[0] += 1
+        return real_rref(m)
+
+    monkeypatch.setattr(exact, "_rref", counting_rref)
+    rng = random.Random(11)
+    for k in range(100):
+        if k % 2 == 0:
+            roundtrip_hc(random_gelfand_rep(rng, max_dim=2), rng.randint(1, 3))
+        else:
+            roundtrip_hc(random_cyclic_rep(rng, max_dim=2), 0)
+    assert calls[0] == 350
+
+
 def test_field_tags_are_interned_and_checked():
     assert _field_tag(-1) is _field_tag(Fraction(-1)) is QuadMatrix.identity(2).d
     assert _field_tag(Fraction(-5, 3)) is QuadElement(1, 0, Fraction(-5, 3)).d
@@ -717,3 +761,77 @@ def test_roundtrip_multiply_count(monkeypatch):
     monkeypatch.setattr(exact, "mul", counting_mul)
     roundtrip_hc(rep, 2)
     assert calls[0] == 999
+
+
+# ---------------------------------------------------------------- stacking
+
+def block_matrix(row_sizes, col_sizes, blocks, d=-1) -> QuadMatrix:
+    """The general block placer that vstack replaced: m, of shape
+    row_sizes[i] x col_sizes[j], is added at block row i and block column j
+    of a zero matrix, over one common denominator."""
+    d = _field_tag(d)
+    blocks = list(blocks)
+    r0, c0 = list(accumulate(row_sizes, initial=0)), list(accumulate(col_sizes, initial=0))
+    cols, den = c0[-1], lcm(*(m._den for _, _, m in blocks))
+    P, Q = [0] * (r0[-1] * cols), [0] * (r0[-1] * cols)
+    for i, j, m in blocks:
+        assert (m.rows, m.cols) == (row_sizes[i], col_sizes[j])
+        assert not m._P or m.d == d
+        f, mc = den // m._den, m.cols
+        for r in range(m.rows):
+            k, src = (r0[i] + r) * cols + c0[j], slice(r * mc, (r + 1) * mc)
+            P[k:k + mc] = [u + f * v for u, v in zip(P[k:k + mc], m._P[src])]
+            Q[k:k + mc] = [u + f * v for u, v in zip(Q[k:k + mc], m._Q[src])]
+    return _matrix(r0[-1], cols, d, d.numerator * d.denominator, P, Q, den)
+
+
+def other_tag(d) -> Fraction:
+    return Fraction(3) if Fraction(d) != 3 else Fraction(5)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_vstack_matches_block_matrix(d):
+    """vstack puts full-width blocks one under the other exactly as the
+    general block placer does, over one common denominator; 0-row blocks
+    (over any field) add nothing, and 0-column blocks keep their rows."""
+    rng = random.Random(f"vstack {d}")
+    mixed_dens = 0
+    for cols in range(4):
+        for _ in range(12):
+            blocks = [random_integer_matrix(rng, rng.randint(0, 3), cols, d,
+                                            rng.choice(KINDS), rng.choice((3, 20)))
+                      for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                blocks.insert(rng.randint(0, len(blocks)), QuadMatrix.zeros(0, cols, other_tag(d)))
+            got = vstack(blocks, d)
+            want = block_matrix([b.rows for b in blocks], [cols],
+                                [(k, 0, b) for k, b in enumerate(blocks)], d)
+            assert_same_matrix(got, want)
+            assert (got.rows, got.cols) == (sum(b.rows for b in blocks), cols)
+            mixed_dens += len({b._den for b in blocks}) > 1
+    assert mixed_dens > 10
+    blocks = [QuadMatrix.zeros(2, 0, d), QuadMatrix.zeros(0, 0, d), QuadMatrix.zeros(3, 0, d)]
+    assert (vstack(blocks, d).rows, vstack(blocks, d).cols) == (5, 0)
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_vstack_returns_a_single_block(d):
+    rng = random.Random(f"vstack one {d}")
+    pool = trivial_pool(rng, d) + [random_integer_matrix(rng, 2, 3, d, "irrational", 20)]
+    for m in pool:
+        if m._P and m.d != d:
+            continue
+        assert vstack([m], d) is m
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_vstack_rejects_bad_blocks(d):
+    rng = random.Random(f"vstack bad {d}")
+    good = random_integer_matrix(rng, 2, 3, d, "irrational", 20)
+    other = QuadMatrix.identity(3, other_tag(d))
+    for blocks in ([other], [good, other], [other, good]):
+        with pytest.raises(ValueError, match="is over sqrt"):
+            vstack(blocks, d)
+    for blocks in ([good, QuadMatrix.zeros(1, 2, d)], [QuadMatrix.zeros(0, 2, d), good]):
+        with pytest.raises(ValueError, match="column mismatch"):
+            vstack(blocks, d)

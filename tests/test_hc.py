@@ -396,6 +396,34 @@ def test_public_boundaries_reject_invalid_input():
         inverse_E(QuiverRep(v.quiver, v.dims, edges, v.rho), 1)
 
 
+def test_inverse_E_checks_the_quiver_first(monkeypatch):
+    """A rep on the wrong quiver is named as such, also when it would fail
+    validate_rep too (the golden rep_c2_62_d2 is not nilpotent), and
+    validate_rep does not run on it."""
+    from pathlib import Path
+
+    from rquiver.serialize import load_rep
+
+    golden = Path(__file__).parent / "golden" / "rep_c2_62_d2.json"
+    other = load_rep(json.loads(golden.read_text()))
+    assert [name for name, _ in validate_rep(other).failures()] == ["nilpotent"]
+    cyclic = random_cyclic_rep(random.Random(1), max_dim=2)
+
+    def no_validation(v):
+        raise AssertionError("validate_rep ran on a rep of the wrong quiver")
+
+    monkeypatch.setattr(hc, "validate_rep", no_validation)
+    for rep, ell, match in ((other, 0, "ell = 0 expects a cyclic-quiver"),
+                            (pp_ext_rep(1), 0, "ell = 0 expects a cyclic-quiver"),
+                            (other, 1, "ell >= 1 expects a Gelfand-quiver"),
+                            (other, 3, "ell >= 1 expects a Gelfand-quiver"),
+                            (cyclic, 2, "ell >= 1 expects a Gelfand-quiver")):
+        with pytest.raises(ValueError, match=match):
+            inverse_E(rep, ell)
+        with pytest.raises(ValueError, match=match):
+            roundtrip_hc(rep, ell)
+
+
 # ---------------------------------------------------------------- roundtrip
 
 def test_roundtrip_fixtures_constructive():
