@@ -390,13 +390,11 @@ class BlockFunctorResult:
 def functor_E(m: HCModule) -> BlockFunctorResult:
     """Nilpotent rational quiver representation of a valid module.
 
-    For ell >= 1 the Gelfand-quiver edges come from the normalized comparison
-    data and the rational structure from one unipotent stabilization per
-    conjugation orbit of vertices, (X*, Y*) on star and (1, T_+) on {+, -},
-    composed with the module's conjugation; for ell = 0 the cyclic quiver
-    needs no normalization and the module's conjugation is used directly.
-    The image is validated here, once; roundtrip_hc checks it through its
-    witness instead.
+    It is the restriction of m to the layout of _block.  For ell >= 1, a_+
+    and b_+ are then normalized through star, and the rational structure is
+    composed with one unipotent stabilization per conjugation orbit of
+    vertices, (X*, Y*) on star and (1, T_+) on {+, -}.  The image is
+    validated here, once; roundtrip_hc checks it through its witness instead.
     """
     report = validate_hc(m)
     if not report.ok:
@@ -406,6 +404,28 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     if not report.ok:
         raise AssertionError(f"construction bug: {report.failures()}")
     return result
+
+
+def _block(ell: int) -> tuple:
+    """(quiver, weights, ladder) of the ell-block: vertex v of E(M) is the
+    space M_{weights[v]}, and edge e is X_w if ladder[e] = (2, w) and Y_w if
+    it is (-2, w), validate_hc's step encoding, before functor_E normalizes
+    a_+ and b_+ through star.  ell = 0: the cyclic quiver, weights (1, -1),
+    a = X_-1 and b = Y_1.  ell >= 1: the Gelfand quiver, weights
+    (-(ell-1), ell+1, -(ell+1)), a_+ = Y_ell+1, a_- = X_-(ell+1),
+    b_+ = X_ell-1 and b_- = Y_-(ell-1)."""
+    if type(ell) is not int or ell < 0:  # no float, no bool, as HCModule
+        raise ValueError("ell must be a nonnegative integer")
+    if ell == 0:
+        q, weights = cyclic_quiver(), {CYCLIC_PLUS: 1, CYCLIC_MINUS: -1}
+        ladder = {CYCLIC_A: (2, -1), CYCLIC_B: (-2, 1)}
+    else:
+        q = gelfand_quiver()
+        weights = {GELFAND_STAR: -(ell - 1), GELFAND_PLUS: ell + 1, GELFAND_MINUS: -(ell + 1)}
+        ladder = {GELFAND_A_PLUS: (-2, ell + 1), GELFAND_A_MINUS: (2, -(ell + 1)),
+                  GELFAND_B_PLUS: (2, ell - 1), GELFAND_B_MINUS: (-2, -(ell - 1))}
+    return (q, tuple(weights[v] for v in range(q.vertices.size)),
+            tuple(ladder[e] for e in range(q.edges.size)))
 
 
 def _functor_E(m: HCModule) -> BlockFunctorResult:
@@ -424,39 +444,23 @@ def _functor_E(m: HCModule) -> BlockFunctorResult:
     and the image's +- cocycle holds by construction.
     """
     ell = m.ell
+    q, weights, ladder = _block(ell)
+    dims = [m.dim(w) for w in weights]
+    edges = [m.x_at(w) if step > 0 else m.y_at(w) for step, w in ladder]
+    rho = [m.rat[w] for w in weights]
     if ell == 0:
-        q = cyclic_quiver()
-        dims = [0, 0]
-        dims[CYCLIC_PLUS] = m.dim(1)
-        dims[CYCLIC_MINUS] = m.dim(-1)
-        edges = [None, None]
-        edges[CYCLIC_A] = m.x_at(-1)
-        edges[CYCLIC_B] = m.y_at(1)
-        rho = [None, None]
-        rho[CYCLIC_PLUS] = m.rat[1]
-        rho[CYCLIC_MINUS] = m.rat[-1]
         return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0)
 
     norms = normalizations(m)
     run_plus = stabilize(StabilizationProblem(
-        QuadMatrix.identity(m.dim(ell + 1), m.d), norms.t_plus))
+        QuadMatrix.identity(dims[GELFAND_PLUS], m.d), norms.t_plus))
     run_star = stabilize(StabilizationProblem(norms.x_star, norms.y_star))
-
-    q = gelfand_quiver()
-    dims = [0, 0, 0]
-    dims[GELFAND_STAR] = m.dim(-(ell - 1))
-    dims[GELFAND_PLUS] = m.dim(ell + 1)
-    dims[GELFAND_MINUS] = m.dim(-(ell + 1))
-    edges = [None] * 4
     # X* and Y* are square (dim M_w = dim M_-w), so X*^-1 = Y* (X* Y*)^-1
-    edges[GELFAND_A_PLUS] = norms.y_star * norms.u_inv * m.y_at(ell + 1)
-    edges[GELFAND_A_MINUS] = m.x_at(-(ell + 1))
-    edges[GELFAND_B_PLUS] = m.x_at(ell - 1) * norms.x_star
-    edges[GELFAND_B_MINUS] = m.y_at(-(ell - 1))
-    rho = [None] * 3
+    edges[GELFAND_A_PLUS] = norms.y_star * norms.u_inv * edges[GELFAND_A_PLUS]
+    edges[GELFAND_B_PLUS] = edges[GELFAND_B_PLUS] * norms.x_star
     rho[GELFAND_STAR] = m.rat[ell - 1] * run_star.phi_plus_inf.conj()
-    rho[GELFAND_PLUS] = m.rat[ell + 1] * run_plus.phi_plus_inf.conj()
-    rho[GELFAND_MINUS] = run_plus.phi_minus_inf * m.rat[-(ell + 1)]
+    rho[GELFAND_PLUS] = rho[GELFAND_PLUS] * run_plus.phi_plus_inf.conj()
+    rho[GELFAND_MINUS] = run_plus.phi_minus_inf * rho[GELFAND_MINUS]
     iterations = max(run_plus.iterations, run_star.iterations)
     return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star,
                               iterations)
@@ -473,12 +477,13 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     on the plus side 2X = (w+1), 2Y = (1-w) + 4n/(w-1), mirrored by
     conjugation on the minus side.
 
-    Raises ValueError on a quiver that does not match ell, checked first,
-    and on an invalid representation (a broken Gelfand relation is one:
-    validate_rep checks the relation literally).  The module is returned
-    without validate_hc: it passes every check of validate_hc whenever v
-    passes validate_rep, as follows.  It stores the core ladder maps only,
-    and x_at / y_at derive the tail maps from phi_+-.
+    Raises ValueError on an ell that is not a nonnegative int, then on a
+    quiver that does not match ell, both before validate_rep runs, and on an
+    invalid representation (validate_rep checks the Gelfand relation
+    literally).  The module is returned without validate_hc: it passes every
+    check of validate_hc whenever v passes validate_rep, as follows.  It
+    stores the core ladder maps only, the edge maps where _block places
+    them, and x_at / y_at derive the tail maps from phi_+-.
 
     ell >= 1.  Write a_+-: +- -> star and b_+-: star -> +- for the edge maps,
     rho_v for the rational structure, n = a_+ b_+ and s = scaled_sqrt(ell^2 +
@@ -534,7 +539,8 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
       rho_+ conj(ab) = b rho_- conj(b) = ba rho_+, which is
       "tail-conjugation".
     """
-    if v.quiver != (cyclic_quiver() if ell == 0 else gelfand_quiver()):
+    q, weights, ladder = _block(ell)
+    if v.quiver != q:
         raise ValueError("ell = 0 expects a cyclic-quiver representation" if ell == 0
                          else "ell >= 1 expects a Gelfand-quiver representation")
     report = validate_rep(v)
@@ -547,33 +553,25 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
         return QuadMatrix.identity(n.rows, d).scale(lam) + n.scale(4)
 
     x_maps, y_maps = {}, {}
-    if ell == 0:
-        plus, minus, star = CYCLIC_PLUS, CYCLIC_MINUS, None
-        # each cyclic edge is both boundary maps of its side
-        x_maps[-1] = v.edge_maps[CYCLIC_A]
-        y_maps[1] = v.edge_maps[CYCLIC_B]
-    else:
-        plus, minus, star = GELFAND_PLUS, GELFAND_MINUS, GELFAND_STAR
-        x_maps[-(ell + 1)] = v.edge_maps[GELFAND_A_MINUS]
-        x_maps[ell - 1] = v.edge_maps[GELFAND_B_PLUS]
-        y_maps[ell + 1] = v.edge_maps[GELFAND_A_PLUS]
-        y_maps[-(ell - 1)] = v.edge_maps[GELFAND_B_MINUS]
-        if ell >= 2:  # the interior maps, at -(ell-1) <= w <= ell-3, are all that read s
-            s_star = scaled_sqrt(phi(y_maps[ell + 1] * x_maps[ell - 1]), QuadElement(ell, 0, d))
-            half = QuadElement(Fraction(1, 2), 0, d)
-            ident_s = QuadMatrix.identity(v.dims[star], d)
-            for w in range(-(ell - 1), ell - 2, 2):
-                x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
-                y_maps[w + 2] = (s_star - ident_s.scale(w + 1)).scale(half)
+    for (step, w), f in zip(ladder, v.edge_maps):
+        (x_maps if step > 0 else y_maps)[w] = f
+    if ell >= 2:  # the interior maps, at -(ell-1) <= w <= ell-3, are all that read s
+        s_star = scaled_sqrt(phi(y_maps[ell + 1] * x_maps[ell - 1]), QuadElement(ell, 0, d))
+        half = QuadElement(Fraction(1, 2), 0, d)
+        ident_s = QuadMatrix.identity(x_maps[ell - 1].cols, d)
+        for w in range(-(ell - 1), ell - 2, 2):
+            x_maps[w] = (s_star + ident_s.scale(w + 1)).scale(half)
+            y_maps[w + 2] = (s_star - ident_s.scale(w + 1)).scale(half)
 
-    def owner(w):
-        return plus if w >= ell + 1 else minus if w <= -(ell + 1) else star
-
-    n_window = ell + 1 + 2 * tail_weights
-    weights = range(-n_window, n_window + 1, 2)
-    return HCModule(ell, (ell + 1) % 2, n_window,
-                    {w: v.dims[owner(w)] for w in weights}, x_maps, y_maps,
-                    {w: v.rho[owner(w)] for w in weights},
+    top = ell + 1
+    n_window = top + 2 * tail_weights
+    vertex = {w: i for i, w in enumerate(weights)}
+    # the vertex of w: + from top up, - from -top down, star (weight 1 - ell) between
+    owner = {w: vertex[top if w >= top else -top if w <= -top else 1 - ell]
+             for w in range(-n_window, n_window + 1, 2)}
+    return HCModule(ell, top % 2, n_window,
+                    {w: v.dims[i] for w, i in owner.items()}, x_maps, y_maps,
+                    {w: v.rho[i] for w, i in owner.items()},
                     phi(x_maps[ell - 1] * y_maps[ell + 1]),
                     phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
 
@@ -645,16 +643,13 @@ def build_example(kind: str, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS,
     if kind != "discrete" and ell < 1:
         raise NotApplicable(f"kind {kind} needs ell >= 1")
     a, b = {"principal": (0, ell), "principal_dual": (1, 0)}.get(kind, (0, 0))
-    if ell == 0:
-        q, dims = cyclic_quiver(), (1, 1)
-    else:
-        q, dims = gelfand_quiver(), [0, 0, 0]
-        dims[GELFAND_STAR] = int(kind != "discrete")
-        dims[GELFAND_PLUS] = dims[GELFAND_MINUS] = int(kind != "finite")
+    q, weights, _ = _block(ell)
+    star = [abs(w) < ell + 1 for w in weights]
+    dims = [int(kind != ("discrete" if s else "finite")) for s in star]
     edges = []
     for e in range(q.edges.size):
         rows, cols = dims[q.tgt[e]], dims[q.src[e]]
-        c = b if ell and e in (GELFAND_B_PLUS, GELFAND_B_MINUS) else a
+        c = b if star[q.src[e]] else a
         edges.append(QuadMatrix(rows, cols, [QuadElement(c, 0, d)] * (rows * cols), d))
     rho = [QuadMatrix.identity(n, d) for n in dims]
     m = inverse_E(QuiverRep(q, dims, edges, rho, d), ell, tail_weights)

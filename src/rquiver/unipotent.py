@@ -106,6 +106,9 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     after exactly (e - 1).bit_length() = ceil(log2 e) iterations.  e = 1
     means u - 1 = 0, so phi_- phi_+ = 1 exactly; phi_+ and phi_- are square,
     so the one-sided inverse is two-sided and phi_+ phi_- = 1 needs no check.
+    Each c is a unipotent polynomial in u, so their product r is unipotent
+    with r^2 u = 1: phi_+^inf = phi_+ r and phi_-^inf = r phi_- with r the
+    unique unipotent root unipotent_sqrt(neumann_inverse(u)).
     """
     p, q = problem.phi_plus, problem.phi_minus
     d = p.d

@@ -352,6 +352,18 @@ def test_hc_rejected_input_exit_code(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
 
 
+def test_hc_from_quiver_names_a_negative_ell(capsys):
+    """A negative ell is named as such on a rep of either quiver, not as a
+    rep of the wrong quiver."""
+    for name in ("hc_cyc_rep_d-1.json", "hc_ext_rep_d-1.json"):
+        for action in ("from-quiver", "roundtrip"):
+            argv = ["hc", action, "--in", str(GOLDEN / name), "--ell", "-1"]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == \
+                ("", "usage error: ell must be a nonnegative integer\n"), argv
+
+
 def test_hc_from_quiver_names_the_wrong_quiver(capsys):
     """A rep of a quiver that is neither the Gelfand nor the cyclic quiver
     is rejected for its quiver, before (and instead of) the failing

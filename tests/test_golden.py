@@ -45,7 +45,19 @@ sort_keys=True, indent=2) plus a newline.  The other two are written by
     rquiver hc to-quiver --in hc_ext_ell2_<tag>.json --out hc_ext_ell2_<tag>_image.json
 
 and the --json report of the second has iterations = 2.  They were recorded
-while E still ran three stabilizations, one per vertex.
+while E still ran three stabilizations, one per vertex.  The same two
+commands with --ell 1 and --ell 3 on hc_ext_rep_d-1.json write
+hc_ext_ell1_d-1.json and hc_ext_ell3_d-1.json and their _image files
+(iterations 0 and 2).  hc_cyc_rep_d-1.json is the cyclic representation over
+d = -1 with dims (3, 3), a = b = J_2 + J_1 (the nilpotent Jordan matrix of
+type (2, 1)) and rho = 1, dumped the same way, and
+
+    rquiver hc from-quiver --in hc_cyc_rep_d-1.json --ell 0 --out hc_cyc_ell0_d-1.json
+    rquiver hc to-quiver --in hc_cyc_ell0_d-1.json --out hc_cyc_ell0_d-1_image.json
+
+write the other two (iterations 0).  These seven were recorded while E and
+inverse_E still placed each edge map by its own branch per quiver, so they
+pin the ell = 0, 1 and 3 placements next to the ell = 2 one.
 
 hc_ext_ell2_d-1_bad_<name>.json is hc_ext_ell2_d-1.json with 1 added to one
 entry, written with json.dump(doc, sort_keys=True, indent=2) plus a newline:
@@ -126,7 +138,7 @@ from rquiver.cli import main
 from rquiver.exact import QuadMatrix
 from rquiver.gsets import FiniteGroup
 from rquiver.quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS, \
-    gelfand_quiver
+    cyclic_quiver, gelfand_quiver
 from rquiver.randomgen import change_basis, random_c2_quiver, random_group_quiver, \
     random_invertible, random_species_rep
 from rquiver.reps import QuiverRep, functor_H
@@ -182,22 +194,35 @@ def extension_rep(d):
     return QuiverRep(gelfand_quiver(), (3, 3, 3), edges, (one, one, one), d)
 
 
-@pytest.mark.parametrize("tag, d", [("d-1", -1), ("d2", 2)])
-def test_hc_extension_E_image_unchanged(tag, d, tmp_path, capsys):
-    rep_file = GOLDEN / f"hc_ext_rep_{tag}.json"
-    module_file = GOLDEN / f"hc_ext_ell2_{tag}.json"
-    assert json.dumps(dump_rep(extension_rep(d)), sort_keys=True, indent=2) + "\n" == \
-        rep_file.read_text()
+def cyclic_rep(d):
+    j = QuadMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]], d)
+    one = QuadMatrix.identity(3, d)
+    return QuiverRep(cyclic_quiver(), (3, 3), (j, j), (one, one), d)
+
+
+@pytest.mark.parametrize("kind, tag, d, ell, iterations", [
+    pytest.param("ext", "d-1", -1, 2, 2, id="d-1--1"),
+    pytest.param("ext", "d2", 2, 2, 2, id="d2-2"),
+    pytest.param("cyc", "d-1", -1, 0, 0, id="cyc-ell0-d-1"),
+    pytest.param("ext", "d-1", -1, 1, 0, id="ext-ell1-d-1"),
+    pytest.param("ext", "d-1", -1, 3, 2, id="ext-ell3-d-1"),
+])
+def test_hc_extension_E_image_unchanged(kind, tag, d, ell, iterations, tmp_path, capsys):
+    rep_file = GOLDEN / f"hc_{kind}_rep_{tag}.json"
+    module_file = GOLDEN / f"hc_{kind}_ell{ell}_{tag}.json"
+    rep = (cyclic_rep if kind == "cyc" else extension_rep)(d)
+    assert json.dumps(dump_rep(rep), sort_keys=True, indent=2) + "\n" == rep_file.read_text()
     out = tmp_path / "module.json"
-    assert main(["hc", "from-quiver", "--in", str(rep_file), "--ell", "2", "--out", str(out)]) == 0
+    assert main(["hc", "from-quiver", "--in", str(rep_file), "--ell", str(ell),
+                 "--out", str(out)]) == 0
     assert out.read_bytes() == module_file.read_bytes()
     # inverse_E returns its module without validate_hc (its docstring proves it valid)
     assert main(["hc", "validate", "--in", str(out)]) == 0
     out = tmp_path / "image.json"
     capsys.readouterr()
     assert main(["--json", "hc", "to-quiver", "--in", str(module_file), "--out", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["iterations"] == 2
-    assert out.read_bytes() == (GOLDEN / f"hc_ext_ell2_{tag}_image.json").read_bytes()
+    assert json.loads(capsys.readouterr().out)["payload"]["iterations"] == iterations
+    assert out.read_bytes() == (GOLDEN / f"hc_{kind}_ell{ell}_{tag}_image.json").read_bytes()
 
 
 @pytest.mark.parametrize("name, section, key, k", [

@@ -259,6 +259,13 @@ def test_normalizations_reject_non_unipotent_x_star_y_star():
         normalizations(m)
 
 
+def test_normalizations_reject_non_unipotent_t():
+    m = build_example("principal", 2)
+    m.phi_plus = m.phi_plus.scale(2)   # T_+ = phi_+ / (2^(ell-1) gamma_star)^2 = 8/4 = 2
+    with pytest.raises(ValueError, match="T operator is not unipotent; module is invalid"):
+        normalizations(m)
+
+
 def test_normalizations_not_applicable():
     m = build_example("discrete", 0)
     with pytest.raises(NotApplicable):
@@ -422,6 +429,20 @@ def test_inverse_E_checks_the_quiver_first(monkeypatch):
             inverse_E(rep, ell)
         with pytest.raises(ValueError, match=match):
             roundtrip_hc(rep, ell)
+
+
+def test_inverse_E_rejects_a_bad_ell_first(monkeypatch):
+    """A negative ell, and one that is not an int, is named as such, on a rep
+    of either quiver, before the quiver check and before validate_rep runs."""
+    def no_validation(v):
+        raise AssertionError("validate_rep ran at a bad ell")
+
+    monkeypatch.setattr(hc, "validate_rep", no_validation)
+    for rep in (random_cyclic_rep(random.Random(1), 2), pp_ext_rep(1)):
+        for ell in (-1, -2, 1.0, 2.0, True):
+            for call in (inverse_E, roundtrip_hc):
+                with pytest.raises(ValueError, match="^ell must be a nonnegative integer$"):
+                    call(rep, ell)
 
 
 # ---------------------------------------------------------------- roundtrip

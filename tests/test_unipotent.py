@@ -428,6 +428,24 @@ def test_unipotent_layer_runs_no_elimination(parity_cases, monkeypatch):
         scaled_sqrt(m.scale(gamma * gamma), gamma)
 
 
+@pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+                               Fraction(-5, 3)], ids=["d-1", "d2", "d-3", "d1_2", "d-5_3"])
+def test_stabilize_limit_closed_form(d):
+    """phi_+^inf = phi_+ r and phi_-^inf = r phi_- with r the unipotent square
+    root of u^{-1}, u = phi_- phi_+ (stabilize's docstring), on dimensions
+    0..6, single Jordan blocks and random Jordan types."""
+    rng = random.Random(300)
+    for dim in range(7):
+        for whole in (True, False, False):
+            ident = QuadMatrix.identity(dim, d)
+            n = jordan_nilpotent(rng, random_jordan_type(rng, dim, whole), d)
+            q0 = random_unimodular(rng, dim, span=1, d=d)
+            p, q = inverse(q0) * (ident + n), q0
+            res = stabilize(StabilizationProblem(p, q))
+            r = unipotent_sqrt(neumann_inverse(q * p))
+            assert (res.phi_plus_inf, res.phi_minus_inf) == (p * r, r * q)
+
+
 def test_sqrt_rejects_non_unipotent():
     for m in (QuadMatrix.from_rows([[2]]), QuadMatrix.from_rows([[1, 1], [1, 1]], 2)):
         with pytest.raises(PreconditionViolated, match="phi - 1 is not nilpotent"):
