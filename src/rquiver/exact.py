@@ -759,21 +759,25 @@ def column_space_basis(m: QuadMatrix) -> QuadMatrix:
     return row_space_basis(m.transpose()).transpose()
 
 
+def _nilpotent_powers(n: QuadMatrix):
+    """[n, n^2, ..., n^(e-1)] for a square n, with e least such that n^e = 0
+    ([] if n is empty or zero), or None once n^rows != 0.  The one walk over
+    a matrix's powers: nilpotency_exponent and the unipotent series use it."""
+    powers, p = [], n
+    for _ in range(n.rows):
+        if p.is_zero():
+            return powers
+        powers.append(p)
+        p = p * n
+    return None if n.rows else powers
+
+
 def nilpotency_exponent(m: QuadMatrix):
     """Smallest e with m^e = 0, or None if m is not nilpotent."""
     if m.rows != m.cols:
         raise ValueError("nilpotency of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    p = m
-    e = 1
-    while e <= n:
-        if p.is_zero():
-            return e
-        p = p * m
-        e += 1
-    return None
+    powers = _nilpotent_powers(m)
+    return None if powers is None else len(powers) + 1
 
 
 def fixed_space_matrix(a: QuadMatrix) -> QuadMatrix:

@@ -300,6 +300,15 @@ def validate_hc(m: HCModule) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def _casimir_product(c: QuadMatrix, mpow: int, k: int, d) -> QuadMatrix:
+    """The Section-3 product prod_{j < mpow} (C - (k-2j)^2) of a square
+    matrix C over Q(sqrt(d)), left to right."""
+    acc = ident = QuadMatrix.identity(c.rows, d)
+    for j in range(mpow):
+        acc = acc * (c - ident.scale(Fraction((k - 2 * j) ** 2)))
+    return acc
+
+
 def power_product_identity(m: HCModule, mpow: int, k: int):
     """Check 4^mpow X^mpow Y^mpow = prod_j (C - (k-2j)^2) on M_{k+1}.
 
@@ -309,8 +318,7 @@ def power_product_identity(m: HCModule, mpow: int, k: int):
     low = w0 - 2 * mpow
     if not (m.in_window(w0) and m.in_window(low)):
         raise OutOfWindow("power product leaves the window")
-    ident = QuadMatrix.identity(m.dim(w0), m.d)
-    down = ident
+    down = QuadMatrix.identity(m.dim(w0), m.d)
     w = w0
     for _ in range(mpow):
         down = m.y_at(w) * down
@@ -320,12 +328,8 @@ def power_product_identity(m: HCModule, mpow: int, k: int):
         up = m.x_at(w) * up
         w += 2
     lhs = (up * down).scale(Fraction(4 ** mpow))
-    c = casimir_matrix(m, w0)
-    rhs = ident
-    scalar = Fraction(1)
-    for j in range(mpow):
-        rhs = rhs * (c - ident.scale(Fraction((k - 2 * j) ** 2)))
-        scalar *= Fraction(m.ell ** 2 - (k - 2 * j) ** 2)
+    rhs = _casimir_product(casimir_matrix(m, w0), mpow, k, m.d)
+    scalar = Fraction(math.prod(m.ell ** 2 - (k - 2 * j) ** 2 for j in range(mpow)))
     return lhs == rhs, scalar, lhs, rhs
 
 
@@ -343,7 +347,9 @@ def normalizations(m: HCModule) -> Normalizations:
     """gamma_star, the normalized extremal powers X*, Y*, the unipotent
     Casimir products T_+- on the weight-(ell+1) spaces, and (X* Y*)^-1.
 
-    T_+- carries the normalization (2^(ell-1) gamma_star)^(-2): the Casimir
+    T_+- is the Section-3 product prod_{j < ell-1} (C - (ell-2-2j)^2) that
+    power_product_identity checks at (mpow, k) = (ell-1, ell-2), criterion 5,
+    taken at C = phi_+- and scaled by (2^(ell-1) gamma_star)^(-2): the
     product equals 4^(ell-1) X^(ell-1) Y^(ell-1), whose scalar part is
     4^(ell-1) gamma_star^2, so this is the unique scaling making T = 1 + n.
     The Casimir on M_{+-(ell+1)} is taken as phi_+-: on a module that
@@ -362,14 +368,8 @@ def normalizations(m: HCModule) -> Normalizations:
         y_star = m.y_at((ell - 1) - 2 * k) * y_star
     x_star, y_star = x_star.scale(1 / gamma), y_star.scale(1 / gamma)
     norm = 1 / Fraction(2 ** (ell - 1) * math.factorial(ell - 1)) ** 2
-    ts = []
-    for c in (m.phi_plus, m.phi_minus):
-        ident = QuadMatrix.identity(c.rows, m.d)
-        acc = ident
-        for j in range(ell - 1):
-            acc = acc * (c - ident.scale(Fraction((ell - 2 - 2 * j) ** 2)))
-        ts.append(acc.scale(norm))
-    t_plus, t_minus = ts
+    t_plus, t_minus = (_casimir_product(c, ell - 1, ell - 2, m.d).scale(norm)
+                       for c in (m.phi_plus, m.phi_minus))
     for t in (t_plus, t_minus):
         if nilpotency_exponent(t - QuadMatrix.identity(t.rows, m.d)) is None:
             raise ValueError("T operator is not unipotent; module is invalid")

@@ -3,8 +3,8 @@
 Both run on exact matrices without a single elimination: every inverse they
 need is that of a unipotent matrix u = 1 + n, which is the finite Neumann
 series u^{-1} = sum_k (-n)^k, and the series stops at the first zero power.
-That zero power is (-n)^e with e the nilpotency exponent of n, so one pass
-over the powers of 1 - u gives both u^{-1} and e.
+That zero power is (-n)^e with e the nilpotency exponent of n, so exact's
+one pass over the powers of 1 - u gives both u^{-1} and e.
 
 Stabilization.  phi_+ and phi_- are square and u = phi_- phi_+ is unipotent,
 so phi_- (phi_+ u^{-1}) = 1 and (u^{-1} phi_-) phi_+ = 1; for square matrices
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import QuadElement, QuadMatrix
+from .exact import QuadElement, QuadMatrix, _nilpotent_powers
 
 MAX_ITERATIONS = 64
 
@@ -42,17 +42,15 @@ class SingularIterate(RuntimeError):
 def _neumann(u: QuadMatrix) -> tuple:
     """(u^{-1}, e) for a unipotent u, with e the nilpotency exponent of u - 1.
 
-    Sums the powers (-n)^k of -n = 1 - u until one is zero; n is nilpotent
-    exactly when n^rows = 0 (n^1 for the empty matrix).
+    u^{-1} is 1 plus the nonzero powers (-n)^k of -n = 1 - u.
     """
     acc = QuadMatrix.identity(u.rows, u.d)
-    minus_n = term = acc - u
-    for e in range(1, max(u.rows, 1) + 1):
-        if term.is_zero():
-            return acc, e
+    powers = _nilpotent_powers(acc - u)
+    if powers is None:
+        raise PreconditionViolated("matrix is not unipotent")
+    for term in powers:
         acc = acc + term
-        term = term * minus_n
-    raise PreconditionViolated("matrix is not unipotent")
+    return acc, len(powers) + 1
 
 
 def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
@@ -132,24 +130,21 @@ def unipotent_sqrt(phi: QuadMatrix) -> QuadMatrix:
     """The unique unipotent square root of a unipotent matrix.
 
     With n = phi - 1 nilpotent of exponent e, the root is the finite binomial
-    series sum_{k < e} binom(1/2, k) n^k; one pass over the powers of n sums
-    it and finds e, or finds that n is not nilpotent.  The root is unique: a
-    unipotent x is exp of the nilpotent log x, and x^2 = phi forces
+    series sum_{k < e} binom(1/2, k) n^k, summed over exact's one pass over
+    the powers of n, which also finds that n is not nilpotent.  The root is
+    unique: a unipotent x is exp of the nilpotent log x, and x^2 = phi forces
     2 log x = log phi, so x = exp(log(phi)/2) is the series above.
     """
     if phi.rows != phi.cols:
         raise PreconditionViolated("square root of a non-square matrix")
     acc = QuadMatrix.identity(phi.rows, phi.d)
-    n = term = phi - acc
-    coeff = Fraction(1, 2)
-    for k in range(1, max(phi.rows, 1) + 1):
-        if term.is_zero():
-            break
-        acc = acc + term.scale(coeff)
-        term = term * n
-        coeff = coeff * (Fraction(1, 2) - k) / (k + 1)
-    else:
+    powers = _nilpotent_powers(phi - acc)
+    if powers is None:
         raise PreconditionViolated("phi - 1 is not nilpotent")
+    coeff = Fraction(1, 2)
+    for k, term in enumerate(powers, 1):
+        acc = acc + term.scale(coeff)
+        coeff = coeff * (Fraction(1, 2) - k) / (k + 1)
     if acc * acc != phi:
         raise SingularIterate("square root does not square back; arithmetic bug")
     return acc

@@ -166,6 +166,17 @@ def test_nilpotency_exponent():
     assert nilpotency_exponent(QuadMatrix.identity(3)) is None
 
 
+def test_nilpotent_powers():
+    """The one walk over a matrix's powers: n, ..., n^(e-1) for n^e = 0,
+    [] for the empty and the zero matrix, None when n^rows != 0."""
+    from rquiver.exact import _nilpotent_powers
+    j = QuadMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 2)
+    assert _nilpotent_powers(j) == [j, j * j]
+    assert _nilpotent_powers(QuadMatrix.zeros(0, 0)) == []
+    assert _nilpotent_powers(QuadMatrix.zeros(2, 2)) == []
+    assert _nilpotent_powers(QuadMatrix.from_rows([[0, 1], [1, 0]])) is None
+
+
 # ---------------------------------------------------------------- fixed space
 
 def test_fixed_space_entrywise_conjugation():

@@ -428,6 +428,37 @@ def test_unipotent_layer_runs_no_elimination(parity_cases, monkeypatch):
         scaled_sqrt(m.scale(gamma * gamma), gamma)
 
 
+def test_unipotent_layer_product_counts(parity_cases, monkeypatch):
+    """Matrix products (exact._product calls) on the parity problems, pinned
+    at the counts of the power loops that each function once ran itself: a
+    walk over the powers of an n of exponent e costs e - 1 products, and
+    summing a series over the walk costs none."""
+    product, calls = rquiver.exact._product, [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return product(x, y)
+
+    monkeypatch.setattr(rquiver.exact, "_product", counting)
+    runs = {
+        "nilpotency_exponent":
+            lambda prob, m, gamma: nilpotency_exponent(m - QuadMatrix.identity(m.rows, m.d)),
+        "StabilizationProblem":
+            lambda prob, m, gamma: StabilizationProblem(prob.phi_plus, prob.phi_minus),
+        "stabilize": lambda prob, m, gamma: stabilize(prob),
+        "unipotent_sqrt": lambda prob, m, gamma: unipotent_sqrt(m),
+        "scaled_sqrt": lambda prob, m, gamma: scaled_sqrt(m.scale(gamma * gamma), gamma),
+    }
+    counts = {}
+    for name, run in runs.items():
+        calls[0] = 0
+        for case in parity_cases:
+            run(*case)
+        counts[name] = calls[0]
+    assert counts == {"nilpotency_exponent": 390, "StabilizationProblem": 547,
+                      "stabilize": 951, "unipotent_sqrt": 600, "scaled_sqrt": 600}
+
+
 @pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
                                Fraction(-5, 3)], ids=["d-1", "d2", "d-3", "d1_2", "d-5_3"])
 def test_stabilize_limit_closed_form(d):
