@@ -182,7 +182,8 @@ class QuadElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational element equals its rational part, so it hashes as that
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -241,6 +242,15 @@ def _matrix(rows: int, cols: int, d: Fraction, D: int, P: list, Q: list,
     return m
 
 
+def _check_shape(rows: int, cols: int):
+    """Raise ValueError unless both dimensions are ints (so no bool and no
+    float) and nonnegative, the rule of reps._dimensions."""
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
 def from_coefficients(rows: int, cols: int, coefficients, d=-1) -> "QuadMatrix":
     """Inverse of QuadMatrix.coefficients(): the rows x cols matrix over
     Q(sqrt(d)) whose row-major entries are a_num/a_den + (b_num/b_den)*sqrt(d),
@@ -248,8 +258,7 @@ def from_coefficients(rows: int, cols: int, coefficients, d=-1) -> "QuadMatrix":
     denominators need not be reduced or positive; a zero one raises
     ZeroDivisionError.  As b*sqrt(d) = (b/dd)*sqrt(D), den is the lcm of the
     a_den and b_den*dd, and _matrix puts the arrays in lowest terms."""
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
+    _check_shape(rows, cols)
     if len(coefficients) != rows * cols:
         raise ValueError("entries length does not match rows*cols")
     d = _field_tag(d)
@@ -317,8 +326,7 @@ class QuadMatrix:
 
     @staticmethod
     def identity(n: int, d=-1) -> "QuadMatrix":
-        if n < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_shape(n, n)
         d = _field_tag(d)
         P = [0] * (n * n)
         P[::n + 1] = [1] * n
@@ -326,8 +334,7 @@ class QuadMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int, d=-1) -> "QuadMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_shape(rows, cols)
         d = _field_tag(d)
         return _matrix(rows, cols, d, d.numerator * d.denominator,
                        [0] * (rows * cols), [0] * (rows * cols), 1)
@@ -683,6 +690,8 @@ def vstack(blocks: Sequence[QuadMatrix], d=-1) -> QuadMatrix:
     """The blocks over Q(sqrt(d)), all with one column count, one under the
     other.  A single block is returned as it is (trivial operands, module
     docstring); blocks without entries may carry any tag."""
+    if not blocks:
+        raise ValueError("vstack needs at least one block")
     d = _field_tag(d)
     cols = blocks[0].cols
     for m in blocks:

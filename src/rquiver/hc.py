@@ -722,3 +722,27 @@ def hc_hom_space(m1: HCModule, m2: HCModule):
     basis = [{w: psi[(max(-top, min(w, top)) + top) // 2] for w in m1.weights()}
              for psi in hs.basis]
     return hs.dim_K, hs.dim_L, basis
+
+
+def functor_E_map(psi: dict, ell: int) -> tuple:
+    """E on a module map psi: M -> M' of the ell-block, given as a weight ->
+    matrix dict (as hc_hom_space returns): the restriction to the vertex
+    weights of _block(ell), (psi_{-(ell-1)}, psi_{ell+1}, psi_{-(ell+1)}) for
+    ell >= 1 and (psi_1, psi_{-1}) for ell = 0.  It is a morphism
+    E(M) -> E(M').
+
+    Naturality.  psi commutes with X and Y and with the rational structures,
+    psi_{-w} rat[w] = rat'[w] conj(psi_w).  The edges of E(M) are ladder
+    maps, except that for ell >= 1 functor_E normalizes a_+ and b_+ through
+    X*, Y* and (X* Y*)^-1 and composes rho with stabilization limits.  X* and
+    Y* are rational multiples of ladder products, (X* Y*)^-1 is a Neumann
+    series in X* Y* - 1, and T_+ is a rational polynomial in C = phi_+ on
+    M_{ell+1}, so psi intertwines them and the starting pairs (X*, Y*) and
+    (1, T_+).  Every stabilization step is p <- p c, q <- c q with
+    c = (1 + u^-1)/2 a polynomial in u = phi_- phi_+ with rational
+    coefficients, one polynomial for M and M' once its degree passes both
+    nilpotency exponents; so psi intertwines each step, the limits and the
+    rho built from them, and E(psi) meets the morphism condition at every
+    edge and vertex.
+    """
+    return tuple(psi[w] for w in _block(ell)[1])

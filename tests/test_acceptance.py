@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+from certificate import assert_E_bijective_on_hom
+
 from rquiver.exact import QuadMatrix, inverse, nilpotency_exponent, rank
 from rquiver.gsets import FiniteGroup
 from rquiver.hc import (
@@ -254,8 +256,17 @@ def test_criterion_7_full_faithfulness():
     for a in KINDS:
         for b in KINDS:
             assert table[(a, b)] == hom_space(reps[a], reps[b]).dim_K, (a, b)
+    # E on module maps is a bijection Hom(M, N) -> Hom(E M, E N)
+    pairs = 0
+    for ell in (0, 1, 2, 3):
+        mods = [build_example(k, ell) for k in (KINDS if ell else ("discrete",))]
+        for m1 in mods:
+            for m2 in mods:
+                assert_E_bijective_on_hom(m1, m2)
+                pairs += 1
     _finish(7, 60, start,
-            "HC-side and quiver-side Hom dimensions agree on all 16 pairs at ell=2")
+            "HC-side and quiver-side Hom dimensions agree on all 16 pairs at ell=2; "
+            f"E is bijective on Hom on {pairs} pairs at ell=0..3")
 
 
 def test_criterion_8_essential_surjectivity():

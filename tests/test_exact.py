@@ -166,6 +166,20 @@ def test_nilpotency_exponent():
     assert nilpotency_exponent(QuadMatrix.identity(3)) is None
 
 
+@pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+                               Fraction(-5, 3)], ids=["d-1", "d2", "d-3", "d1_2", "d-5_3"])
+def test_rational_element_hashes_as_its_rational_part(d):
+    """x == QuadElement(x, 0, d), so sets and dicts must not tell them apart."""
+    for x in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        e = QuadElement(x, 0, d)
+        assert e == x and hash(e) == hash(x)
+        assert len({e, x}) == 1
+        assert {e: 0}.get(x) == 0 and {x: 0}.get(e) == 0
+    root = QuadElement(1, 1, d)
+    assert {root: 0}.get(QuadElement(1, 1, d)) == 0
+    assert len({root, root.conj(), 1}) == 3
+
+
 def test_nilpotent_powers():
     """The one walk over a matrix's powers: n, ..., n^(e-1) for n^e = 0,
     [] for the empty and the zero matrix, None when n^rows != 0."""

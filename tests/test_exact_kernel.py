@@ -246,6 +246,22 @@ def test_negative_dimensions_rejected():
             make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: QuadMatrix.identity(True),
+    lambda: QuadMatrix.identity(2.0),
+    lambda: QuadMatrix.zeros(2.0, 1),
+    lambda: QuadMatrix.zeros(1, False),
+    lambda: from_coefficients(True, 1, [(1, 1, 0, 1)]),
+    lambda: QuadMatrix(1, True, [QuadElement(1)]),
+], ids=["identity-bool", "identity-float", "zeros-float", "zeros-bool",
+        "from_coefficients-bool", "new-bool"])
+def test_dimensions_must_be_ints(make):
+    """A shape is checked like every other dimension (reps._dimensions): an
+    int, not a bool or a float."""
+    with pytest.raises(ValueError, match="^matrix dimensions must be ints, got "):
+        make()
+
+
 def test_elimination_matches_reference():
     for rng, d, rows, cols in cases():
         m = low_rank_matrix(rng, rows, cols, d) if rng.random() < 0.5 \
@@ -835,3 +851,5 @@ def test_vstack_rejects_bad_blocks(d):
     for blocks in ([good, QuadMatrix.zeros(1, 2, d)], [QuadMatrix.zeros(0, 2, d), good]):
         with pytest.raises(ValueError, match="column mismatch"):
             vstack(blocks, d)
+    with pytest.raises(ValueError, match="^vstack needs at least one block$"):
+        vstack([], d)

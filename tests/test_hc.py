@@ -7,10 +7,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from certificate import assert_same_certificate
+from certificate import assert_E_bijective_on_hom, assert_same_certificate
 
 import rquiver.hc as hc
-from rquiver.exact import QuadMatrix, nilpotency_exponent
+from rquiver.exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
 from rquiver.hc import (
     BadParity,
     HCModule,
@@ -19,6 +19,7 @@ from rquiver.hc import (
     build_example,
     casimir_matrix,
     functor_E,
+    functor_E_map,
     hc_hom_space,
     inverse_E,
     normalizations,
@@ -38,7 +39,7 @@ from rquiver.quiver import (
     gelfand_quiver,
 )
 from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
-from rquiver.reps import QuiverRep, validate_rep
+from rquiver.reps import QuiverRep, is_morphism, validate_rep
 from rquiver.unipotent import scaled_sqrt
 
 
@@ -602,6 +603,94 @@ def test_hc_hom_matches_quiver_hom():
             hc_dim = hc_hom_space(mods[a], mods[b])[0]
             quiver_dim = hom_space(reps[a], reps[b]).dim_K
             assert hc_dim == quiver_dim, (a, b)
+
+
+def _regauged(m, w, g):
+    """m with the basis of M_w changed by an invertible g, for |w| <= ell - 1
+    so that no tail map moves: the maps into and out of M_w and rat at +-w
+    are conjugated, so g at w and 1 elsewhere is an isomorphism m -> result."""
+    g_inv = inverse(g)
+    x, y, rat = dict(m.x_maps), dict(m.y_maps), dict(m.rat)
+    x[w - 2], x[w] = g * m.x_at(w - 2), m.x_at(w) * g_inv
+    y[w + 2], y[w] = g * m.y_at(w + 2), m.y_at(w) * g_inv
+    rat[w] = rat[w] * g_inv.conj()
+    rat[-w] = g * rat[-w]
+    return HCModule(m.ell, m.epsilon, m.window, m.spaces, x, y, rat, m.phi_plus,
+                    m.phi_minus, m.d)
+
+
+def _block_modules(ell, seed):
+    """The fixtures of the ell-block and modules inverse_E of random reps,
+    one of them twice, so that some Hom spaces are large.  For ell >= 1 the
+    last module is also regauged at the star weight ell - 1, so that a module
+    map differs at +-(ell - 1)."""
+    kinds = ("discrete",) if ell == 0 else ("finite", "discrete", "principal",
+                                             "principal_dual")
+    rng = random.Random(seed)
+    if ell == 0:
+        vs = [random_cyclic_rep(rng, max_dim=2) for _ in range(3)]
+    else:
+        vs = [random_gelfand_rep(rng, max_dim=2) for _ in range(2)]
+        vs.append(QuiverRep(gelfand_quiver(), (2, 1, 1), [QuadMatrix.zeros(2, 1),
+                  QuadMatrix.zeros(2, 1), QuadMatrix.zeros(1, 2), QuadMatrix.zeros(1, 2)],
+                  [QuadMatrix.identity(n) for n in (2, 1, 1)]))
+    mods = [build_example(k, ell) for k in kinds] + [inverse_E(v, ell) for v in vs + vs[:1]]
+    if ell >= 1:
+        g = QuadMatrix.from_rows([[1, 2], [QuadElement(0, 1), 3]])
+        mods.append(_regauged(mods[-2], ell - 1, g))
+        assert validate_hc(mods[-1]).ok
+    return mods
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_E_on_maps_keeps_identities_and_composites(ell):
+    mods = _block_modules(ell, 40 + ell)
+    composites = 0
+    for m in mods:
+        ident = {w: QuadMatrix.identity(m.dim(w), m.d) for w in m.weights()}
+        assert functor_E_map(ident, ell) == tuple(
+            QuadMatrix.identity(n, m.d) for n in functor_E(m).rep.dims)
+    hom = {(i, j): hc_hom_space(m1, m2)[2]
+           for i, m1 in enumerate(mods) for j, m2 in enumerate(mods)}
+    for (i, j), fs in hom.items():
+        for k in range(len(mods)):
+            for f in fs:
+                for g in hom[j, k]:
+                    gf = {w: g[w] * f[w] for w in mods[i].weights()}
+                    assert functor_E_map(gf, ell) == tuple(
+                        b * a for a, b in zip(functor_E_map(f, ell), functor_E_map(g, ell)))
+                    composites += 1
+    assert composites >= 10
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_E_is_bijective_on_hom(ell):
+    """Every hc_hom_space basis element maps to a morphism of the E-images,
+    the images are independent and the Hom dimensions agree."""
+    mods = _block_modules(ell, 50 + ell)
+    total = sum(assert_E_bijective_on_hom(m1, m2) for m1 in mods for m2 in mods)
+    assert total >= 2 * len(mods)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_E_on_maps_is_natural_in_the_roundtrip_witness(ell):
+    """For M_i = inverse_E(v_i) with round-trip witnesses w_i: E(M_i) -> v_i,
+    w_2 E(psi) w_1^-1 is a morphism v_1 -> v_2 for every module map psi."""
+    rng = random.Random(60 + ell)
+    rand = random_cyclic_rep if ell == 0 else random_gelfand_rep
+    vs = [rand(rng, max_dim=3) for _ in range(4)]
+    vs.append(vs[0])
+    runs = [roundtrip_hc(v, ell) for v in vs]
+    checked = 0
+    for v1, rt1 in zip(vs, runs):
+        w1_inv = [inverse(w) for w in rt1.witness]
+        for v2, rt2 in zip(vs, runs):
+            for psi in hc_hom_space(rt1.module, rt2.module)[2]:
+                mats = [w2 * f * w for w2, f, w in
+                        zip(rt2.witness, functor_E_map(psi, ell), w1_inv)]
+                assert is_morphism(v1, v2, mats)
+                checked += 1
+    assert checked >= 10
 
 
 def test_roundtrip_hc_makes_no_solve_unique_call(monkeypatch):

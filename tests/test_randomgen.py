@@ -15,6 +15,7 @@ import pytest
 
 from rquiver import exact, randomgen
 from rquiver.exact import QuadElement, QuadMatrix, inverse, rank
+from rquiver.gsets import C2
 from rquiver.quiver import cyclic_quiver, gelfand_quiver
 from rquiver.reps import QuiverRep
 
@@ -269,3 +270,41 @@ def test_change_basis_inverts_each_map_once(counts):
     counts["rref"] = 0
     randomgen.change_basis(r, gs)
     assert counts["rref"] == r.quiver.vertices.size == 3
+
+
+class DrawLimit:
+    """A seeded generator that raises after `limit` draws, so that a
+    generator that redraws forever fails instead of hanging."""
+
+    def __init__(self, seed, limit=10_000):
+        self.rng, self.left = random.Random(seed), limit
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            if self.left == 0:
+                raise RuntimeError("draw limit reached")
+            self.left -= 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda rng: randomgen.random_group_quiver(rng, C2, max_v=0), "max_v must be at least 1, got 0"),
+    (lambda rng: randomgen.random_group_quiver(rng, C2, max_v=-2), "max_v must be at least 1, got -2"),
+    (lambda rng: randomgen.random_c2_quiver(rng, max_v=1), "max_v must be at least 2, got 1"),
+    (lambda rng: randomgen.random_c2_quiver(rng, max_v=0), "max_v must be at least 2, got 0"),
+], ids=["group-0", "group-negative", "c2-1", "c2-0"])
+def test_quiver_generators_reject_a_vertex_bound_no_quiver_meets(make, message):
+    rng = DrawLimit(7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(rng)
+    assert rng.left == 10_000
+
+
+def test_quiver_generators_meet_the_least_vertex_bound():
+    rng = DrawLimit(7)
+    assert randomgen.random_group_quiver(rng, C2, max_v=1).vertices.size == 1
+    assert randomgen.random_c2_quiver(rng, max_v=2).vertices.size <= 2
