@@ -84,9 +84,11 @@ def random_nilpotent(rng, n, span=2, rational=False, d=-1):
 def random_c2_quiver(rng, max_v=4, max_e=6):
     """Random quiver over C2: fixed/swapped orbits with equivariant endpoints.
     Its vertices are drawn as up to max_v // 2 orbits of each kind, at least
-    one in all, so max_v < 2 is rejected before any draw."""
+    one in all, so max_v < 2 is rejected before any draw, as is max_e < 0."""
     if max_v < 2:
         raise ValueError(f"max_v must be at least 2, got {max_v}")
+    if max_e < 0:
+        raise ValueError(f"max_e must be at least 0, got {max_e}")
     while True:
         n_fixed_v = rng.randint(0, max_v // 2)
         n_swap_v = rng.randint(0 if n_fixed_v else 1, max_v // 2)
@@ -140,9 +142,11 @@ def _all_subgroups(group):
 def random_group_quiver(rng, group: FiniteGroup, max_v=4, max_e=6):
     """Random quiver over an arbitrary finite group, as unions of coset spaces.
     Every vertex set has a point, so max_v < 1 is rejected before any draw
-    (redrawing would never end)."""
+    (redrawing would never end), as is max_e < 0."""
     if max_v < 1:
         raise ValueError(f"max_v must be at least 1, got {max_v}")
+    if max_e < 0:
+        raise ValueError(f"max_e must be at least 0, got {max_e}")
     pool = _all_subgroups(group)
     while True:
         v_blocks = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
