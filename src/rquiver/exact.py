@@ -35,6 +35,21 @@ share them with its operands (``conj`` relies on this too).
 
 A conjugate-semilinear map is its matrix a, v |-> a . conj(v), with conj
 applied entrywise.
+
+A zero kernel is first proved modulo a prime (``_full_column_rank_mod_p``),
+which costs one elimination on small integers instead of an exact one.  Let
+p be the first prime of _CERTIFICATE_PRIMES modulo which D is a nonzero
+square, and r**2 = D (mod p).  As D is not a square, Z[sqrt(D)] is
+Z[x]/(x^2 - D), and x |-> r is a ring map Z[x] -> F_p that kills x^2 - D;
+so a + b*sqrt(D) |-> a + b*r mod p is a ring map Z[sqrt(D)] -> F_p.  A
+determinant is a polynomial in the entries, so it maps each minor of the
+integer form P + Q*sqrt(D) of a matrix to the same minor of the reduced
+matrix.  If forward elimination mod p finds a pivot in every column, the
+reduced matrix has a nonzero cols x cols minor; then that minor is nonzero
+in Z[sqrt(D)], a subring of L, the matrix (P + Q*sqrt(D))/den has full
+column rank over L and its kernel is 0.  A column without a pivot proves
+nothing (the minor may be a nonzero multiple of p), and then the exact
+elimination decides.
 """
 
 from __future__ import annotations
@@ -722,6 +737,87 @@ def _kernel_matrix(m: QuadMatrix) -> tuple:
     return _matrix(m.cols, h, m.d, m._D, P, Q, den), free
 
 
+# the eight largest primes below 2^30, tried in this order by _root_mod_prime
+_CERTIFICATE_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
+                       1073741717, 1073741689, 1073741671)
+
+
+def _root_mod_prime(D: int):
+    """(p, r) with p the first prime of _CERTIFICATE_PRIMES modulo which D is
+    a nonzero square and r**2 = D (mod p); None if there is no such prime.
+
+    Tonelli-Shanks, with Euler's criterion read off its first power: for
+    p - 1 = q 2^s with q odd and t = a^q, a^((p-1)/2) = t^(2^(s-1)), so a
+    non-square costs one modular power."""
+    for p in _CERTIFICATE_PRIMES:
+        a = D % p
+        if not a:
+            continue
+        q, s = p - 1, 0
+        while not q & 1:
+            q, s = q >> 1, s + 1
+        t = u = pow(a, q, p)
+        for _ in range(s - 1):
+            u = u * u % p
+        if u != 1:
+            continue
+        r = pow(a, (q + 1) // 2, p)
+        if t != 1:
+            z = 2
+            while pow(z, (p - 1) // 2, p) != p - 1:
+                z += 1
+            c = pow(z, q, p)
+            # r^2 = a t, and the order of t is 2^i with i < s
+            while t != 1:
+                i, u = 0, t
+                while u != 1:
+                    u, i = u * u % p, i + 1
+                b = pow(c, 1 << (s - i - 1), p)
+                s, c = i, b * b % p
+                t, r = t * c % p, r * b % p
+        return p, r
+    return None
+
+
+def _full_column_rank_mod_p(m: QuadMatrix) -> bool:
+    """True only if m has full column rank over L, so a zero kernel, proved
+    by forward elimination modulo the prime of _root_mod_prime (module
+    docstring); a matrix without columns needs no prime.  False when m has
+    fewer rows than columns, when no prime of _CERTIFICATE_PRIMES has a root
+    of D, or at the first column without a pivot mod p; False proves
+    nothing."""
+    rows, cols = m.rows, m.cols
+    if rows < cols:
+        return False
+    if not cols:
+        return True
+    root = _root_mod_prime(m._D)
+    if root is None:
+        return False
+    p, r = root
+    P, Q = m._P, m._Q
+    todo = []
+    for i in range(0, rows * cols, cols):
+        row = [(x + y * r) % p for x, y in zip(P[i:i + cols], Q[i:i + cols])]
+        if any(row):
+            todo.append(row)
+    # step c leaves the entries of column c and before in the other rows
+    # stale; no later step reads them
+    for c in range(cols):
+        for k, pivot in enumerate(todo):
+            if pivot[c]:
+                break
+        else:
+            return False
+        del todo[k]
+        inv, tail = pow(pivot[c], -1, p), pivot[c + 1:]
+        for row in todo:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+    return True
+
+
 def rank(m: QuadMatrix) -> int:
     if m.is_identity():
         return m.rows
@@ -770,15 +866,19 @@ def column_space_basis(m: QuadMatrix) -> QuadMatrix:
 
 def _nilpotent_powers(n: QuadMatrix):
     """[n, n^2, ..., n^(e-1)] for a square n, with e least such that n^e = 0
-    ([] if n is empty or zero), or None once n^rows != 0.  The one walk over
-    a matrix's powers: nilpotency_exponent and the unipotent series use it."""
+    ([] if n is empty or zero), or None once n^rows != 0, without forming
+    n^(rows+1).  The one walk over a matrix's powers: nilpotency_exponent
+    and the unipotent series use it."""
     powers, p = [], n
-    for _ in range(n.rows):
+    for k in range(1, n.rows + 1):
+        # p = n^k
         if p.is_zero():
             return powers
+        if k == n.rows:
+            return None
         powers.append(p)
         p = p * n
-    return None if n.rows else powers
+    return powers
 
 
 def nilpotency_exponent(m: QuadMatrix):
@@ -867,6 +967,12 @@ def _split_columns(m: QuadMatrix, shapes) -> list:
 def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
     """L-basis of ker(system) and K-basis of its conjugation-fixed part.
 
+    The order of the work: the caller checks the cocycles (the precondition
+    below), also where the kernel is zero; the kernel is then proved zero
+    modulo a prime where that holds (_full_column_rank_mod_p), and ([], [])
+    is returned without an exact elimination; otherwise the system is
+    eliminated exactly and its kernel descended as below.
+
     The unknowns of system are the row-major entries of blocks of the given
     shapes, one block after the other, and both bases come as tuples of
     per-block matrices.  conjugate describes the conjugate-semilinear
@@ -889,6 +995,8 @@ def descended_kernel(system: QuadMatrix, shapes, conjugate=None) -> tuple:
     V theta conj(theta) = W conj(theta) = V, and V has full column rank.  So
     the descent calls _fixed_space_core, which skips that product check.
     """
+    if _full_column_rank_mod_p(system):
+        return [], []
     v, free = _kernel_matrix(system)
     l_basis = _split_columns(v, shapes)
     if conjugate is None or not l_basis:

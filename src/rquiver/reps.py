@@ -316,6 +316,10 @@ def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
     and descended_kernel forms them only when the L-Hom is nonzero.  The
     cocycles make this conjugation an involution, which is the precondition
     of descended_kernel.
+    The steps are: the cocycle check on m and n, which runs also where the
+    L-Hom is zero; descended_kernel's certificate that the kernel is zero
+    modulo a prime, which ends the solve without an exact elimination; else
+    the exact elimination of the system and the descent of its kernel.
     Raises ValueError when the rational structure of m or n breaks the
     cocycle, or when conjugation moves the L-Hom out of itself, which only a
     structure that is not edge-equivariant does.  A non-equivariant structure

@@ -191,6 +191,21 @@ def test_nilpotent_powers():
     assert _nilpotent_powers(QuadMatrix.from_rows([[0, 1], [1, 0]])) is None
 
 
+def test_nilpotent_powers_stop_at_the_last_power(monkeypatch):
+    """Once n^rows != 0 the walk returns None without forming n^(rows+1):
+    the 3x3 unipotent Jordan block costs the products n^2 and n^3 only."""
+    import rquiver.exact as exact
+
+    product, calls = exact._product, []
+    monkeypatch.setattr(exact, "_product", lambda x, y: calls.append(x) or product(x, y))
+    j = QuadMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert nilpotency_exponent(j) is None
+    assert len(calls) == 2
+    calls.clear()
+    assert nilpotency_exponent(j - QuadMatrix.identity(3)) == 3
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------- fixed space
 
 def test_fixed_space_entrywise_conjugation():

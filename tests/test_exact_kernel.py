@@ -7,6 +7,7 @@ every result must agree exactly, for every field tag.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rquiver.exact as exact
 from rquiver.exact import (
     QuadElement,
     QuadMatrix,
@@ -24,6 +26,7 @@ from rquiver.exact import (
     _fixed_space_core,
     _matrix,
     column_space_basis,
+    descended_kernel,
     fixed_space,
     fixed_space_matrix,
     from_coefficients,
@@ -853,3 +856,125 @@ def test_vstack_rejects_bad_blocks(d):
             vstack(blocks, d)
     with pytest.raises(ValueError, match="^vstack needs at least one block$"):
         vstack([], d)
+
+
+# ---------------------------------------------------------------- zero-kernel certificate
+
+def certificate_systems(rng, d):
+    """Random systems: full draws on shapes up to 8 x 6 (wide ones included)
+    and products of thin factors, whose rank is below their column count
+    also when they are tall."""
+    for _ in range(30):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 6)
+        yield random_matrix(rng, rows, cols, d)
+        inner = rng.randint(0, max(cols - 1, 0))
+        yield random_matrix(rng, rows + cols, inner, d) * random_matrix(rng, inner, cols, d)
+
+
+def count_rref(monkeypatch) -> list:
+    calls, rref = [], exact._rref
+    monkeypatch.setattr(exact, "_rref", lambda m: calls.append(m) or rref(m))
+    return calls
+
+
+def radicand(d) -> int:
+    return d.numerator * d.denominator
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_certificate_proves_only_zero_kernels(d):
+    """The certificate holds exactly on the systems whose nullity, by the
+    element-wise reference, is 0; rank-deficient tall systems are declined."""
+    rng = random.Random(f"certificate {d}")
+    zero, one = QuadElement(0, 0, d), QuadElement(1, 0, d)
+    seen = set()
+    for m in certificate_systems(rng, d):
+        nullity = len(ref_kernel(matrix_rows(m), m.cols, zero, one))
+        certified = exact._full_column_rank_mod_p(m)
+        assert certified == (nullity == 0), (m, nullity)
+        seen.add("certified" if certified else "wide" if m.rows < m.cols else "deficient")
+    assert seen == {"certified", "wide", "deficient"}
+
+
+def test_certificate_declines_a_wide_system_by_its_shape(monkeypatch):
+    """Fewer rows than columns leave a kernel, so no prime is searched and
+    nothing is reduced; the exact elimination finds the kernel."""
+    def refuse(D):
+        raise AssertionError("prime search for a wide system")
+
+    rng = random.Random("certificate wide")
+    monkeypatch.setattr(exact, "_root_mod_prime", refuse)
+    calls = count_rref(monkeypatch)
+    for d in FIELD_TAGS:
+        for rows, cols in ((0, 1), (1, 2), (2, 5)):
+            m = random_matrix(rng, rows, cols, d)
+            assert not exact._full_column_rank_mod_p(m)
+            calls.clear()
+            assert len(descended_kernel(m, [(cols, 1)])[0]) == len(kernel_basis(m)) >= cols - rows
+            assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_certificate_needs_a_root_of_D(d):
+    """[[1, sqrt(D)], [sqrt(D), D]] has rank 1, its second row being sqrt(D)
+    times its first, and so has its tall extension by 2 (1, sqrt(D)).  Mod p
+    the 2 x 2 minors are multiples of D - r^2, zero only for a root r of D:
+    a wrong root, or a reduction that drops the sqrt(D) part, would prove the
+    kernel zero."""
+    D = radicand(d)
+    for rows in (2, 3):
+        m = integer_matrix(rows, 2, d, [1, 0, 0, D, 2, 0][:2 * rows],
+                           [0, 1, 1, 0, 0, 2][:2 * rows])
+        assert rank(m) == 1
+        assert not exact._full_column_rank_mod_p(m)
+        l_basis, k_basis = descended_kernel(m, [(2, 1)])
+        assert len(l_basis) == len(k_basis) == 1
+
+
+def test_root_mod_prime_finds_a_root_at_the_first_square():
+    """For every non-square D in [-800, 800]: the first prime modulo which D
+    is a nonzero square by Euler's criterion, and a root of D there.  The
+    range reaches every prime of the tuple, whose 2-adic orders of p - 1
+    are 1, 2 and 3, and D with no prime."""
+    primes, used = exact._CERTIFICATE_PRIMES, set()
+    for D in range(-800, 801):
+        if D >= 0 and math.isqrt(D) ** 2 == D:
+            continue
+        squares = [p for p in primes if pow(D % p, (p - 1) // 2, p) == 1]
+        root = exact._root_mod_prime(D)
+        if not squares:
+            assert root is None
+            used.add(None)
+            continue
+        p, r = root
+        assert p == squares[0] and (r * r - D) % p == 0, D
+        used.add(p)
+    assert used == set(primes) | {None}
+
+
+def test_certificate_falls_back_when_singular_mod_p(monkeypatch):
+    """Systems of full column rank over L whose reduction mod the first prime
+    p with a root r of D is singular: (p - r) + sqrt(D) and p vanish mod p.
+    The certificate declines and one exact elimination proves the kernel 0.
+    The same holds for a D that is a square mod none of the primes."""
+    calls = count_rref(monkeypatch)
+    primes = exact._CERTIFICATE_PRIMES
+    for d in FIELD_TAGS:
+        D = radicand(d)
+        p, r = exact._root_mod_prime(D)
+        assert p == next(p for p in primes if pow(D % p, (p - 1) // 2, p) == 1)
+        assert (r * r - D) % p == 0
+        for P, Q in (([p - r, 0, 0, 1], [1, 0, 0, 0]), ([p, 0, 0, 1], [0, 0, 0, 0])):
+            m = integer_matrix(2, 2, d, P, Q)
+            assert not exact._full_column_rank_mod_p(m)
+            calls.clear()
+            assert descended_kernel(m, [(2, 1)]) == ([], [])
+            assert len(calls) == 1
+    D = next(D for D in range(2, 10 ** 4)
+             if all(pow(D, (p - 1) // 2, p) == p - 1 for p in primes))
+    d = Fraction(D)
+    m = integer_matrix(2, 2, d, [1, 0, 0, 1], [0, 1, 1, 0])
+    assert exact._root_mod_prime(D) is None
+    assert not exact._full_column_rank_mod_p(m)
+    calls.clear()
+    assert descended_kernel(m, [(2, 1)]) == ([], []) and len(calls) == 1

@@ -124,6 +124,19 @@ are the two used by quiver_s3.json.  The other four are written by
 They were recorded while gsets.induce still returned its unit map with the
 induced G-set.
 
+The rep_hom_* reports pin Hom dimensions, one pair with Hom = 0 and one
+with Hom != 0.  rep_cyc_unipotent_d-1.json is the cyclic representation over
+d = -1 with dims (2, 2), a = b = [[1, 1], [0, 1]] and rho = 1, dumped like
+hc_cyc_rep_d-1.json; its cycle a b is invertible, while that of
+hc_cyc_rep_d-1.json is nilpotent, so Hom between them is 0.  The reports are
+
+    rquiver --json rep hom --a hc_cyc_rep_d-1.json --b rep_cyc_unipotent_d-1.json
+    rquiver --json rep hom --a rep_c2_62_d2.json --b rep_c2_62_d2.json
+
+in rep_hom_cyc_zero.json and rep_hom_c2_62_d2.json.  They were recorded
+while hom_space still eliminated every system exactly, before the zero
+kernel was first proved modulo a prime.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
@@ -198,6 +211,23 @@ def cyclic_rep(d):
     j = QuadMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]], d)
     one = QuadMatrix.identity(3, d)
     return QuiverRep(cyclic_quiver(), (3, 3), (j, j), (one, one), d)
+
+
+def unipotent_cyclic_rep():
+    one = QuadMatrix.identity(2, -1)
+    a = QuadMatrix.from_rows([[1, 1], [0, 1]], -1)
+    return QuiverRep(cyclic_quiver(), (2, 2), (a, a), (one, one), -1)
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("rep_hom_cyc_zero.json", "hc_cyc_rep_d-1.json", "rep_cyc_unipotent_d-1.json"),
+    ("rep_hom_c2_62_d2.json", "rep_c2_62_d2.json", "rep_c2_62_d2.json"),
+])
+def test_rep_hom_report_unchanged(name, a, b, capsys):
+    assert json.dumps(dump_rep(unipotent_cyclic_rep()), sort_keys=True, indent=2) + "\n" == \
+        (GOLDEN / "rep_cyc_unipotent_d-1.json").read_text()
+    assert main(["--json", "rep", "hom", "--a", str(GOLDEN / a), "--b", str(GOLDEN / b)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("kind, tag, d, ell, iterations", [

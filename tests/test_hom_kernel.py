@@ -541,7 +541,9 @@ def test_rep_isomorphic_at_every_field_tag(d):
     assert rep_isomorphic(null, b_one) is None and rep_isomorphic(b_one, null) is None
 
 
-PARTITIONS = ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))  # every partition of n <= 3
+# every partition of n <= 4
+PARTITIONS = ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
+              (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
 def jordan_cyclic_rep(rng, partition, d):
@@ -569,6 +571,66 @@ def test_cyclic_jordan_hom_closed_form(d):
             hs = hom_space(jordan_cyclic_rep(rng, lam, d), jordan_cyclic_rep(rng, mu, d))
             expected = 2 * sum(min(a, b) for a in lam for b in mu)
             assert (hs.dim_K, hs.dim_L) == (expected, expected), (lam, mu)
+
+
+def invertible_cycle_rep(rng, n, d):
+    """A cyclic rep of dims (n, n) with a = A, b = conj(A) and rho = 1 for a
+    random invertible A over L, gauged like jordan_cyclic_rep: its cycle
+    a b = A conj(A) is invertible at + and conj(A) A at -."""
+    a = random_invertible(rng, n, d=d)
+    ident = QuadMatrix.identity(n, d)
+    r = QuiverRep(cyclic_quiver(), (n, n), (a, a.conj()), (ident, ident), d)
+    return change_basis(r, [random_invertible(rng, n, d=d) for _ in range(2)])
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hom_between_nilpotent_and_invertible_cycles_is_zero(d):
+    """An oracle for Hom = 0 that does not share code with the solver: a
+    morphism psi from J_lambda, whose cycles a b and b a are J^2 (nilpotent),
+    to a rep whose cycles U are invertible meets psi J^2 = U psi, so
+    psi J^(2k) = U^k psi, which is 0 for large k, and psi = 0; in the other
+    direction psi U^k = J^(2k) psi = 0 gives psi = 0."""
+    rng = random.Random(41 + FIELD_TAGS.index(d))
+    for lam in PARTITIONS[1:]:
+        j = jordan_cyclic_rep(rng, lam, d)
+        for n in (1, 2, 3):
+            u = invertible_cycle_rep(rng, n, d)
+            assert validate_rep(u, require_nilpotent=False).ok
+            for a, b in ((j, u), (u, j)):
+                hs = hom_space(a, b)
+                assert (hs.dim_K, hs.dim_L, hs.basis, hs.l_basis) == (0, 0, [], []), (lam, n)
+
+
+def decline(m):
+    return False
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_hom_space_without_the_certificate_is_unchanged(d, monkeypatch):
+    """The certificate only skips eliminations: with it declining every
+    system, hom_space gives the same HomSpace on the QUIVER_SEEDS pairs.
+    Each rep comes also moved by a second random gauge, so that Hom holds
+    isomorphisms with sqrt(d) terms, whose kernels a certificate with a
+    wrong root of D, or one that drops the sqrt(D) part, would miss."""
+    rng = random.Random(43 + FIELD_TAGS.index(d))
+    pairs = [(a, b) for seed in QUIVER_SEEDS for rs in [quiver_reps(seed, d)]
+             for gauged in [[change_basis(r, [random_invertible(rng, n, d=d) for n in r.dims])
+                             for r in rs]]
+             for a in rs for b in rs + gauged]
+    certified = [hom_space(a, b) for a, b in pairs]
+    monkeypatch.setattr(exact, "_full_column_rank_mod_p", decline)
+    assert [hom_space(a, b) for a, b in pairs] == certified
+    assert {hs.dim_L > 0 for hs in certified} == {True, False}
+
+
+def test_hc_hom_space_without_the_certificate_is_unchanged(monkeypatch):
+    mods = hc_modules()
+    pairs = [(m1, m2) for m1 in mods for m2 in mods
+             if (m1.ell, m1.epsilon, m1.window) == (m2.ell, m2.epsilon, m2.window)]
+    certified = [hc_hom_space(m1, m2) for m1, m2 in pairs]
+    monkeypatch.setattr(exact, "_full_column_rank_mod_p", decline)
+    assert [hc_hom_space(m1, m2) for m1, m2 in pairs] == certified
+    assert {dims[1] > 0 for dims in certified} == {True, False}
 
 
 def test_hom_rejects_mixed_field_tags():
@@ -782,9 +844,10 @@ def test_descent_makes_no_cocycle_product(monkeypatch):
 
 
 def test_hom_space_eliminates_twice_and_solves_nothing(monkeypatch):
-    """hom_space runs one elimination for the L-kernel and, where Hom over L
-    is nonzero, one for the fixed space, and no solve_unique: theta is read
-    off the kernel's free rows."""
+    """Where Hom over L is nonzero, hom_space runs one elimination for the
+    L-kernel and one for the fixed space, and no solve_unique: theta is read
+    off the kernel's free rows.  Where it is zero, the certificate mod p
+    proves it on these pairs, and no exact elimination runs."""
     rref, calls = exact._rref, []
 
     def counting(m):
@@ -802,9 +865,9 @@ def test_hom_space_eliminates_twice_and_solves_nothing(monkeypatch):
     for a, b in pairs:
         calls.clear()
         hs = hom_space(a, b)
-        assert len(calls) == 1 + (hs.dim_L > 0) <= 2
+        assert len(calls) == (2 if hs.dim_L else 0)
         nonzero += hs.dim_L > 0
-    assert nonzero
+    assert 0 < nonzero < len(pairs)
 
 
 # ---------------------------------------------------------------- construction gate
