@@ -132,15 +132,25 @@ def render_diagram(rep: QuiverRep) -> str:
 
 # ------------------------------------------------------------------- helpers
 
+def _distinct_keys(pairs) -> dict:
+    """A JSON object; json.load alone keeps the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise io.ParseError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _read(path):
     if path is None:
         raise UsageError("an input file option (--in, --a, --b or --parent) is missing")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_distinct_keys)
     except OSError as exc:
         raise UsageError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, io.ParseError) as exc:
         raise io.ParseError(f"{path}: {exc}") from exc
 
 
@@ -186,11 +196,11 @@ def _load_valid_rep(path) -> QuiverRep:
     return r
 
 
-def _report_validation(report, rep, prefix=""):
+def _report_validation(report, rep):
     for name, ok, witness in rep.checks:
-        report.add(prefix + name, ok, witness)
+        report.add(name, ok, witness)
     if rep.flags:
-        report.payload[prefix + "flags"] = ",".join(rep.flags)
+        report.payload["flags"] = ",".join(rep.flags)
 
 
 # ------------------------------------------------------------------- quiver

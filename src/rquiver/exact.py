@@ -49,7 +49,8 @@ reduced matrix has a nonzero cols x cols minor; then that minor is nonzero
 in Z[sqrt(D)], a subring of L, the matrix (P + Q*sqrt(D))/den has full
 column rank over L and its kernel is 0.  A column without a pivot proves
 nothing (the minor may be a nonzero multiple of p), and then the exact
-elimination decides.
+elimination decides.  The proof needs only r**2 = D (mod p), which
+``_root_mod_prime`` checks; its closed-form roots serve only to find one.
 """
 
 from __future__ import annotations
@@ -737,45 +738,27 @@ def _kernel_matrix(m: QuadMatrix) -> tuple:
     return _matrix(m.cols, h, m.d, m._D, P, Q, den), free
 
 
-# the eight largest primes below 2^30, tried in this order by _root_mod_prime
+# primes below 2^30, each 3 mod 4 or 5 mod 8, tried in this order by _root_mod_prime
 _CERTIFICATE_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
-                       1073741717, 1073741689, 1073741671)
+                       1073741717, 1073741671, 1073741663)
 
 
 def _root_mod_prime(D: int):
     """(p, r) with p the first prime of _CERTIFICATE_PRIMES modulo which D is
     a nonzero square and r**2 = D (mod p); None if there is no such prime.
 
-    Tonelli-Shanks, with Euler's criterion read off its first power: for
-    p - 1 = q 2^s with q odd and t = a^q, a^((p-1)/2) = t^(2^(s-1)), so a
-    non-square costs one modular power."""
+    One modular power gives r: a^((p+1)/4) for p = 3 (mod 4), and Atkin's
+    a v (2 a v^2 - 1) with v = (2a)^((p-5)/8) for p = 5 (mod 8), each a root
+    if a is a nonzero square; r*r = a is checked, so a non-square is skipped."""
     for p in _CERTIFICATE_PRIMES:
         a = D % p
-        if not a:
-            continue
-        q, s = p - 1, 0
-        while not q & 1:
-            q, s = q >> 1, s + 1
-        t = u = pow(a, q, p)
-        for _ in range(s - 1):
-            u = u * u % p
-        if u != 1:
-            continue
-        r = pow(a, (q + 1) // 2, p)
-        if t != 1:
-            z = 2
-            while pow(z, (p - 1) // 2, p) != p - 1:
-                z += 1
-            c = pow(z, q, p)
-            # r^2 = a t, and the order of t is 2^i with i < s
-            while t != 1:
-                i, u = 0, t
-                while u != 1:
-                    u, i = u * u % p, i + 1
-                b = pow(c, 1 << (s - i - 1), p)
-                s, c = i, b * b % p
-                t, r = t * c % p, r * b % p
-        return p, r
+        if p % 4 == 3:
+            r = pow(a, (p + 1) // 4, p)
+        else:
+            v = pow(2 * a, (p - 5) // 8, p)
+            r = a * v * (2 * a * v * v - 1) % p
+        if a and r * r % p == a:
+            return p, r
     return None
 
 

@@ -303,23 +303,20 @@ def _check_cocycle(r: QuiverRep):
 
 
 def hom_space(m: QuiverRep, n: QuiverRep) -> HomSpace:
-    """K-basis of the rational Hom space, solved over L first, then descended.
+    """K-basis of the rational Hom space: the kernel of the edge-commuting
+    system over L, descended by descended_kernel, whose docstring gives the
+    order of the solve.
 
-    The classical (edge-commuting) homomorphisms over L are the kernel of a
-    linear system; conjugation acts on that solution space by
+    What hom_space adds is the conjugation and its precondition.
+    Conjugation acts on the L-Hom by
     psi |-> (v |-> phi_{N,cv,c} o psi_{cv} o phi_{M,cv,c}^{-1}), and the
     rational homomorphisms are its fixed points.  The cocycle
     phi_{M,cv,c} o phi_{M,v,c} = id gives phi_{M,cv,c}^{-1} = phi_{M,v,c}, so
-    the image has the matrix rho_N[cv] conj(psi_cv) conj(rho_M[v]) at v,
-    which in row-major vec form is rho_N[cv] (x) conj(rho_M[v])^T applied to
-    conj(psi_cv): one Kronecker matrix per vertex acts on the whole kernel,
-    and descended_kernel forms them only when the L-Hom is nonzero.  The
-    cocycles make this conjugation an involution, which is the precondition
-    of descended_kernel.
-    The steps are: the cocycle check on m and n, which runs also where the
-    L-Hom is zero; descended_kernel's certificate that the kernel is zero
-    modulo a prime, which ends the solve without an exact elimination; else
-    the exact elimination of the system and the descent of its kernel.
+    the image has the matrix rho_N[cv] conj(psi_cv) conj(rho_M[v]) at v: the
+    triple (cv, rho_N[cv], rho_M[v]) of descended_kernel's conjugate.  The
+    cocycle checks on m and n run before the solve, so also where the L-Hom
+    is zero; they make this conjugation an involution, the precondition of
+    descended_kernel.
     Raises ValueError when the rational structure of m or n breaks the
     cocycle, or when conjugation moves the L-Hom out of itself, which only a
     structure that is not edge-equivariant does.  A non-equivariant structure

@@ -16,8 +16,9 @@ and relation paths), dimensions, species indices and twists, and an HC
 module's ell, epsilon, window and space dimensions.  The weights that key an
 HC module's JSON objects are strings, each the canonical decimal form of its
 weight.  A representation's "semilinear" list is present exactly when
-|G| = 2 and has one matrix per vertex, and a species field's "realization"
-is the one dump_species writes for it.
+|G| = 2 and has one matrix per vertex, a species field's "realization" is
+the one dump_species writes for it, and a species' bimodules and a species
+representation's maps name each (from, to) pair at most once.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ def _weight(key: str) -> int:
     if str(int(key)) != key:
         raise ParseError(f"weight key {key!r} is not a canonical integer")
     return int(key)
+
+
+def _pair(entry, seen) -> tuple:
+    """The (from, to) pair of a bimodule or map entry, not yet a key of seen."""
+    pair = (_int(entry["from"]), _int(entry["to"]))
+    if pair in seen:
+        raise ParseError(f"pair (from {pair[0]}, to {pair[1]}) is given twice")
+    return pair
 
 
 def _check_version(data):
@@ -182,7 +191,7 @@ def load_species(data) -> EtaleSpecies:
         raise ParseError(f"indices {data['indices']} does not match the {len(subs)} fields")
     bims = {}
     for b in data["bimodules"]:
-        bims[(_int(b["from"]), _int(b["to"]))] = [
+        bims[_pair(b, bims)] = [
             BimoduleSummand(Subgroup(group, x["subgroup"]),
                             _int(x["twist_src"]), _int(x["twist_tgt"]))
             for x in b["summands"]]
@@ -235,8 +244,7 @@ def load_species_rep(data) -> SpeciesRep:
     species = load_species(data["species"])
     maps = {}
     for entry in data["maps"]:
-        maps[(_int(entry["from"]), _int(entry["to"]))] = [
-            load_matrix(m, d) for m in entry["matrices"]]
+        maps[_pair(entry, maps)] = [load_matrix(m, d) for m in entry["matrices"]]
     return SpeciesRep(species, data["dims"], maps, d)
 
 

@@ -14,14 +14,18 @@ The sample, which ``tests/test_fuzz_loaders.py`` runs, covers every node of
 ``quiver_gelfand.json``, and every node of ``rep_c2_62_d2.json`` (``rep
 validate`` and ``rep to-species``) and ``rep_c2_62_d2_to_species.json``
 except the four integers of a field element: 3,556 runs.  ``--full`` covers
-every node of the quiver, species, rep and species-rep goldens, of
-``hc_ext_rep_d-1.json``, of three HC-module files (``hc validate`` and ``hc
-to-quiver``) and of four unipotent files (``unipotent stabilize`` and
-``unipotent sqrt``).  It also runs ``rep to-species`` on
-``rep_c2_62_d2.json`` and ``hc_ext_rep_d-1.json``, ``hc from-quiver`` and
-``hc roundtrip`` with ``--ell 2`` on the latter, and ``rep hom``, ``rep
+every node of the quiver, species, rep and species-rep goldens, every input
+rep golden among them (all but the E images ``hc_*_image.json``), of three
+HC-module files (``hc validate`` and ``hc to-quiver``) and of four unipotent
+files (``unipotent stabilize`` and ``unipotent sqrt``).  It also runs ``rep
+to-species`` on ``rep_c2_62_d2.json`` and ``hc_ext_rep_d-1.json``, ``hc
+from-quiver`` and ``hc roundtrip`` with ``--ell 2`` on the latter, ``hc
+roundtrip`` with ``--ell 2`` on ``hc_ext_rep_d2.json`` and with ``--ell 0``
+on the cyclic ``hc_cyc_rep_d-1.json`` and ``rep_cyc_unipotent_d-1.json``,
+``hc from-quiver`` with ``--ell 0`` on the former, and ``rep hom``, ``rep
 isomorphic`` (the mutant against the unmutated golden, on each side) and
-``rep base-change`` on the former: 54,178 runs, about 45 s on a 2-vCPU VM.
+``rep base-change`` on ``rep_c2_62_d2.json``: 68,379 runs, about 55 s on a
+2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ COMMANDS = {
     "species_rep": ["rep", "from-species", "--in", IN, "--out", OUT],
     "hc_from_quiver": ["hc", "from-quiver", "--in", IN, "--ell", "2", "--out", OUT],
     "hc_roundtrip": ["hc", "roundtrip", "--in", IN, "--ell", "2"],
+    "hc_from_quiver_ell0": ["hc", "from-quiver", "--in", IN, "--ell", "0", "--out", OUT],
+    "hc_roundtrip_ell0": ["hc", "roundtrip", "--in", IN, "--ell", "0"],
     "hc": ["hc", "validate", "--in", IN],
     "hc_image": ["hc", "to-quiver", "--in", IN, "--out", OUT],
     "pair": ["unipotent", "stabilize", "--in", IN],
@@ -77,6 +83,10 @@ FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "
         ("rep_c2_62_d2.json", "hom_b"), ("rep_c2_62_d2.json", "isomorphic_a"),
         ("rep_c2_62_d2.json", "isomorphic_b"), ("rep_c2_62_d2.json", "base_change"),
         ("hc_ext_rep_d-1.json", "hc_from_quiver"), ("hc_ext_rep_d-1.json", "hc_roundtrip"),
+        ("hc_ext_rep_d2.json", "rep"), ("hc_ext_rep_d2.json", "hc_roundtrip"),
+        ("hc_cyc_rep_d-1.json", "rep"), ("hc_cyc_rep_d-1.json", "hc_from_quiver_ell0"),
+        ("hc_cyc_rep_d-1.json", "hc_roundtrip_ell0"), ("rep_cyc_unipotent_d-1.json", "rep"),
+        ("rep_cyc_unipotent_d-1.json", "hc_roundtrip_ell0"),
         ("rep_c2_62_d2_to_species.json", "species_rep"),
         ("hc_ext_ell2_d-1.json", "hc"), ("hc_build_discrete_ell0.json", "hc"),
         ("hc_build_principal_dual_ell1.json", "hc_image"),

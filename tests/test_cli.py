@@ -206,6 +206,59 @@ def test_species_file_with_wrong_index_count_exit_code(tmp_path, capsys):
     assert captured.err == "parse error: indices 5 does not match the 2 fields\n"
 
 
+def repeated_pair(name):
+    """The golden species or species-rep file name, with one more entry for
+    a pair it already has: a bimodule (0, 1) without summands, or a copy of
+    a map."""
+    doc = json.loads((GOLDEN / name).read_text())
+    if "bimodules" in doc:
+        doc["bimodules"].append({"from": 0, "to": 1, "summands": []})
+    else:
+        doc["maps"].append(dict(doc["maps"][1]))
+    return doc
+
+
+@pytest.mark.parametrize("name, load, command", [
+    ("species_gelfand.json", io.load_species, ["species", "to-quiver"]),
+    ("rep_c2_62_d2_to_species.json", io.load_species_rep, ["rep", "from-species"]),
+])
+def test_repeated_species_pair_exit_code(tmp_path, capsys, name, load, command):
+    """A second bimodule or map entry for one (from, to) pair would silently
+    replace the first: the loader raises a ParseError naming the pair, and
+    the command exits 2 with that one line and writes nothing."""
+    doc = repeated_pair(name)
+    pair = (doc.get("bimodules") or doc["maps"])[-1]
+    message = f"pair (from {pair['from']}, to {pair['to']}) is given twice"
+    with pytest.raises(io.ParseError, match=rf"^{re.escape(message)}$"):
+        load(doc)
+    out = tmp_path / "out.json"
+    assert main([*command, "--in", write(tmp_path, "in.json", doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"indices": 2', '"indices": 5, "indices": 2', "indices"),
+    ('"from": 1', '"from": 0, "from": 1', "from"),
+])
+def test_repeated_json_key_exit_code(tmp_path, capsys, old, new, key):
+    """json.load alone keeps the last value of a key given twice in one
+    object, at the root or nested: the CLI reads such a file as malformed
+    (exit 2 with one parse error line naming the file and the key)."""
+    text = json.dumps(json.loads((GOLDEN / "species_gelfand.json").read_text()))
+    assert text.count(old) == 1
+    path = tmp_path / "species.json"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "quiver.json"
+    assert main(["species", "to-quiver", "--in", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {path}: key {key!r} is given twice in one object\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, argv, path, value", [
     ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "entries", 0, 0), 0.5),
     ("rep_c2_62_d2.json", ["rep", "validate"], ("edges", 0, "entries", 0, 0), True),

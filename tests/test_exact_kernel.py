@@ -934,8 +934,8 @@ def test_certificate_needs_a_root_of_D(d):
 def test_root_mod_prime_finds_a_root_at_the_first_square():
     """For every non-square D in [-800, 800]: the first prime modulo which D
     is a nonzero square by Euler's criterion, and a root of D there.  The
-    range reaches every prime of the tuple, whose 2-adic orders of p - 1
-    are 1, 2 and 3, and D with no prime."""
+    range reaches every prime of the tuple, both residues 3 mod 4 and 5 mod 8
+    among them, and D with no prime."""
     primes, used = exact._CERTIFICATE_PRIMES, set()
     for D in range(-800, 801):
         if D >= 0 and math.isqrt(D) ** 2 == D:
@@ -950,6 +950,28 @@ def test_root_mod_prime_finds_a_root_at_the_first_square():
         assert p == squares[0] and (r * r - D) % p == 0, D
         used.add(p)
     assert used == set(primes) | {None}
+
+
+def test_root_mod_prime_takes_one_power_per_prime(monkeypatch):
+    """Every prime of the tuple is prime and 3 mod 4 or 5 mod 8, so a root
+    there is one closed-form power: D = -1, 2 and -3 find their root at the
+    first, second and fifth prime with 1, 2 and 5 calls of pow."""
+    primes = exact._CERTIFICATE_PRIMES
+    for p in primes:
+        assert p % 4 == 3 or p % 8 == 5, p
+        assert all(p % k for k in range(2, math.isqrt(p) + 1)), p
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(exact, "pow", counting_pow, raising=False)
+    for D, k in ((-1, 1), (2, 2), (-3, 5)):
+        calls.clear()
+        p, r = exact._root_mod_prime(D)
+        assert (p, len(calls)) == (primes[k - 1], k), D
+        assert (r * r - D) % p == 0
 
 
 def test_certificate_falls_back_when_singular_mod_p(monkeypatch):

@@ -3,9 +3,12 @@ a bad value or dropped, gives exit 0, 1 or 2 and no traceback under each of
 the four sample commands.  The full sweep over every input golden is
 ``python tests/fuzz_loaders.py --full``."""
 
+import json
+
 import pytest
 
-from fuzz_loaders import SAMPLE, mutants, run_file
+import rquiver.serialize as io
+from fuzz_loaders import FULL, GOLDEN, SAMPLE, mutants, run_file
 
 
 @pytest.mark.parametrize("name, kind, skip_field_integers", SAMPLE)
@@ -23,3 +26,18 @@ def test_mutants_cover_every_node():
     assert seen == {(): 7, ("a",): 8, ("a", 0): 8, ("a", 1): 8, ("a", 1, "entries"): 8,
                     ("a", 1, "entries", 0): 8}
     assert len(list(mutants(doc))) == 8 * 10 - 1
+
+
+def test_full_mutates_every_rep_golden():
+    """--full mutates every golden that loads as a quiver representation,
+    cyclic ones included, except the E images hc_*_image.json: those are
+    outputs of hc to-quiver, pinned byte for byte."""
+    reps = set()
+    for path in GOLDEN.glob("*.json"):
+        try:
+            io.load_rep(json.loads(path.read_text()))
+        except io.ParseError:
+            continue
+        reps.add(path.name)
+    assert {"hc_cyc_rep_d-1.json", "rep_cyc_unipotent_d-1.json"} <= reps
+    assert {name for name in reps if not name.endswith("_image.json")} <= {name for name, _ in FULL}
