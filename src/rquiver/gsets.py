@@ -190,7 +190,9 @@ class GSet:
         action = tuple(tuple(row) for row in action)
         if len(action) != group.order:
             raise ValueError("action must have one row per group element")
-        for row in action:
+        for row in action:  # ints only: no float, and no bool read as 0 or 1
+            if any(type(x) is not int for x in row):
+                raise ValueError(f"action row {list(row)} has a point that is not an int")
             if len(row) != size or sorted(row) != list(range(size)):
                 raise ValueError("each group element must act by a permutation")
         e = group.identity
@@ -312,22 +314,38 @@ def coset_union(group: FiniteGroup, subgroups):
     Coset 0 is H itself (element 0 is the identity and the minimum of H), so
     block b is one orbit whose minimal point is offsets[b], and by
     GSet.orbit_table's rule the transport of the point of tH is min(tH).
-    The action sends coset c to the point of the coset holding a . min(c),
-    read off one element -> point table per block.
     """
-    if any(sub.parent != group for sub in subgroups):
-        raise ValueError("subgroup of a different group")
-    cosets = tuple(tuple(sub.left_cosets()) for sub in subgroups)
+    return _coset_blocks(group, subgroups)[:2]
+
+
+def _coset_blocks(group: FiniteGroup, subgroups):
+    """(G-set, offsets, transport) of coset_union, in one pass per block.
+
+    The group elements are visited in increasing order; one not placed yet is
+    the least element t of a new coset tH, whose points come from table[t],
+    and transport[p] is that t for the point p of tH.  The action sends the
+    point of tH to the point of atH, read off table[a][t].
+    """
+    table = group.table
     offsets = []
-    points = []
+    transport = []
+    point_of = []    # per point, the element -> point table of its block
     size = 0
-    for cs in cosets:
+    for sub in subgroups:
+        if sub.parent != group:
+            raise ValueError("subgroup of a different group")
         offsets.append(size)
-        points.append({a: size + k for k, c in enumerate(cs) for a in c})
-        size += len(cs)
-    action = tuple(tuple(point[group.mul(a, min(c))] for cs, point in zip(cosets, points)
-                         for c in cs) for a in group.elements())
-    return GSet._unchecked(group, size, action), tuple(offsets)
+        point = [None] * group.order
+        for t, row in enumerate(table):
+            if point[t] is None:
+                for h in sub.elements:
+                    point[row[h]] = size
+                transport.append(t)
+                point_of.append(point)
+                size += 1
+    pairs = list(zip(point_of, transport))
+    action = tuple(tuple([point[row[t]] for point, t in pairs]) for row in table)
+    return GSet._unchecked(group, size, action), tuple(offsets), tuple(transport)
 
 
 def orbits(x: GSet) -> list:

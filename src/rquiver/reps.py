@@ -38,7 +38,7 @@ from .exact import (
     vstack,
 )
 from .quiver import RationalQuiver, ValidationReport, check
-from .species import EtaleSpecies, _species, quiver_conventions, quiver_of_species
+from .species import EtaleSpecies, _quiver_of_species, _species, quiver_conventions
 
 
 class NotQuadratic(ValueError):
@@ -503,12 +503,12 @@ def functor_H(w: SpeciesRep) -> QuiverRep:
     Every vertex of the orbit of index i carries M(v) = L^{n_i} with the
     canonical rational structure w (x) a |-> w (x) conj(a) (entrywise
     conjugation); the edge map of a coset point t H_eps conjugates the
-    eta = 1 core of f (x) 1_L by the transport t . twist_tgt.
+    eta = 1 core of f (x) 1_L by the transport t . twist_tgt.  The quiver's
+    conventions are read off its coset layout, not derived again.
     """
     if w.species.group.order != 2:
         raise NotQuadratic("functor_H needs a quadratic Galois group")
-    q = quiver_of_species(w.species)
-    return _functor_H(w, q, quiver_conventions(q))
+    return _functor_H(w, *_quiver_of_species(w.species))
 
 
 def _functor_H(w: SpeciesRep, q: RationalQuiver, conv) -> QuiverRep:

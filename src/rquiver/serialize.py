@@ -10,15 +10,16 @@ generator.  A stabilization problem is {"phi_plus", "phi_minus"}; the key
 
 Every integer a loader reads must be a JSON integer: 0.5, 1.0, "1" and true
 are rejected, not truncated, although Python counts true as the integer 1.
-That covers the integers of field elements and matrix sizes, group tables
-and subgroups, G-set sizes, vertex and edge indices (a quiver's "src", "tgt"
-and relation paths), dimensions, species indices and twists, and an HC
-module's ell, epsilon, window and space dimensions.  The weights that key an
-HC module's JSON objects are strings, each the canonical decimal form of its
-weight.  A representation's "semilinear" list is present exactly when
-|G| = 2 and has one matrix per vertex, a species field's "realization" is
-the one dump_species writes for it, and a species' bimodules and a species
-representation's maps name each (from, to) pair at most once.
+That covers the integers of field elements and matrix sizes, the version,
+group orders (each equal to its table's number of rows), group tables and
+subgroups, G-set sizes and actions, vertex and edge indices (a quiver's
+"src", "tgt" and relation paths), dimensions, species indices and twists,
+and an HC module's ell, epsilon, window and space dimensions.  The weights
+that key an HC module's JSON objects are strings, each the canonical decimal
+form of its weight.  A representation's "semilinear" list is present exactly
+when |G| = 2 and has one matrix per vertex, a species field's "realization"
+is the one dump_species writes for it, and a species' bimodules and a
+species representation's maps name each (from, to) pair at most once.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def _pair(entry, seen) -> tuple:
 
 
 def _check_version(data):
-    if not isinstance(data, dict) or data.get("version") != SCHEMA_VERSION:
+    """data is a dict whose "version" is the JSON integer SCHEMA_VERSION (not
+    true or 1.0, which Python counts as equal to 1)."""
+    if not isinstance(data, dict) or type(data.get("version")) is not int \
+            or data["version"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version "
                          f"(expected {SCHEMA_VERSION})")
 
@@ -123,7 +127,11 @@ def dump_group(g: FiniteGroup) -> dict:
 
 @_loader
 def load_group(data) -> FiniteGroup:
-    return FiniteGroup(data["table"])
+    group = FiniteGroup(data["table"])
+    if _int(data["order"]) != group.order:
+        raise ParseError(f"group order {data['order']} does not match its table "
+                         f"of {group.order} rows")
+    return group
 
 
 def dump_gset(x: GSet) -> dict:

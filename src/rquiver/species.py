@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gsets import FiniteGroup, Subgroup, coset_union
+from .gsets import FiniteGroup, Subgroup, _coset_blocks
 from .quiver import RationalQuiver, base_change as quiver_base_change, restrict as quiver_restrict
 
 
@@ -28,6 +28,12 @@ class BimoduleSummand:
     subgroup: Subgroup
     twist_src: int
     twist_tgt: int
+
+
+def _in_conjugate(group: FiniteGroup, sub: Subgroup, h: Subgroup, t: int) -> bool:
+    """sub <= t H t^-1, tested as t^-1 e t in H for each e in sub."""
+    table, t_inv = group.table, group.inverse_table[t]
+    return all(table[table[t_inv][e]][t] in h.elements for e in sub.elements)
 
 
 class EtaleSpecies:
@@ -51,10 +57,9 @@ class EtaleSpecies:
                         raise ValueError(f"twist {t} is not in 0..{group.order - 1}")
                 if s.subgroup.parent != group:
                     raise ValueError(f"summand subgroup of a different group at ({i},{j})")
-                hi = self.vertex_subgroups[i]
-                hj = self.vertex_subgroups[j]
-                if not (s.subgroup.elements <= hi.conjugate(s.twist_src).elements
-                        and s.subgroup.elements <= hj.conjugate(s.twist_tgt).elements):
+                if not (_in_conjugate(group, s.subgroup, self.vertex_subgroups[i], s.twist_src)
+                        and _in_conjugate(group, s.subgroup, self.vertex_subgroups[j],
+                                          s.twist_tgt)):
                     raise ValueError(
                         f"summand subgroup not compatible with vertex fields at ({i},{j})")
             if summands:
@@ -142,29 +147,47 @@ def _species(q: RationalQuiver, conv: QuiverConventions) -> EtaleSpecies:
 
 def quiver_of_species(s: EtaleSpecies) -> RationalQuiver:
     """The quiver of a species, on unions of the coset spaces G/H_i and
-    G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j.
+    G/H_eps: edge t H_eps runs from t . twist_src . H_i to t . twist_tgt . H_j."""
+    return _quiver_of_species(s)[0]
 
-    Its quiver_conventions are its layout.  By coset_union, vertex block i
-    is one orbit whose minimal point is its offset, and the offsets increase
-    with i, so orbit i is block i with its offset as representative.  The
-    edge blocks follow the summands by sorted (i, j) and then k, and the
-    edge at a block's offset (the coset H_eps) runs from twist_src . H_i in
-    block i to twist_tgt . H_j in block j; so the k-th edge representative
-    at (i, j) is the offset of summand k's block.
+
+def _quiver_of_species(s: EtaleSpecies):
+    """(quiver_of_species(s), its quiver_conventions), the latter read off
+    the coset layout.
+
+    By _coset_blocks, the layout of coset_union, vertex block i is one orbit
+    whose minimal point is its offset, and the offsets increase with i, so
+    orbit i is block i with its offset as representative, and each point's
+    transport is the least element of its coset.  The edge blocks follow the
+    summands by sorted (i, j) and then k, and the edge at a block's offset
+    (the coset H_eps) runs from twist_src . H_i in block i to
+    twist_tgt . H_j in block j; so the k-th edge representative at (i, j) is
+    the offset of summand k's block.
     """
     g = s.group
-    vertices, vertex_offsets = coset_union(g, s.vertex_subgroups)
+    vertices, vertex_offsets, vertex_transport = _coset_blocks(g, s.vertex_subgroups)
     blocks = [(i, j, summand) for (i, j), summands in sorted(s.bimodules.items())
               for summand in summands]
-    edges, edge_offsets = coset_union(g, [summand.subgroup for _, _, summand in blocks])
-    src = [None] * edges.size
-    tgt = [None] * edges.size
-    for (i, j, summand), b in zip(blocks, edge_offsets):
-        for t in g.elements():
-            e = edges.apply(t, b)
-            src[e] = vertices.apply(g.mul(t, summand.twist_src), vertex_offsets[i])
-            tgt[e] = vertices.apply(g.mul(t, summand.twist_tgt), vertex_offsets[j])
-    return RationalQuiver(vertices, edges, src, tgt)
+    edges, edge_offsets, edge_transport = _coset_blocks(
+        g, [summand.subgroup for _, _, summand in blocks])
+    table, at = g.table, vertices.action
+    src = []
+    tgt = []
+    edge_reps = {}
+    ends = edge_offsets[1:] + (edges.size,)
+    for (i, j, summand), start, stop in zip(blocks, edge_offsets, ends):
+        v_i, v_j, a, b = vertex_offsets[i], vertex_offsets[j], summand.twist_src, summand.twist_tgt
+        for t in edge_transport[start:stop]:
+            src.append(at[table[t][a]][v_i])
+            tgt.append(at[table[t][b]][v_j])
+        edge_reps.setdefault((i, j), []).append(start)
+    orbit_of = []
+    for i, (start, stop) in enumerate(zip(vertex_offsets, vertex_offsets[1:] + (vertices.size,))):
+        orbit_of += [i] * (stop - start)
+    conv = QuiverConventions(vertex_offsets, tuple(orbit_of), vertex_transport,
+                             tuple((key, tuple(reps)) for key, reps in edge_reps.items()),
+                             edge_transport)
+    return RationalQuiver(vertices, edges, src, tgt), conv
 
 
 @dataclass(frozen=True)
@@ -179,11 +202,12 @@ def roundtrip_quiver(q: RationalQuiver) -> QuiverRoundtripWitness:
     The point t . rep of q, with t its transport in quiver_conventions(q),
     goes to t . rep2 for the matching representative rep2 of q2 (of the
     same index, or of the same summand): v = t . v_i goes to the coset t H_i
-    and e = t . e_eps to t H_eps.  The checks below certify it.
+    and e = t . e_eps to t H_eps.  q2's representatives are read off its
+    coset layout by _quiver_of_species, and the checks below certify the
+    witness in full.
     """
     conv = quiver_conventions(q)
-    q2 = quiver_of_species(_species(q, conv))
-    conv2 = quiver_conventions(q2)
+    q2, conv2 = _quiver_of_species(_species(q, conv))
     g = q.group
     fv = [q2.vertices.apply(t, conv2.vertex_reps[i])
           for i, t in zip(conv.vertex_orbit_of, conv.vertex_transport)]

@@ -5,7 +5,9 @@ REPLACEMENTS or dropped, and a command that reads the file (COMMANDS) runs
 in-process through ``cli.main``.  Every run must return 0, 1 or 2: a
 malformed file is a parse or usage error (exit 2), and a well-formed but
 wrong one fails its checks (exit 1) or, when the change keeps it valid,
-passes (exit 0).
+passes (exit 0).  A bool or a float in place of an integer node is never
+valid: that run must not return 0, since every integer a loader reads must
+be a JSON integer.
 
     PYTHONPATH=src python tests/fuzz_loaders.py          # the tier-1 sample
     PYTHONPATH=src python tests/fuzz_loaders.py --full   # every input golden
@@ -129,9 +131,16 @@ def mutants(doc, skip_field_integers=False):
             yield path, value, copy
 
 
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def run_file(name, kind, skip_field_integers, workdir):
     """Run the file's command on each of its mutants; returns the list of
-    (path, value, outcome) whose outcome is not exit 0, 1 or 2."""
+    (path, value, outcome) whose outcome is not exit 0, 1 or 2, or is exit 0
+    for a bool or a float in place of an integer node."""
     from rquiver.cli import main
 
     doc = json.loads((GOLDEN / name).read_text())
@@ -148,7 +157,8 @@ def run_file(name, kind, skip_field_integers, workdir):
                 status = main(argv)
         except Exception as exc:  # a traceback is the failure looked for
             status = f"{type(exc).__name__}: {exc}"
-        if status not in (0, 1, 2):
+        if status not in (0, 1, 2) or status == 0 and type(value) in (bool, float) \
+                and type(node_at(doc, path)) is int:
             bad.append((path, "drop" if value is DROP else value, status))
     return bad
 

@@ -50,10 +50,13 @@ def test_json_roundtrips():
 
 
 def test_version_rejected():
+    """The version must be the JSON integer 1: true and 1.0 equal 1 in Python
+    and are rejected too."""
     doc = io.dump_quiver(gelfand_quiver())
-    doc["version"] = 99
-    with pytest.raises(io.ParseError):
-        io.load_quiver(doc)
+    for version in (99, True, 1.0, "1"):
+        doc["version"] = version
+        with pytest.raises(io.ParseError, match="^unsupported or missing schema version"):
+            io.load_quiver(doc)
     doc.pop("version")
     with pytest.raises(io.ParseError):
         io.load_quiver(doc)
@@ -157,6 +160,54 @@ def test_bool_in_group_table_exit_code(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("parse error: malformed input to load_group: "
                             "ValueError: table row [0, True] is not a permutation of 0..1\n")
+
+
+def test_load_group_checks_the_order():
+    """"order" must be the JSON integer that counts the table's rows."""
+    doc = io.dump_group(FiniteGroup.symmetric(3))
+    assert io.load_group(doc).order == doc["order"] == 6
+    for order, message in ((5, "group order 5 does not match its table of 6 rows"),
+                           (True, "expected an integer, got True"),
+                           (6.0, "expected an integer, got 6.0")):
+        with pytest.raises(io.ParseError, match=rf"^{re.escape(message)}$"):
+            io.load_group({**doc, "order": order})
+    with pytest.raises(io.ParseError, match="^malformed input to load_group: KeyError: 'order'$"):
+        io.load_group({"table": doc["table"]})
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("version",), True, "unsupported or missing schema version (expected 1)"),
+    (("version",), 1.0, "unsupported or missing schema version (expected 1)"),
+    (("group", "order"), 99, "group order 99 does not match its table of 2 rows"),
+    (("group", "order"), "x", "expected an integer, got 'x'"),
+    (("group", "order"), None, "expected an integer, got None"),
+    (("group", "order"), DROP, "malformed input to load_group: KeyError: 'order'"),
+    (("vertices", "action", 0), [False, True, 2], "malformed input to load_gset: ValueError: "
+     "action row [False, True, 2] has a point that is not an int"),
+    (("edges", "action", 0, 0), True, "malformed input to load_gset: ValueError: "
+     "action row [True, 0, 3, 2] has a point that is not an int"),
+])
+def test_non_integer_node_exit_code(tmp_path, capsys, path, value, message):
+    """A bool, a float or a string where a quiver file needs an integer, a
+    wrong group order or none: quiver validate exits 2 with one parse error
+    line.  Each of these files would load if the node were not checked:
+    true and 1.0 equal 1, and nothing else reads the order."""
+    doc = json.loads((GOLDEN / "quiver_gelfand.json").read_text())
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    assert main(["quiver", "validate", "--in", write(tmp_path, "q.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
 
 
 @pytest.mark.parametrize("name, i, value, want", [

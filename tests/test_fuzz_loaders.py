@@ -1,6 +1,7 @@
 """Deterministic loader fuzz: every node of three golden inputs, replaced by
 a bad value or dropped, gives exit 0, 1 or 2 and no traceback under each of
-the four sample commands.  The full sweep over every input golden is
+the four sample commands, and never exit 0 for a bool or a float in place of
+an integer.  The full sweep over every input golden is
 ``python tests/fuzz_loaders.py --full``."""
 
 import json
@@ -14,6 +15,17 @@ from fuzz_loaders import FULL, GOLDEN, SAMPLE, mutants, run_file
 @pytest.mark.parametrize("name, kind, skip_field_integers", SAMPLE)
 def test_mutated_inputs_exit_cleanly(tmp_path, name, kind, skip_field_integers):
     assert run_file(name, kind, skip_field_integers, tmp_path) == []
+
+
+def test_exit_0_on_a_bool_or_float_integer_is_a_failure(tmp_path, monkeypatch):
+    """With the version check switched off, the three mutants that put true,
+    0.5 or 1.0 in the version pass quiver validate, and the oracle reports
+    exactly those: the other values exit 0 too but are not numbers read as
+    integers."""
+    monkeypatch.setattr(io, "_check_version", lambda data: None)
+    bad = run_file("quiver_gelfand.json", "quiver", False, tmp_path)
+    assert sorted(bad, key=repr) == [(("version",), 0.5, 0), (("version",), 1.0, 0),
+                                     (("version",), True, 0)]
 
 
 def test_mutants_cover_every_node():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -204,6 +205,15 @@ def test_group_and_subgroup_elements_must_be_ints(value):
     for elements in ([0, value], [0, 1, value]):
         with pytest.raises(ValueError, match=rf"^subgroup element {value!r} is not in 0\.\.5$"):
             Subgroup(s3, elements)
+
+
+@pytest.mark.parametrize("row", [[True, False], [True, 0], [1.0, 0]])
+def test_gset_points_must_be_ints(row):
+    """true would pass as the point 1 of an action row, and 1.0 would fail
+    later with a TypeError; both are rejected up front."""
+    with pytest.raises(ValueError, match=rf"^action row {re.escape(repr(row))} has a point "
+                                         rf"that is not an int$"):
+        GSet(C2, 2, [[0, 1], row])
 
 
 def test_orbits_trivial_and_gelfand():

@@ -324,18 +324,22 @@ def test_hf_witness_builds_the_species_dictionary_once(monkeypatch):
 
 
 def test_conventions_are_built_once_per_quiver(monkeypatch):
-    """functor_F and hf_witness build the conventions of r's quiver once,
-    and roundtrip_quiver once for q and once for the quiver of its
-    species: the species is read off the conventions the caller holds."""
+    """functor_F, hf_witness and roundtrip_quiver build the conventions of
+    the quiver they are given once, and functor_H builds none: the quiver
+    of a species (functor_H's, and roundtrip_quiver's second one) comes with
+    the conventions read off its coset layout, and the species is read off
+    the conventions the caller holds."""
     from rquiver.species import roundtrip_quiver
 
     fixtures = hf_fixtures(6)
     calls = count_calls(monkeypatch, ("quiver_conventions",))
     for r in fixtures:
-        for run, expected in ((functor_F, 1), (hf_witness, 1), (roundtrip_quiver, 2)):
+        w = functor_F(r)
+        for run, arg, expected in ((functor_F, r, 1), (hf_witness, r, 1),
+                                   (roundtrip_quiver, r.quiver, 1), (functor_H, w, 0)):
             calls.clear()
-            run(r.quiver if run is roundtrip_quiver else r)
-            assert calls == {"quiver_conventions": expected}, run.__name__
+            run(arg)
+            assert calls["quiver_conventions"] == expected, run.__name__
 
 
 def test_theta_rational_structure_consistency():

@@ -18,6 +18,7 @@ from rquiver.serialize import dump_quiver
 from rquiver.species import (
     BimoduleSummand,
     EtaleSpecies,
+    _quiver_of_species,
     quiver_conventions,
     quiver_of_species,
     roundtrip_quiver,
@@ -350,12 +351,14 @@ def ref_quiver_of_species(s):
 
 
 def assert_matches_reference(s):
-    """quiver_of_species's quiver equals the reference, and its conventions
-    are the reference layout: the vertex offsets as representatives, the
-    block of summand k at (i, j) at the k-th edge representative there, and
-    the minimum of each point's coset as its transport."""
-    q = quiver_of_species(s)
-    conv = quiver_conventions(q)
+    """quiver_of_species's quiver equals the reference, the conventions
+    _quiver_of_species reads off its layout are quiver_conventions of that
+    quiver, and they are the reference layout: the vertex offsets as
+    representatives, the block of summand k at (i, j) at the k-th edge
+    representative there, and the minimum of each point's coset as its
+    transport."""
+    q, conv = _quiver_of_species(s)
+    assert conv == quiver_conventions(q)
     ref_q, vertex_offsets, vertex_cosets, edge_offsets, edge_cosets = ref_quiver_of_species(s)
     assert dump_quiver(q) == dump_quiver(ref_q)
     assert conv.vertex_reps == vertex_offsets
@@ -390,10 +393,11 @@ def test_coset_spaces_match_reference_on_every_subgroup(name):
 def test_quiver_of_species_conventions_are_its_block_offsets(name):
     """Every subgroup as a vertex field and, between every pair of fields,
     one summand per subgroup and canonical twist pair the fields allow: the
-    conventions of quiver_of_species are its coset_union layout, with index
-    i at the offset of vertex block i, the k-th edge representative at
-    (i, j) at the offset of summand k's block, and the minimum of each
-    point's coset as its transport."""
+    conventions _quiver_of_species reads off its layout are
+    quiver_conventions of its quiver, and they are its coset_union layout,
+    with index i at the offset of vertex block i, the k-th edge
+    representative at (i, j) at the offset of summand k's block, and the
+    minimum of each point's coset as its transport."""
     group = GROUPS[name]
     subs = _all_subgroups(group)
     minima = [[min(c) for c in h.left_cosets()] for h in subs]
@@ -403,8 +407,8 @@ def test_quiver_of_species_conventions_are_its_block_offsets(name):
             if sub.elements <= hi.conjugate(a).elements & hj.conjugate(b).elements:
                 bims.setdefault((i, j), []).append(BimoduleSummand(sub, a, b))
     s = EtaleSpecies(group, subs, bims)
-    q = quiver_of_species(s)
-    conv = quiver_conventions(q)
+    q, conv = _quiver_of_species(s)
+    assert conv == quiver_conventions(q)
     assert conv.vertex_reps == coset_union(group, subs)[1]
     assert conv.vertex_transport == tuple(m for ms in minima for m in ms)
     blocks = [(i, j, k, x.subgroup) for (i, j), summands in sorted(bims.items())
@@ -413,6 +417,26 @@ def test_quiver_of_species_conventions_are_its_block_offsets(name):
     assert tuple(conv.edge_reps_of(i, j)[k] for i, j, k, _ in blocks) == edge_offsets
     assert conv.edge_transport == tuple(min(c) for *_, sub in blocks for c in sub.left_cosets())
     assert species_of_quiver(q) == s
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_summand_compatibility_is_the_conjugate_formula(name):
+    """EtaleSpecies accepts a summand (S, a, b) from H_i to H_j exactly when
+    S <= a H_i a^-1 and S <= b H_j b^-1, on every pair of subgroups, every S
+    and every twist pair.  Over C2 and C3 every subgroup is normal, so only
+    S3 tells a H a^-1 from a^-1 H a."""
+    group = GROUPS[name]
+    subs = _all_subgroups(group)
+    for hi, hj, sub in product(subs, repeat=3):
+        for a, b in product(group.elements(), repeat=2):
+            want = sub.elements <= hi.conjugate(a).elements & hj.conjugate(b).elements
+            try:
+                EtaleSpecies(group, [hi, hj], {(0, 1): [BimoduleSummand(sub, a, b)]})
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (sorted(hi.elements), sorted(hj.elements),
+                                 sorted(sub.elements), a, b)
 
 
 def test_quiver_of_species_matches_reference_on_random_species():
@@ -485,32 +509,22 @@ WITNESS_FAULTS = {
 @pytest.mark.parametrize("name", sorted(WITNESS_FAULTS))
 def test_roundtrip_witness_rejects_a_corrupted_quiver(name, monkeypatch):
     """Each of the witness's four checks (bijections, src/tgt, equivariance on
-    vertices and on edges) rejects, in roundtrip_quiver, a quiver_of_species
-    whose quiver or conventions are corrupted.  The corrupted conventions
-    reach roundtrip_quiver through quiver_conventions of the corrupted
-    quiver; every other quiver keeps its own."""
+    vertices and on edges) rejects, in roundtrip_quiver, a _quiver_of_species
+    whose quiver or conventions are corrupted."""
     import rquiver.species as species_mod
     from rquiver.species import IsoSearchFailed
 
     quiver, corrupt, message = WITNESS_FAULTS[name]
     q = quiver()
     roundtrip_quiver(q)
-    honest_quiver, honest_conventions = species_mod.quiver_of_species, quiver_conventions
+    honest = species_mod._quiver_of_species
     made = []
 
-    def corrupted_quiver(s):
-        q2 = honest_quiver(s)
-        made.append(corrupt(q2, honest_conventions(q2)))
-        return made[-1][0]
+    def corrupted(s):
+        made.append(corrupt(*honest(s)))
+        return made[-1]
 
-    def conventions(quiver):
-        for q2, conv in made:
-            if q2 is quiver:
-                return conv
-        return honest_conventions(quiver)
-
-    monkeypatch.setattr(species_mod, "quiver_of_species", corrupted_quiver)
-    monkeypatch.setattr(species_mod, "quiver_conventions", conventions)
+    monkeypatch.setattr(species_mod, "_quiver_of_species", corrupted)
     with pytest.raises(IsoSearchFailed, match=message):
         roundtrip_quiver(q)
     assert made
