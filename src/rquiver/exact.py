@@ -851,7 +851,7 @@ def _nilpotent_powers(n: QuadMatrix):
     """[n, n^2, ..., n^(e-1)] for a square n, with e least such that n^e = 0
     ([] if n is empty or zero), or None once n^rows != 0, without forming
     n^(rows+1).  The one walk over a matrix's powers: nilpotency_exponent
-    and the unipotent series use it."""
+    reads it, and the unipotent series sum over it with power_series."""
     powers, p = [], n
     for k in range(1, n.rows + 1):
         # p = n^k
@@ -862,6 +862,37 @@ def _nilpotent_powers(n: QuadMatrix):
         powers.append(p)
         p = p * n
     return powers
+
+
+def power_series(numerators, den: int, powers, n: int, d=-1) -> QuadMatrix:
+    """sum_k (numerators[k] / den) x^k for an n x n matrix x over Q(sqrt(d)),
+    given powers = [x, x^2, ..., x^m] with m = len(numerators) - 1 and
+    x^0 = 1; the coefficients are integers over one denominator den > 0.
+
+    One pass over the entries: with L the lcm of the powers' denominators,
+    entry k is (sum_j c_j (L/den_j) (P_j[k] + Q_j[k] sqrt(D)) + c_0 L [k on
+    the diagonal]) / (den L), each sum one integer dot product of the weights
+    c_j L/den_j with the entries of the powers."""
+    _check_shape(n, n)
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"denominator must be a positive int, got {den!r}")
+    if len(numerators) != len(powers) + 1:
+        raise ValueError("need one coefficient per power and one for x^0")
+    d = _field_tag(d)
+    for x in powers:
+        if (x.rows, x.cols) != (n, n):
+            raise ValueError(f"a power is {x.rows}x{x.cols}, not {n}x{n}")
+        _check_field(x, d, "a power")
+    base = lcm(*(x._den for x in powers))
+    weights = [c * (base // x._den) for c, x in zip(numerators[1:], powers)]
+    size = n * n
+    P = [sum(map(mul, weights, col)) for col in zip(*(x._P for x in powers))] \
+        if powers else [0] * size
+    Q = [sum(map(mul, weights, col)) for col in zip(*(x._Q for x in powers))] \
+        if any(any(x._Q) for x in powers) else [0] * size
+    one = numerators[0] * base
+    P[::n + 1] = [p + one for p in P[::n + 1]]
+    return _matrix(n, n, d, d.numerator * d.denominator, P, Q, den * base)
 
 
 def nilpotency_exponent(m: QuadMatrix):

@@ -738,11 +738,14 @@ def functor_E_map(psi: dict, ell: int) -> tuple:
     Y* are rational multiples of ladder products, (X* Y*)^-1 is a Neumann
     series in X* Y* - 1, and T_+ is a rational polynomial in C = phi_+ on
     M_{ell+1}, so psi intertwines them and the starting pairs (X*, Y*) and
-    (1, T_+).  Every stabilization step is p <- p c, q <- c q with
-    c = (1 + u^-1)/2 a polynomial in u = phi_- phi_+ with rational
-    coefficients, one polynomial for M and M' once its degree passes both
-    nilpotency exponents; so psi intertwines each step, the limits and the
-    rho built from them, and E(psi) meets the morphism condition at every
-    edge and vertex.
+    (1, T_+).  Step k of a stabilization run is p <- p c_k, q <- c_k q
+    with c_k = sum_j gamma_(k,j) s^j a fixed polynomial in s = 1 - u_0,
+    u_0 = phi_- phi_+ of the starting pair: its coefficients gamma_(k,j)
+    are dyadic rationals that depend on k and j only, not on the module
+    (unipotent's module docstring), and truncating at s^e for both
+    nilpotency exponents e of M and M' changes no term that survives.  psi
+    intertwines u_0 and so s and every c_k; so psi intertwines each step,
+    the limits and the rho built from them, and E(psi) meets the morphism
+    condition at every edge and vertex.
     """
     return tuple(psi[w] for w in _block(ell)[1])

@@ -206,6 +206,62 @@ def test_nilpotent_powers_stop_at_the_last_power(monkeypatch):
     assert len(calls) == 2
 
 
+def scale_and_add(numerators, den, powers, n, d):
+    """Reference for power_series: c_0 1 + c_1 x + ... as a chain of scales
+    and sums, one matrix at a time."""
+    acc = QuadMatrix.identity(n, d).scale(Fraction(numerators[0], den))
+    for c, x in zip(numerators[1:], powers):
+        acc = acc + x.scale(Fraction(c, den))
+    return acc
+
+
+@pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+                               Fraction(-5, 3)], ids=["d-1", "d2", "d-3", "d1_2", "d-5_3"])
+def test_power_series_is_the_scale_and_add_sum(d):
+    """power_series equals the scale-and-add sum on the 0x0 matrix, on the
+    powers of random matrices with sqrt(d) parts and fractional entries, and
+    on lists of unrelated matrices whose denominators 2, 3 and 4 have an lcm
+    above each of them; coefficients are zero, negative or positive, over
+    denominators 1..6."""
+    from rquiver.exact import power_series
+
+    rng = random.Random(808)
+    empty = QuadMatrix.zeros(0, 0, d)
+    for numerators in ([3], [0, 0], [-2, 5, 0]):
+        powers = [empty] * (len(numerators) - 1)
+        assert power_series(numerators, 2, powers, 0, d) == empty
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(0, 4)
+        x = random_matrix(rng, n, n, d).scale(Fraction(1, rng.randint(1, 4)))
+        powers = [x]
+        while len(powers) < m:
+            powers.append(powers[-1] * x)
+        powers = powers[:m]
+        numerators = [rng.randint(-5, 5) for _ in range(m + 1)]
+        den = rng.randint(1, 6)
+        assert power_series(numerators, den, powers, n, d) == \
+            scale_and_add(numerators, den, powers, n, d)
+    for den in (1, 5):
+        powers = [random_matrix(rng, 3, 3, d).scale(Fraction(1, k)) for k in (2, 3, 4)]
+        for numerators in ([1, 1, 1, 1], [0, -1, 2, -3], [4, 0, 0, 7]):
+            assert power_series(numerators, den, powers, 3, d) == \
+                scale_and_add(numerators, den, powers, 3, d)
+
+
+def test_power_series_rejects_bad_input():
+    from rquiver.exact import power_series
+
+    x = QuadMatrix.from_rows([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="positive int"):
+        power_series([1, 1], 0, [x], 2)
+    with pytest.raises(ValueError, match="one coefficient per power"):
+        power_series([1], 1, [x], 2)
+    with pytest.raises(ValueError, match="not 3x3"):
+        power_series([1, 1], 1, [x], 3)
+    with pytest.raises(ValueError, match="not sqrt"):
+        power_series([1, 1], 1, [QuadMatrix.from_rows([[0, 1], [0, 0]], 2)], 2, -1)
+
+
 # ---------------------------------------------------------------- fixed space
 
 def test_fixed_space_entrywise_conjugation():

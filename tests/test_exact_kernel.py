@@ -760,26 +760,38 @@ def test_field_tag_store_is_bounded(monkeypatch):
 
 def test_roundtrip_multiply_count(monkeypatch):
     """roundtrip_hc of the golden Jordan-block extension rep at ell = 2 makes
-    999 integer multiplies through exact.mul (1080 while the witness took
-    T_-^(1/2) by a second binomial series instead of reading it off E's
-    rational structure, 1404 while inverse_E ran validate_hc on its own
-    output, 3186 before products with an identity or empty operand were
+    891 integer multiplies through exact.mul inside matrix products and 108
+    in the one-pass sums of exact.power_series (999 in products, and the sums
+    as scale-and-add chains outside exact.mul, while each stabilization step
+    formed u_k = phi_- phi_+ and walked its powers again; 1080 while the
+    witness took T_-^(1/2) by a second binomial series instead of reading it
+    off E's rational structure, 1404 while inverse_E ran validate_hc on its
+    own output, 3186 before products with an identity or empty operand were
     skipped)."""
     import rquiver.exact as exact
     from rquiver.hc import roundtrip_hc
     from rquiver.serialize import load_rep
 
-    calls = [0]
+    calls, inside = {"product": 0, "power_series": 0}, ["power_series"]
+    product = exact._product
 
     def counting_mul(a, b):
-        calls[0] += 1
+        calls[inside[0]] += 1
         return a * b
+
+    def counting_product(x, y):
+        inside[0] = "product"
+        try:
+            return product(x, y)
+        finally:
+            inside[0] = "power_series"
 
     golden = Path(__file__).parent / "golden" / "hc_ext_rep_d-1.json"
     rep = load_rep(json.loads(golden.read_text()))
     monkeypatch.setattr(exact, "mul", counting_mul)
+    monkeypatch.setattr(exact, "_product", counting_product)
     roundtrip_hc(rep, 2)
-    assert calls[0] == 999
+    assert calls == {"product": 891, "power_series": 108}
 
 
 # ---------------------------------------------------------------- stacking

@@ -9,7 +9,6 @@ import rquiver.unipotent as unipotent
 from rquiver.exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
 from rquiver.randomgen import random_unimodular
 from rquiver.unipotent import (
-    MAX_ITERATIONS,
     PreconditionViolated,
     SingularIterate,
     StabilizationProblem,
@@ -69,11 +68,21 @@ def random_nilpotent(rng, n, span=2):
 
 def test_neumann_inverse():
     rng = random.Random(1)
-    for n in (1, 2, 4):
+    for n in (0, 1, 2, 4):
         u = QuadMatrix.identity(n) + random_nilpotent(rng, n)
         assert (u * neumann_inverse(u)).is_identity()
-    with pytest.raises(PreconditionViolated):
+        assert neumann_inverse(u) == reference_neumann_inverse(u)
+    with pytest.raises(PreconditionViolated, match="^matrix is not unipotent$"):
         neumann_inverse(QuadMatrix.from_rows([[2]]))
+
+
+def test_neumann_inverse_rejects_a_non_square_matrix():
+    """A non-square matrix is no unipotent matrix; the check comes before the
+    walk, which would fail on the shape of 1 - u with a plain ValueError."""
+    for rows in ([[1, 0]], [[1], [0]]):
+        with pytest.raises(PreconditionViolated,
+                           match="^Neumann inverse of a non-square matrix$"):
+            neumann_inverse(QuadMatrix.from_rows(rows))
 
 
 def test_stabilize_identity_immediate():
@@ -133,18 +142,20 @@ def test_stabilize_random_and_bounds():
             assert after <= math.ceil(before / 2)
 
 
-def test_stabilization_walks_the_powers_once_per_step(monkeypatch):
-    """The problem's Neumann pass checks phi_- phi_+ and serves the first
-    step, so a run of k iterations makes k + 1 passes; the pass is no part of
-    the problem's value."""
-    neumann, calls = unipotent._neumann, []
+def test_stabilization_walks_the_powers_once_per_run(monkeypatch):
+    """The problem's walk over the powers of s = 1 - phi_- phi_+ checks the
+    pair and serves every step of the run, so a problem and its run make one
+    walk (k + 1 for a run of k iterations while each step formed its u_k and
+    walked its powers again); the powers are no part of the problem's value."""
+    walk, calls = unipotent._nilpotent_powers, []
 
-    def counting(u):
-        calls.append(u)
-        return neumann(u)
+    def counting(n):
+        calls.append(n)
+        return walk(n)
 
-    monkeypatch.setattr(unipotent, "_neumann", counting)
+    monkeypatch.setattr(unipotent, "_nilpotent_powers", counting)
     rng = random.Random(5)
+    iterations = []
     for dim in (1, 3, 5):
         n = random_nilpotent(rng, dim)
         p0, q0 = QuadMatrix.identity(dim) + n, QuadMatrix.identity(dim)
@@ -152,8 +163,10 @@ def test_stabilization_walks_the_powers_once_per_step(monkeypatch):
         prob = StabilizationProblem(p0, q0)
         assert prob.defect_exponent() == nilpotency_exponent(n)
         res = stabilize(prob)
-        assert len(calls) == res.iterations + 1
-        assert prob == StabilizationProblem(p0, q0) and "neumann" not in repr(prob)
+        assert len(calls) == 1
+        iterations.append(res.iterations)
+        assert prob == StabilizationProblem(p0, q0) and "powers" not in repr(prob)
+    assert max(iterations) >= 2
     with pytest.raises(PreconditionViolated, match="^phi_- o phi_\\+ - 1 is not nilpotent$"):
         StabilizationProblem(QuadMatrix.from_rows([[2]]), QuadMatrix.identity(1))
 
@@ -284,6 +297,8 @@ def test_scaled_sqrt_inverse_compatibility():
 
 
 # ------------------------------------------- references: the eliminating kernels
+
+MAX_ITERATIONS = 64  # the references' safety cap; stabilize needs none
 
 def reference_neumann_inverse(u: QuadMatrix) -> QuadMatrix:
     acc = term = QuadMatrix.identity(u.rows, u.d)
@@ -432,7 +447,10 @@ def test_unipotent_layer_product_counts(parity_cases, monkeypatch):
     """Matrix products (exact._product calls) on the parity problems, pinned
     at the counts of the power loops that each function once ran itself: a
     walk over the powers of an n of exponent e costs e - 1 products, and
-    summing a series over the walk costs none."""
+    summing a series over the walk costs none.  stabilize makes
+    2 iterations + 1 products per run, as it takes each c_k from the
+    problem's powers (951 while each step formed u_k = phi_- phi_+ and walked
+    its powers again)."""
     product, calls = rquiver.exact._product, [0]
 
     def counting(x, y):
@@ -456,7 +474,7 @@ def test_unipotent_layer_product_counts(parity_cases, monkeypatch):
             run(*case)
         counts[name] = calls[0]
     assert counts == {"nilpotency_exponent": 390, "StabilizationProblem": 547,
-                      "stabilize": 951, "unipotent_sqrt": 600, "scaled_sqrt": 600}
+                      "stabilize": 738, "unipotent_sqrt": 600, "scaled_sqrt": 600}
 
 
 @pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
@@ -475,6 +493,69 @@ def test_stabilize_limit_closed_form(d):
             res = stabilize(StabilizationProblem(p, q))
             r = unipotent_sqrt(neumann_inverse(q * p))
             assert (res.phi_plus_inf, res.phi_minus_inf) == (p * r, r * q)
+
+
+@pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+                               Fraction(-5, 3)], ids=["d-1", "d2", "d-3", "d1_2", "d-5_3"])
+def test_stabilize_trace_exponents_are_measured(d):
+    """stabilize reads each defect exponent off the coefficients of u_k as
+    ceil(e_0 / 2^k); each equals the nilpotency exponent of q_k p_k - 1
+    measured on the trace's own matrices."""
+    rng = random.Random(310)
+    seen = set()
+    for dim in range(7):
+        for whole in (True, False):
+            ident = QuadMatrix.identity(dim, d)
+            n = jordan_nilpotent(rng, random_jordan_type(rng, dim, whole), d)
+            q0 = random_unimodular(rng, dim, span=1, d=d)
+            res = stabilize(StabilizationProblem(inverse(q0) * (ident + n), q0))
+            for pk, qk, e in res.trace:
+                assert e == nilpotency_exponent(qk * pk - ident)
+                seen.add(e)
+    assert seen == {1, 2, 3, 4, 5, 6}
+
+
+def test_stabilize_rejects_a_perturbed_coefficient(monkeypatch):
+    """A wrong coefficient cannot pass: one added to the s-coefficient of
+    c_0 fails the closing check q p = 1, and one added to the s-coefficient
+    of u_1 fails the order check."""
+    rows = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    prob = StabilizationProblem(QuadMatrix.identity(4) + QuadMatrix.from_rows(rows),
+                                QuadMatrix.identity(4))
+    assert stabilize(prob).iterations == 2
+    series = unipotent.power_series
+
+    def perturbed_c(numerators, den, powers, n, d):
+        return series([numerators[0], numerators[1] + 1, *numerators[2:]], den, powers, n, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(unipotent, "power_series", perturbed_c)
+        with pytest.raises(SingularIterate, match="not mutually inverse"):
+            stabilize(prob)
+    times = unipotent._times
+
+    def perturbed_u(a, ta, b, tb):
+        out, t = times(a, ta, b, tb)
+        return [out[0], out[1] + 1, *out[2:]], t
+
+    monkeypatch.setattr(unipotent, "_times", perturbed_u)
+    with pytest.raises(SingularIterate, match="has order 1, not 2"):
+        stabilize(prob)
+
+
+def test_stabilize_makes_two_products_per_step_and_one_check(parity_cases, monkeypatch):
+    """p <- p c_k and q <- c_k q per step, and q p once at the end."""
+    product, calls = rquiver.exact._product, [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return product(x, y)
+
+    monkeypatch.setattr(rquiver.exact, "_product", counting)
+    for prob, _, _ in parity_cases:
+        calls[0] = 0
+        res = stabilize(prob)
+        assert calls[0] == 2 * res.iterations + 1
 
 
 def test_sqrt_rejects_non_unipotent():
