@@ -28,7 +28,8 @@ from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
     CYCLIC_A, CYCLIC_B, CYCLIC_MINUS, CYCLIC_PLUS, RationalQuiver, \
     ValidationReport, check, cyclic_quiver, gelfand_quiver
-from .reps import QuiverRep, _dimensions, hom_space, is_morphism, validate_rep
+from .reps import QuiverRep, _dimensions, _validate_structure, hom_space, is_morphism, \
+    validate_rep
 from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
     scaled_sqrt, stabilize
 
@@ -155,7 +156,10 @@ class HCModule:
 
 
 def casimir_matrix(m: HCModule, w: int) -> QuadMatrix:
-    """C = H^2 - 2H + 4XY + 1 evaluated on the weight space M_w."""
+    """C = H^2 - 2H + 4XY + 1 evaluated on the weight space M_w; OutOfWindow
+    names a weight of the wrong parity as x_at / y_at do, before the range."""
+    if (w - m.epsilon) % 2:
+        raise OutOfWindow(f"weight {w} has the wrong parity")
     if not m.in_window(w):
         raise OutOfWindow(f"weight {w} outside the window")
     xy = m.x_at(w - 2) * m.y_at(w)
@@ -394,15 +398,17 @@ def functor_E(m: HCModule) -> BlockFunctorResult:
     and b_+ are then normalized through star, and the rational structure is
     composed with one unipotent stabilization per conjugation orbit of
     vertices, (X*, Y*) on star and (1, T_+) on {+, -}.  The image is
-    validated here, once; roundtrip_hc checks it through its witness instead.
+    checked here, once, by _nilpotent_cycle, which accepts exactly the reps
+    of the block's quiver that validate_rep accepts; a rejected image is a
+    construction bug, named by validate_rep's failures.  roundtrip_hc checks
+    the image through its witness instead.
     """
     report = validate_hc(m)
     if not report.ok:
         raise ValueError(f"invalid module: {report.failures()}")
     result = _functor_E(m)
-    report = validate_rep(result.rep)
-    if not report.ok:
-        raise AssertionError(f"construction bug: {report.failures()}")
+    if _nilpotent_cycle(result.rep, m.ell) is None:
+        raise AssertionError(f"construction bug: {validate_rep(result.rep).failures()}")
     return result
 
 
@@ -426,6 +432,24 @@ def _block(ell: int) -> tuple:
                   GELFAND_B_PLUS: (2, ell - 1), GELFAND_B_MINUS: (-2, -(ell - 1))}
     return (q, tuple(weights[v] for v in range(q.vertices.size)),
             tuple(ladder[e] for e in range(q.edges.size)))
+
+
+def _nilpotent_cycle(v: QuiverRep, ell: int) -> QuadMatrix | None:
+    """The cycle composite X_{ell-1} Y_{ell+1} of a rep v of the ell-block's
+    quiver (b_+ a_+ on M_+ for ell >= 1, ab for ell = 0, with the edges that
+    _block places there) if v passes validate_rep(v), else None.
+
+    It runs _validate_structure(v), the checks validate_rep runs before
+    "nilpotent", and then one walk over the powers of the composite (at most
+    dim M_+ - 1 products, no elimination) instead of is_nilpotent_rep's
+    image chain; inverse_E's docstring proves that on the block's quiver the
+    two nilpotency checks agree on every v that passes the structure checks.
+    """
+    ladder = _block(ell)[2]
+    cycle = v.edge_maps[ladder.index((2, ell - 1))] * v.edge_maps[ladder.index((-2, ell + 1))]
+    if _validate_structure(v).ok and nilpotency_exponent(cycle) is not None:
+        return cycle
+    return None
 
 
 def _functor_E(m: HCModule) -> BlockFunctorResult:
@@ -478,12 +502,30 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     conjugation on the minus side.
 
     Raises ValueError on an ell that is not a nonnegative int, then on a
-    quiver that does not match ell, both before validate_rep runs, and on an
-    invalid representation (validate_rep checks the Gelfand relation
-    literally).  The module is returned without validate_hc: it passes every
-    check of validate_hc whenever v passes validate_rep, as follows.  It
-    stores the core ladder maps only, the edge maps where _block places
-    them, and x_at / y_at derive the tail maps from phi_+-.
+    quiver that does not match ell, both before any check of the rep, and on
+    an invalid representation, with validate_rep's failures (it checks the
+    Gelfand relation literally).  The rep is checked by _nilpotent_cycle:
+    the structure checks of validate_rep (cocycle, edge-equivariance,
+    relations-literal), then the nilpotency of the one cycle composite
+    X_{ell-1} Y_{ell+1}, which phi_+ reuses.  The arrow ideal acts
+    nilpotently, validate_rep's "nilpotent", exactly when every long enough
+    path gives a zero matrix, so on a rep that passes the structure checks
+    the two agree:
+    - ell >= 1.  The out-edges of star are b_+-, and the only out-edge of
+      +- is a_+-.  So a path of length 2k + 1 contains k consecutive pairs
+      a_e b_e (b_e then a_e), each equal to n = a_+ b_+ by
+      "relations-literal", and its matrix factors through n^k.  Hence v is
+      nilpotent iff n is, as n^k is itself a path.  And n is nilpotent iff
+      X_{ell-1} Y_{ell+1} = b_+ a_+ is, since n^(k+1) = a_+ (b_+ a_+)^k b_+
+      and (b_+ a_+)^(k+1) = b_+ n^k a_+.
+    - ell = 0.  The paths alternate a and b, so one of length 2k + 1
+      factors through (ab)^k or (ba)^k, and (ba)^(k+1) = b (ab)^k a; v is
+      nilpotent iff X_{-1} Y_1 = ab is, with no relation needed.
+
+    The module is returned without validate_hc: it passes every check of
+    validate_hc whenever v passes validate_rep, as follows.  It stores the
+    core ladder maps only, the edge maps where _block places them, and
+    x_at / y_at derive the tail maps from phi_+-.
 
     ell >= 1.  Write a_+-: +- -> star and b_+-: star -> +- for the edge maps,
     rho_v for the rational structure, n = a_+ b_+ and s = scaled_sqrt(ell^2 +
@@ -543,9 +585,9 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     if v.quiver != q:
         raise ValueError("ell = 0 expects a cyclic-quiver representation" if ell == 0
                          else "ell >= 1 expects a Gelfand-quiver representation")
-    report = validate_rep(v)
-    if not report.ok:
-        raise ValueError(f"invalid representation: {report.failures()}")
+    cycle = _nilpotent_cycle(v, ell)
+    if cycle is None:
+        raise ValueError(f"invalid representation: {validate_rep(v).failures()}")
     d = v.d
     lam = Fraction(ell * ell)
 
@@ -572,8 +614,7 @@ def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) 
     return HCModule(ell, top % 2, n_window,
                     {w: v.dims[i] for w, i in owner.items()}, x_maps, y_maps,
                     {w: v.rho[i] for w, i in owner.items()},
-                    phi(x_maps[ell - 1] * y_maps[ell + 1]),
-                    phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
+                    phi(cycle), phi(y_maps[-(ell - 1)] * x_maps[-(ell + 1)]), d)
 
 
 @dataclass(frozen=True)
@@ -599,12 +640,13 @@ def roundtrip_hc(v: QuiverRep, ell: int) -> HCRoundtrip:
     AssertionError is raised.  The check at + then tests r2's cocycle, which
     psi_- assumed, so a wrong image still fails it.
 
-    inverse_E validates v and returns a module that is valid by the proof in
-    its docstring; E is applied to it without validating it or its image.
-    The image needs no validate_rep: a verified witness is an isomorphism
-    onto v, which inverse_E validated, and the cocycle, edge-equivariance,
-    the relations and nilpotency all carry over along an isomorphism of
-    rational representations.
+    inverse_E checks v, by the structure checks and one cycle composite
+    (_nilpotent_cycle, no image chain), and returns a module that is valid
+    by the proof in its docstring; E is applied to it without validating it
+    or its image.  The image needs no check: a verified witness is an
+    isomorphism onto v, which inverse_E checked, and the cocycle,
+    edge-equivariance, the relations and nilpotency all carry over along an
+    isomorphism of rational representations.
     """
     module = inverse_E(v, ell)
     result = _functor_E(module)

@@ -28,8 +28,10 @@ power of two, builds each c_k from the stored powers, and spends two
 products per step, p <- p c_k and q <- c_k q.  The defect exponents are read
 off the coefficients (stabilize's docstring proves both facts used):
 u_k - 1 = s^m g(s) with g(0) != 0 has nilpotency exponent ceil(e_0/m), and
-m = 2^k.  The run ends with one exact check that phi_- phi_+ = 1, so the
-verdict never rests on the coefficient arithmetic alone.
+m = 2^k.  A run of at least one step ends with one exact check that
+phi_- phi_+ = 1, so the verdict never rests on the coefficient arithmetic
+alone; a run of no steps starts from the exact phi_- phi_+ = 1 that the walk
+found.
 """
 
 from __future__ import annotations
@@ -148,10 +150,13 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
     ceil(e_0/m) = ceil(e_0/2^k), and 1 once 2^k >= e_0.  The loop stops
     there, after exactly (e_0 - 1).bit_length() = ceil(log2 e_0) iterations.
 
-    Closing check.  e = 1 means phi_- phi_+ = 1, and the run confirms it with
-    one exact product (q p).is_identity(), else SingularIterate; phi_+ and
-    phi_- are square, so the one-sided inverse is two-sided and
-    phi_+ phi_- = 1 needs no check.  A run makes 2 iterations + 1 products.
+    Closing check.  e = 1 means phi_- phi_+ = 1, and a run of at least one
+    step confirms it with one exact product (q p).is_identity(), else
+    SingularIterate; phi_+ and phi_- are square, so the one-sided inverse is
+    two-sided and phi_+ phi_- = 1 needs no check.  A run of no steps has
+    e_0 = 1: the problem's walk found s = 1 - phi_- phi_+ to be exactly
+    zero, so it is not checked again.  A run makes 2 iterations products,
+    plus one if iterations > 0.
     Each c_k is a unipotent polynomial in u_0, so their product r is
     unipotent with r^2 u_0 = 1: phi_+^inf = phi_+ r and phi_-^inf = r phi_-
     with r the unique unipotent root unipotent_sqrt(neumann_inverse(u_0)).
@@ -176,7 +181,7 @@ def stabilize(problem: StabilizationProblem) -> StabilizationResult:
             raise SingularIterate(f"u - 1 has order {m}, not {order}; arithmetic bug")
         e = -(-e0 // m)
         trace.append((p, q, e))
-    if not (q * p).is_identity():
+    if e0 != 1 and not (q * p).is_identity():
         raise SingularIterate("stabilized pair is not mutually inverse; arithmetic bug")
     return StabilizationResult(p, q, len(trace) - 1, tuple(trace))
 

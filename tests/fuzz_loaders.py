@@ -22,11 +22,13 @@ HC-module files (``hc validate`` and ``hc to-quiver``) and of four unipotent
 files (``unipotent stabilize`` and ``unipotent sqrt``).  It also runs ``rep
 to-species`` on ``rep_c2_62_d2.json`` and ``hc_ext_rep_d-1.json``, ``hc
 from-quiver`` and ``hc roundtrip`` with ``--ell 2`` on the latter, ``hc
+from-quiver`` with ``--ell 2`` on the rejected ``rep_gelfand_ones_d-1.json``
+and ``rep_gelfand_relation_break_d-1.json``, ``hc
 roundtrip`` with ``--ell 2`` on ``hc_ext_rep_d2.json`` and with ``--ell 0``
 on the cyclic ``hc_cyc_rep_d-1.json`` and ``rep_cyc_unipotent_d-1.json``,
 ``hc from-quiver`` with ``--ell 0`` on the former, and ``rep hom``, ``rep
 isomorphic`` (the mutant against the unmutated golden, on each side) and
-``rep base-change`` on ``rep_c2_62_d2.json``: 68,379 runs, about 55 s on a
+``rep base-change`` on ``rep_c2_62_d2.json``: 72,711 runs, about 50 s on a
 2-vCPU VM.
 """
 
@@ -89,6 +91,9 @@ FULL = (("quiver_gelfand.json", "quiver"), ("quiver_gelfand_restrict_05.json", "
         ("hc_cyc_rep_d-1.json", "rep"), ("hc_cyc_rep_d-1.json", "hc_from_quiver_ell0"),
         ("hc_cyc_rep_d-1.json", "hc_roundtrip_ell0"), ("rep_cyc_unipotent_d-1.json", "rep"),
         ("rep_cyc_unipotent_d-1.json", "hc_roundtrip_ell0"),
+        ("rep_gelfand_ones_d-1.json", "rep"), ("rep_gelfand_ones_d-1.json", "hc_from_quiver"),
+        ("rep_gelfand_relation_break_d-1.json", "rep"),
+        ("rep_gelfand_relation_break_d-1.json", "hc_from_quiver"),
         ("rep_c2_62_d2_to_species.json", "species_rep"),
         ("hc_ext_ell2_d-1.json", "hc"), ("hc_build_discrete_ell0.json", "hc"),
         ("hc_build_principal_dual_ell1.json", "hc_image"),

@@ -456,6 +456,26 @@ def test_hc_rejected_input_exit_code(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("usage error:"), argv
 
 
+def test_hc_casimir_names_a_weight_of_the_wrong_parity(capsys):
+    """ell = 2 has odd weights and the golden module's window is [-11, 11]:
+    weight 4 lies inside it and is named as a weight of the wrong parity, as
+    x_at and y_at name it, and weight 13 has the right parity and lies
+    outside."""
+    from rquiver.hc import OutOfWindow, casimir_matrix
+
+    path = GOLDEN / "hc_ext_ell2_d-1.json"
+    module = io.load_hc(json.loads(path.read_text()))
+    for weight, message in ((4, "weight 4 has the wrong parity"),
+                            (-2, "weight -2 has the wrong parity"),
+                            (12, "weight 12 has the wrong parity"),
+                            (13, "weight 13 outside the window")):
+        with pytest.raises(OutOfWindow, match=f"^{message}$"):
+            casimir_matrix(module, weight)
+        assert main(["hc", "casimir", "--in", str(path), "--weight", str(weight)]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert main(["hc", "casimir", "--in", str(path), "--weight", "3"]) == 0
+
+
 def test_hc_from_quiver_names_a_negative_ell(capsys):
     """A negative ell is named as such on a rep of either quiver, not as a
     rep of the wrong quiver."""
@@ -679,13 +699,17 @@ def test_examples_negative_cases_is_a_usage_error(capsys):
 def test_examples_all_validates_each_fixture_once(monkeypatch):
     """examples run --all takes its "module valid" and "block functor"
     verdicts from the functor_E call that checks both, so each of the 12
-    fixtures makes one validate_hc call and three validate_rep calls (the
-    input of inverse_E in build_example, E's image in functor_E, and the
-    input of inverse_E in roundtrip_hc); the report re-ran both checks
-    before, 24 and 48 calls in all."""
+    fixtures makes one validate_hc call and three rep checks (the input of
+    inverse_E in build_example, E's image in functor_E, and the input of
+    inverse_E in roundtrip_hc).  Each rep check is the structure checks and
+    one cycle composite, so no validate_rep or is_nilpotent_rep runs: 36
+    _validate_structure calls, where there were 36 validate_rep calls before
+    the cycle composite; the report re-ran both checks before that, 24 and
+    48 calls in all."""
     import rquiver.hc as hc
 
-    calls = {"validate_hc": 0, "validate_rep": 0}
+    calls = {"validate_hc": 0, "validate_rep": 0, "_validate_structure": 0,
+             "is_nilpotent_rep": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -693,12 +717,16 @@ def test_examples_all_validates_each_fixture_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    rep_check = counted("validate_rep", reps.validate_rep)
-    for module in (hc, reps, cli):
-        monkeypatch.setattr(module, "validate_rep", rep_check)
+    for name in ("validate_rep", "_validate_structure"):
+        check = counted(name, getattr(reps, name))
+        for module in (hc, reps, cli):
+            monkeypatch.setattr(module, name, check)
+    monkeypatch.setattr(reps, "is_nilpotent_rep",
+                        counted("is_nilpotent_rep", reps.is_nilpotent_rep))
     monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
     assert run(["examples", "run", "--all"]).exit_status == 0
-    assert calls == {"validate_hc": 12, "validate_rep": 36}
+    assert calls == {"validate_hc": 12, "validate_rep": 0, "_validate_structure": 36,
+                     "is_nilpotent_rep": 0}
 
 
 # --------------------------------------------------------------- malformed input

@@ -691,9 +691,11 @@ def test_rank_of_identity_runs_no_elimination(d, monkeypatch):
 
 
 def test_roundtrip_elimination_count(monkeypatch):
-    """100 round trips of the examples' --cases mix (seed 11) make 350
-    eliminations (597 while rank eliminated the identity components of the
-    witness)."""
+    """100 round trips of the examples' --cases mix (seed 11) make 263
+    eliminations (350 while inverse_E checked nilpotency by is_nilpotent_rep's
+    image chain, one elimination per receiving vertex per step, instead of
+    the powers of one cycle composite; 597 while rank eliminated the
+    identity components of the witness)."""
     import rquiver.exact as exact
     from rquiver.hc import roundtrip_hc
     from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
@@ -712,7 +714,7 @@ def test_roundtrip_elimination_count(monkeypatch):
             roundtrip_hc(random_gelfand_rep(rng, max_dim=2), rng.randint(1, 3))
         else:
             roundtrip_hc(random_cyclic_rep(rng, max_dim=2), 0)
-    assert calls[0] == 350
+    assert calls[0] == 263
 
 
 def test_field_tags_are_interned_and_checked():
@@ -760,8 +762,10 @@ def test_field_tag_store_is_bounded(monkeypatch):
 
 def test_roundtrip_multiply_count(monkeypatch):
     """roundtrip_hc of the golden Jordan-block extension rep at ell = 2 makes
-    891 integer multiplies through exact.mul inside matrix products and 108
-    in the one-pass sums of exact.power_series (999 in products, and the sums
+    837 integer multiplies through exact.mul inside matrix products and 108
+    in the one-pass sums of exact.power_series (891 in products while
+    inverse_E checked nilpotency by is_nilpotent_rep's image chain instead of
+    the powers of the cycle composite that phi_+ reuses; 999, and the sums
     as scale-and-add chains outside exact.mul, while each stabilization step
     formed u_k = phi_- phi_+ and walked its powers again; 1080 while the
     witness took T_-^(1/2) by a second binomial series instead of reading it
@@ -791,7 +795,7 @@ def test_roundtrip_multiply_count(monkeypatch):
     monkeypatch.setattr(exact, "mul", counting_mul)
     monkeypatch.setattr(exact, "_product", counting_product)
     roundtrip_hc(rep, 2)
-    assert calls == {"product": 891, "power_series": 108}
+    assert calls == {"product": 837, "power_series": 108}
 
 
 # ---------------------------------------------------------------- stacking

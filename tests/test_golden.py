@@ -137,6 +137,22 @@ in rep_hom_cyc_zero.json and rep_hom_c2_62_d2.json.  They were recorded
 while hom_space still eliminated every system exactly, before the zero
 kernel was first proved modulo a prime.
 
+The *_from_quiver_ell<ell>.txt files pin the rejection path of inverse_E:
+the one stderr line of
+
+    rquiver hc from-quiver --in <rep>.json --ell <ell> --out <file>
+
+which exits with status 2 and writes no file, for three reps that
+validate_rep rejects.  rep_cyc_unipotent_d-1.json at ell = 0 has an
+invertible cycle.  rep_gelfand_ones_d-1.json, at ell = 1, is the Gelfand
+representation over d = -1 with dims (1, 1, 1), every edge map 1 and
+rho = 1: it meets the relation, and its cycle is 1.
+rep_gelfand_relation_break_d-1.json, at ell = 1, has dims (2, 1, 1),
+a_+ = a_- = (1, 0)^T, b_+ = (0, sqrt(-1)), b_- = conj(b_+) and rho = 1: it
+is nilpotent and breaks the literal relation.  The two new reps are dumped
+like hc_cyc_rep_d-1.json.  The stderr lines were recorded while inverse_E
+still checked nilpotency by is_nilpotent_rep's image chain.
+
 Any change to the arithmetic, the serialization or the report code must leave
 them identical.
 """
@@ -148,7 +164,7 @@ from pathlib import Path
 import pytest
 
 from rquiver.cli import main
-from rquiver.exact import QuadMatrix
+from rquiver.exact import QuadElement, QuadMatrix
 from rquiver.gsets import FiniteGroup
 from rquiver.quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, GELFAND_B_PLUS, \
     cyclic_quiver, gelfand_quiver
@@ -217,6 +233,38 @@ def unipotent_cyclic_rep():
     one = QuadMatrix.identity(2, -1)
     a = QuadMatrix.from_rows([[1, 1], [0, 1]], -1)
     return QuiverRep(cyclic_quiver(), (2, 2), (a, a), (one, one), -1)
+
+
+def gelfand_ones_rep():
+    one = QuadMatrix.identity(1, -1)
+    return QuiverRep(gelfand_quiver(), (1, 1, 1), [one] * 4, [one] * 3, -1)
+
+
+def relation_break_rep():
+    a = QuadMatrix.from_rows([[1], [0]], -1)
+    b = QuadMatrix(1, 2, [QuadElement(0, 0, -1), QuadElement(0, 1, -1)], -1)
+    edges = [None] * 4
+    edges[GELFAND_A_PLUS], edges[GELFAND_A_MINUS] = a, a.conj()
+    edges[GELFAND_B_PLUS], edges[GELFAND_B_MINUS] = b, b.conj()
+    return QuiverRep(gelfand_quiver(), (2, 1, 1), edges,
+                     [QuadMatrix.identity(n, -1) for n in (2, 1, 1)], -1)
+
+
+@pytest.mark.parametrize("name, build, ell", [
+    ("rep_cyc_unipotent_d-1", unipotent_cyclic_rep, 0),
+    ("rep_gelfand_ones_d-1", gelfand_ones_rep, 1),
+    ("rep_gelfand_relation_break_d-1", relation_break_rep, 1),
+])
+def test_hc_from_quiver_rejection_unchanged(name, build, ell, tmp_path, capsys):
+    rep_file = GOLDEN / f"{name}.json"
+    assert json.dumps(dump_rep(build()), sort_keys=True, indent=2) + "\n" == rep_file.read_text()
+    out = tmp_path / "module.json"
+    argv = ["hc", "from-quiver", "--in", str(rep_file), "--ell", str(ell), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / f"{name}_from_quiver_ell{ell}.txt").read_bytes()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, a, b", [

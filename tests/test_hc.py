@@ -406,8 +406,9 @@ def test_public_boundaries_reject_invalid_input():
 
 def test_inverse_E_checks_the_quiver_first(monkeypatch):
     """A rep on the wrong quiver is named as such, also when it would fail
-    validate_rep too (the golden rep_c2_62_d2 is not nilpotent), and
-    validate_rep does not run on it."""
+    validate_rep too (the golden rep_c2_62_d2 is not nilpotent), and no
+    check of the rep, validate_rep or the structure checks that inverse_E
+    runs first, runs on it."""
     from pathlib import Path
 
     from rquiver.serialize import load_rep
@@ -418,9 +419,10 @@ def test_inverse_E_checks_the_quiver_first(monkeypatch):
     cyclic = random_cyclic_rep(random.Random(1), max_dim=2)
 
     def no_validation(v):
-        raise AssertionError("validate_rep ran on a rep of the wrong quiver")
+        raise AssertionError("a rep check ran on a rep of the wrong quiver")
 
     monkeypatch.setattr(hc, "validate_rep", no_validation)
+    monkeypatch.setattr(hc, "_validate_structure", no_validation)
     for rep, ell, match in ((other, 0, "ell = 0 expects a cyclic-quiver"),
                             (pp_ext_rep(1), 0, "ell = 0 expects a cyclic-quiver"),
                             (other, 1, "ell >= 1 expects a Gelfand-quiver"),
@@ -434,11 +436,13 @@ def test_inverse_E_checks_the_quiver_first(monkeypatch):
 
 def test_inverse_E_rejects_a_bad_ell_first(monkeypatch):
     """A negative ell, and one that is not an int, is named as such, on a rep
-    of either quiver, before the quiver check and before validate_rep runs."""
+    of either quiver, before the quiver check and before any check of the
+    rep runs."""
     def no_validation(v):
-        raise AssertionError("validate_rep ran at a bad ell")
+        raise AssertionError("a rep check ran at a bad ell")
 
     monkeypatch.setattr(hc, "validate_rep", no_validation)
+    monkeypatch.setattr(hc, "_validate_structure", no_validation)
     for rep in (random_cyclic_rep(random.Random(1), 2), pp_ext_rep(1)):
         for ell in (-1, -2, 1.0, 2.0, True):
             for call in (inverse_E, roundtrip_hc):

@@ -31,7 +31,7 @@ from certificate import assert_same_certificate
 
 import rquiver.hc as hc
 import rquiver.reps as reps
-from rquiver.exact import QuadElement, QuadMatrix
+from rquiver.exact import QuadElement, QuadMatrix, inverse
 from rquiver.hc import KINDS, BlockFunctorResult, HCModule, build_example, casimir_matrix, \
     functor_E, hc_hom_space, inverse_E, normalizations, roundtrip_hc, validate_hc
 from rquiver.quiver import (
@@ -49,7 +49,8 @@ from rquiver.quiver import (
     cyclic_quiver,
     gelfand_quiver,
 )
-from rquiver.randomgen import change_basis, random_cyclic_rep, random_gelfand_rep
+from rquiver.randomgen import change_basis, random_cyclic_rep, random_gelfand_rep, \
+    random_invertible, strictly_upper
 from rquiver.reps import QuiverRep, hom_space, validate_rep
 from rquiver.serialize import dump_hc, dump_rep, load_hc, load_rep
 from rquiver.unipotent import StabilizationProblem, scaled_sqrt, stabilize, unipotent_sqrt
@@ -412,10 +413,13 @@ def test_roundtrip_witness_is_the_casimir_root(d):
 
 @pytest.mark.parametrize("d", FIELD_TAGS)
 def test_roundtrip_validates_its_input_once(d, monkeypatch):
-    """A round trip validates its input rep once (in inverse_E) and runs no
-    validate_hc: the module inverse_E builds is valid by the proof in its
-    docstring, and E's image is checked through the witness.  It builds one
-    module and computes its normalizations once."""
+    """A round trip checks its input rep once (in inverse_E, by the structure
+    checks and one cycle composite) and runs no validate_rep, no
+    is_nilpotent_rep and no validate_hc: the module inverse_E builds is valid
+    by the proof in its docstring, and E's image is checked through the
+    witness.  It builds one module and computes its normalizations once.
+    (Before the cycle composite, each round trip made one validate_rep call
+    and so one is_nilpotent_rep call.)"""
     calls = Counter()
 
     def counted(name, fn):
@@ -427,6 +431,11 @@ def test_roundtrip_validates_its_input_once(d, monkeypatch):
     rep_check = counted("validate_rep", reps.validate_rep)
     monkeypatch.setattr(hc, "validate_rep", rep_check)
     monkeypatch.setattr(reps, "validate_rep", rep_check)
+    structure = counted("_validate_structure", reps._validate_structure)
+    monkeypatch.setattr(hc, "_validate_structure", structure)
+    monkeypatch.setattr(reps, "_validate_structure", structure)
+    monkeypatch.setattr(reps, "is_nilpotent_rep",
+                        counted("is_nilpotent_rep", reps.is_nilpotent_rep))
     monkeypatch.setattr(hc, "validate_hc", counted("validate_hc", hc.validate_hc))
     monkeypatch.setattr(hc, "normalizations", counted("normalizations", hc.normalizations))
     monkeypatch.setattr(HCModule, "__init__", counted("HCModule", HCModule.__init__))
@@ -434,11 +443,11 @@ def test_roundtrip_validates_its_input_once(d, monkeypatch):
         for v in block_reps(d, ell, 2, seed=17):
             calls.clear()
             roundtrip_hc(v, ell)
-            assert calls == {"validate_rep": 1, "HCModule": 1,
+            assert calls == {"_validate_structure": 1, "HCModule": 1,
                              **({"normalizations": 1} if ell else {})}, ell
             calls.clear()
             inverse_E(v, ell)
-            assert calls == {"validate_rep": 1, "HCModule": 1}, ell
+            assert calls == {"_validate_structure": 1, "HCModule": 1}, ell
 
 
 def failed_checks(m):
@@ -518,3 +527,104 @@ def test_tail_closed_forms_satisfy_the_module_identities(d):
             for w in ws[1:]:
                 if abs(w) >= ell + 1:
                     assert casimir_matrix(m, w) == (m.phi_plus if w > 0 else m.phi_minus), (ell, w)
+
+
+# ---------------------------------------------------------------- the rep check
+
+def check_reps(d, ell, count, seed=41):
+    """Seeded reps of the ell-block's quiver over Q(sqrt(d)), dims up to 3,
+    moved to a random basis, count of each kind:
+    - nilpotent (randomgen);
+    - a unipotent cycle: for ell >= 1, a_+ = S (1 + N) and b_+ = S^-1 in the
+      gauge rho = 1, with S rational and N strictly upper (b_+ a_+ = 1 + N,
+      and a_+ b_+ is rational, so the relation holds); for ell = 0,
+      a = p (1 + N) conj(p)^-1 and b = conj(a), so ab = p (1 + N)^2 p^-1;
+    - for ell >= 1, a nilpotent cycle that breaks the relation when it is
+      nonzero: a_+ = E, the first columns of 1, and b_+ = sqrt(d) N with N
+      strictly upper, so b_+ a_+ and a_+ b_+ are strictly upper and
+      a_- b_- = -a_+ b_+;
+    - one entry of one edge map of a nilpotent draw moved by 1, which mostly
+      breaks edge-equivariance."""
+    rng = random.Random(1000 * seed + 10 * ell + FIELD_TAGS.index(d))
+    make = random_cyclic_rep if ell == 0 else random_gelfand_rep
+    ident = [QuadMatrix.identity(n, d) for n in range(4)]
+    sqrt_d = QuadElement(0, 1, d)
+    out = []
+    for _ in range(count):
+        nilpotent = make(rng, max_dim=3, d=d)
+        n = rng.randint(1, 3)
+        unipotent = ident[n] + strictly_upper(rng, n, rational=True, d=d)
+        if ell == 0:
+            p = random_invertible(rng, n, d=d)
+            a = p * unipotent * inverse(p.conj())
+            kinds = [(cyclic_quiver(), (n, n), [a, a.conj()])]
+        else:
+            s = random_invertible(rng, n, rational=True, d=d)
+            ds, dp = rng.randint(1, 3), rng.randint(1, 3)
+            e = QuadMatrix.from_rows([[int(i == j) for j in range(dp)] for i in range(ds)], d)
+            kinds = [(s * unipotent, inverse(s), (n, n, n)),
+                     (e, strictly_upper(rng, dp, d=d, rational=True).scale(sqrt_d)
+                      * QuadMatrix.from_rows([[int(i == j) for j in range(ds)]
+                                              for i in range(dp)], d), (ds, dp, dp))]
+            for k, (a_plus, b_plus, dims) in enumerate(kinds):
+                edges = [None] * 4
+                edges[GELFAND_A_PLUS], edges[GELFAND_A_MINUS] = a_plus, a_plus.conj()
+                edges[GELFAND_B_PLUS], edges[GELFAND_B_MINUS] = b_plus, b_plus.conj()
+                kinds[k] = (gelfand_quiver(), dims, edges)
+        for q, dims, edges in kinds:
+            rep = QuiverRep(q, dims, edges, [ident[m] for m in dims], d)
+            out.append(change_basis(rep, [random_invertible(rng, m, d=d) for m in dims]))
+        out.append(nilpotent)
+        edges = list(nilpotent.edge_maps)
+        e = rng.randrange(len(edges))
+        if edges[e].rows and edges[e].cols:
+            i, j = rng.randrange(edges[e].rows), rng.randrange(edges[e].cols)
+            edges[e] = edges[e] + QuadMatrix.from_rows(
+                [[int((r, c) == (i, j)) for c in range(edges[e].cols)]
+                 for r in range(edges[e].rows)], d)
+            out.append(QuiverRep(nilpotent.quiver, nilpotent.dims, edges, nilpotent.rho, d))
+    return out
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_rep_check_accepts_exactly_what_validate_rep_accepts(d):
+    """inverse_E checks its input by the structure checks and the powers of
+    one cycle composite (hc._nilpotent_cycle) instead of validate_rep, which
+    runs the same structure checks and is_nilpotent_rep's image chain.  On
+    every rep of check_reps the check returns X_{ell-1} Y_{ell+1} exactly
+    when validate_rep(v).ok, and otherwise inverse_E raises validate_rep's
+    failures as its message.  Every kind of verdict shows up: accepted, not
+    nilpotent after passing the structure checks, the relation broken, and
+    edge-equivariance broken."""
+    seen = Counter()
+    for ell in range(4):
+        ladder = hc._block(ell)[2]
+        for v in check_reps(d, ell, 6):
+            report = validate_rep(v)
+            cycle = hc._nilpotent_cycle(v, ell)
+            if report.ok:
+                seen["ok"] += 1
+                assert cycle == v.edge_maps[ladder.index((2, ell - 1))] \
+                    * v.edge_maps[ladder.index((-2, ell + 1))]
+                inverse_E(v, ell)
+                continue
+            assert cycle is None
+            seen[report.failures()[0][0]] += 1
+            with pytest.raises(ValueError) as exc:
+                inverse_E(v, ell)
+            assert str(exc.value) == f"invalid representation: {report.failures()}"
+    assert set(seen) == {"ok", "nilpotent", "relations-literal", "edge-equivariance"}, seen
+
+
+def test_functor_E_names_a_broken_image_by_validate_rep(monkeypatch):
+    """functor_E checks its image as inverse_E checks its input, and a
+    rejected image is a construction bug named by validate_rep's failures."""
+    one = QuadMatrix.identity(1)
+    looped = QuiverRep(gelfand_quiver(), (1, 1, 1), [one] * 4, [one] * 3)
+    module = build_example("principal", 1)
+    monkeypatch.setattr(hc, "_functor_E", lambda m: BlockFunctorResult(looped, None, 0))
+    with pytest.raises(AssertionError) as exc:
+        functor_E(module)
+    assert str(exc.value) == f"construction bug: {validate_rep(looped).failures()}"
+    assert str(exc.value) == \
+        "construction bug: [('nilpotent', 'a cyclic composite is not nilpotent')]"

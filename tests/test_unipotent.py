@@ -448,9 +448,10 @@ def test_unipotent_layer_product_counts(parity_cases, monkeypatch):
     at the counts of the power loops that each function once ran itself: a
     walk over the powers of an n of exponent e costs e - 1 products, and
     summing a series over the walk costs none.  stabilize makes
-    2 iterations + 1 products per run, as it takes each c_k from the
-    problem's powers (951 while each step formed u_k = phi_- phi_+ and walked
-    its powers again)."""
+    2 iterations products per run, plus the closing check when
+    iterations > 0, as it takes each c_k from the problem's powers (738
+    while a run of no steps also ran the closing check, 951 while each step
+    formed u_k = phi_- phi_+ and walked its powers again)."""
     product, calls = rquiver.exact._product, [0]
 
     def counting(x, y):
@@ -474,7 +475,7 @@ def test_unipotent_layer_product_counts(parity_cases, monkeypatch):
             run(*case)
         counts[name] = calls[0]
     assert counts == {"nilpotency_exponent": 390, "StabilizationProblem": 547,
-                      "stabilize": 738, "unipotent_sqrt": 600, "scaled_sqrt": 600}
+                      "stabilize": 664, "unipotent_sqrt": 600, "scaled_sqrt": 600}
 
 
 @pytest.mark.parametrize("d", [Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
@@ -544,7 +545,9 @@ def test_stabilize_rejects_a_perturbed_coefficient(monkeypatch):
 
 
 def test_stabilize_makes_two_products_per_step_and_one_check(parity_cases, monkeypatch):
-    """p <- p c_k and q <- c_k q per step, and q p once at the end."""
+    """p <- p c_k and q <- c_k q per step, and q p once at the end of a run
+    of at least one step; a run of no steps (e_0 = 1) makes no product, as
+    its problem's walk found phi_- phi_+ = 1 exactly."""
     product, calls = rquiver.exact._product, [0]
 
     def counting(x, y):
@@ -555,7 +558,7 @@ def test_stabilize_makes_two_products_per_step_and_one_check(parity_cases, monke
     for prob, _, _ in parity_cases:
         calls[0] = 0
         res = stabilize(prob)
-        assert calls[0] == 2 * res.iterations + 1
+        assert calls[0] == 2 * res.iterations + (res.iterations > 0)
 
 
 def test_sqrt_rejects_non_unipotent():
