@@ -22,7 +22,7 @@ from functools import cache
 from fractions import Fraction
 
 from .exact import QuadElement, QuadMatrix, _check_field, _field_tag, \
-    nilpotency_exponent, rank
+    nilpotency_exponent, power_series, rank
 from .gsets import C2, GSet
 from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     GELFAND_B_PLUS, GELFAND_MINUS, GELFAND_PLUS, GELFAND_STAR, \
@@ -30,8 +30,7 @@ from .quiver import GELFAND_A_MINUS, GELFAND_A_PLUS, GELFAND_B_MINUS, \
     ValidationReport, check, cyclic_quiver, gelfand_quiver
 from .reps import QuiverRep, _dimensions, _validate_structure, hom_space, is_morphism, \
     validate_rep
-from .unipotent import PreconditionViolated, StabilizationProblem, neumann_inverse, \
-    scaled_sqrt, stabilize
+from .unipotent import PreconditionViolated, StabilizationProblem, scaled_sqrt, stabilize
 
 
 class OutOfWindow(ValueError):
@@ -340,26 +339,27 @@ def power_product_identity(m: HCModule, mpow: int, k: int):
 @dataclass(frozen=True)
 class Normalizations:
     gamma_star: Fraction
-    x_star: QuadMatrix
-    y_star: QuadMatrix
-    t_plus: QuadMatrix
-    t_minus: QuadMatrix
-    u_inv: QuadMatrix  # (X* Y*)^-1
+    plus: StabilizationProblem  # (1, T_+) on M_{ell+1}
+    star: StabilizationProblem  # (X*, Y*) on M_{-(ell-1)}
+    x_star_inv: QuadMatrix
 
 
 def normalizations(m: HCModule) -> Normalizations:
-    """gamma_star, the normalized extremal powers X*, Y*, the unipotent
-    Casimir products T_+- on the weight-(ell+1) spaces, and (X* Y*)^-1.
+    """gamma_star, E's stabilization problems (1, T_+) on M_{ell+1} and
+    (X*, Y*), X* and Y* the normalized extremal powers, and X*^-1.
 
-    T_+- is the Section-3 product prod_{j < ell-1} (C - (ell-2-2j)^2) that
-    power_product_identity checks at (mpow, k) = (ell-1, ell-2), criterion 5,
-    taken at C = phi_+- and scaled by (2^(ell-1) gamma_star)^(-2): the
-    product equals 4^(ell-1) X^(ell-1) Y^(ell-1), whose scalar part is
-    4^(ell-1) gamma_star^2, so this is the unique scaling making T = 1 + n.
-    The Casimir on M_{+-(ell+1)} is taken as phi_+-: on a module that
-    validate_hc accepts, C = phi_+ at ell+1 is its bracket there and
-    C = phi_- at -(ell+1) follows from the tail closed forms (see
-    validate_hc), so T_+- needs no square root of the tails.
+    T_+ is the Section-3 product prod_{j < ell-1} (C - (ell-2-2j)^2) of
+    power_product_identity (criterion 5) at C = phi_+, the bracket at ell+1
+    of a valid module, over its scalar part (2^(ell-1) gamma_star)^2.  So
+    T_+- - 1 has no constant term as a polynomial in phi_+- - ell^2, which
+    validate_hc's "tail-dims" finds nilpotent: both T_+- are unipotent on a
+    module it accepts, and T_- is not built.  The library calls this only
+    from _functor_E, on what validate_hc accepted or inverse_E proved valid.
+
+    The problems' walks of 1 - phi_- phi_+ are the only unipotence checks; a
+    failure raises ValueError, T_+ first.  X*, Y* are square, so Y* X* has
+    X* Y*'s characteristic polynomial; X*^-1 = (Y* X*)^-1 Y*, the inverse a
+    Neumann series over the star problem's powers.
     """
     ell = m.ell
     if ell < 1:
@@ -372,16 +372,17 @@ def normalizations(m: HCModule) -> Normalizations:
         y_star = m.y_at((ell - 1) - 2 * k) * y_star
     x_star, y_star = x_star.scale(1 / gamma), y_star.scale(1 / gamma)
     norm = 1 / Fraction(2 ** (ell - 1) * math.factorial(ell - 1)) ** 2
-    t_plus, t_minus = (_casimir_product(c, ell - 1, ell - 2, m.d).scale(norm)
-                       for c in (m.phi_plus, m.phi_minus))
-    for t in (t_plus, t_minus):
-        if nilpotency_exponent(t - QuadMatrix.identity(t.rows, m.d)) is None:
-            raise ValueError("T operator is not unipotent; module is invalid")
+    t_plus = _casimir_product(m.phi_plus, ell - 1, ell - 2, m.d).scale(norm)
     try:
-        u_inv = neumann_inverse(x_star * y_star)
+        plus = StabilizationProblem(QuadMatrix.identity(t_plus.rows, m.d), t_plus)
+    except PreconditionViolated:
+        raise ValueError("T operator is not unipotent; module is invalid") from None
+    try:
+        star = StabilizationProblem(x_star, y_star)
     except PreconditionViolated:
         raise ValueError("X* Y* is not unipotent; module is invalid") from None
-    return Normalizations(gamma, x_star, y_star, t_plus, t_minus, u_inv)
+    yx_inv = power_series([1] * (len(star.powers) + 1), 1, star.powers, x_star.rows, m.d)
+    return Normalizations(gamma, plus, star, yx_inv * y_star)
 
 
 @dataclass(frozen=True)
@@ -456,14 +457,15 @@ def _functor_E(m: HCModule) -> BlockFunctorResult:
     """functor_E on a module already validated, without validating the
     representation it builds.
 
-    Conjugation fixes star and swaps + and -, so only (1, T_+) and (X*, Y*)
-    are stabilized.  With r_+- = rat[+-(ell+1)] the cocycle gives
-    r_+ conj(r_-) = 1 = r_- conj(r_+), so sigma(A) = r_+ conj(A) conj(r_-) is a
-    semilinear ring automorphism, and it maps T_+ to T_- (the Casimir commutes
-    with conjugation).  The step (p, q) <- ((p + q^-1)/2, (q + p^-1)/2)
-    commutes with (p, q) |-> (sigma(q), sigma(p)), so step k of the run of
-    (T_-, 1) is (sigma(q_k), sigma(p_k)) for step k (p_k, q_k) of the run of
-    (1, T_+); it has the same defect exponents, hence the same length.  So
+    Conjugation fixes star and swaps + and -, so only normalizations'
+    problems (1, T_+) and (X*, Y*) are stabilized, and a_+ <- X*^-1 a_+.
+    With r_+- = rat[+-(ell+1)] the cocycle gives r_+ conj(r_-) = 1 =
+    r_- conj(r_+), so sigma(A) = r_+ conj(A) conj(r_-) is a semilinear ring
+    automorphism, and it maps T_+ to T_- (the Casimir commutes with
+    conjugation).  The step (p, q) <- ((p + q^-1)/2, (q + p^-1)/2) commutes
+    with (p, q) |-> (sigma(q), sigma(p)), so step k of the run of (T_-, 1) is
+    (sigma(q_k), sigma(p_k)) for step k (p_k, q_k) of the run of (1, T_+); it
+    has the same defect exponents, hence the same length.  So
     phi_-^inf = sigma(q_+^inf) and rho_- = r_- conj(phi_-^inf) = q_+^inf r_-,
     and the image's +- cocycle holds by construction.
     """
@@ -476,18 +478,15 @@ def _functor_E(m: HCModule) -> BlockFunctorResult:
         return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), None, 0)
 
     norms = normalizations(m)
-    run_plus = stabilize(StabilizationProblem(
-        QuadMatrix.identity(dims[GELFAND_PLUS], m.d), norms.t_plus))
-    run_star = stabilize(StabilizationProblem(norms.x_star, norms.y_star))
-    # X* and Y* are square (dim M_w = dim M_-w), so X*^-1 = Y* (X* Y*)^-1
-    edges[GELFAND_A_PLUS] = norms.y_star * norms.u_inv * edges[GELFAND_A_PLUS]
-    edges[GELFAND_B_PLUS] = edges[GELFAND_B_PLUS] * norms.x_star
+    run_plus, run_star = stabilize(norms.plus), stabilize(norms.star)
+    x_star = norms.star.phi_plus
+    edges[GELFAND_A_PLUS] = norms.x_star_inv * edges[GELFAND_A_PLUS]
+    edges[GELFAND_B_PLUS] = edges[GELFAND_B_PLUS] * x_star
     rho[GELFAND_STAR] = m.rat[ell - 1] * run_star.phi_plus_inf.conj()
     rho[GELFAND_PLUS] = rho[GELFAND_PLUS] * run_plus.phi_plus_inf.conj()
     rho[GELFAND_MINUS] = run_plus.phi_minus_inf * rho[GELFAND_MINUS]
     iterations = max(run_plus.iterations, run_star.iterations)
-    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star,
-                              iterations)
+    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), x_star, iterations)
 
 
 def inverse_E(v: QuiverRep, ell: int, tail_weights: int = DEFAULT_TAIL_WEIGHTS) -> HCModule:
@@ -776,18 +775,18 @@ def functor_E_map(psi: dict, ell: int) -> tuple:
     Naturality.  psi commutes with X and Y and with the rational structures,
     psi_{-w} rat[w] = rat'[w] conj(psi_w).  The edges of E(M) are ladder
     maps, except that for ell >= 1 functor_E normalizes a_+ and b_+ through
-    X*, Y* and (X* Y*)^-1 and composes rho with stabilization limits.  X* and
-    Y* are rational multiples of ladder products, (X* Y*)^-1 is a Neumann
-    series in X* Y* - 1, and T_+ is a rational polynomial in C = phi_+ on
-    M_{ell+1}, so psi intertwines them and the starting pairs (X*, Y*) and
-    (1, T_+).  Step k of a stabilization run is p <- p c_k, q <- c_k q
-    with c_k = sum_j gamma_(k,j) s^j a fixed polynomial in s = 1 - u_0,
-    u_0 = phi_- phi_+ of the starting pair: its coefficients gamma_(k,j)
-    are dyadic rationals that depend on k and j only, not on the module
-    (unipotent's module docstring), and truncating at s^e for both
-    nilpotency exponents e of M and M' changes no term that survives.  psi
-    intertwines u_0 and so s and every c_k; so psi intertwines each step,
-    the limits and the rho built from them, and E(psi) meets the morphism
-    condition at every edge and vertex.
+    X*^-1 and X* and composes rho with stabilization limits.  X* and Y* are
+    rational multiples of ladder products, X*^-1 = (Y* X*)^-1 Y* with
+    (Y* X*)^-1 a Neumann series in 1 - Y* X*, and T_+ is a rational
+    polynomial in C = phi_+ on M_{ell+1}, so psi intertwines them and the
+    starting pairs (X*, Y*) and (1, T_+).  Step k of a stabilization run is
+    p <- p c_k, q <- c_k q with c_k = sum_j gamma_(k,j) s^j a fixed
+    polynomial in s = 1 - u_0, u_0 = phi_- phi_+ of the starting pair: its
+    coefficients gamma_(k,j) are dyadic rationals that depend on k and j
+    only, not on the module (unipotent's module docstring), and truncating
+    at s^e for both nilpotency exponents e of M and M' changes no term that
+    survives.  psi intertwines u_0 and so s and every c_k; so psi
+    intertwines each step, the limits and the rho built from them, and
+    E(psi) meets the morphism condition at every edge and vertex.
     """
     return tuple(psi[w] for w in _block(ell)[1])

@@ -89,8 +89,8 @@ class QuiverRep:
             self.rho = None
 
     def path_matrix(self, path) -> QuadMatrix:
-        m = QuadMatrix.identity(self.dims[self.quiver.src[path[0]]], self.d)
-        for e in path:
+        m = self.edge_maps[path[0]]
+        for e in path[1:]:
             m = self.edge_maps[e] * m
         return m
 

@@ -23,15 +23,16 @@ in Z[1/2]: u_0 = 1 - s and u_0^{-1} = sum s^j have integer ones, halving
 keeps Z[1/2], and so does inverting a series with constant term 1.
 
 So one walk over the powers of s, made when the problem is checked, serves
-the whole run.  stabilize keeps u_k and c_k as integer numerators over one
-power of two, builds each c_k from the stored powers, and spends two
-products per step, p <- p c_k and q <- c_k q.  The defect exponents are read
-off the coefficients (stabilize's docstring proves both facts used):
-u_k - 1 = s^m g(s) with g(0) != 0 has nilpotency exponent ceil(e_0/m), and
-m = 2^k.  A run of at least one step ends with one exact check that
-phi_- phi_+ = 1, so the verdict never rests on the coefficient arithmetic
-alone; a run of no steps starts from the exact phi_- phi_+ = 1 that the walk
-found.
+the whole run; it is also the only unipotence check that hc's normalizations
+makes for E's pairs (1, T_+) and (X*, Y*).  stabilize keeps u_k and c_k as
+integer numerators over one power of two, builds each c_k from the stored
+powers, and spends two products per step, p <- p c_k and q <- c_k q.  The
+defect exponents are read off the coefficients (stabilize's docstring
+proves both facts used): u_k - 1 = s^m g(s) with g(0) != 0 has nilpotency
+exponent ceil(e_0/m), and m = 2^k.  A run of at least one step ends with
+one exact check that phi_- phi_+ = 1, so the verdict never rests on the
+coefficient arithmetic alone; a run of no steps starts from the exact
+phi_- phi_+ = 1 that the walk found.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ class SingularIterate(RuntimeError):
 
 
 def neumann_inverse(u: QuadMatrix) -> QuadMatrix:
-    """Inverse of a unipotent matrix u = 1 - s via the finite series sum s^k,
-    summed over the walk over the powers of s."""
+    """Inverse of a unipotent u = 1 - s, the series sum s^k over s's powers."""
     if u.rows != u.cols:
         raise PreconditionViolated("Neumann inverse of a non-square matrix")
     powers = _nilpotent_powers(QuadMatrix.identity(u.rows, u.d) - u)

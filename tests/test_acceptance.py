@@ -174,7 +174,8 @@ def test_criterion_5_section3_constants():
         assert scalar == Fraction(4 ** (ell - 1)) * math.factorial(ell - 1) ** 2
         norms = normalizations(m)
         assert norms.gamma_star == math.factorial(ell - 1)
-        dev = norms.x_star * norms.y_star - QuadMatrix.identity(norms.x_star.rows)
+        x_star, y_star = norms.star.phi_plus, norms.star.phi_minus
+        dev = x_star * y_star - QuadMatrix.identity(x_star.rows)
         assert nilpotency_exponent(dev) is not None
     assert power_product_identity(build_example("principal", 2), 1, 0)[1] == 4
     assert power_product_identity(build_example("principal", 3), 2, 1)[1] == 64

@@ -762,10 +762,12 @@ def test_field_tag_store_is_bounded(monkeypatch):
 
 def test_roundtrip_multiply_count(monkeypatch):
     """roundtrip_hc of the golden Jordan-block extension rep at ell = 2 makes
-    837 integer multiplies through exact.mul inside matrix products and 108
-    in the one-pass sums of exact.power_series (891 in products while
-    inverse_E checked nilpotency by is_nilpotent_rep's image chain instead of
-    the powers of the cycle composite that phi_+ reuses; 999, and the sums
+    648 integer multiplies through exact.mul inside matrix products and 108
+    in the one-pass sums of exact.power_series (837 in products while
+    normalizations built T_- and X* Y* and walked T_+- - 1 and X* Y* - 1
+    besides the stabilization problems' walks; 891 while inverse_E checked
+    nilpotency by is_nilpotent_rep's image chain instead of the powers of
+    the cycle composite that phi_+ reuses; 999, and the sums
     as scale-and-add chains outside exact.mul, while each stabilization step
     formed u_k = phi_- phi_+ and walked its powers again; 1080 while the
     witness took T_-^(1/2) by a second binomial series instead of reading it
@@ -795,7 +797,7 @@ def test_roundtrip_multiply_count(monkeypatch):
     monkeypatch.setattr(exact, "mul", counting_mul)
     monkeypatch.setattr(exact, "_product", counting_product)
     roundtrip_hc(rep, 2)
-    assert calls == {"product": 837, "power_series": 108}
+    assert calls == {"product": 648, "power_series": 108}
 
 
 # ---------------------------------------------------------------- stacking

@@ -42,6 +42,8 @@ from rquiver.randomgen import random_cyclic_rep, random_gelfand_rep
 from rquiver.reps import QuiverRep, is_morphism, validate_rep
 from rquiver.unipotent import scaled_sqrt
 
+FIELD_TAGS = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3))
+
 
 def pp_ext_rep(ell):
     """Self-extension-like rep: all spaces L^2, b = 1, a = nilpotent."""
@@ -233,38 +235,51 @@ def test_normalizations_gamma():
 def test_normalizations_finite_exact_identity():
     for ell in (1, 2, 3):
         m = build_example("finite", ell)
-        norms = normalizations(m)
-        assert (norms.x_star * norms.y_star).is_identity()
+        star = normalizations(m).star
+        assert (star.phi_plus * star.phi_minus).is_identity()
 
 
 def test_normalizations_t_unipotent_with_nilpotent_part():
+    """T_+ is the + problem's phi_-; T_-, which normalizations does not build,
+    is the same Casimir product of phi_-, built here."""
     ell = 2
     m = inverse_E(pp_ext_rep(ell), ell)
     norms = normalizations(m)
-    dev = norms.t_minus - QuadMatrix.identity(2)
-    assert not dev.is_zero()
-    assert nilpotency_exponent(dev) is not None
+    assert norms.plus.phi_plus.is_identity()
+    # over the scalar part (2^(ell-1) (ell-1)!)^2 = 4
+    t_minus = hc._casimir_product(m.phi_minus, ell - 1, ell - 2, m.d).scale(Fraction(1, 4))
+    for t in (norms.plus.phi_minus, t_minus):
+        dev = t - QuadMatrix.identity(2)
+        assert not dev.is_zero()
+        assert nilpotency_exponent(dev) is not None
 
 
 def test_normalizations_invert_x_star_y_star():
     for ell in (1, 2, 3):
         for m in (build_example("principal", ell), inverse_E(pp_ext_rep(ell), ell)):
             norms = normalizations(m)
-            assert (norms.u_inv * norms.x_star * norms.y_star).is_identity()
+            assert (norms.x_star_inv * norms.star.phi_plus).is_identity()
+            assert (norms.star.phi_plus * norms.x_star_inv).is_identity()
 
 
 def test_normalizations_reject_non_unipotent_x_star_y_star():
-    m = build_example("principal", 2)
-    m.x_maps[-1] = m.x_maps[-1].scale(2)   # X* Y* = X_-1 Y_1 becomes 2
-    with pytest.raises(ValueError, match="X\\* Y\\* is not unipotent; module is invalid"):
-        normalizations(m)
+    for d in FIELD_TAGS:
+        m = build_example("principal", 2, d=d)
+        m.x_maps[-1] = m.x_maps[-1].scale(2)   # X* Y* = X_-1 Y_1 becomes 2
+        with pytest.raises(ValueError, match="^X\\* Y\\* is not unipotent; module is invalid$"):
+            normalizations(m)
 
 
 def test_normalizations_reject_non_unipotent_t():
-    m = build_example("principal", 2)
-    m.phi_plus = m.phi_plus.scale(2)   # T_+ = phi_+ / (2^(ell-1) gamma_star)^2 = 8/4 = 2
-    with pytest.raises(ValueError, match="T operator is not unipotent; module is invalid"):
-        normalizations(m)
+    """T_+ is checked first: with X* Y* broken too, T_+ is named."""
+    for d in FIELD_TAGS:
+        m = build_example("principal", 2, d=d)
+        m.phi_plus = m.phi_plus.scale(2)   # T_+ = phi_+ / (2^(ell-1) gamma_star)^2 = 8/4 = 2
+        with pytest.raises(ValueError, match="^T operator is not unipotent; module is invalid$"):
+            normalizations(m)
+        m.x_maps[-1] = m.x_maps[-1].scale(2)
+        with pytest.raises(ValueError, match="^T operator is not unipotent; module is invalid$"):
+            normalizations(m)
 
 
 def test_normalizations_not_applicable():

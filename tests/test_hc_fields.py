@@ -21,6 +21,7 @@ diagram commute.  E now stabilizes once per conjugation orbit and derives the
 """
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,9 +30,11 @@ from pathlib import Path
 import pytest
 from certificate import assert_same_certificate
 
+import rquiver.exact as exact
 import rquiver.hc as hc
 import rquiver.reps as reps
-from rquiver.exact import QuadElement, QuadMatrix, inverse
+import rquiver.unipotent as unipotent
+from rquiver.exact import QuadElement, QuadMatrix, inverse, nilpotency_exponent
 from rquiver.hc import KINDS, BlockFunctorResult, HCModule, build_example, casimir_matrix, \
     functor_E, hc_hom_space, inverse_E, normalizations, roundtrip_hc, validate_hc
 from rquiver.quiver import (
@@ -228,19 +231,29 @@ def ref_build_example(kind, ell, tail_weights, d):
     return module
 
 
+def casimir_t(m, phi):
+    """The unipotent Casimir product prod_{j < ell-1} (phi - (ell-2-2j)^2)
+    over its scalar part (2^(ell-1) (ell-1)!)^2, at phi = phi_+ (T_+, the +
+    problem's phi_-) or phi = phi_- (T_-, which E does not build)."""
+    ell = m.ell
+    scalar = Fraction(2 ** (ell - 1) * math.factorial(ell - 1)) ** 2
+    return hc._casimir_product(phi, ell - 1, ell - 2, m.d).scale(1 / scalar)
+
+
 def ref_functor_E(m):
     """E of a valid module with ell >= 1, by three stabilizations."""
     ell = m.ell
-    norms = normalizations(m)
+    star = normalizations(m).star
+    x_star, y_star = star.phi_plus, star.phi_minus
     r_plus = m.rat[ell + 1]
     r_minus = m.rat[-(ell + 1)]
     r_star_top = m.rat[ell - 1]
 
     run_plus = stabilize(StabilizationProblem(
-        QuadMatrix.identity(m.dim(ell + 1), m.d), norms.t_plus))
+        QuadMatrix.identity(m.dim(ell + 1), m.d), casimir_t(m, m.phi_plus)))
     run_minus = stabilize(StabilizationProblem(
-        norms.t_minus, QuadMatrix.identity(m.dim(-(ell + 1)), m.d)))
-    run_star = stabilize(StabilizationProblem(norms.x_star, norms.y_star))
+        casimir_t(m, m.phi_minus), QuadMatrix.identity(m.dim(-(ell + 1)), m.d)))
+    run_star = stabilize(StabilizationProblem(x_star, y_star))
 
     # lockstep conjugation invariants, asserted per step
     steps = max(len(run_plus.trace), len(run_minus.trace), len(run_star.trace))
@@ -266,10 +279,8 @@ def ref_functor_E(m):
     a_plus = r_plus * phi_plus_inf.conj()
     a_minus = r_minus * phi_minus_inf.conj()
 
-    # X*, Y* are square (dim M_w = dim M_-w), so with u = X* Y*
-    # X*^-1 = Y* u^-1 and Y*^-1 = u^-1 X*
-    x_star_inv = norms.y_star * norms.u_inv
-    y_star_inv = norms.u_inv * norms.x_star
+    # X*, Y* are square (dim M_w = dim M_-w) and invertible
+    x_star_inv, y_star_inv = inverse(x_star), inverse(y_star)
 
     # limit diagram: the stabilized verticals intertwine the two normalized
     # edge presentations
@@ -279,8 +290,8 @@ def ref_functor_E(m):
     y_hi = m.y_at(ell + 1)
     sq = [
         y_star_inv * x_lo * phi_minus_inf == phi_star_inf * x_lo,
-        x_hi * phi_star_inf == phi_plus_inf * x_hi * norms.x_star,
-        phi_minus_inf * y_lo == y_lo * norms.y_star * phi_star_inf,
+        x_hi * phi_star_inf == phi_plus_inf * x_hi * x_star,
+        phi_minus_inf * y_lo == y_lo * y_star * phi_star_inf,
         phi_star_inf * x_star_inv * y_hi == y_hi * phi_plus_inf,
     ]
     if not all(sq):
@@ -294,14 +305,14 @@ def ref_functor_E(m):
     edges = [None] * 4
     edges[GELFAND_A_PLUS] = x_star_inv * y_hi
     edges[GELFAND_A_MINUS] = x_lo
-    edges[GELFAND_B_PLUS] = x_hi * norms.x_star
+    edges[GELFAND_B_PLUS] = x_hi * x_star
     edges[GELFAND_B_MINUS] = y_lo
     rho = [None] * 3
     rho[GELFAND_STAR] = a_star
     rho[GELFAND_PLUS] = a_plus
     rho[GELFAND_MINUS] = a_minus
     iterations = max(run_plus.iterations, run_minus.iterations, run_star.iterations)
-    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), norms.x_star, iterations)
+    return BlockFunctorResult(QuiverRep(q, dims, edges, rho, m.d), x_star, iterations)
 
 
 # ---------------------------------------------------------------- inputs
@@ -405,10 +416,73 @@ def test_roundtrip_witness_is_the_casimir_root(d):
         cases.append((load_rep(json.loads(golden.read_text())), 2))
     for v, ell in cases:
         rt = roundtrip_hc(v, ell)
-        norms = normalizations(rt.module)
-        assert rt.witness[GELFAND_MINUS] == unipotent_sqrt(norms.t_minus)
-        assert rt.witness[GELFAND_STAR] == norms.x_star
+        t_minus = casimir_t(rt.module, rt.module.phi_minus)
+        assert rt.witness[GELFAND_MINUS] == unipotent_sqrt(t_minus)
+        assert rt.witness[GELFAND_STAR] == normalizations(rt.module).star.phi_plus
         assert rt.witness[GELFAND_PLUS].is_identity()
+
+
+def moved_at(m, w, g):
+    """m in the basis g of M_w, w != 0 a weight with |w| < ell + 1: X, Y and
+    rat into M_w gain g, out of it g^-1 (rat semilinearly, conj(g)^-1).
+    Inside inverse_E's modules X* and Y* are polynomials in one matrix and
+    commute; at w = -(ell-1) this keeps X* Y* and conjugates Y* X* by g."""
+    inv = inverse(g)
+    x, y, rat = dict(m.x_maps), dict(m.y_maps), dict(m.rat)
+    x[w], x[w - 2] = m.x_at(w) * inv, g * m.x_at(w - 2)
+    y[w], y[w + 2] = m.y_at(w) * inv, g * m.y_at(w + 2)
+    rat[w], rat[-w] = m.rat[w] * inverse(g.conj()), g * m.rat[-w]
+    moved = HCModule(m.ell, m.epsilon, m.window, m.spaces, x, y, rat, m.phi_plus,
+                     m.phi_minus, m.d)
+    assert validate_hc(moved).ok
+    return moved
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_normalizations_x_star_inv_is_the_inverse(d):
+    """x_star_inv, (Y* X*)^-1 Y* with the Neumann series of the star
+    problem's powers, is X*^-1 as an elimination finds it, also where X* and
+    Y* do not commute (there (X* Y*)^-1 Y* is not X*^-1).  T_-, which
+    normalizations does not build, is unipotent on each of these modules, as
+    validate_hc's "tail-dims" proves."""
+    rng = random.Random(43 + FIELD_TAGS.index(d))
+    noncommuting = 0
+    for ell in (1, 2, 3, 4):
+        mods = [inverse_E(v, ell) for v in block_reps(d, ell, 6, seed=43)]
+        mods += [build_example(kind, ell, 1, d) for kind in KINDS]
+        if ell >= 2:
+            w = -(ell - 1)
+            mods += [moved_at(m, w, random_invertible(rng, m.dim(w), d=d)) for m in mods]
+        for m in mods:
+            norms = normalizations(m)
+            x_star, y_star = norms.star.phi_plus, norms.star.phi_minus
+            assert norms.x_star_inv == inverse(x_star)
+            noncommuting += x_star * y_star != y_star * x_star
+            t_minus = casimir_t(m, m.phi_minus)
+            assert nilpotency_exponent(t_minus - QuadMatrix.identity(t_minus.rows, d)) is not None
+    assert noncommuting
+
+
+@pytest.mark.parametrize("d", FIELD_TAGS)
+def test_functor_E_walks_the_powers_twice(d, monkeypatch):
+    """A valid ell >= 1 _functor_E makes two walks over the powers of a
+    matrix, those of its two stabilization problems, which are also
+    normalizations' unipotence checks.  (Five while normalizations walked
+    T_+ - 1, T_- - 1 and X* Y* - 1 itself.)"""
+    walk, walks = exact._nilpotent_powers, []
+
+    def counting(n):
+        walks.append(n.rows)
+        return walk(n)
+
+    monkeypatch.setattr(exact, "_nilpotent_powers", counting)
+    monkeypatch.setattr(unipotent, "_nilpotent_powers", counting)
+    for ell in (1, 2, 3, 4):
+        for m in [inverse_E(v, ell) for v in block_reps(d, ell, 3, seed=47)] + \
+                [build_example("principal", ell, 1, d)]:
+            walks.clear()
+            hc._functor_E(m)
+            assert len(walks) == 2, (ell, walks)
 
 
 @pytest.mark.parametrize("d", FIELD_TAGS)
